@@ -30,7 +30,6 @@ from .catalog import build_named
 from .prolong import (
     Prolongation,
     ProlongationResult,
-    apply_reduction,
     projective_trace_reduction,
     prolong,
     prolong_step,

@@ -12,8 +12,8 @@ from __future__ import annotations
 from .linalg import (
     ExactMatrix,
     kernel_basis_rows,
-    in_span,
-    span_rank,
+    rank_rows,
+    solve_in_span,
     svec_axpy,
     svec_scale,
 )
@@ -84,15 +84,6 @@ class LieSuperalgebra:
                 if res:
                     svec_axpy(out, ca * cb, res)
         return out
-
-    def ad_matrix(self, a):
-        """Matrix of ad(x_a) on the whole algebra (columns are images)."""
-        n = len(self.space)
-        cols = [self.bracket_indices(a, b) for b in range(n)]
-        return ExactMatrix(
-            [[cols[j].get(i, Scalar(0)) for j in range(n)] for i in range(n)],
-            self.field,
-        )
 
     def __len__(self):
         return len(self.space)
@@ -314,12 +305,12 @@ def check_fundamental_nondegenerate(m):
                     nxt.append(w)
         slice_idx = space.indices_of_degree(-depth)
         want = len(slice_idx)
-        got = span_rank(nxt, n)
+        got = rank_rows(nxt, n)
         if got < want:
             report["ok"] = False
             report["fundamental"] = False
             for i in slice_idx:
-                if not in_span(nxt, {i: Scalar(1)}, n):
+                if solve_in_span(nxt, {i: Scalar(1)}, n) is None:
                     report["witnesses"].append(
                         "not generated from degree -1: %s" % space[i].name
                     )

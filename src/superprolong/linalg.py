@@ -11,7 +11,6 @@ Q(i) matrices on integer pairs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .scalars import FIELD_Q, FIELD_QI, Scalar, as_scalar
@@ -389,19 +388,6 @@ def solve_in_span(vectors, target, dim):
     return solve_rows(rhs_rows, len(vectors), rhs)
 
 
-def span_rank(vectors, dim):
-    """Rank of a list of sparse dict-vectors inside a dim-dimensional space."""
-    return rank_rows(vectors, dim)
-
-
-def in_span(vectors, target, dim):
-    return solve_in_span(vectors, target, dim) is not None
-
-
-def fraction(num, den=1):
-    return Fraction(num, den)
-
-
 class SpanSolver:
     """Reusable exact solver for membership in the span of fixed sparse
     vectors; one elimination up front, then many solves.
@@ -445,9 +431,6 @@ class SpanSolver:
             return None
         return [acc.get(i, Scalar(0)) for i in range(self.k)]
 
-    def contains(self, target):
-        return self.solve(target) is not None
-
 
 class _KeyWrap:
     """Total order on possibly mixed key types (by type name, then value)."""
@@ -487,8 +470,3 @@ def svec_scale(v, s):
     if not s:
         return {}
     return {i: s * x for i, x in v.items()}
-
-
-def svec_sub(a, b):
-    out = dict(a)
-    return svec_axpy(out, Scalar(-1), b)

@@ -23,13 +23,18 @@ with [S_f, S_g] = S_{[f,g]}.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
-from .exprparse import parse_terms
 from .scalars import FIELD_Q, Scalar, as_scalar
-from .superspace import EVEN, ODD
+from .superspace import (
+    EVEN,
+    ODD,
+    BasisVector,
+    GradedSuperSpace,
+    GrassmannPolynomial,
+    parse_polynomial_terms,
+)
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate as validate_alg
-from .superspace import BasisVector, GradedSuperSpace
+from .superfield import PolynomialField
 from .linalg import kernel_basis_rows, solve_rows
 
 
@@ -53,6 +58,11 @@ class JetContext:
             cur = nxt
         return out
 
+    def direction_name(self, d):
+        if d[0] == "x":
+            return "x" if self.p == 1 else "x%d" % (d[1] + 1)
+        return self.coord_name(d[1])
+
     def coord_name(self, I):
         if not I:
             return "xi"
@@ -61,22 +71,25 @@ class JetContext:
         return "xi_" + "".join(str(i) for i in I)
 
 
-class JetFunction:
+def _odd_key(I):
+    return (len(I), I)
+
+
+def _odds_key(odd):
+    return tuple(_odd_key(I) for I in odd)
+
+
+class JetFunction(GrassmannPolynomial):
     """Element of the jet function ring.
 
     terms: {(xexp tuple, lam Fraction, odd tuple of multi-indices): Scalar};
     odd tuples are strictly increasing in (length, lex) order.
     """
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms=None):
-        self.ctx = ctx
-        self.terms = {}
-        for key, val in (terms or {}).items():
-            val = as_scalar(val)
-            if val:
-                self.terms[key] = val
+    __slots__ = ()
+    symbol_key = staticmethod(_odd_key)
+    term_order = staticmethod(lambda key: (key[1], key[0], _odds_key(key[2])))
+    kind = "jet superfunction"
 
     @staticmethod
     def constant(ctx, c):
@@ -95,22 +108,15 @@ class JetFunction:
     def odd_coord(ctx, I):
         return JetFunction(ctx, {((0,) * ctx.p, Fraction(0), (tuple(I),)): Scalar(1)})
 
-    def is_zero(self):
-        return not self.terms
+    def _mul_even(self, a, b):
+        return (tuple(p + q for p, q in zip(a[0], b[0])), a[1] + b[1])
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, JetFunction) and self.terms == other.terms
-
-    def parity(self):
-        pars = {len(odd) % 2 for (_, _, odd) in self.terms}
-        if not pars:
-            return None
-        if len(pars) > 1:
-            raise ValueError("inhomogeneous jet superfunction")
-        return pars.pop()
+    def _even_factors(self, key):
+        out = super()._even_factors(key)
+        lam = key[1]
+        if lam:
+            out.append("exp(x)" if lam == 1 else "exp(%s*x)" % lam)
+        return out
 
     def max_order(self):
         mo = 0
@@ -118,49 +124,6 @@ class JetFunction:
             for I in odd:
                 mo = max(mo, len(I))
         return mo
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            s = out.get(key, Scalar(0)) + val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return JetFunction(self.ctx, out)
-
-    def __neg__(self):
-        return JetFunction(self.ctx, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        s = as_scalar(s)
-        if not s:
-            return JetFunction(self.ctx)
-        return JetFunction(self.ctx, {k: v * s for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, JetFunction):
-            return self.scale(other)
-        out = {}
-        for (xa, la, oa), va in self.terms.items():
-            for (xb, lb, ob), vb in other.terms.items():
-                sign, odd = _merge_odd(oa, ob)
-                if sign == 0:
-                    continue
-                key = (
-                    tuple(a + b for a, b in zip(xa, xb)),
-                    la + lb,
-                    odd,
-                )
-                s = out.get(key, Scalar(0)) + va * vb * Scalar(sign)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return JetFunction(self.ctx, out)
 
     def diff_x(self, i=0):
         """d/dx^i; for p = 1 this also differentiates the exponential part."""
@@ -180,19 +143,7 @@ class JetFunction:
                 add((tuple(nxe), lam, odd), v * Scalar(xe[i]))
             if lam and i == 0:
                 add((xe, lam, odd), v * Scalar(lam))
-        return JetFunction(self.ctx, out)
-
-    def diff_odd(self, I):
-        """Left derivative with respect to xi_I."""
-        I = tuple(I)
-        out = {}
-        for (xe, lam, odd), v in self.terms.items():
-            if I in odd:
-                pos = odd.index(I)
-                nodd = odd[:pos] + odd[pos + 1 :]
-                sign = Scalar(-1) if pos % 2 else Scalar(1)
-                out[(xe, lam, nodd)] = v * sign
-        return JetFunction(self.ctx, out)
+        return JetFunction(self.ambient, out)
 
     def total_derivative(self, i=0):
         """Full total derivative D_{x^i} (raises jet order by one)."""
@@ -205,13 +156,13 @@ class JetFunction:
             dI = self.diff_odd(I)
             if dI:
                 up = tuple(sorted(I + (i + 1,)))
-                out = out + JetFunction.odd_coord(self.ctx, up) * dI
+                out = out + JetFunction.odd_coord(self.ambient, up) * dI
         return out
 
     def truncate(self, order):
         """Drop terms containing a jet coordinate of order > order."""
         return JetFunction(
-            self.ctx,
+            self.ambient,
             {
                 key: v
                 for key, v in self.terms.items()
@@ -224,27 +175,15 @@ class JetFunction:
         out = self.diff_x(i)
         dxi = self.diff_odd(())
         if dxi:
-            out = out + JetFunction.odd_coord(self.ctx, (i + 1,)) * dxi
+            out = out + JetFunction.odd_coord(self.ambient, (i + 1,)) * dxi
         return out
 
     def substitute_odd(self, I, g):
-        """Replace the odd coordinate xi_I by the odd function g."""
-        I = tuple(I)
-        out = JetFunction(self.ctx)
-        keep = {}
-        for (xe, lam, odd), v in self.terms.items():
-            if I not in odd:
-                keep[(xe, lam, odd)] = v
-                continue
-            pos = odd.index(I)
-            sign = Scalar(-1) if pos % 2 else Scalar(1)
-            rest = odd[:pos] + odd[pos + 1 :]
-            base = JetFunction(self.ctx, {(xe, lam, ()): v * sign})
-            restf = JetFunction(
-                self.ctx, {((0,) * self.ctx.p, Fraction(0), rest): Scalar(1)}
-            )
-            out = out + base * g * restf
-        return out + JetFunction(self.ctx, keep)
+        """Replace the odd coordinate xi_I by the odd function g: with
+        f = xi_I * d_{xi_I} f + (terms free of xi_I), that is
+        g * d_{xi_I} f + (terms free of xi_I)."""
+        keep = {key: v for key, v in self.terms.items() if I not in key[2]}
+        return g * self.diff_odd(I) + JetFunction(self.ambient, keep)
 
     def weighted_grading(self, order):
         """Grading of S_f induced by the symbol filtration: each monomial
@@ -262,170 +201,35 @@ class JetFunction:
             return None
         return grades.pop()
 
-    def to_str(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (xe, lam, odd), v in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0], _odds_key(kv[0][2]))
-        ):
-            factors = []
-            for i, e in enumerate(xe):
-                nm = "x" if self.ctx.p == 1 else "x%d" % (i + 1)
-                if e == 1:
-                    factors.append(nm)
-                elif e > 1:
-                    factors.append("%s^%d" % (nm, e))
-            if lam:
-                factors.append(
-                    "exp(x)" if lam == 1 else "exp(%s*x)" % lam
-                )
-            for I in odd:
-                factors.append(self.ctx.coord_name(I))
-            mono = "*".join(factors)
-            c = v.pretty()
-            if mono:
-                if c == "1":
-                    parts.append(mono)
-                elif c == "-1":
-                    parts.append("-" + mono)
-                else:
-                    parts.append("%s*%s" % (c, mono))
-            else:
-                parts.append(c)
-        out = parts[0]
-        for pc in parts[1:]:
-            out += pc if pc.startswith("-") else "+" + pc
-        return out
-
-
-def _odd_key(I):
-    return (len(I), I)
-
-
-def _odds_key(odd):
-    return tuple(_odd_key(I) for I in odd)
-
-
-def _merge_odd(a, b):
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    if set(a) & set(b):
-        return 0, ()
-    merged = []
-    sign = 1
-    i = j = 0
-    ka = [_odd_key(I) for I in a]
-    kb = [_odd_key(I) for I in b]
-    while i < len(a) and j < len(b):
-        if ka[i] < kb[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2:
-                sign = -sign
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return sign, tuple(merged)
-
 
 # ---------------------------------------------------------------------------
 # contact fields
 # ---------------------------------------------------------------------------
 
-class ContactField:
+class ContactField(PolynomialField):
     """Vector field on J^r: coefficients per d_{x^i}, d_{xi_I}."""
 
+    __slots__ = ("order",)
+    polynomial = JetFunction
+
     def __init__(self, ctx, order, parity, coeffs):
-        self.ctx = ctx
+        super().__init__(ctx, parity, coeffs)
         self.order = order
-        self.parity = parity
-        self.coeffs = {d: f for d, f in coeffs.items() if f}
 
-    def coefficient(self, d):
-        return self.coeffs.get(d, JetFunction(self.ctx))
-
-    def apply(self, g):
-        out = JetFunction(self.ctx)
-        for d, c in self.coeffs.items():
-            if d[0] == "x":
-                dg = g.diff_x(d[1])
-            else:
-                dg = g.diff_odd(d[1])
-            if dg:
-                out = out + c * dg
-        return out
-
-    def bracket(self, other):
-        sgn = -1 if (self.parity and other.parity) else 1
-        dirs = set(self.coeffs) | set(other.coeffs)
-        out = {}
-        for d in dirs:
-            a = self.apply(other.coefficient(d))
-            b = other.apply(self.coefficient(d))
-            c = a - b if sgn == 1 else a + b
-            if c:
-                out[d] = c
+    def _like(self, other, parity, coeffs):
         return ContactField(
-            self.ctx, max(self.order, other.order),
-            (self.parity + other.parity) % 2, out,
+            self.ambient, max(self.order, other.order), parity, coeffs
         )
 
     def restrict(self, order):
         return ContactField(
-            self.ctx, order, self.parity,
+            self.ambient, order, self.parity,
             {
                 d: f.truncate(order)
                 for d, f in self.coeffs.items()
                 if d[0] == "x" or len(d[1]) <= order
             },
         )
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for d, f in other.coeffs.items():
-            s = out.get(d)
-            s = -f if s is None else s - f
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return ContactField(self.ctx, max(self.order, other.order), self.parity, out)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def to_str(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        keys = sorted(
-            self.coeffs,
-            key=lambda d: (0, d[1], ()) if d[0] == "x" else (1,) + _odd_key(d[1]),
-        )
-        for d in keys:
-            c = self.coeffs[d]
-            if d[0] == "x":
-                nm = "@x" if self.ctx.p == 1 else "@x%d" % (d[1] + 1)
-            else:
-                nm = "@" + self.ctx.coord_name(d[1])
-            cs = c.to_str()
-            if cs == "1":
-                parts.append(nm)
-            elif cs == "-1":
-                parts.append("-" + nm)
-            elif "+" in cs[1:] or "-" in cs[1:]:
-                parts.append("(%s)*%s" % (cs, nm))
-            else:
-                parts.append("%s*%s" % (cs, nm))
-        out = parts[0]
-        for pc in parts[1:]:
-            out += pc if pc.startswith("-") else "+" + pc
-        return out
 
 
 class GeneratingFunction:
@@ -445,7 +249,7 @@ def contact_vf(f, ctx=None):
     """The order-1 contact field S_f of a generating superfunction."""
     if isinstance(f, GeneratingFunction):
         f = f.fn
-    ctx = ctx or f.ctx
+    ctx = ctx or f.ambient
     if f.max_order() > 1:
         raise ValueError("generating superfunctions live on J^1")
     pf = f.parity()
@@ -474,7 +278,7 @@ def prolong_field(f, r):
     D_{x^{j_1}}...D_{x^{j_k}} f truncated to jet order k."""
     if isinstance(f, GeneratingFunction):
         f = f.fn
-    ctx = f.ctx
+    ctx = f.ambient
     base = contact_vf(f)
     if r < 1:
         raise ValueError("prolongation order must be >= 1")
@@ -504,7 +308,7 @@ def lagrange_bracket(f, g):
         f = f.fn
     if isinstance(g, GeneratingFunction):
         g = g.fn
-    ctx = f.ctx
+    ctx = f.ambient
     pf = f.parity()
     if pf is None:
         return JetFunction(ctx)
@@ -518,7 +322,7 @@ def lagrange_bracket(f, g):
 
 def iota_sigma(S):
     """Contraction of the contact form sigma = d xi - dx^i xi_i with S."""
-    ctx = S.ctx
+    ctx = S.ambient
     out = JetFunction(ctx) + S.coefficient(("xi", ()))
     for i in range(ctx.p):
         cx = S.coefficient(("x", i))
@@ -529,7 +333,7 @@ def iota_sigma(S):
 
 def contact_form_preserved(S):
     """sigma([S, V]) = 0 for V in the contact distribution of J^1."""
-    ctx = S.ctx
+    ctx = S.ambient
     kernel_fields = []
     for i in range(ctx.p):
         kernel_fields.append(
@@ -561,18 +365,11 @@ def parse_jet(ctx, text):
     """Parse "a(x)*xi + b*xi1*xi2" style jet functions (p = 1 names: x, xi,
     xi1, xi2, ...; p > 1: x1..xp, xi, xi_12...)."""
     out = JetFunction(ctx)
-    for sign, factors in parse_terms(text):
-        poly = JetFunction.constant(ctx, sign)
-        for fct in factors:
-            if fct[0] == "num":
-                poly = poly.scale(fct[1])
-            elif fct[0] == "dir":
-                raise ValueError("direction symbol in a jet function: %r" % text)
-            else:
-                nm, exp = fct[1], fct[2]
-                base = _jet_coordinate(ctx, nm)
-                for _ in range(exp):
-                    poly = poly * base
+    for direction, poly in parse_polynomial_terms(
+        text, JetFunction.constant(ctx, 1), lambda nm: _jet_coordinate(ctx, nm)
+    ):
+        if direction is not None:
+            raise ValueError("direction symbol in a jet function: %r" % text)
         out = out + poly
     return out
 
@@ -600,6 +397,10 @@ def _jet_coordinate(ctx, nm):
 
 class OdeSpec:
     def __init__(self, order, rhs, poly_degree=4, exponentials=(), ctx=None):
+        if order < 2:
+            raise ValueError("order must be >= 2")
+        if poly_degree < 0:
+            raise ValueError("poly_degree must be >= 0")
         self.ctx = ctx or JetContext(1)
         if self.ctx.p != 1:
             raise ValueError("the symmetry solver handles p = 1 only")

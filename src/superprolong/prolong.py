@@ -21,8 +21,8 @@ from .linalg import (
     ExactMatrix,
     SpanSolver,
     kernel_basis_rows,
+    rank_rows,
     solve_in_span,
-    span_rank,
     svec_axpy,
     svec_scale,
 )
@@ -359,7 +359,7 @@ class Prolongation:
         keys = sorted({k for f in flats for k in f})
         posmap = {k: j for j, k in enumerate(keys)}
         vecs = [{posmap[k]: v for k, v in f.items()} for f in flats]
-        if span_rank(vecs, len(keys)) != len(comp.elements):
+        if rank_rows(vecs, len(keys)) != len(comp.elements):
             raise ProlongationError(
                 "transitivity failure at degree %d: ad restricted to g_{-1} "
                 "is not injective" % i
@@ -617,12 +617,6 @@ def prolong(m, g0=None, reductions=None, max_degree=None, validate_result=True):
         m, engine, status, stabilized_at, max_degree, algebra,
         metadata,
     )
-
-
-def apply_reduction(engine, degree, subspace):
-    """Spec-level name for in-progress reduction."""
-    engine.reduce_component(degree, subspace)
-    return engine
 
 
 # ---------------------------------------------------------------------------

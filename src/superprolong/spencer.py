@@ -28,7 +28,6 @@ from .linalg import (
     _to_int_rows,
     kernel_basis_rows,
     rank_rows,
-    svec_axpy,
 )
 from .scalars import Scalar
 from .superspace import EVEN, ODD, extraction_sign, sort_with_sign
@@ -43,7 +42,6 @@ class CochainSlice:
         self.g = g
         self.d = d
         self.k = k
-        self.m_indices = [i for i, b in enumerate(g.space) if b.degree < 0]
         self.basis = cochain_basis(g, d, k)
         self.target = cochain_basis(g, d, k + 1)
         self.matrix_rows = differential_rows(g, self.basis, self.target)
@@ -97,78 +95,6 @@ def cochain_basis(g, d, k):
         for b, bv in enumerate(space):
             if bv.degree - argdeg == d:
                 out.append((T, b, (argpar + bv.parity) % 2))
-    return out
-
-
-def _evaluate(space, T0, b, args, parities):
-    """Value on `args` of the basis cochain supported on canonical T0 with
-    value b; returns (sign, b) or None."""
-    srt, sign = sort_with_sign(args, parities)
-    if sign == 0 or srt != T0:
-        return None
-    return sign
-
-
-def apply_differential(g, k, cochain, out_tuples=None):
-    """d(cochain) for a sparse cochain {(tuple, g_index): Scalar} of pure
-    degree; parity may be mixed (handled per term)."""
-    space = g.space
-    # group values by tuple for fast lookup
-    by_tuple = {}
-    par_of = {}
-    for (T, b), s in cochain.items():
-        by_tuple.setdefault(T, {})[b] = s
-        argpar = sum(space[t].parity for t in T) % 2
-        par_of[(T, b)] = (argpar + space[b].parity) % 2
-    if not cochain:
-        return {}
-    k1 = k + 1
-    if out_tuples is None:
-        out_tuples = canonical_tuples(g, k1)
-    out = {}
-    for T in out_tuples:
-        pars = [space[t].parity for t in T]
-        acc = {}
-        for i in range(k1):
-            rest = T[:i] + T[i + 1 :]
-            vals = by_tuple.get(rest)
-            if not vals:
-                continue
-            s_i = extraction_sign(pars, [i])
-            xi = T[i]
-            for b, coeff in vals.items():
-                tw = Scalar(-1) if (space[xi].parity and par_of[(rest, b)]) else Scalar(1)
-                br = g.bracket_indices(xi, b)
-                if br:
-                    svec_axpy(acc, Scalar(s_i) * tw * coeff, br)
-        for i in range(k1):
-            for j in range(i + 1, k1):
-                br = g.bracket_indices(T[i], T[j])
-                if not br:
-                    continue
-                s_ij = extraction_sign(pars, [i, j])
-                rest = tuple(t for p, t in enumerate(T) if p != i and p != j)
-                rest_pars = [space[t].parity for t in rest]
-                for c, s in br.items():
-                    if space[c].degree >= 0:
-                        continue
-                    args = (c,) + rest
-                    srt, sgn = sort_with_sign(args, [space[c].parity] + rest_pars)
-                    if sgn == 0:
-                        continue
-                    vals = by_tuple.get(srt)
-                    if not vals:
-                        continue
-                    for b, coeff in vals.items():
-                        x = Scalar(-s_ij * sgn) * s * coeff
-                        y = acc.get(b)
-                        y = x if y is None else y + x
-                        if y:
-                            acc[b] = y
-                        else:
-                            acc.pop(b, None)
-        for b, s in acc.items():
-            out[(T, b)] = s
     return out
 
 

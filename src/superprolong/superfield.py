@@ -13,9 +13,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exprparse import parse_terms
-from .scalars import FIELD_Q, Scalar, as_scalar
-from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
+from .scalars import FIELD_Q, Scalar, as_scalar, parse_scalar
+from .superspace import (
+    EVEN,
+    ODD,
+    BasisVector,
+    GradedSuperSpace,
+    GrassmannPolynomial,
+    parity_from_str,
+    parse_polynomial_terms,
+    scaled_name,
+    signed_sum,
+)
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate as validate_alg
 from .liesuper import check_fundamental_nondegenerate
 
@@ -43,26 +52,26 @@ class Ambient:
     def direction_parity(self, d):
         return EVEN if d[0] == "x" else ODD
 
+    def direction(self, name):
+        """The direction of the coordinate called name."""
+        if name in self.even:
+            return ("x", self.even.index(name))
+        if name in self.odd:
+            return ("th", self.odd.index(name))
+        raise ValueError("unknown direction %r" % name)
+
 
 class DegreeCapError(ValueError):
     pass
 
 
-class SuperPolynomial:
+class SuperPolynomial(GrassmannPolynomial):
     """Sparse element of Q[x] (x) Lambda[theta].
 
     terms: {(xexp tuple, theta tuple sorted strictly increasing): Scalar}.
     """
 
-    __slots__ = ("ambient", "terms")
-
-    def __init__(self, ambient, terms=None):
-        self.ambient = ambient
-        self.terms = {}
-        for key, val in (terms or {}).items():
-            val = as_scalar(val)
-            if val:
-                self.terms[key] = val
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -85,73 +94,13 @@ class SuperPolynomial:
 
     # -- structure ----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def parity(self):
-        """EVEN/ODD when homogeneous, None for 0, raises when mixed."""
-        pars = {len(th) % 2 for _, th in self.terms}
-        if not pars:
-            return None
-        if len(pars) > 1:
-            raise ValueError("inhomogeneous superfunction")
-        return pars.pop()
-
-    def __eq__(self, other):
-        return isinstance(other, SuperPolynomial) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            s = out.get(key, Scalar(0)) + val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return SuperPolynomial(self.ambient, out)
-
-    def __neg__(self):
-        return SuperPolynomial(
-            self.ambient, {k: -v for k, v in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        s = as_scalar(s)
-        if not s:
-            return SuperPolynomial(self.ambient)
-        return SuperPolynomial(
-            self.ambient, {k: v * s for k, v in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, SuperPolynomial):
-            return self.scale(other)
-        amb = self.ambient
-        cap = amb.degree_cap
-        out = {}
-        for (xa, tha), va in self.terms.items():
-            for (xb, thb), vb in other.terms.items():
-                sign, th = _merge_theta(tha, thb)
-                if sign == 0:
-                    continue
-                xe = tuple(a + b for a, b in zip(xa, xb))
-                if sum(xe) > cap:
-                    raise DegreeCapError(
-                        "even degree cap %d exceeded in a product" % cap
-                    )
-                key = (xe, th)
-                s = out.get(key, Scalar(0)) + va * vb * Scalar(sign)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return SuperPolynomial(amb, out)
+    def _mul_even(self, a, b):
+        xe = tuple(p + q for p, q in zip(a[0], b[0]))
+        if sum(xe) > self.ambient.degree_cap:
+            raise DegreeCapError(
+                "even degree cap %d exceeded in a product" % self.ambient.degree_cap
+            )
+        return (xe,)
 
     def diff_x(self, i):
         out = {}
@@ -160,17 +109,6 @@ class SuperPolynomial:
                 nxe = list(xe)
                 nxe[i] -= 1
                 out[(tuple(nxe), th)] = v * Scalar(xe[i])
-        return SuperPolynomial(self.ambient, out)
-
-    def diff_theta(self, a):
-        """Left derivative with respect to theta_a."""
-        out = {}
-        for (xe, th), v in self.terms.items():
-            if a in th:
-                pos = th.index(a)
-                nth = th[:pos] + th[pos + 1 :]
-                sign = Scalar(-1) if pos % 2 else Scalar(1)
-                out[(xe, nth)] = v * sign
         return SuperPolynomial(self.ambient, out)
 
     def ev(self, point):
@@ -203,76 +141,98 @@ class SuperPolynomial:
     def constant_value(self):
         return self.terms.get(((0,) * self.ambient.m, ()), Scalar(0))
 
-    def to_str(self):
-        if not self.terms:
-            return "0"
-        amb = self.ambient
-        parts = []
-        for (xe, th), v in sorted(self.terms.items()):
-            factors = []
-            for i, e in enumerate(xe):
-                if e == 1:
-                    factors.append(amb.even[i])
-                elif e > 1:
-                    factors.append("%s^%d" % (amb.even[i], e))
-            for a in th:
-                factors.append(amb.odd[a])
-            mono = "*".join(factors)
-            c = v.pretty()
-            if mono:
-                if c == "1":
-                    parts.append(mono)
-                elif c == "-1":
-                    parts.append("-" + mono)
-                else:
-                    parts.append("%s*%s" % (c, mono))
-            else:
-                parts.append(c)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
 
+class PolynomialField:
+    """Parity-homogeneous derivation of a Grassmann-polynomial ring: one
+    coefficient per direction, ("x", i) for an even coordinate and any other
+    tag for the odd symbol d[1].  Subclasses name their coefficient class
+    (``polynomial``) and build results of their own type (``_like``)."""
 
-def _merge_theta(a, b):
-    """Concatenate-sort two strictly increasing odd index tuples; returns
-    (sign, merged) with sign 0 on a repeated index."""
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    if set(a) & set(b):
-        return 0, ()
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            # b[j] moves left past the remaining entries of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return sign, tuple(merged)
+    __slots__ = ("ambient", "parity", "coeffs")
+    polynomial = None
 
-
-class SuperVectorField:
-    """Parity-homogeneous derivation of the polynomial superalgebra."""
-
-    __slots__ = ("ambient", "parity", "coeffs", "name")
-
-    def __init__(self, ambient, parity, coeffs, name=None, check=True):
+    def __init__(self, ambient, parity, coeffs):
         self.ambient = ambient
         self.parity = parity
-        self.coeffs = {}
-        for d, poly in coeffs.items():
-            if poly:
-                self.coeffs[d] = poly
+        self.coeffs = {d: poly for d, poly in coeffs.items() if poly}
+
+    def _like(self, other, parity, coeffs):
+        """A field of this class for a result of self and other."""
+        raise NotImplementedError
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def coefficient(self, d):
+        return self.coeffs.get(d, self.polynomial(self.ambient))
+
+    def apply(self, f):
+        """X(f) for a superfunction f."""
+        out = self.polynomial(self.ambient)
+        for d, c in self.coeffs.items():
+            df = f.diff_x(d[1]) if d[0] == "x" else f.diff_odd(d[1])
+            if df:
+                out = out + c * df
+        return out
+
+    def bracket(self, other):
+        return bracket_fields(self, other)
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for d, c in other.coeffs.items():
+            s = out.get(d)
+            s = c if s is None else s + c
+            if s:
+                out[d] = s
+            else:
+                out.pop(d, None)
+        return self._like(other, self.parity, out)
+
+    def __neg__(self):
+        return self._like(self, self.parity, {d: -c for d, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def _direction_order(self, d):
+        """Even directions first, each kind in the order of its symbols."""
+        key = self.polynomial.symbol_key
+        return (d[0] != "x", d[1] if d[0] == "x" or key is None else key(d[1]))
+
+    def to_str(self):
+        parts = []
+        for d in sorted(self.coeffs, key=self._direction_order):
+            cs = self.coeffs[d].to_str()
+            if "+" in cs[1:] or "-" in cs[1:]:
+                cs = "(%s)" % cs
+            parts.append(scaled_name(cs, "@" + self.ambient.direction_name(d)))
+        return signed_sum(parts)
+
+
+def bracket_fields(X, Y):
+    """[X, Y] = XY - (-1)^{|X||Y|} YX as a derivation."""
+    out = {}
+    for d in set(X.coeffs) | set(Y.coeffs):
+        a = X.apply(Y.coefficient(d))
+        b = Y.apply(X.coefficient(d))
+        c = a + b if X.parity and Y.parity else a - b
+        if c:
+            out[d] = c
+    return X._like(Y, (X.parity + Y.parity) % 2, out)
+
+
+class SuperVectorField(PolynomialField):
+    """Parity-homogeneous derivation of the polynomial superalgebra."""
+
+    __slots__ = ("name",)
+    polynomial = SuperPolynomial
+
+    def __init__(self, ambient, parity, coeffs, name=None, check=True):
+        super().__init__(ambient, parity, coeffs)
         self.name = name
         if check:
             for d, poly in self.coeffs.items():
@@ -283,23 +243,8 @@ class SuperVectorField:
                         % ambient.direction_name(d)
                     )
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def coefficient(self, d):
-        return self.coeffs.get(d, SuperPolynomial(self.ambient))
-
-    def apply(self, f):
-        """X(f) for a superfunction f."""
-        out = SuperPolynomial(self.ambient)
-        for d, c in self.coeffs.items():
-            df = f.diff_x(d[1]) if d[0] == "x" else f.diff_theta(d[1])
-            if df:
-                out = out + c * df
-        return out
+    def _like(self, other, parity, coeffs):
+        return SuperVectorField(self.ambient, parity, coeffs, check=False)
 
     def scale_fn(self, f):
         """f * X (left module action); parity of f must be homogeneous."""
@@ -313,52 +258,9 @@ class SuperVectorField:
             check=False,
         )
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            s = out.get(d)
-            s = c if s is None else s + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return SuperVectorField(self.ambient, self.parity, out, check=False)
-
-    def __neg__(self):
-        return SuperVectorField(
-            self.ambient, self.parity,
-            {d: -c for d, c in self.coeffs.items()}, check=False,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def ev(self, point):
         """Values at (x = point, theta = 0) per direction."""
         return {d: c.ev(point) for d, c in self.coeffs.items()}
-
-    def to_str(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d in self.ambient.directions():
-            c = self.coeffs.get(d)
-            if not c:
-                continue
-            cs = c.to_str()
-            dn = "@" + self.ambient.direction_name(d)
-            if cs == "1":
-                parts.append(dn)
-            elif cs == "-1":
-                parts.append("-" + dn)
-            elif "+" in cs[1:] or "-" in cs[1:]:
-                parts.append("(%s)*%s" % (cs, dn))
-            else:
-                parts.append("%s*%s" % (cs, dn))
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
 
     def to_json(self):
         amb = self.ambient
@@ -386,42 +288,31 @@ class SuperVectorField:
         }
 
 
-def bracket_fields(X, Y):
-    """[X, Y] = XY - (-1)^{|X||Y|} YX as a derivation."""
-    amb = X.ambient
-    sgn = Scalar(-1) if (X.parity and Y.parity) else Scalar(1)
-    out = {}
-    dirs = set(X.coeffs) | set(Y.coeffs)
-    for d in dirs:
-        a = X.apply(Y.coefficient(d)) if Y.coefficient(d) else SuperPolynomial(amb)
-        b = X.coefficient(d)
-        bb = Y.apply(b) if b else SuperPolynomial(amb)
-        c = a - bb if sgn == 1 else a + bb
-        if c:
-            out[d] = c
-    return SuperVectorField(
-        amb, (X.parity + Y.parity) % 2, out,
-        name=None, check=False,
-    )
-
-
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
+def _parse(ambient, text):
+    return parse_polynomial_terms(
+        text,
+        SuperPolynomial.constant(ambient, 1),
+        lambda name: SuperPolynomial.coordinate(ambient, name),
+    )
+
+
+def _field_parities(ambient, terms):
+    return {
+        (poly.parity() + ambient.direction_parity(d)) % 2
+        for d, poly in terms.items()
+        if poly
+    }
+
+
 def parse_superfunction(ambient, text):
     out = SuperPolynomial(ambient)
-    for sign, factors in parse_terms(text):
-        poly = SuperPolynomial.constant(ambient, sign)
-        for f in factors:
-            if f[0] == "num":
-                poly = poly.scale(f[1])
-            elif f[0] == "name":
-                base = SuperPolynomial.coordinate(ambient, f[1])
-                for _ in range(f[2]):
-                    poly = poly * base
-            else:
-                raise ValueError("direction symbol inside a function: %r" % text)
+    for direction, poly in _parse(ambient, text):
+        if direction is not None:
+            raise ValueError("direction symbol inside a function: %r" % text)
         out = out + poly
     return out
 
@@ -430,34 +321,13 @@ def parse_field(ambient, text, name=None):
     """Parse "@x + p*@u + q^2*@z" style expressions; the direction marker is
     '@name', 'd_name' or a literal unicode del."""
     terms = {}
-    for sign, factors in parse_terms(text):
-        poly = SuperPolynomial.constant(ambient, sign)
-        direction = None
-        for f in factors:
-            if f[0] == "num":
-                poly = poly.scale(f[1])
-            elif f[0] == "name":
-                base = SuperPolynomial.coordinate(ambient, f[1])
-                for _ in range(f[2]):
-                    poly = poly * base
-            else:
-                if direction is not None:
-                    raise ValueError("two directions in one term: %r" % text)
-                nm = f[1]
-                if nm in ambient.even:
-                    direction = ("x", ambient.even.index(nm))
-                elif nm in ambient.odd:
-                    direction = ("th", ambient.odd.index(nm))
-                else:
-                    raise ValueError("unknown direction %r" % nm)
+    for direction, poly in _parse(ambient, text):
         if direction is None:
             raise ValueError("term without a direction in %r" % text)
-        cur = terms.get(direction)
-        terms[direction] = poly if cur is None else cur + poly
-    pars = set()
-    for d, poly in terms.items():
-        if poly:
-            pars.add((poly.parity() + ambient.direction_parity(d)) % 2)
+        d = ambient.direction(direction)
+        cur = terms.get(d)
+        terms[d] = poly if cur is None else cur + poly
+    pars = _field_parities(ambient, terms)
     if len(pars) > 1:
         raise ValueError("field %r is not parity-homogeneous" % text)
     parity = pars.pop() if pars else EVEN
@@ -465,38 +335,30 @@ def parse_field(ambient, text, name=None):
 
 
 def field_from_json(ambient, data):
+    """A field from its JSON form; each theta_subset is an ordered product of
+    odd coordinates, so its order carries the sign and a repeat gives 0."""
     terms = {}
     for entry in data["coefficients"]:
-        nm = entry["direction"]
-        if nm in ambient.even:
-            d = ("x", ambient.even.index(nm))
-        elif nm in ambient.odd:
-            d = ("th", ambient.odd.index(nm))
-        else:
-            raise ValueError("unknown direction %r" % nm)
-        tm = {}
+        d = ambient.direction(entry["direction"])
+        poly = SuperPolynomial(ambient)
         for mono in entry["monomials"]:
-            xe = tuple(mono.get("x_exponents", [0] * ambient.m))
-            th = tuple(
-                sorted(ambient.odd.index(t) for t in mono.get("theta_subset", []))
-            )
-            from .scalars import parse_scalar
-
             c = mono["coeff"]
-            tm[(xe, th)] = parse_scalar(c) if isinstance(c, str) else as_scalar(c)
-        terms[d] = SuperPolynomial(ambient, tm)
+            odd = SuperPolynomial.constant(
+                ambient, parse_scalar(c) if isinstance(c, str) else as_scalar(c)
+            )
+            for t in mono.get("theta_subset", []):
+                odd = odd * SuperPolynomial.coordinate(ambient, t)
+            xe = tuple(mono.get("x_exponents", [0] * ambient.m))
+            poly = poly + SuperPolynomial(
+                ambient, {(xe, th): v for (_, th), v in odd.terms.items()}
+            )
+        terms[d] = poly
     parity = data.get("parity")
     if parity is not None:
-        from .superspace import parity_from_str
-
         return SuperVectorField(
             ambient, parity_from_str(parity), terms, name=data.get("name")
         )
-    pars = {
-        (p.parity() + ambient.direction_parity(d)) % 2
-        for d, p in terms.items()
-        if p
-    }
+    pars = _field_parities(ambient, terms)
     if len(pars) != 1:
         raise ValueError("cannot infer a homogeneous parity")
     return SuperVectorField(ambient, pars.pop(), terms, name=data.get("name"))

@@ -1,11 +1,19 @@
-"""Graded supervector spaces, the Koszul sign oracle, Hom and super-Lambda^k.
+"""Graded supervector spaces, the Koszul sign oracle, Hom, super-Lambda^k and
+the Grassmann-polynomial core.
 
 Sign convention (used verbatim everywhere else in the package): inside a
 super exterior power, exchanging two adjacent symbols contributes -1 unless
 both symbols are odd, in which case it contributes +1.  Even symbols never
-repeat in a monomial; odd symbols may.  All cochain evaluation routes
-through :func:`koszul_sign` / :func:`sort_with_sign`; no other module does
-inline sign arithmetic on permutations.
+repeat in a monomial; odd symbols may.  All sign arithmetic on permutations
+routes through :func:`koszul_sign` / :func:`sort_with_sign`, and products of
+Grassmann monomials through :func:`merge_with_sign`, which equals
+``sort_with_sign`` of the concatenation with every symbol tagged EVEN (odd
+coordinates anticommute like the even symbols of the exterior convention);
+no other module does inline sign arithmetic on permutations.
+
+:class:`GrassmannPolynomial` is the one sparse polynomial-superalgebra core:
+superfunctions on R^{m|n} and functions on jet superspaces subclass it, and
+:func:`parse_polynomial_terms` is the one loop reading their expressions.
 """
 
 from __future__ import annotations
@@ -13,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+
+from .exprparse import parse_terms
+from .scalars import Scalar, as_scalar
 
 EVEN = 0
 ODD = 1
@@ -130,6 +141,39 @@ def sort_with_sign(indices, parities):
     return tuple(items), sign
 
 
+def merge_with_sign(a, b, key=None):
+    """Product of two monomials of anticommuting symbols, each a tuple sorted
+    strictly increasing under key (default: the symbols' own order).
+
+    Returns (merged, sign), and ((), 0) when a symbol repeats; this is
+    sort_with_sign(a + b, [EVEN] * len(a + b)) computed as one merge pass.
+    """
+    if not a:
+        return b, 1
+    if not b:
+        return a, 1
+    if set(a) & set(b):
+        return (), 0
+    ka = a if key is None else [key(s) for s in a]
+    kb = b if key is None else [key(s) for s in b]
+    merged = []
+    sign = 1
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if ka[i] < kb[j]:
+            merged.append(a[i])
+            i += 1
+        else:
+            # b[j] moves left past the remaining entries of a
+            if (len(a) - i) % 2:
+                sign = -sign
+            merged.append(b[j])
+            j += 1
+    merged.extend(a[i:])
+    merged.extend(b[j:])
+    return tuple(merged), sign
+
+
 def extraction_sign(parities, positions):
     """Sign of pulling the listed slots (in the given order) to the front.
 
@@ -217,3 +261,169 @@ def hom_degree_component(src, dst, d):
                     )
                 )
     return GradedSuperSpace(basis)
+
+
+# ---------------------------------------------------------------------------
+# Grassmann-polynomial core
+# ---------------------------------------------------------------------------
+
+def signed_sum(parts):
+    """Join printed terms with '+', except before a term starting with '-'."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
+
+
+def scaled_name(c, name):
+    """The printed product c*name, with the coefficients 1 and -1 folded."""
+    if c == "1":
+        return name
+    if c == "-1":
+        return "-" + name
+    return "%s*%s" % (c, name)
+
+
+class GrassmannPolynomial:
+    """Sparse element of E (x) Lambda[odd symbols] with E a ring of even
+    functions (polynomials, possibly times exponentials).
+
+    terms: {key: nonzero Scalar}; a key is a tuple whose first entry is the
+    exponent tuple of the even coordinates and whose last entry is the odd
+    monomial, a tuple of symbols strictly increasing under ``symbol_key``.
+    The ambient names the factors: ``ambient.direction_name(d)`` with
+    d = ("x", i) for an even coordinate and any other tag for the odd symbol
+    d[1].  Subclasses say how even parts multiply (``_mul_even``).
+    """
+
+    __slots__ = ("ambient", "terms")
+    symbol_key = None  # sort key of the odd symbols; None: their own order
+    term_order = None  # sort key of the printed terms; None: the term keys
+    kind = "superfunction"
+
+    def __init__(self, ambient, terms=None):
+        self.ambient = ambient
+        self.terms = {}
+        for key, val in (terms or {}).items():
+            val = as_scalar(val)
+            if val:
+                self.terms[key] = val
+
+    def _new(self, terms):
+        return type(self)(self.ambient, terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def parity(self):
+        """EVEN/ODD when homogeneous, None for 0, raises when mixed."""
+        pars = {len(key[-1]) % 2 for key in self.terms}
+        if not pars:
+            return None
+        if len(pars) > 1:
+            raise ValueError("inhomogeneous %s" % self.kind)
+        return pars.pop()
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, val in other.terms.items():
+            s = out.get(key, Scalar(0)) + val
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s):
+        s = as_scalar(s)
+        if not s:
+            return self._new({})
+        return self._new({k: v * s for k, v in self.terms.items()})
+
+    def _mul_even(self, a, b):
+        """Even part of the product of the monomials with keys a and b, as the
+        key without its odd entry."""
+        raise NotImplementedError
+
+    def __mul__(self, other):
+        if not isinstance(other, GrassmannPolynomial):
+            return self.scale(other)
+        key_of = self.symbol_key
+        out = {}
+        for ka, va in self.terms.items():
+            oa = ka[-1]
+            for kb, vb in other.terms.items():
+                odd, sign = merge_with_sign(oa, kb[-1], key_of)
+                if sign == 0:
+                    continue
+                key = self._mul_even(ka, kb) + (odd,)
+                s = out.get(key, Scalar(0)) + va * vb * Scalar(sign)
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return self._new(out)
+
+    def diff_odd(self, s):
+        """Left derivative with respect to the odd symbol s."""
+        out = {}
+        for key, v in self.terms.items():
+            odd = key[-1]
+            if s in odd:
+                pos = odd.index(s)
+                out[key[:-1] + (odd[:pos] + odd[pos + 1 :],)] = -v if pos % 2 else v
+        return self._new(out)
+
+    def _even_factors(self, key):
+        name = self.ambient.direction_name
+        return [
+            name(("x", i)) if e == 1 else "%s^%d" % (name(("x", i)), e)
+            for i, e in enumerate(key[0])
+            if e
+        ]
+
+    def to_str(self):
+        name = self.ambient.direction_name
+        parts = []
+        for key in sorted(self.terms, key=self.term_order):
+            factors = self._even_factors(key) + [name(("odd", s)) for s in key[-1]]
+            c = self.terms[key].pretty()
+            parts.append(scaled_name(c, "*".join(factors)) if factors else c)
+        return signed_sum(parts)
+
+
+def parse_polynomial_terms(text, one, coordinate):
+    """The terms of an expression as [(direction name or None, polynomial)].
+
+    one is the unit of the ring and coordinate(name) its coordinate
+    function; factors multiply in the order written, so reordered odd names
+    carry their sign.  A term may hold at most one direction factor.
+    """
+    out = []
+    for sign, factors in parse_terms(text):
+        poly = one.scale(sign)
+        direction = None
+        for f in factors:
+            if f[0] == "num":
+                poly = poly.scale(f[1])
+            elif f[0] == "name":
+                base = coordinate(f[1])
+                for _ in range(f[2]):
+                    poly = poly * base
+            elif direction is not None:
+                raise ValueError("two directions in one term: %r" % text)
+            else:
+                direction = f[1]
+        out.append((direction, poly))
+    return out

@@ -123,3 +123,28 @@ def test_paper_suite_flag(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 30
+
+
+@pytest.mark.parametrize(
+    "order, degree, message",
+    [(1, 4, "order must be >= 2"), (0, 4, "order must be >= 2"),
+     (3, -1, "poly_degree must be >= 0")],
+    ids=["order1", "order0", "degree-1"],
+)
+def test_odesym_rejects_unsolvable_order_or_degree(
+    tmp_path, capsys, order, degree, message
+):
+    code, out, err = run_cli(
+        ["odesym", "--order", str(order), "--rhs", "0",
+         "--poly-degree", str(degree)],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "input error: %s\n" % message
+    path = tmp_path / "ode.json"
+    path.write_text(
+        json.dumps({"order": order, "rhs": "0", "basis": {"poly_degree": degree}})
+    )
+    code, out, err = run_cli(["odesym", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s\n" % message

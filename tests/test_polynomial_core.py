@@ -1,0 +1,142 @@
+"""Properties of the Grassmann-polynomial core that superfunctions on
+R^{m|n} and jet functions share: the merge sign against the sort oracle,
+associativity, supercommutativity and the Leibniz rule of the odd
+derivative, and the contact-field bracket on jets with p = 2."""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from superprolong.oddode import (
+    JetContext,
+    JetFunction,
+    contact_vf,
+    lagrange_bracket,
+    parse_jet,
+)
+from superprolong.scalars import Scalar
+from superprolong.superfield import Ambient, SuperPolynomial
+from superprolong.superspace import EVEN, merge_with_sign, sort_with_sign
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def subsets(symbols):
+    return [c for k in range(len(symbols) + 1) for c in combinations(symbols, k)]
+
+
+def test_merge_matches_sort_oracle_on_all_pairs():
+    for a in subsets(range(6)):
+        for b in subsets(range(6)):
+            merged, sign = merge_with_sign(a, b)
+            srt, want = sort_with_sign(a + b, [EVEN] * (len(a) + len(b)))
+            assert sign == want, (a, b)
+            if sign:
+                assert merged == srt, (a, b)
+
+
+def test_merge_with_jet_key_matches_sort_oracle():
+    # multi-indices of J^2 with p = 2, ordered by (order, lex): the merge
+    # must agree with the oracle run on their ranks
+    ctx = JetContext(2)
+    symbols = sorted(ctx.odd_coords(2), key=JetFunction.symbol_key)
+    rank = {s: r for r, s in enumerate(symbols)}
+    for a in subsets(symbols):
+        for b in subsets(symbols):
+            merged, sign = merge_with_sign(a, b, JetFunction.symbol_key)
+            ranks = tuple(rank[s] for s in a + b)
+            srt, want = sort_with_sign(ranks, [EVEN] * len(ranks))
+            assert sign == want, (a, b)
+            if sign:
+                assert tuple(rank[s] for s in merged) == srt, (a, b)
+
+
+# (ring element class, ambient, even parts of keys, odd symbols, sort key)
+AMB = Ambient(["x", "y"], ["a", "b", "c"], degree_cap=12)
+RINGS = {
+    "superfunction": (
+        SuperPolynomial, AMB,
+        [((i, j),) for i in range(3) for j in range(3)],
+        [0, 1, 2], None,
+    ),
+    "jet_p1": (
+        JetFunction, JetContext(1),
+        [((k,), lam) for k in range(3) for lam in (Fraction(0), Fraction(1), Fraction(-2))],
+        JetContext(1).odd_coords(3), JetFunction.symbol_key,
+    ),
+    "jet_p2": (
+        JetFunction, JetContext(2),
+        [((i, j), Fraction(0)) for i in range(2) for j in range(2)],
+        JetContext(2).odd_coords(2), JetFunction.symbol_key,
+    ),
+}
+
+
+@st.composite
+def homogeneous(draw, ring, parity=None):
+    cls, amb, evens, symbols, key = RINGS[ring]
+    if parity is None:
+        parity = draw(st.integers(0, 1))
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        even = draw(st.sampled_from(evens))
+        odd = draw(st.sets(st.sampled_from(symbols), max_size=3))
+        if len(odd) % 2 != parity:
+            continue
+        c = draw(st.integers(-3, 3))
+        terms[even + (tuple(sorted(odd, key=key)),)] = Scalar(c)
+    return cls(amb, terms)
+
+
+def sign_of(f, g):
+    return -1 if f.parity() and g.parity() else 1
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_ring_axioms(ring, data):
+    f, g, h = (data.draw(homogeneous(ring)) for _ in range(3))
+    assert (f * g) * h == f * (g * h)
+    assert f * g == (g * f).scale(sign_of(f, g))
+    assert f * (g + h) == f * g + f * h
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_odd_derivative_leibniz(ring, data):
+    f, g = (data.draw(homogeneous(ring)) for _ in range(2))
+    s = data.draw(st.sampled_from(RINGS[ring][3]))
+    twist = -1 if f.parity() == 1 else 1
+    assert (f * g).diff_odd(s) == f.diff_odd(s) * g + (f * g.diff_odd(s)).scale(twist)
+
+
+@st.composite
+def generating_p2(draw):
+    # generating superfunctions live on J^1: symbols xi, xi_1, xi_2
+    ctx = JetContext(2)
+    parity = draw(st.integers(0, 1))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        xe = (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+        odd = draw(st.sets(st.sampled_from(ctx.odd_coords(1)), max_size=3))
+        if len(odd) % 2 == parity:
+            terms[(xe, Fraction(0), tuple(sorted(odd, key=JetFunction.symbol_key)))] = (
+                Scalar(draw(st.integers(-2, 2)))
+            )
+    return JetFunction(ctx, terms)
+
+
+@SETTINGS
+@given(generating_p2(), generating_p2())
+def test_contact_bracket_represents_lagrange_bracket_p2(f, g):
+    left = contact_vf(f, JetContext(2)).bracket(contact_vf(g, JetContext(2)))
+    right = contact_vf(lagrange_bracket(f, g), JetContext(2))
+    assert not (left - right).coeffs
+
+
+def test_p2_jet_monomials_sort_by_order_then_lex():
+    assert parse_jet(JetContext(2), "xi_11*xi_2").to_str() == "-xi_2*xi_11"

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from fractions import Fraction
 
 import pytest
@@ -212,3 +213,26 @@ def test_degree_cap_enforced():
     f = parse_superfunction(amb, "x^2")
     with pytest.raises(ValueError):
         f * f
+
+
+def test_json_theta_subset_order_carries_the_sign():
+    # theta_subset is an ordered product: it must read like the expression
+    # with the same factor order, and a repeated name gives a zero monomial
+    amb = Ambient(["x"], ["a", "b", "c"])
+    for names in (("a", "b"), ("b", "c"), ("a", "b", "c"), ("a", "a"), ("a", "b", "a")):
+        for perm in set(permutations(names)):
+            data = {
+                "parity": "even" if len(perm) % 2 == 0 else "odd",
+                "coefficients": [
+                    {
+                        "direction": "x",
+                        "monomials": [
+                            {"x_exponents": [1], "theta_subset": list(perm), "coeff": "2"}
+                        ],
+                    }
+                ],
+            }
+            got = field_from_json(amb, data)
+            want = parse_field(amb, "2*x*%s*@x" % "*".join(perm))
+            assert got.coeffs == want.coeffs, perm
+            assert bool(got.coeffs) == (len(set(perm)) == len(perm)), perm
