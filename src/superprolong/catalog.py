@@ -88,12 +88,10 @@ def _matrix_family(p, q, members, names, field=FIELD_Q, weights=None):
             vec = flatten(C)
             if not vec:
                 continue
-            coeffs = solver.solve(vec)
-            if coeffs is None:
+            res = solver.solve(vec)
+            if res is None:
                 raise ValueError("matrix family not closed under bracket")
-            res = {c: s for c, s in enumerate(coeffs) if s}
-            if res:
-                brackets[(a, b)] = res
+            brackets[(a, b)] = res
     rep = {k: M for k, (_, M) in enumerate(members)}
     return LieSuperalgebra(space, brackets, field=field, rep=rep, rep_shape=(p, q))
 

@@ -44,9 +44,13 @@ def _load_algebra(args):
         except ValueError as e:
             raise InputError(str(e))
     if args.input:
-        with open(args.input) as fh:
-            data = json.load(fh)
-        alg = LieSuperalgebra.from_json(data)
+        try:
+            with open(args.input) as fh:
+                alg = LieSuperalgebra.from_json(json.load(fh))
+        except KeyError as e:
+            raise InputError("%s: unknown or missing name %s" % (args.input, e))
+        except ValueError as e:  # also json.JSONDecodeError
+            raise InputError("%s: %s" % (args.input, e))
         bad = validate(alg)
         if bad:
             raise InputError(

@@ -396,7 +396,6 @@ class SpanSolver:
     """
 
     def __init__(self, vectors):
-        self.k = len(vectors)
         self.pivots = []  # (pivot_key, row, coeffs) with row[pivot_key] == 1
         for i, v in enumerate(vectors):
             row = dict(v)
@@ -419,7 +418,10 @@ class SpanSolver:
                 svec_axpy(coeff, -x, pcoeff)
 
     def solve(self, target):
-        """Coefficients over the original vectors, or None."""
+        """Sparse coefficients {vector index: Scalar} over the original
+        vectors (zero coefficients omitted), or None when target is not in
+        their span: the nonzero residual after elimination is the
+        certificate."""
         row = dict(target)
         acc = {}
         for c, prow, pcoeff in self.pivots:
@@ -429,7 +431,7 @@ class SpanSolver:
                 svec_axpy(acc, x, pcoeff)
         if row:
             return None
-        return [acc.get(i, Scalar(0)) for i in range(self.k)]
+        return acc
 
 
 class _KeyWrap:

@@ -9,7 +9,13 @@ vector in the component g_{i-j}, and the defining equations are
 solved degreewise as an exact linear kernel.  Brackets between nonnegative
 components are recovered from the operator identity ad_{[u,v]} = [ad_u, ad_v]
 and solved back to coordinates; well-definedness relies on transitivity and
-is asserted at runtime.
+is asserted at runtime.  Each component is eliminated once, into a cached
+SpanSolver over its elements' actions flattened to sparse vectors keyed by
+(m-basis index, target coordinate); every later solve returns the sparse
+coordinates {element index: Scalar}, and a nonzero residual after the
+elimination certifies that the vector lies outside the component, which
+raises ProlongationError.  Reductions express g_0 matrices and prescribed
+subspaces through the same cached solvers.
 
 Reductions replace a computed component by a prescribed subspace; codomains
 of all later steps are restricted cumulatively (recorded in metadata).
@@ -22,7 +28,6 @@ from .linalg import (
     SpanSolver,
     kernel_basis_rows,
     rank_rows,
-    solve_in_span,
     svec_axpy,
     svec_scale,
 )
@@ -183,35 +188,26 @@ class Prolongation:
                 )
             self._brackets[(k, ek, l, el)] = {}
             return {}
-        coeffs = self._solve_in_component(degree, z_action)
-        if coeffs is None:
+        res = self._solve_in_component(degree, z_action)
+        if res is None:
             raise ProlongationError(
                 "bracket of g_%d and g_%d does not lie in g_%d "
                 "(reduction compatibility violated by elements %d, %d)"
                 % (k, l, degree, ek, el)
             )
-        res = {t: s for t, s in enumerate(coeffs) if s}
         self._brackets[(k, ek, l, el)] = res
         return res
 
-    def _flatten_action(self, degree, action):
-        """Flatten an action of a degree-`degree` element to a single sparse
-        vector keyed by (b, target_coord)."""
-        flat = {}
-        for b, vec in action.items():
-            for t, s in vec.items():
-                flat[(b, t)] = s
-        return flat
-
     def _solve_in_component(self, degree, action):
+        """Sparse coordinates {element index: Scalar} of an action over the
+        computed component g_degree, or None when it lies outside."""
         solver = self._solvers.get(degree)
         if solver is None:
-            elems = self.comp[degree].elements
             solver = SpanSolver(
-                [self._flatten_action(degree, a) for _, a in elems]
+                [_flatten_action(a) for _, a in self.comp[degree].elements]
             )
             self._solvers[degree] = solver
-        return solver.solve(self._flatten_action(degree, action))
+        return solver.solve(_flatten_action(action))
 
     # -- validation of inputs ----------------------------------------------
 
@@ -280,7 +276,7 @@ class Prolongation:
             rows = []
             for v in range(self.n):
                 for w in range(v, self.n):
-                    rows.extend(self._equations(i, p, v, w, pos, len(unknowns)))
+                    rows.extend(self._equations(i, p, v, w, pos))
             for vec in kernel_basis_rows(rows, len(unknowns)):
                 action = {}
                 for col, s in enumerate(vec):
@@ -298,8 +294,9 @@ class Prolongation:
             return self.m.bracket_indices(t, w)
         return self.comp[k].elements[t][1].get(w, {})
 
-    def _equations(self, i, p, v, w, pos, width):
-        """Rows of u([v,w]) - [u(v),w] + (-1)^{|v||w|}[u(w),v] = 0 at (v,w)."""
+    def _equations(self, i, p, v, w, pos):
+        """Sparse rows {unknown col: Scalar} of
+        u([v,w]) - [u(v),w] + (-1)^{|v||w|}[u(w),v] = 0 at (v,w)."""
         space = self.space
         dv, dw = self._deg(v), self._deg(w)
         target_deg = i + dv + dw
@@ -330,11 +327,8 @@ class Prolongation:
                 continue
             for c, s in self._bracket_with_m(kw, t, v).items():
                 add(c, pos[(w, t)], sgn_vw * s)
-        rows = []
-        for c, row in coeffs.items():
-            if row:
-                rows.append([row.get(col, Scalar(0)) for col in range(width)])
-        return rows
+        rows = ({col: x for col, x in row.items() if x} for row in coeffs.values())
+        return [row for row in rows if row]
 
     def advance(self, i):
         """Compute, transitivity-check and append component i."""
@@ -388,9 +382,8 @@ class Prolongation:
                         % degree
                     )
                 action = {}
-                for t, s in enumerate(coeffs):
-                    if s:
-                        svec_axpy_action(action, s, old.elements[t][1])
+                for t, s in coeffs.items():
+                    svec_axpy_action(action, s, old.elements[t][1])
                 new_elements.append((parity, action))
             else:
                 action = {}
@@ -476,6 +469,11 @@ class Prolongation:
         return LieSuperalgebra(
             GradedSuperSpace(basis), brackets, field=self.m.field
         )
+
+
+def _flatten_action(action):
+    """An action {b: {t: Scalar}} as one sparse vector keyed by (b, t)."""
+    return {(b, t): s for b, vec in action.items() for t, s in vec.items()}
 
 
 def svec_axpy_action(acc, s, action):
@@ -635,41 +633,15 @@ def projective_trace_reduction(engine):
     for a in range(n):
         action = {}
         for b in range(n):
-            # matrix M with M e_j = w(e_b) e_j + (-1)^{|e_b||e_j|} w(e_j) e_b,
-            # w = dual of basis vector a
-            M = [[Scalar(0)] * n for _ in range(n)]
-            for j in range(n):
-                if a == b:
-                    M[j][j] = M[j][j] + Scalar(1)
-                if j == a:
-                    sgn = -1 if (space[b].parity and space[j].parity) else 1
-                    M[b][j] = M[b][j] + Scalar(sgn)
-            col = {}
-            # coordinates over comp[0] via exact solve against g0 matrices
-            flat_target = {
-                (i, j): M[i][j] for i in range(n) for j in range(n) if M[i][j]
-            }
-            if flat_target:
-                col = engine_solve_matrix(engine, flat_target)
+            # the map e_j -> w(e_b) e_j + (-1)^{|e_b||e_j|} w(e_j) e_b with
+            # w = dual of basis vector a, as a degree-0 action {j: {i: s}}
+            target = {j: {j: Scalar(1)} for j in range(n)} if a == b else {}
+            sgn = Scalar(-1) if (space[b].parity and space[a].parity) else Scalar(1)
+            svec_axpy(target.setdefault(a, {}), sgn, {b: Scalar(1)})
+            col = engine._solve_in_component(0, target)
+            if col is None:
+                raise ProlongationError("matrix is not in the span of g_0")
             if col:
                 action[b] = col
         out.append((space[a].parity, action))
     return out
-
-
-def engine_solve_matrix(engine, flat_target):
-    """Express a matrix on m (sparse {(i,j): Scalar}) in comp[0] coordinates."""
-    elems = engine.comp[0].elements
-    flats = []
-    for _, act in elems:
-        flats.append(
-            {(i, j): s for j, col in act.items() for i, s in col.items()}
-        )
-    keys = sorted(set(flat_target) | {k for f in flats for k in f})
-    pos = {k: i for i, k in enumerate(keys)}
-    vecs = [{pos[k]: v for k, v in f.items()} for f in flats]
-    tgt = {pos[k]: v for k, v in flat_target.items()}
-    coeffs = solve_in_span(vecs, tgt, len(keys))
-    if coeffs is None:
-        raise ProlongationError("matrix is not in the span of g_0")
-    return {t: s for t, s in enumerate(coeffs) if s}

@@ -348,7 +348,17 @@ def field_from_json(ambient, data):
             )
             for t in mono.get("theta_subset", []):
                 odd = odd * SuperPolynomial.coordinate(ambient, t)
-            xe = tuple(mono.get("x_exponents", [0] * ambient.m))
+            xe = mono.get("x_exponents", [0] * ambient.m)
+            if not (
+                isinstance(xe, list)
+                and len(xe) == ambient.m
+                and all(type(e) is int and e >= 0 for e in xe)
+            ):
+                raise ValueError(
+                    "x_exponents %r: need one nonnegative integer per even "
+                    "coordinate (%d)" % (xe, ambient.m)
+                )
+            xe = tuple(xe)
             poly = poly + SuperPolynomial(
                 ambient, {(xe, th): v for (_, th), v in odd.terms.items()}
             )

@@ -51,6 +51,38 @@ def test_unknown_name_exit_two(capsys):
     assert "input error" in err
 
 
+def _shc_json():
+    from superprolong.catalog import shc_symbol
+
+    return shc_symbol().to_json()
+
+
+def _unknown_basis_vector():
+    data = _shc_json()
+    data["brackets"][0]["result"][0]["basis"] = "W"
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("command", ["prolong", "cohomology"])
+@pytest.mark.parametrize(
+    "text, message",
+    [(_unknown_basis_vector, "unknown or missing name 'W'"),
+     (lambda: json.dumps(_shc_json())[:40], "Expecting")],
+    ids=["unknown-basis-vector", "truncated-json"],
+)
+def test_bad_algebra_input_exit_two(tmp_path, capsys, command, text, message):
+    path = tmp_path / "alg.json"
+    path.write_text(text())
+    argv = [command, "--input", str(path)]
+    if command == "cohomology":
+        argv += ["--d", "0"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: %s: " % path)
+    assert message in err
+    assert err.count("\n") == 1
+
+
 def test_cohomology_table(capsys):
     code, out, _ = run_cli(
         ["cohomology", "--name", "sl_graded:2|1", "--d", "1..2", "--k", "1"],
@@ -75,6 +107,25 @@ def test_check_regular_fail_exit_four(tmp_path, capsys):
     assert code == 4
     assert "FAIL" in out
     assert "theta*@u" in out
+
+
+@pytest.mark.parametrize("command", ["symbol", "check-regular"])
+def test_distribution_bad_x_exponents_exit_two(tmp_path, capsys, command):
+    data = {
+        "ambient": {"even": ["x", "y"], "odd": ["t"]},
+        "generators": [
+            "@y",
+            {"coefficients": [
+                {"direction": "x",
+                 "monomials": [{"x_exponents": [1], "coeff": "1"}]}
+            ]},
+        ],
+    }
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: x_exponents [1]")
 
 
 def test_symbol_pass_json(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from superprolong.scalars import Scalar
@@ -12,6 +15,7 @@ from superprolong.catalog import (
     shc_symbol,
     spe,
     spo,
+    supertranslation,
 )
 from superprolong.liesuper import SymbolAlgebra, validate
 from superprolong.prolong import (
@@ -139,6 +143,43 @@ def test_incompatible_reduction_rejected():
 
     with pytest.raises(ProlongationError):
         prolong(m, g0=g0_of(gl(2, 0)), reductions=[(1, bad_reduction)])
+
+
+def test_reduction_outside_component_rejected():
+    # u(e_1) = E12, u(e_2) = 0 is not symmetric (u(e_1)e_2 = e_1 while
+    # u(e_2)e_1 = 0), so it is not in g_1 = S^2 V* (x) V for g_0 = gl(2)
+    engine = Prolongation(SymbolAlgebra(abelian(2, 0)), g0=g0_of(gl(2, 0)))
+    engine.advance(1)
+    inside = list(engine.comp[1].elements)
+    outside = (EVEN, {0: {1: Scalar(1)}})
+    with pytest.raises(ProlongationError, match="not inside the computed g_1"):
+        engine.reduce_component(1, inside + [outside])
+    engine.reduce_component(1, inside)
+    assert engine.comp[1].elements == inside
+
+
+# Structure constants of assembled prolongations, recorded before the
+# coordinate solve was made sparse; any change in a kernel basis, a pivot
+# order or a bracket coordinate shows up here.
+SNAPSHOTS = {
+    "projective_gl_2_1": lambda: prolong(
+        SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)),
+        reductions=[(1, projective_trace_reduction)],
+    ),
+    "gl_1_1_deg4": lambda: prolong(
+        SymbolAlgebra(abelian(1, 1)), g0=g0_of(gl(1, 1)), max_degree=4
+    ),
+    "shc": lambda: prolong(SymbolAlgebra(shc_symbol())),
+    "supertranslation_2": lambda: prolong(SymbolAlgebra(supertranslation(2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOTS))
+def test_assembled_structure_constants_unchanged(name):
+    path = Path(__file__).parent / "data" / ("%s.json" % name)
+    want = json.loads(path.read_text())
+    got = json.loads(json.dumps(SNAPSHOTS[name]().to_json(include_algebra=True)))
+    assert got == want
 
 
 def test_spencer_prolong_cross_check_odd_ode():

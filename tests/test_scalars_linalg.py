@@ -2,16 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superprolong.scalars import FIELD_Q, FIELD_QI, I, Scalar, parse_scalar
 from superprolong.linalg import (
     ExactMatrix,
+    SpanSolver,
     kernel_basis,
     kernel_basis_rows,
     rank,
     rank_rows,
     solve,
     solve_in_span,
+    svec_axpy,
 )
 
 from oracles import naive_kernel_dim, naive_rank
@@ -143,3 +146,71 @@ def test_solve_in_span():
     coeffs = solve_in_span([v1, v2], target, 3)
     assert [c.re for c in coeffs] == [3, -1]
     assert solve_in_span([v1, v2], {0: Scalar(1)}, 3) is None
+
+
+@st.composite
+def scalars(draw, gaussian):
+    re = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    im = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) if gaussian else 0
+    return Scalar(re, im)
+
+
+@st.composite
+def span_problems(draw):
+    """Small sparse vectors over Q or Q(i) on coordinates 0..dim-1 (often
+    dependent), the independent subset picked greedily by the oracle rank,
+    and sparse coefficients over that subset."""
+    gaussian = draw(st.booleans())
+    dim = draw(st.integers(1, 5))
+    vectors = []
+    for _ in range(draw(st.integers(0, 6))):
+        v = {}
+        for j in draw(st.sets(st.integers(0, dim - 1), max_size=3)):
+            x = draw(scalars(gaussian))
+            if x:
+                v[j] = x
+        vectors.append(v)
+    indep = []
+    for v in vectors:
+        if naive_rank(dense(indep + [v], dim)) > len(indep):
+            indep.append(v)
+    coeffs = {}
+    for i in range(len(indep)):
+        x = draw(scalars(gaussian))
+        if x:
+            coeffs[i] = x
+    return dim, vectors, indep, coeffs, draw(scalars(gaussian))
+
+
+def dense(vectors, dim):
+    return [[v.get(j, Scalar(0)) for j in range(dim)] for v in vectors]
+
+
+def combination(vectors, coeffs):
+    acc = {}
+    for i, x in coeffs.items():
+        svec_axpy(acc, x, vectors[i])
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_problems())
+def test_span_solver_returns_exact_sparse_coefficients(problem):
+    dim, vectors, indep, coeffs, x = problem
+    target = combination(indep, coeffs)
+    # over an independent set the coefficients are unique: the solver
+    # returns exactly the sparse dict the combination was built from
+    assert SpanSolver(indep).solve(target) == coeffs
+    # over the dependent set it returns some exact preimage
+    solver = SpanSolver(vectors)
+    got = solver.solve(target)
+    assert got is not None and all(got.values())
+    assert combination(vectors, got) == target
+    # a component outside the span leaves a nonzero residual: no solution,
+    # both on a coordinate no vector touches and along any direction the
+    # oracle finds outside the span
+    if x:
+        assert solver.solve(svec_axpy(dict(target), x, {dim: Scalar(1)})) is None
+        for j in range(dim):
+            if naive_rank(dense(indep + [{j: x}], dim)) > len(indep):
+                assert solver.solve(svec_axpy(dict(target), x, {j: Scalar(1)})) is None

@@ -236,3 +236,22 @@ def test_json_theta_subset_order_carries_the_sign():
             want = parse_field(amb, "2*x*%s*@x" % "*".join(perm))
             assert got.coeffs == want.coeffs, perm
             assert bool(got.coeffs) == (len(set(perm)) == len(perm)), perm
+
+
+@pytest.mark.parametrize(
+    "exponents", [[1], [1, 0, 5], [1, -1], [1, "0"], [1.0, 0], [True, 0], "10"]
+)
+def test_json_x_exponents_need_one_nonnegative_int_per_even_coordinate(exponents):
+    amb = Ambient(["x", "y"], ["t"])
+    data = {
+        "coefficients": [
+            {
+                "direction": "x",
+                "monomials": [{"x_exponents": exponents, "coeff": "1"}],
+            }
+        ]
+    }
+    with pytest.raises(ValueError, match="x_exponents"):
+        field_from_json(amb, data)
+    data["coefficients"][0]["monomials"][0]["x_exponents"] = [1, 0]
+    assert not (field_from_json(amb, data) - parse_field(amb, "x*@x")).coeffs
