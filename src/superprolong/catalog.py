@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import ExactMatrix, SpanSolver, kernel_basis_rows
+from .linalg import ExactMatrix, SpanSolver, kernel_basis_rows, svec_axpy
 from .scalars import FIELD_Q, FIELD_QI, Scalar, as_scalar
 from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
 from .liesuper import LieSuperalgebra, SymbolAlgebra
@@ -51,28 +51,14 @@ def _matrix_family(p, q, members, names, field=FIELD_Q, weights=None):
     """LieSuperalgebra from a list of (parity, matrix) pairs closed under the
     supercommutator; structure constants are solved exactly in the span."""
     n = p + q
-    dim = n * n
-
-    def flatten(M):
-        return {
-            i * n + j: M[(i, j)]
-            for i in range(n)
-            for j in range(n)
-            if M[(i, j)]
-        }
-
-    flats = [flatten(M) for _, M in members]
+    sparse = [_sparse_matrix(M) for _, M in members]
+    flats = [_flatten(A, n) for A in sparse]
     solver = SpanSolver(flats)
     basis = []
-    for k, (par, M) in enumerate(members):
+    for k, (par, _) in enumerate(members):
         deg = 0
         if weights is not None:
-            degs = {
-                weights[i] - weights[j]
-                for i in range(n)
-                for j in range(n)
-                if M[(i, j)]
-            }
+            degs = {weights[i] - weights[j] for i, r in sparse[k].items() for j in r}
             if len(degs) > 1:
                 raise ValueError("member %d not weight-homogeneous" % k)
             deg = degs.pop() if degs else 0
@@ -80,12 +66,11 @@ def _matrix_family(p, q, members, names, field=FIELD_Q, weights=None):
     space = GradedSuperSpace(basis)
     brackets = {}
     for a in range(len(members)):
-        pa, Ma = members[a]
+        pa, A = members[a][0], sparse[a]
         for b in range(a, len(members)):
-            pb, Mb = members[b]
+            pb, B = members[b][0], sparse[b]
             sign = Scalar(1) if (pa == ODD and pb == ODD) else Scalar(-1)
-            C = Ma * Mb + (Mb * Ma) * sign
-            vec = flatten(C)
+            vec = svec_axpy(_flatten(_times(A, B), n), sign, _flatten(_times(B, A), n))
             if not vec:
                 continue
             res = solver.solve(vec)
@@ -94,6 +79,34 @@ def _matrix_family(p, q, members, names, field=FIELD_Q, weights=None):
             brackets[(a, b)] = res
     rep = {k: M for k, (_, M) in enumerate(members)}
     return LieSuperalgebra(space, brackets, field=field, rep=rep, rep_shape=(p, q))
+
+
+def _sparse_matrix(M):
+    """Nonzero rows {i: {j: Scalar}} of an ExactMatrix."""
+    out = {}
+    for i, row in enumerate(M.entries):
+        r = {j: e for j, e in enumerate(row) if e}
+        if r:
+            out[i] = r
+    return out
+
+
+def _times(A, B):
+    """Product of sparse matrices given as rows {i: {j: Scalar}}."""
+    out = {}
+    for i, row in A.items():
+        acc = {}
+        for k, a in row.items():
+            if k in B:
+                svec_axpy(acc, a, B[k])
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _flatten(A, n):
+    """Sparse rows {i: {j: Scalar}} as one vector {i * n + j: Scalar}."""
+    return {i * n + j: e for i, row in A.items() for j, e in row.items()}
 
 
 def _unit_names(p, q):
@@ -138,11 +151,11 @@ def sl(p, q, field=FIELD_Q, weights=None):
                 labels.append(names[(i, j)])
     # supertrace-zero diagonal combinations
     str_signs = [1 if i < p else -1 for i in range(n)]
-    diag = kernel_basis_rows([[Scalar(s) for s in str_signs]], n)
+    diag = kernel_basis_rows([{i: Scalar(s) for i, s in enumerate(str_signs)}], n)
     for k, v in enumerate(diag):
         M = [[Scalar(0)] * n for _ in range(n)]
-        for i in range(n):
-            M[i][i] = v[i]
+        for i, s in v.items():
+            M[i][i] = s
         members.append((EVEN, ExactMatrix(M, field)))
         labels.append("H%d" % (k + 1))
     return _matrix_family(p, q, members, labels, field=field, weights=weights)
@@ -167,29 +180,25 @@ def form_preserving(p, q, P, field=FIELD_Q, extra_supertrace_zero=False,
             pj = _entry_parity(p, j)
             sgn = Scalar(-1) if (parity == ODD and pj == ODD) else Scalar(1)
             for k in range(n):
-                row = [Scalar(0)] * len(slots)
-                hit = False
+                row = {}
                 for i in range(n):
                     if (i, j) in pos and P[(i, k)]:
-                        row[pos[(i, j)]] = row[pos[(i, j)]] + P[(i, k)]
-                        hit = True
+                        col = pos[(i, j)]
+                        row[col] = row.get(col, Scalar(0)) + P[(i, k)]
                     if (i, k) in pos and P[(j, i)]:
-                        row[pos[(i, k)]] = row[pos[(i, k)]] + sgn * P[(j, i)]
-                        hit = True
-                if hit:
+                        col = pos[(i, k)]
+                        row[col] = row.get(col, Scalar(0)) + sgn * P[(j, i)]
+                if row:
                     rows.append(row)
         if extra_supertrace_zero and parity == EVEN:
-            row = [Scalar(0)] * len(slots)
-            for i in range(n):
-                if (i, i) in pos:
-                    row[pos[(i, i)]] = Scalar(1 if i < p else -1)
-            rows.append(row)
+            rows.append(
+                {pos[(i, i)]: Scalar(1 if i < p else -1) for i in range(n) if (i, i) in pos}
+            )
         for v in kernel_basis_rows(rows, len(slots)):
             M = [[Scalar(0)] * n for _ in range(n)]
-            for k, s in enumerate(v):
-                if s:
-                    i, j = slots[k]
-                    M[i][j] = s
+            for k, s in v.items():
+                i, j = slots[k]
+                M[i][j] = s
             members.append((parity, ExactMatrix(M, field)))
             labels.append("%s%d" % (prefix, len(labels) + 1))
     if extend_center:

@@ -285,8 +285,6 @@ def build_parser():
     def common(p):
         p.add_argument("--name", help="catalog name, e.g. shc_symbol, pe:2")
         p.add_argument("--input", help="algebra JSON file")
-        p.add_argument("--field", choices=["Q", "Qi"], default=None,
-                       help="expected scalar field of the input")
         p.add_argument("--format", choices=["json", "table"], default="table")
         p.add_argument("--seed", type=int, default=0)
 

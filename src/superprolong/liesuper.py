@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from .linalg import (
     ExactMatrix,
+    SpanSolver,
     kernel_basis_rows,
     rank_rows,
-    solve_in_span,
     svec_axpy,
     svec_scale,
 )
@@ -309,8 +309,9 @@ def check_fundamental_nondegenerate(m):
         if got < want:
             report["ok"] = False
             report["fundamental"] = False
+            solver = SpanSolver(nxt)
             for i in slice_idx:
-                if solve_in_span(nxt, {i: Scalar(1)}, n) is None:
+                if solver.solve({i: Scalar(1)}) is None:
                     report["witnesses"].append(
                         "not generated from degree -1: %s" % space[i].name
                     )
@@ -324,20 +325,13 @@ def check_fundamental_nondegenerate(m):
                 res = m.bracket_indices(a, b)
                 for c, s in res.items():
                     targets.setdefault(c, {})[col] = s
-            for c in sorted(targets):
-                rows.append(
-                    [targets[c].get(col, Scalar(0)) for col in range(len(deg1))]
-                )
+            rows.extend(targets[c] for c in sorted(targets))
         central = kernel_basis_rows(rows, len(deg1))
         if central:
             report["ok"] = False
             report["nondegenerate"] = False
             for v in central:
-                terms = [
-                    space[deg1[k]].name
-                    for k, s in enumerate(v)
-                    if s
-                ]
+                terms = [space[deg1[k]].name for k in v]
                 report["witnesses"].append(
                     "central element of m inside g_{-1}: " + " + ".join(terms)
                 )
@@ -436,16 +430,11 @@ def derivations_gr(m, d=0):
                             coeffs.setdefault(c, {})[col] = (
                                 coeffs.get(c, {}).get(col, Scalar(0)) - sgn * s
                             )
-                for c, row in coeffs.items():
-                    if row:
-                        rows.append(
-                            [row.get(col, Scalar(0)) for col in range(len(unknowns))]
-                        )
+                rows.extend(coeffs.values())
         for v in kernel_basis_rows(rows, len(unknowns)):
             action = {}
-            for col, s in enumerate(v):
-                if s:
-                    j, i = unknowns[col]
-                    action.setdefault(j, {})[i] = s
+            for col, s in v.items():
+                j, i = unknowns[col]
+                action.setdefault(j, {})[i] = s
             elements.append((p, action))
     return DerivationSpace(m, d, elements)

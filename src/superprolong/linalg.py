@@ -1,5 +1,16 @@
 """Exact linear algebra: fraction-free sparse elimination, rank, kernels.
 
+Sparse contract.  Inside the package a row or a vector is a dict
+{col: Scalar}; zero entries of input rows are ignored, and nothing this
+module returns stores a zero.  ``rank_rows``, ``pivot_columns`` and
+``kernel_basis_rows`` take a list of such rows and the number of columns;
+``kernel_basis_rows`` returns such dicts.  ``SpanSolver`` is the one exact
+solver: it eliminates sparse vectors once and returns sparse coefficients.
+
+Dense boundary.  ``ExactMatrix`` and the public ``rank``, ``kernel_basis``
+and ``solve`` take dense rows (an ExactMatrix or lists of scalars), convert
+them to sparse rows once and densify their answers once.
+
 Rows are cleared of denominators and eliminated by cross-multiplication
 (p * row - f * pivot_row) with gcd-content removal, so all intermediate
 entries are (Gaussian) integers and no division ever rounds.  Pivoting is
@@ -24,43 +35,21 @@ def _lcm(a, b):
     return a // gcd(a, b) * b
 
 
-def _row_items(row, ncols):
-    if isinstance(row, dict):
-        return row.items()
-    return ((j, e) for j, e in enumerate(row) if as_scalar(e))
-
-
-def _to_int_rows(rows, ncols):
-    """Convert rows (lists of Scalars or dicts col->Scalar) into sparse dicts
-    with integer values; Gaussian entries become (re, im) int pairs.
+def _to_int_rows(rows):
+    """Convert sparse rows {col: Scalar} into sparse dicts with integer
+    values; Gaussian entries become (re, im) int pairs.
     Returns (introws, gaussian_flag)."""
-    gaussian = False
-    cache = []
-    for row in rows:
-        items = [(j, as_scalar(e)) for j, e in _row_items(row, ncols) if as_scalar(e)]
-        cache.append(items)
-        if not gaussian and any(e.im for _, e in items):
-            gaussian = True
+    cache = [[(j, e) for j, e in row.items() if e] for row in rows]
+    gaussian = any(e.im for items in cache for _, e in items)
     out = []
     for items in cache:
-        if not items:
-            out.append({})
-            continue
         denom = 1
         for _, e in items:
             denom = _lcm(denom, e.re.denominator)
             if gaussian:
                 denom = _lcm(denom, e.im.denominator)
         if gaussian:
-            out.append(
-                {
-                    j: (
-                        int(e.re * denom),
-                        int(e.im * denom),
-                    )
-                    for j, e in items
-                }
-            )
+            out.append({j: (int(e.re * denom), int(e.im * denom)) for j, e in items})
         else:
             out.append({j: int(e.re * denom) for j, e in items})
     return out, gaussian
@@ -166,31 +155,44 @@ def _int_to_scalar(x, gaussian):
 
 
 # ---------------------------------------------------------------------------
-# public sparse API (rows: lists of Scalars or dicts col -> Scalar)
+# sparse API (rows: dicts col -> Scalar)
 # ---------------------------------------------------------------------------
 
-def rank_rows(rows, ncols):
+def _echelon(rows):
+    introws, gaussian = _to_int_rows(rows)
+    ech, piv = _sparse_echelon(introws, gaussian)
+    return ech, piv, gaussian
+
+
+def pivot_columns(rows, ncols):
+    """Pivot columns of the row echelon form, increasing: the leftmost
+    columns independent of the columns before them."""
     if not rows or ncols == 0:
-        return 0
-    introws, gaussian = _to_int_rows(rows, ncols)
-    _, piv = _sparse_echelon(introws, gaussian)
-    return len(piv)
+        return []
+    return _echelon(rows)[1]
+
+
+def rank_rows(rows, ncols):
+    return len(pivot_columns(rows, ncols))
 
 
 def kernel_basis_rows(rows, ncols):
-    """Basis of {v : M v = 0}.
+    """Basis of {v : M v = 0}, one sparse vector per non-pivot column.
 
-    Each basis vector is a list of Scalars with its first nonzero entry
-    normalized to 1; the basis size equals ncols - rank.
+    Each vector is a dict {col: Scalar} in increasing column order, with no
+    zeros stored and its lowest entry normalized to 1; the basis size equals
+    ncols - rank.
     """
     if ncols == 0:
         return []
-    introws, gaussian = _to_int_rows(rows or [], ncols)
-    ech, piv = _sparse_echelon(introws, gaussian)
+    ech, piv, gaussian = _echelon(rows)
     piv_set = set(piv)
-    free = [c for c in range(ncols) if c not in piv_set]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in piv_set:
+            continue
+        # entries are filled from column fc down through the pivots, so the
+        # reversed insertion order is increasing
         v = {fc: Scalar(1)}
         for k in range(len(piv) - 1, -1, -1):
             c = piv[k]
@@ -203,40 +205,12 @@ def kernel_basis_rows(rows, ncols):
                     s = s + _int_to_scalar(x, gaussian) * v[j]
             if s:
                 v[c] = -s / _int_to_scalar(row[c], gaussian)
-        dense = [v.get(c, Scalar(0)) for c in range(ncols)]
-        for e in dense:
-            if e:
-                if e != 1:
-                    dense = [x / e for x in dense]
-                break
-        basis.append(dense)
+        items = list(v.items())[::-1]
+        lead = items[0][1]
+        if lead != 1:
+            items = [(j, x / lead) for j, x in items]
+        basis.append(dict(items))
     return basis
-
-
-def solve_rows(rows, ncols, rhs):
-    """One solution of M x = rhs (free variables set to 0), or None."""
-    aug = []
-    for row, b in zip(rows, rhs):
-        d = dict(_row_items(row, ncols)) if not isinstance(row, dict) else dict(row)
-        b = as_scalar(b)
-        if b:
-            d[ncols] = b
-        aug.append(d)
-    introws, gaussian = _to_int_rows(aug, ncols + 1)
-    ech, piv = _sparse_echelon(introws, gaussian)
-    if ncols in piv:
-        return None
-    x = {}
-    for k in range(len(piv) - 1, -1, -1):
-        c = piv[k]
-        row = ech[k]
-        s = _int_to_scalar(row.get(ncols, 0), gaussian) if ncols in row else Scalar(0)
-        for j, e in row.items():
-            if c < j < ncols and j in x:
-                s = s - _int_to_scalar(e, gaussian) * x[j]
-        if s:
-            x[c] = s / _int_to_scalar(row[c], gaussian)
-    return [x.get(c, Scalar(0)) for c in range(ncols)]
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +298,6 @@ class ExactMatrix:
     def __sub__(self, other):
         return self + (-other)
 
-    def transpose(self):
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.field,
-        )
-
     def apply(self, vec):
         """Matrix-vector product; vec is a list of Scalars."""
         out = []
@@ -345,54 +313,55 @@ class ExactMatrix:
         return all(not e for row in self.entries for e in row)
 
 
+def _sparse_rows(M):
+    """(sparse rows, ncols) of an ExactMatrix or a list of dense rows."""
+    if isinstance(M, ExactMatrix):
+        dense, ncols = M.entries, M.cols
+    else:
+        dense = [[as_scalar(e) for e in row] for row in M]
+        ncols = len(dense[0]) if dense else 0
+    return [{j: e for j, e in enumerate(row) if e} for row in dense], ncols
+
+
+def _densify(v, ncols):
+    return [v.get(c, Scalar(0)) for c in range(ncols)]
+
+
 def rank(M):
     """Rank of M over its exact field."""
-    if isinstance(M, ExactMatrix):
-        return rank_rows(M.entries, M.cols)
-    rows = list(M)
-    return rank_rows(rows, len(rows[0]) if rows else 0)
+    return rank_rows(*_sparse_rows(M))
 
 
 def kernel_basis(M):
-    """Basis of the right kernel; see kernel_basis_rows for normalization."""
-    if isinstance(M, ExactMatrix):
-        return kernel_basis_rows(M.entries, M.cols)
-    rows = list(M)
-    return kernel_basis_rows(rows, len(rows[0]) if rows else 0)
+    """Basis of the right kernel as dense lists; see kernel_basis_rows for
+    the normalization."""
+    rows, ncols = _sparse_rows(M)
+    return [_densify(v, ncols) for v in kernel_basis_rows(rows, ncols)]
 
 
 def solve(M, rhs):
-    if isinstance(M, ExactMatrix):
-        return solve_rows(M.entries, M.cols, rhs)
-    rows = list(M)
-    return solve_rows(rows, len(rows[0]) if rows else 0, rhs)
-
-
-def solve_in_span(vectors, target, dim):
-    """Coefficients c with sum_k c_k vectors[k] == target, or None.
-
-    vectors and target are sparse dicts index -> Scalar on a space of the
-    given dimension.
-    """
-    if not vectors:
-        return [] if not target else None
-    rows = {}
-    for k, v in enumerate(vectors):
-        for i, s in v.items():
-            rows.setdefault(i, {})[k] = s
-    rhs_rows = []
-    rhs = []
-    for i in sorted(set(rows) | set(target)):
-        rhs_rows.append(rows.get(i, {}))
-        rhs.append(target.get(i, Scalar(0)))
-    return solve_rows(rhs_rows, len(vectors), rhs)
+    """One solution of M x = rhs, or None: the unique one supported on the
+    leftmost independent columns (free variables set to 0)."""
+    rows, ncols = _sparse_rows(M)
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, e in row.items():
+            columns[j][i] = e
+    target = {}
+    for i, (_, b) in enumerate(zip(rows, rhs)):
+        b = as_scalar(b)
+        if b:
+            target[i] = b
+    x = SpanSolver(columns).solve(target)
+    return None if x is None else _densify(x, ncols)
 
 
 class SpanSolver:
     """Reusable exact solver for membership in the span of fixed sparse
     vectors; one elimination up front, then many solves.
 
-    Keys of the vectors may be any mutually comparable hashables.
+    Keys of the vectors may be any mutually comparable hashables; vectors
+    and targets store no zeros.
     """
 
     def __init__(self, vectors):
@@ -408,7 +377,7 @@ class SpanSolver:
                     row = {j: x / pv for j, x in row.items()}
                     coeff = {j: x / pv for j, x in coeff.items()}
                 self.pivots.append((c, row, coeff))
-                self.pivots.sort(key=lambda t: _KeyWrap(t[0]))
+                self.pivots.sort(key=lambda t: t[0])
 
     def _reduce(self, row, coeff):
         for c, prow, pcoeff in self.pivots:
@@ -432,22 +401,6 @@ class SpanSolver:
         if row:
             return None
         return acc
-
-
-class _KeyWrap:
-    """Total order on possibly mixed key types (by type name, then value)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        a, b = self.key, other.key
-        ta, tb = type(a).__name__, type(b).__name__
-        if ta != tb:
-            return ta < tb
-        return a < b
 
 
 # ---------------------------------------------------------------------------

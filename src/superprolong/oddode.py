@@ -35,7 +35,7 @@ from .superspace import (
 )
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate as validate_alg
 from .superfield import PolynomialField
-from .linalg import kernel_basis_rows, solve_rows
+from .linalg import SpanSolver, kernel_basis_rows
 
 
 class JetContext:
@@ -516,22 +516,24 @@ def _deflate(coeffs, lam):
     return out
 
 
-def _span_coefficients(generators, f):
-    """Coefficients of f over the generating functions, or None."""
-    keys = sorted(
-        {key for g in generators for key in g.fn.terms} | set(f.terms),
-        key=lambda key: (key[0], key[1], _odds_key(key[2])),
+def _span_coefficients(generators):
+    """Coefficients over the generating functions, which are independent, so
+    the coefficients are unique: a function mapping f to the sparse
+    {generator index: Scalar}, or to None when f is outside their span."""
+    keypos = {}
+    solver = SpanSolver(
+        [
+            {keypos.setdefault(key, len(keypos)): v for key, v in g.fn.terms.items()}
+            for g in generators
+        ]
     )
-    keypos = {key: i for i, key in enumerate(keys)}
-    vecs = [
-        {keypos[key]: v for key, v in g.fn.terms.items()} for g in generators
-    ]
-    rows = [
-        {c: vecs[c][i] for c in range(len(generators)) if i in vecs[c]}
-        for i in range(len(keys))
-    ]
-    rhs = [f.terms.get(key, Scalar(0)) for key in keys]
-    return solve_rows(rows, len(generators), rhs)
+
+    def coefficients(f):
+        if any(key not in keypos for key in f.terms):
+            return None
+        return solver.solve({keypos[key]: v for key, v in f.terms.items()})
+
+    return coefficients
 
 
 class SymmetryResult:
@@ -654,9 +656,8 @@ def determine_symmetries(spec, compute_bound=True):
         rows = list(rows_by_key.values())
         for vec in kernel_basis_rows(rows, len(ansatz)):
             f = JetFunction(ctx)
-            for col, s in enumerate(vec):
-                if s:
-                    f = f + ansatz[col].scale(s)
+            for col, s in vec.items():
+                f = f + ansatz[col].scale(s)
             generators.append(GeneratingFunction(f, order=n))
 
     def is_symmetry(f):
@@ -671,10 +672,11 @@ def determine_symmetries(spec, compute_bound=True):
     while guard < 32:
         guard += 1
         adopted = None
+        coefficients = _span_coefficients(generators)
         for a in range(len(generators)):
             for b in range(a, len(generators)):
                 br = lagrange_bracket(generators[a].fn, generators[b].fn)
-                if br and _span_coefficients(generators, br) is None:
+                if br and coefficients(br) is None:
                     adopted = br
                     break
             if adopted is not None:
@@ -714,6 +716,7 @@ def determine_symmetries(spec, compute_bound=True):
     space = GradedSuperSpace(basis)
     brackets = {}
     table = []
+    coefficients = _span_coefficients(generators)
     for a in range(len(generators)):
         row = []
         for b in range(len(generators)):
@@ -721,13 +724,12 @@ def determine_symmetries(spec, compute_bound=True):
             row.append(br.to_str())
             if b < a or not br:
                 continue
-            coeffs = _span_coefficients(generators, br)
-            if coeffs is None:
+            vec = coefficients(br)
+            if vec is None:
                 raise AssertionError(
                     "bracket [%s, %s] leaves the closed solution span"
                     % (names[a], names[b])
                 )
-            vec = {c: s for c, s in enumerate(coeffs) if s}
             if vec:
                 brackets[(a, b)] = vec
         table.append(row)

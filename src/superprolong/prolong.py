@@ -279,10 +279,9 @@ class Prolongation:
                     rows.extend(self._equations(i, p, v, w, pos))
             for vec in kernel_basis_rows(rows, len(unknowns)):
                 action = {}
-                for col, s in enumerate(vec):
-                    if s:
-                        b, t = unknowns[col]
-                        action.setdefault(b, {})[t] = s
+                for col, s in vec.items():
+                    b, t = unknowns[col]
+                    action.setdefault(b, {})[t] = s
                 elements.append((p, action))
         comp = ProlongationComponent(i, elements)
         return comp

@@ -22,13 +22,7 @@ degree-i prolongation equations; these two anchors fix the convention.
 
 from __future__ import annotations
 
-from .linalg import (
-    ExactMatrix,
-    _sparse_echelon,
-    _to_int_rows,
-    kernel_basis_rows,
-    rank_rows,
-)
+from .linalg import ExactMatrix, kernel_basis_rows, pivot_columns, rank_rows
 from .scalars import Scalar
 from .superspace import EVEN, ODD, extraction_sign, sort_with_sign
 from .liesuper import LieSuperalgebra, SymbolAlgebra
@@ -258,9 +252,6 @@ class ReducedSlice:
             if all(space[t].degree <= -2 for t in T)
         ]
 
-    def delta_rows(self):
-        return self.c1.matrix_rows
-
     def partial_rows(self):
         return [self.c1.matrix_rows[r] for r in self.a_rows]
 
@@ -287,11 +278,10 @@ def reduced_differential_check(m, g=None):
             continue
         entry = {}
         ncols = len(sl.c1.basis)
+        part = sl.partial_rows()
         if ncols:
-            full = sl.delta_rows()
-            part = sl.partial_rows()
-            rk_full = rank_rows(full, ncols) if sl.c2.basis else 0
-            rk_part = rank_rows(part, ncols) if part else 0
+            rk_full = rank_rows(sl.c1.matrix_rows, ncols)
+            rk_part = rank_rows(part, ncols)
             entry["ker_delta"] = ncols - rk_full
             entry["ker_partial"] = ncols - rk_part
             entry["kernels_agree"] = rk_full == rk_part
@@ -299,32 +289,20 @@ def reduced_differential_check(m, g=None):
             entry["ker_delta"] = entry["ker_partial"] = 0
             entry["kernels_agree"] = True
         # injectivity of p on ker(delta | C^{d,2})
-        n2 = len(sl.c2.basis)
-        if n2:
-            ker2 = kernel_basis_rows(sl.c2.matrix_rows, n2)
-            if ker2:
-                proj = [[v[r] for r in sl.a_rows] for v in ker2]
-                inj = rank_rows(proj, len(sl.a_rows)) == len(ker2)
-            else:
-                inj = True
-            entry["p_injective_on_ker"] = inj
-        else:
-            entry["p_injective_on_ker"] = True
+        ker2 = kernel_basis_rows(sl.c2.matrix_rows, len(sl.c2.basis))
+        a_pos = {r: k for k, r in enumerate(sl.a_rows)}
+        proj = [{a_pos[r]: x for r, x in v.items() if r in a_pos} for v in ker2]
+        entry["p_injective_on_ker"] = rank_rows(proj, len(sl.a_rows)) == len(ker2)
         ok = entry["kernels_agree"] and entry["p_injective_on_ker"]
         if ok:
             # complement N = Z + B: the standard monomials of A at non-pivot
             # positions of Im(partial) extend it to all of A
-            part = sl.partial_rows()
-            im_vecs = []
-            if ncols:
-                by_col = {}
-                for r_local, row in enumerate(part):
-                    for c, v in row.items():
-                        by_col.setdefault(c, {})[r_local] = v
-                im_vecs = [by_col.get(c, {}) for c in range(ncols)]
-            ints, gaussian = _to_int_rows(im_vecs, len(sl.a_rows))
-            _, piv = _sparse_echelon(ints, gaussian)
-            pivset = set(piv)
+            by_col = {}
+            for r_local, row in enumerate(part):
+                for c, v in row.items():
+                    by_col.setdefault(c, {})[r_local] = v
+            im_vecs = [by_col.get(c, {}) for c in range(ncols)]
+            pivset = set(pivot_columns(im_vecs, len(sl.a_rows)))
             z_members = [
                 sl.a_rows[r_local]
                 for r_local in range(len(sl.a_rows))

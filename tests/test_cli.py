@@ -45,6 +45,16 @@ def test_prolong_json_round_trips(capsys):
     assert validate(alg) == []
 
 
+def test_field_option_is_a_usage_error(capsys):
+    # there is no --field option: argparse rejects it with its usage error,
+    # the documented input-error code, instead of ignoring it
+    code, _, err = run_cli(
+        ["prolong", "--name", "supertranslation:2", "--field", "Q"], capsys
+    )
+    assert code == 2
+    assert "unrecognized arguments: --field" in err
+
+
 def test_unknown_name_exit_two(capsys):
     code, _, err = run_cli(["prolong", "--name", "not_a_thing"], capsys)
     assert code == 2

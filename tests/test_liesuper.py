@@ -153,8 +153,10 @@ def test_abelian_validates_and_fundamentality_witness():
     rep = check_fundamental_nondegenerate(m)
     assert not rep["ok"] and not rep["fundamental"]
     assert any("b" in w for w in rep["witnesses"])
-    # and b is central, meeting g_{-1}? no: degeneracy wants center in g_{-1}
-    assert not rep["nondegenerate"] or True
+    # with no brackets at all, a commutes with everything: a central element
+    # of m inside g_{-1}, so m is degenerate as well
+    assert not rep["nondegenerate"]
+    assert "central element of m inside g_{-1}: a" in rep["witnesses"]
 
 
 def test_fundamental_pass_cases():

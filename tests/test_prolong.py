@@ -8,12 +8,17 @@ from superprolong.superspace import EVEN, ODD
 from superprolong.catalog import (
     abelian,
     cpe,
+    cspe,
     gl,
     heisenberg_contact,
     odd_ode_scalings,
     odd_ode_symbol,
+    osp,
+    pe,
     shc_symbol,
+    sl,
     spe,
+    spe_ab,
     spo,
     supertranslation,
 )
@@ -158,19 +163,51 @@ def test_reduction_outside_component_rejected():
     assert engine.comp[1].elements == inside
 
 
+def _catalog_snapshot(alg):
+    """Structure constants of a catalog algebra plus its defining matrices,
+    each entry as a "p/q" string."""
+    return {
+        "algebra": alg.to_json(),
+        "rep": [
+            [[e.to_str() for e in row] for row in alg.rep[k].entries]
+            for k in range(len(alg.space))
+        ],
+    }
+
+
 # Structure constants of assembled prolongations, recorded before the
-# coordinate solve was made sparse; any change in a kernel basis, a pivot
-# order or a bracket coordinate shows up here.
+# coordinate solve was made sparse, and of the catalog matrix families,
+# recorded before their brackets moved to sparse matrix products; any change
+# in a kernel basis, a pivot order or a bracket coordinate shows up here.
 SNAPSHOTS = {
     "projective_gl_2_1": lambda: prolong(
         SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)),
         reductions=[(1, projective_trace_reduction)],
-    ),
+    ).to_json(include_algebra=True),
     "gl_1_1_deg4": lambda: prolong(
         SymbolAlgebra(abelian(1, 1)), g0=g0_of(gl(1, 1)), max_degree=4
+    ).to_json(include_algebra=True),
+    "shc": lambda: prolong(SymbolAlgebra(shc_symbol())).to_json(include_algebra=True),
+    "supertranslation_2": lambda: prolong(
+        SymbolAlgebra(supertranslation(2))
+    ).to_json(include_algebra=True),
+    "catalog_gl_2_1": lambda: _catalog_snapshot(gl(2, 1)),
+    "catalog_sl_3_2": lambda: _catalog_snapshot(sl(3, 2)),
+    "catalog_sl_graded_2_2": lambda: _catalog_snapshot(
+        sl(2, 2, weights=[-1, -2, -3, -4])
     ),
-    "shc": lambda: prolong(SymbolAlgebra(shc_symbol())),
-    "supertranslation_2": lambda: prolong(SymbolAlgebra(supertranslation(2))),
+    "catalog_osp_3_2": lambda: _catalog_snapshot(osp(3, 2)),
+    "catalog_spo_2_3": lambda: _catalog_snapshot(spo(2, 3)),
+    "catalog_pe_3": lambda: _catalog_snapshot(pe(3)),
+    "catalog_spe_2": lambda: _catalog_snapshot(spe(2)),
+    "catalog_cpe_2": lambda: _catalog_snapshot(cpe(2)),
+    "catalog_cspe_2": lambda: _catalog_snapshot(cspe(2)),
+    "catalog_pe_sk_3": lambda: _catalog_snapshot(pe(3, skew=True)),
+    "catalog_spe_sk_2": lambda: _catalog_snapshot(spe(2, skew=True)),
+    "catalog_cpe_sk_2": lambda: _catalog_snapshot(cpe(2, skew=True)),
+    "catalog_cspe_sk_2": lambda: _catalog_snapshot(cspe(2, skew=True)),
+    "catalog_spe_ab_2_1_2": lambda: _catalog_snapshot(spe_ab(2, 1, 2)),
+    "catalog_spe_ab_sk_2_1_3": lambda: _catalog_snapshot(spe_ab(2, 1, 3, skew=True)),
 }
 
 
@@ -178,7 +215,7 @@ SNAPSHOTS = {
 def test_assembled_structure_constants_unchanged(name):
     path = Path(__file__).parent / "data" / ("%s.json" % name)
     want = json.loads(path.read_text())
-    got = json.loads(json.dumps(SNAPSHOTS[name]().to_json(include_algebra=True)))
+    got = json.loads(json.dumps(SNAPSHOTS[name]()))
     assert got == want
 
 

@@ -10,10 +10,10 @@ from superprolong.linalg import (
     SpanSolver,
     kernel_basis,
     kernel_basis_rows,
+    pivot_columns,
     rank,
     rank_rows,
     solve,
-    solve_in_span,
     svec_axpy,
 )
 
@@ -77,13 +77,9 @@ def test_kernel_single_row():
     for v in km:
         assert all(not e for e in M.apply(v))
         assert next(e for e in v if e) == Scalar(1)
+    solver = SpanSolver([{i: e for i, e in enumerate(v) if e} for v in km])
     for hand in ([-2, 1, 0], [-3, 0, 1]):
-        coeffs = solve_in_span(
-            [{i: e for i, e in enumerate(v) if e} for v in km],
-            {i: Scalar(c) for i, c in enumerate(hand) if c},
-            3,
-        )
-        assert coeffs is not None
+        assert solver.solve({i: Scalar(c) for i, c in enumerate(hand) if c}) is not None
 
 
 def test_rank_examples():
@@ -97,24 +93,47 @@ def test_rank_examples():
 def test_rank_plus_kernel_is_cols_randomized():
     rng = random.Random(11)
     for _ in range(40):
-        rows = rng.randint(1, 5)
+        nrows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         gaussian = rng.random() < 0.4
-        M = [[rand_scalar(rng, gaussian) for _ in range(cols)] for _ in range(rows)]
-        r = rank_rows(M, cols)
-        km = kernel_basis_rows(M, cols)
+        rows = []
+        for _ in range(nrows):
+            row = {}
+            for j in range(cols):
+                x = rand_scalar(rng, gaussian)
+                if x and rng.random() < 0.7:
+                    row[j] = x
+            rows.append(row)
+        M = dense(rows, cols)
+        r = rank_rows(rows, cols)
+        km = kernel_basis_rows(rows, cols)
         assert r + len(km) == cols
         assert r == naive_rank(M)
         assert len(km) == naive_kernel_dim(M)
         for v in km:
-            for row in M:
+            # sparse: no stored zeros, lowest key normalized to 1
+            assert all(v.values())
+            assert v[min(v)] == Scalar(1)
+            for row in rows:
                 s = Scalar(0)
-                for a, x in zip(row, v):
-                    s = s + a * x
+                for j, a in row.items():
+                    s = s + a * v.get(j, Scalar(0))
                 assert not s
-            # first nonzero entry normalized to 1
-            lead = next(e for e in v if e)
-            assert lead == Scalar(1)
+        # the dense public boundary converts the same results once
+        assert rank(M) == rank(ExactMatrix(M, FIELD_QI)) == r
+        assert kernel_basis(M) == kernel_basis(ExactMatrix(M, FIELD_QI)) == dense(km, cols)
+        # solve: the unique solution on the pivot columns, free variables 0
+        piv = pivot_columns(rows, cols)
+        x = {c: rand_scalar(rng, gaussian) for c in piv}
+        rhs = [sum((a * x.get(j, Scalar(0)) for j, a in row.items()), Scalar(0)) for row in rows]
+        got = solve(M, rhs)
+        assert got == dense([{c: s for c, s in x.items() if s}], cols)[0]
+        columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(cols)]
+        want = SpanSolver(columns).solve({i: b for i, b in enumerate(rhs) if b})
+        assert got == dense([want], cols)[0]
+        off = [rand_scalar(rng, gaussian) for _ in rows]
+        if naive_rank([m + [b] for m, b in zip(M, off)]) > r:
+            assert solve(M, off) is None
 
 
 def test_rank_of_product_bound():
@@ -143,9 +162,14 @@ def test_solve_in_span():
     v1 = {0: Scalar(1), 2: Scalar(2)}
     v2 = {1: Scalar(1)}
     target = {0: Scalar(3), 1: Scalar(-1), 2: Scalar(6)}
-    coeffs = solve_in_span([v1, v2], target, 3)
-    assert [c.re for c in coeffs] == [3, -1]
-    assert solve_in_span([v1, v2], {0: Scalar(1)}, 3) is None
+    solver = SpanSolver([v1, v2])
+    assert solver.solve(target) == {0: Scalar(3), 1: Scalar(-1)}
+    assert solver.solve({0: Scalar(1)}) is None
+    # the same system through the dense public solve: columns v1, v2
+    M = dense([v1, v2], 3)
+    M = [[M[0][i], M[1][i]] for i in range(3)]
+    assert [c.re for c in solve(M, [Scalar(3), Scalar(-1), Scalar(6)])] == [3, -1]
+    assert solve(M, [Scalar(1), Scalar(0), Scalar(0)]) is None
 
 
 @st.composite
