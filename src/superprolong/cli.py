@@ -138,13 +138,22 @@ def cmd_prolong(args):
 
 
 def _parse_drange(text):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return range(int(lo), int(hi) + 1)
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            degrees = range(int(lo), int(hi) + 1)
+        else:
+            degrees = [int(text)]
+    except ValueError:
+        raise InputError("--d expects a degree or a range lo..hi, got %r" % text)
+    if not degrees:
+        raise InputError("--d range %s is empty" % text)
+    return degrees
 
 
 def cmd_cohomology(args):
+    if args.k < 0:
+        raise InputError("--k must be >= 0, got %d" % args.k)
     alg = _load_algebra(args)
     rows = []
     for d in _parse_drange(args.d):

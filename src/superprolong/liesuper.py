@@ -26,6 +26,7 @@ from .superspace import (
     parity_from_str,
     parity_to_str,
 )
+from .spencer import cochain_basis, differential_rows
 
 
 class LieSuperalgebra:
@@ -379,62 +380,23 @@ class DerivationSpace:
 
 
 def derivations_gr(m, d=0):
-    """All degree-d superderivations D of m: D[x,y] = [Dx,y] + (-1)^{|D||x|}[x,Dy]."""
+    """All degree-d superderivations D of m, D[x,y] = [Dx,y] + (-1)^{|D||x|}[x,Dy].
+
+    They are the 1-cocycles Z^{d,1}(m, m) of the Spencer differential with
+    coefficients m: per parity, a kernel basis of ``spencer.differential_rows``
+    on C^{d,1}(m, m), whose columns (source j, image i) are ordered by j, then i.
+    """
     if isinstance(m, LieSuperalgebra):
         m = SymbolAlgebra(m)
-    space = m.space
-    n = len(space)
+    basis = cochain_basis(m, d, 1)
+    target = cochain_basis(m, d, 2)
     elements = []
     for p in (EVEN, ODD):
-        # unknowns: entries D[j -> i] with deg_i = deg_j + d, par_i = par_j + p
-        unknowns = []
-        pos = {}
-        for j in range(n):
-            for i in range(n):
-                if (
-                    space[i].degree == space[j].degree + d
-                    and space[i].parity == (space[j].parity + p) % 2
-                ):
-                    pos[(j, i)] = len(unknowns)
-                    unknowns.append((j, i))
-        if not unknowns:
-            continue
-        rows = []
-        for a in range(n):
-            for b in range(a, n):
-                ab = m.bracket_indices(a, b)
-                sgn = Scalar(-1) if (p and space[a].parity) else Scalar(1)
-                coeffs = {}
-                for k, s in ab.items():
-                    for i in range(n):
-                        key = (k, i)
-                        if key in pos:
-                            coeffs.setdefault(i, {})[pos[key]] = (
-                                coeffs.get(i, {}).get(pos[key], Scalar(0)) + s
-                            )
-                # -[Da, b]
-                for i in range(n):
-                    if (a, i) in pos:
-                        res = m.bracket_indices(i, b)
-                        for c, s in res.items():
-                            col = pos[(a, i)]
-                            coeffs.setdefault(c, {})[col] = (
-                                coeffs.get(c, {}).get(col, Scalar(0)) - s
-                            )
-                # -(-1)^{|D||a|} [a, Db]
-                for i in range(n):
-                    if (b, i) in pos:
-                        res = m.bracket_indices(a, i)
-                        for c, s in res.items():
-                            col = pos[(b, i)]
-                            coeffs.setdefault(c, {})[col] = (
-                                coeffs.get(c, {}).get(col, Scalar(0)) - sgn * s
-                            )
-                rows.extend(coeffs.values())
-        for v in kernel_basis_rows(rows, len(unknowns)):
+        cols = [c for c in basis if c[2] == p]
+        for v in kernel_basis_rows(differential_rows(m, cols, target), len(cols)):
             action = {}
             for col, s in v.items():
-                j, i = unknowns[col]
+                (j,), i, _ = cols[col]
                 action.setdefault(j, {})[i] = s
             elements.append((p, action))
     return DerivationSpace(m, d, elements)

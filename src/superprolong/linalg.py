@@ -341,14 +341,19 @@ def kernel_basis(M):
 
 def solve(M, rhs):
     """One solution of M x = rhs, or None: the unique one supported on the
-    leftmost independent columns (free variables set to 0)."""
+    leftmost independent columns (free variables set to 0).  rhs holds one
+    entry per row of M; any other length raises ValueError."""
     rows, ncols = _sparse_rows(M)
+    if len(rhs) != len(rows):
+        raise ValueError(
+            "right-hand side has %d entries for %d rows" % (len(rhs), len(rows))
+        )
     columns = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, e in row.items():
             columns[j][i] = e
     target = {}
-    for i, (_, b) in enumerate(zip(rows, rhs)):
+    for i, b in enumerate(rhs):
         b = as_scalar(b)
         if b:
             target[i] = b

@@ -54,11 +54,11 @@ def nonregular_hc_extension():
 def collect_results():
     out = {}
 
-    res = prolong(SymbolAlgebra(catalog.shc_symbol()))
-    out["shc.total"] = _dims(res.total_superdim)
-    out["shc.status"] = res.status
+    shc = prolong(SymbolAlgebra(catalog.shc_symbol()))
+    out["shc.total"] = _dims(shc.total_superdim)
+    out["shc.status"] = shc.status
     out["shc.per_degree"] = {
-        str(k): _dims(v) for k, v in res.per_degree().items()
+        str(k): _dims(v) for k, v in shc.per_degree().items()
     }
 
     for n in (2, 3):
@@ -118,10 +118,9 @@ def collect_results():
     for d in (1, 2):
         out["sl21.H%d1" % d] = _dims(cohomology_dims(d, 1, g))
 
-    res = prolong(SymbolAlgebra(catalog.shc_symbol()))
     for d in range(0, 4):
-        out["shc.H%d1" % d] = _dims(cohomology_dims(d, 1, res.m, res.algebra))
-    out["shc.reduced_check"] = reduced_differential_check(res.m, res.algebra)["ok"]
+        out["shc.H%d1" % d] = _dims(cohomology_dims(d, 1, shc.m, shc.algebra))
+    out["shc.reduced_check"] = reduced_differential_check(shc.m, shc.algebra)["ok"]
 
     flag = derived_flag(nonregular_hc_extension())
     rep = check_strong_regularity(flag)

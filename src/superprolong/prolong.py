@@ -33,6 +33,7 @@ from .linalg import (
 )
 from .scalars import Scalar
 from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
+from .spencer import cochain_basis, differential_rows
 from .liesuper import (
     DerivationSpace,
     LieSuperalgebra,
@@ -224,27 +225,29 @@ class Prolongation:
                         raise ProlongationError(
                             "g0 element %d is not parity-homogeneous" % idx
                         )
+        # (d w)(a, b) = [w a, b] + (-1)^{|w||a|}[a, w b] - w[a, b]: each
+        # element must be a cocycle of C^{0,1}(m, m), and a nonzero target
+        # row names the canonical pair a <= b at fault
+        basis = cochain_basis(m, 0, 1)
+        target = cochain_basis(m, 0, 2)
+        rows = differential_rows(m, basis, target)
+        col = {(T[0], i): c for c, (T, i, _) in enumerate(basis)}
         for idx, (p, action) in enumerate(elements):
-            for a in range(self.n):
-                for b in range(a, self.n):
-                    lhs = {}
-                    for c, s in m.bracket_indices(a, b).items():
-                        img = action.get(c)
-                        if img:
-                            svec_axpy(lhs, s, img)
-                    rhs = {}
-                    for i, s in action.get(a, {}).items():
-                        svec_axpy(rhs, s, m.bracket_indices(i, b))
-                    sgn = Scalar(-1) if (p and self._par(a)) else Scalar(1)
-                    for i, s in action.get(b, {}).items():
-                        svec_axpy(rhs, sgn * s, m.bracket_indices(a, i))
-                    svec_axpy(lhs, Scalar(-1), rhs)
-                    if lhs:
-                        raise ProlongationError(
-                            "g0 element %d is not a derivation of m "
-                            "(fails on pair %s, %s)"
-                            % (idx, self.space[a].name, self.space[b].name)
-                        )
+            w = {
+                col[(b, i)]: s for b, img in action.items() for i, s in img.items()
+            }
+            for r, row in enumerate(rows):
+                val = Scalar(0)
+                for c, x in row.items():
+                    if c in w:
+                        val = val + x * w[c]
+                if val:
+                    a, b = target[r][0]
+                    raise ProlongationError(
+                        "g0 element %d is not a derivation of m "
+                        "(fails on pair %s, %s)"
+                        % (idx, self.space[a].name, self.space[b].name)
+                    )
 
     def _check_g0_closed(self):
         k = len(self.comp[0].elements)

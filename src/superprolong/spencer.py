@@ -18,14 +18,31 @@ transposition contributes -1 unless both symbols are odd).  For k = 1 and
 even w this is [x1, w(x2)] - (-1)^{|x1||x2|}[x2, w(x1)] - w([x1, x2]), and
 for every parity the kernel on degree-i 1-cochains coincides with the
 degree-i prolongation equations; these two anchors fix the convention.
+
+This is the package's one Chevalley-Eilenberg differential:
+``liesuper.derivations_gr`` reads the degree-d derivations of m off it as
+the 1-cocycles Z^{d,1}(m, m), the prolongation engine checks a prescribed
+g_0 by applying its C^{0,1}(m, m) rows, and ``cohomology_dims`` and
+``reduced_differential_check`` take ranks of its rows.
+
+Reduced differential.  C^{d,2} = A + B, where A is spanned by the monomials
+with an argument of degree -1 and B by those with both arguments of degree
+<= -2; p projects onto A along B.  Since ker p = B, p is injective on
+ker(delta | C^{d,2}) exactly when delta restricted to the B monomials has
+rank |B|, which the check computes without a kernel basis.
 """
 
 from __future__ import annotations
 
-from .linalg import ExactMatrix, kernel_basis_rows, pivot_columns, rank_rows
+from .linalg import ExactMatrix, pivot_columns, rank_rows
 from .scalars import Scalar
-from .superspace import EVEN, ODD, extraction_sign, sort_with_sign
-from .liesuper import LieSuperalgebra, SymbolAlgebra
+from .superspace import (
+    EVEN,
+    ODD,
+    exterior_power_basis,
+    extraction_sign,
+    sort_with_sign,
+)
 
 
 class CochainSlice:
@@ -49,46 +66,20 @@ class CochainSlice:
         ]
         return ExactMatrix(dense, self.g.field)
 
-    def superdim(self):
-        p = sum(1 for t in self.basis if t[2] == EVEN)
-        return (p, len(self.basis) - p)
-
-
-def _mpart(g):
-    return [i for i, b in enumerate(g.space) if b.degree < 0]
-
-
-def canonical_tuples(g, k):
-    """Canonical k-tuples of m-indices: weakly increasing, strict on evens."""
-    m_idx = _mpart(g)
-    space = g.space
-    out = []
-
-    def rec(start, chosen):
-        if len(chosen) == k:
-            out.append(tuple(chosen))
-            return
-        for pos in range(start, len(m_idx)):
-            i = m_idx[pos]
-            nxt = pos if space[i].parity == ODD else pos + 1
-            chosen.append(i)
-            rec(nxt, chosen)
-            chosen.pop()
-
-    rec(0, [])
-    return out
-
 
 def cochain_basis(g, d, k):
-    """Basis of C^{d,k}: triples (tuple, value_index, parity)."""
+    """Basis of C^{d,k}: triples (tuple, value_index, parity), one for each
+    canonical k-monomial of m (``exterior_power_basis`` of the negative part
+    of g, indices mapped back into g) and each basis vector of g whose degree
+    exceeds the monomial's by d."""
     space = g.space
+    m_idx = [i for i, b in enumerate(space) if b.degree < 0]
     out = []
-    for T in canonical_tuples(g, k):
-        argdeg = sum(space[t].degree for t in T)
-        argpar = sum(space[t].parity for t in T) % 2
+    for mono in exterior_power_basis([space[i] for i in m_idx], k):
+        T = tuple(m_idx[i] for i in mono.indices)
         for b, bv in enumerate(space):
-            if bv.degree - argdeg == d:
-                out.append((T, b, (argpar + bv.parity) % 2))
+            if bv.degree - mono.degree == d:
+                out.append((T, b, (mono.parity + bv.parity) % 2))
     return out
 
 
@@ -104,19 +95,12 @@ def differential_rows(g, basis, target):
         col_parity[c] = par
     rows = [dict() for _ in range(len(target))]
 
-    def deposit(T, gvec, c, factor):
-        for tgt, s in gvec.items():
-            key = (T, tgt)
-            r = pos.get(key)
-            if r is None:
-                if s:
-                    raise AssertionError("differential left the expected bidegree")
-                continue
-            val = rows[r].get(c, Scalar(0)) + factor * s
-            if val:
-                rows[r][c] = val
-            else:
-                rows[r].pop(c, None)
+    def add(r, c, v):
+        val = rows[r].get(c, Scalar(0)) + v
+        if val:
+            rows[r][c] = val
+        else:
+            rows[r].pop(c, None)
 
     out_tuples = sorted({T for T, _, _ in target})
     k1 = len(out_tuples[0]) if out_tuples else 0
@@ -134,8 +118,12 @@ def differential_rows(g, basis, target):
                 br = g.bracket_indices(xi, b)
                 if not br:
                     continue
-                tw = -s_i if (pxi and col_parity[c]) else s_i
-                deposit(T, br, c, Scalar(tw))
+                tw = Scalar(-s_i if (pxi and col_parity[c]) else s_i)
+                for tgt, s in br.items():
+                    r = pos.get((T, tgt))
+                    if r is None:
+                        raise AssertionError("differential left the expected bidegree")
+                    add(r, c, tw * s)
         for i in range(k1):
             for j in range(i + 1, k1):
                 br = g.bracket_indices(T[i], T[j])
@@ -155,14 +143,24 @@ def differential_rows(g, basis, target):
                     if not hits:
                         continue
                     for c, b in hits:
-                        val = rows[pos[(T, b)]].get(c, Scalar(0)) - Scalar(
-                            s_ij * sgn
-                        ) * s
-                        if val:
-                            rows[pos[(T, b)]][c] = val
-                        else:
-                            rows[pos[(T, b)]].pop(c, None)
+                        add(pos[(T, b)], c, -Scalar(s_ij * sgn) * s)
     return rows
+
+
+def _coefficients(m, g):
+    """The coefficient algebra: g, or m itself when g is None, with a symbol
+    algebra unwrapped to its Lie superalgebra."""
+    g = m if g is None else g
+    return getattr(g, "alg", g)
+
+
+def _rank_on(rows, cols):
+    """Rank of sparse rows restricted to the column subset cols."""
+    remap = {c: k for k, c in enumerate(cols)}
+    return rank_rows(
+        [{remap[c]: v for c, v in row.items() if c in remap} for row in rows],
+        len(cols),
+    )
 
 
 def ce_differential(d, k, m, g=None):
@@ -171,12 +169,9 @@ def ce_differential(d, k, m, g=None):
     m is accepted for interface symmetry (its dimensions are checked against
     the negative part of g); pass the coefficient algebra as g.
     """
-    if g is None:
-        g = m if isinstance(m, LieSuperalgebra) else m.alg
-    if isinstance(g, SymbolAlgebra):
-        g = g.alg
-    if m is not None and m is not g:
-        malg = m.alg if isinstance(m, SymbolAlgebra) else m
+    g = _coefficients(m, g)
+    malg = getattr(m, "alg", m)
+    if malg is not g:
         for deg in malg.space.degrees():
             if malg.space.superdim(deg) != g.space.superdim(deg):
                 raise ValueError(
@@ -185,85 +180,34 @@ def ce_differential(d, k, m, g=None):
     return CochainSlice(g, d, k).matrix()
 
 
-def _parity_blocks(basis):
-    ev = [i for i, (_, _, p) in enumerate(basis) if p == EVEN]
-    od = [i for i, (_, _, p) in enumerate(basis) if p == ODD]
-    return ev, od
-
-
-def _restrict(rows, row_idx, col_idx):
-    """Restrict sparse rows to a column subset (columns are reindexed)."""
-    remap = {c: k for k, c in enumerate(col_idx)}
-    return [
-        {remap[c]: v for c, v in rows[r].items() if c in remap} for r in row_idx
-    ]
-
-
 def cohomology_dims(d, k, m, g=None):
     """Superdimension (even|odd) of H^{d,k}(m, g)."""
-    if g is None:
-        g = m if isinstance(m, LieSuperalgebra) else m.alg
-    if isinstance(g, SymbolAlgebra):
-        g = g.alg
+    g = _coefficients(m, g)
     here = CochainSlice(g, d, k)
     below = CochainSlice(g, d, k - 1) if k >= 1 else None
     dims = []
     for parity in (EVEN, ODD):
         cols = [i for i, (_, _, p) in enumerate(here.basis) if p == parity]
-        if here.target and here.basis:
-            rows = _restrict(
-                here.matrix_rows, range(len(here.target)), cols
-            )
-            r = rank_rows(rows, len(cols))
-        else:
-            r = 0
-        ker = len(cols) - r
-        rk_below = 0
-        if below is not None and below.basis:
+        dim = len(cols) - _rank_on(here.matrix_rows, cols)
+        if below is not None:
             bcols = [i for i, (_, _, p) in enumerate(below.basis) if p == parity]
-            if bcols and below.target:
-                rows = _restrict(
-                    below.matrix_rows, range(len(below.target)), bcols
-                )
-                rk_below = rank_rows(rows, len(bcols))
-        dims.append(ker - rk_below)
+            dim -= _rank_on(below.matrix_rows, bcols)
+        dims.append(dim)
     return tuple(dims)
-
-
-class ReducedSlice:
-    """The reduced differential data at degree d: A = (g_{-1}* ^ m*) (x) g,
-    the projection p onto A (forget tuples with both arguments of degree
-    <= -2) and the operator p o delta."""
-
-    def __init__(self, g, d):
-        self.g = g
-        self.d = d
-        self.c1 = CochainSlice(g, d, 1)
-        self.c2 = CochainSlice(g, d, 2)
-        space = g.space
-        self.a_rows = [
-            r
-            for r, (T, _, _) in enumerate(self.c2.basis)
-            if any(space[t].degree == -1 for t in T)
-        ]
-        self.b_rows = [
-            r
-            for r, (T, _, _) in enumerate(self.c2.basis)
-            if all(space[t].degree <= -2 for t in T)
-        ]
-
-    def partial_rows(self):
-        return [self.c1.matrix_rows[r] for r in self.a_rows]
 
 
 def reduced_differential_check(m, g=None):
     """Check ker(p o delta) = ker(delta) on 1-cochains and injectivity of p on
     ker(delta | C^{d,2}) for every degree d with nonzero C^{d,2}; emit a
-    complement N = Z + B per degree on success."""
-    if g is None:
-        g = m if isinstance(m, LieSuperalgebra) else m.alg
-    if isinstance(g, SymbolAlgebra):
-        g = g.alg
+    complement N = Z + B per degree on success.
+
+    C^{d,2} is the direct sum of A, spanned by the monomials with an argument
+    of degree -1, and B, spanned by those with both arguments of degree
+    <= -2; p projects onto A along B, so ker p = B.  Hence p is injective on
+    ker(delta | C^{d,2}) iff ker(delta) meets B only in 0, i.e. iff delta
+    restricted to the B monomials has rank |B|, which is what is computed.
+    """
+    g = _coefficients(m, g)
     space = g.space
     degs = [b.degree for b in space]
     mdegs = [abs(d) for d in degs if d < 0]
@@ -273,14 +217,20 @@ def reduced_differential_check(m, g=None):
     d_max = max(degs) + 2 * max(mdegs)
     report = {"ok": True, "degrees": {}}
     for d in range(d_min, d_max + 1):
-        sl = ReducedSlice(g, d)
-        if not sl.c2.basis:
+        c1 = CochainSlice(g, d, 1)
+        if not c1.target:
             continue
+        a_rows, b_rows = [], []
+        for r, (T, _, _) in enumerate(c1.target):
+            if all(space[t].degree <= -2 for t in T):
+                b_rows.append(r)
+            else:
+                a_rows.append(r)
         entry = {}
-        ncols = len(sl.c1.basis)
-        part = sl.partial_rows()
+        ncols = len(c1.basis)
+        part = [c1.matrix_rows[r] for r in a_rows]
         if ncols:
-            rk_full = rank_rows(sl.c1.matrix_rows, ncols)
+            rk_full = rank_rows(c1.matrix_rows, ncols)
             rk_part = rank_rows(part, ncols)
             entry["ker_delta"] = ncols - rk_full
             entry["ker_partial"] = ncols - rk_part
@@ -288,11 +238,8 @@ def reduced_differential_check(m, g=None):
         else:
             entry["ker_delta"] = entry["ker_partial"] = 0
             entry["kernels_agree"] = True
-        # injectivity of p on ker(delta | C^{d,2})
-        ker2 = kernel_basis_rows(sl.c2.matrix_rows, len(sl.c2.basis))
-        a_pos = {r: k for k, r in enumerate(sl.a_rows)}
-        proj = [{a_pos[r]: x for r, x in v.items() if r in a_pos} for v in ker2]
-        entry["p_injective_on_ker"] = rank_rows(proj, len(sl.a_rows)) == len(ker2)
+        c2 = CochainSlice(g, d, 2)
+        entry["p_injective_on_ker"] = _rank_on(c2.matrix_rows, b_rows) == len(b_rows)
         ok = entry["kernels_agree"] and entry["p_injective_on_ker"]
         if ok:
             # complement N = Z + B: the standard monomials of A at non-pivot
@@ -302,16 +249,16 @@ def reduced_differential_check(m, g=None):
                 for c, v in row.items():
                     by_col.setdefault(c, {})[r_local] = v
             im_vecs = [by_col.get(c, {}) for c in range(ncols)]
-            pivset = set(pivot_columns(im_vecs, len(sl.a_rows)))
+            pivset = set(pivot_columns(im_vecs, len(a_rows)))
             z_members = [
-                sl.a_rows[r_local]
-                for r_local in range(len(sl.a_rows))
+                a_rows[r_local]
+                for r_local in range(len(a_rows))
                 if r_local not in pivset
             ]
             entry["complement_Z"] = [
-                _monomial_label(g, sl.c2.basis[r]) for r in z_members
+                _monomial_label(g, c1.target[r]) for r in z_members
             ]
-            entry["complement_B_dim"] = len(sl.b_rows)
+            entry["complement_B_dim"] = len(b_rows)
         else:
             report["ok"] = False
         report["degrees"][d] = entry

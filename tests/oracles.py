@@ -74,3 +74,23 @@ def naive_kernel_dim(rows):
     if not rows:
         return 0
     return len(rows[0]) - naive_rank(rows)
+
+
+def reduced_p_injective(g, d):
+    """The reduced check's injectivity verdict in its kernel-then-project
+    form: a kernel basis of delta on C^{d,2}(m, g), projected onto the
+    monomials with an argument of degree -1, keeps its full rank.  This uses
+    the package's sparse elimination but not the B-column rank criterion."""
+    from superprolong.linalg import kernel_basis_rows, rank_rows
+    from superprolong.spencer import CochainSlice
+
+    c2 = CochainSlice(g, d, 2)
+    a_rows = [
+        r
+        for r, (T, _, _) in enumerate(c2.basis)
+        if any(g.space[t].degree == -1 for t in T)
+    ]
+    a_pos = {r: k for k, r in enumerate(a_rows)}
+    ker2 = kernel_basis_rows(c2.matrix_rows, len(c2.basis))
+    proj = [{a_pos[r]: x for r, x in v.items() if r in a_pos} for v in ker2]
+    return rank_rows(proj, len(a_rows)) == len(ker2)

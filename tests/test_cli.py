@@ -209,3 +209,21 @@ def test_odesym_rejects_unsolvable_order_or_degree(
     code, out, err = run_cli(["odesym", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == "input error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--d", "0", "--k", "-1"], "--k must be >= 0, got -1"),
+        (["--d", "x"], "--d expects a degree or a range lo..hi, got 'x'"),
+        (["--d", "1..x"], "--d expects a degree or a range lo..hi, got '1..x'"),
+        (["--d", "3..1"], "--d range 3..1 is empty"),
+    ],
+    ids=["negative-k", "bad-degree", "bad-range-end", "empty-range"],
+)
+def test_cohomology_bad_degree_or_k_exit_two(capsys, flags, message):
+    code, out, err = run_cli(
+        ["cohomology", "--name", "sl_graded:2|1"] + flags, capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "input error: %s\n" % message

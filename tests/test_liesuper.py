@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +278,67 @@ def test_build_named_errors():
         build_named("nonsense:3")
     with pytest.raises(ValueError):
         build_named("osp:2|3")  # odd symplectic rank
+
+
+# derivations_gr(m, d).elements for d = -2..1, recorded before derivations
+# became the 1-cocycles of spencer.differential_rows; any change in the
+# kernel basis (its column order, normalization or span) shows up here.
+DERIVATION_CASES = {
+    "shc": shc_symbol,
+    "supertranslation_2": lambda: supertranslation(2),
+    "heisenberg_contact_2_2": lambda: heisenberg_contact(2, 2),
+    "odd_ode_symbol_3": lambda: odd_ode_symbol(3),
+}
+
+
+def _derivation_snapshot(m, d):
+    sp = m.space
+    return [
+        {
+            "parity": "even" if p == EVEN else "odd",
+            "action": [
+                [sp[j].name, [[sp[i].name, s.to_str()] for i, s in col.items()]]
+                for j, col in action.items()
+            ],
+        }
+        for p, action in derivations_gr(m, d).elements
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATION_CASES))
+def test_derivations_unchanged(name):
+    path = Path(__file__).parent / "data" / "derivations.json"
+    want = json.loads(path.read_text())[name]
+    m = SymbolAlgebra(DERIVATION_CASES[name]())
+    got = {str(d): _derivation_snapshot(m, d) for d in range(-2, 2)}
+    assert got == want
+
+
+def _apply(action, vec):
+    out = {}
+    for j, s in vec.items():
+        for i, x in action.get(j, {}).items():
+            out[i] = out.get(i, Scalar(0)) + s * x
+    return {i: x for i, x in out.items() if x}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATION_CASES))
+def test_derivations_satisfy_identity_by_direct_brackets(name):
+    # D[x,y] = [Dx,y] + (-1)^{|D||x|}[x,Dy] on every ordered basis pair
+    m = SymbolAlgebra(DERIVATION_CASES[name]())
+    n = len(m.space)
+    found = 0
+    for d in range(-2, 2):
+        for p, action in derivations_gr(m, d).elements:
+            found += 1
+            for a in range(n):
+                sgn = Scalar(-1) if (p and m.space[a].parity) else Scalar(1)
+                x = {a: Scalar(1)}
+                for b in range(n):
+                    y = {b: Scalar(1)}
+                    lhs = _apply(action, m.bracket_indices(a, b))
+                    rhs = m.bracket_vec(_apply(action, x), y)
+                    for c, s in m.bracket_vec(x, _apply(action, y)).items():
+                        rhs[c] = rhs.get(c, Scalar(0)) + sgn * s
+                    assert lhs == {c: s for c, s in rhs.items() if s}, (d, a, b)
+    assert found

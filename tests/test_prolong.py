@@ -255,3 +255,30 @@ def test_g0_must_be_derivations():
     )
     with pytest.raises(ProlongationError):
         Prolongation(m, g0=[(EVEN, bad)])
+
+
+_ONE = Scalar(1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((EVEN, {0: {4: _ONE}}), "g0 element 1 is not of degree 0"),
+        ((ODD, {0: {0: _ONE}}), "g0 element 1 is not parity-homogeneous"),
+        ((EVEN, {2: {2: _ONE}}),
+         "g0 element 1 is not a derivation of m (fails on pair th1, th1)"),
+        ((EVEN, {0: {0: _ONE}}),
+         "g0 element 1 is not a derivation of m (fails on pair x1, x2)"),
+        ((ODD, {0: {2: _ONE}}),
+         "g0 element 1 is not a derivation of m (fails on pair x1, th1)"),
+    ],
+    ids=["degree", "parity", "even-on-odd-pair", "even-on-even-pair", "odd"],
+)
+def test_g0_check_names_element_and_pair(bad, message):
+    # basis x1, x2, th1, th2 (degree -1), Z (degree -2); element 0 is the
+    # grading derivation, element 1 is at fault
+    m = SymbolAlgebra(heisenberg_contact(2, 2))
+    euler = (EVEN, {b: {b: Scalar(1 if b < 4 else 2)} for b in range(5)})
+    with pytest.raises(ProlongationError) as exc:
+        Prolongation(m, g0=[euler, bad])
+    assert str(exc.value) == message

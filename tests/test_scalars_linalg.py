@@ -238,3 +238,13 @@ def test_span_solver_returns_exact_sparse_coefficients(problem):
         for j in range(dim):
             if naive_rank(dense(indep + [{j: x}], dim)) > len(indep):
                 assert solver.solve(svec_axpy(dict(target), x, {j: Scalar(1)})) is None
+
+
+@pytest.mark.parametrize("rhs", [[1, 5], []], ids=["too-long", "too-short"])
+def test_solve_rejects_rhs_of_wrong_length(rhs):
+    # one equation x0 = 1: a second entry would be the impossible 0 = 5,
+    # and a missing one leaves the equation without a right-hand side
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve([[1, 0]], rhs)
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve(ExactMatrix([[1, 0]]), rhs)

@@ -1,7 +1,13 @@
+import json
 import random
+from itertools import combinations_with_replacement
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
 
 from superprolong.scalars import Scalar
-from superprolong.superspace import EVEN, ODD
+from superprolong.superspace import EVEN, ODD, BasisVector, GradedSuperSpace
 from superprolong.catalog import (
     abelian,
     build_named,
@@ -9,8 +15,9 @@ from superprolong.catalog import (
     odd_ode_scalings,
     odd_ode_symbol,
     shc_symbol,
+    supertranslation,
 )
-from superprolong.liesuper import SymbolAlgebra
+from superprolong.liesuper import LieSuperalgebra, SymbolAlgebra
 from superprolong.prolong import projective_trace_reduction, prolong
 from superprolong.spencer import (
     CochainSlice,
@@ -22,6 +29,7 @@ from superprolong.spencer import (
 from superprolong.linalg import rank_rows
 
 from conftest import delta_squared_rows, g0_of
+from oracles import reduced_p_injective
 
 
 def slice_dims(g, d, k):
@@ -179,3 +187,93 @@ def test_ce_differential_matrix_shape_and_field():
     sl = CochainSlice(g, 1, 1)
     assert M.rows == len(sl.target)
     assert M.cols == len(sl.basis)
+
+
+def _abelian_two_step():
+    # a, t in degree -1 and z, w in degree -2 (even, odd), all brackets zero:
+    # delta vanishes on the B monomials z*^w*, w*^w* of degrees 2 and 3
+    return LieSuperalgebra(
+        GradedSuperSpace(
+            [
+                BasisVector("a", -1, EVEN),
+                BasisVector("t", -1, ODD),
+                BasisVector("z", -2, EVEN),
+                BasisVector("w", -2, ODD),
+            ]
+        ),
+        {},
+    )
+
+
+@lru_cache(maxsize=None)
+def _reduced_case(name):
+    """(m, g) of the reduced-check cases."""
+    if name == "abelian_a_t_z_w":
+        m = _abelian_two_step()
+        return m, m
+    if name == "odd_ode_3":
+        res = prolong(SymbolAlgebra(odd_ode_symbol(3)), g0=odd_ode_scalings(3))
+    elif name == "shc":
+        res = prolong(SymbolAlgebra(shc_symbol()))
+    else:
+        res = prolong(SymbolAlgebra(supertranslation(int(name[-1]))))
+    return res.m, res.algebra
+
+
+REDUCED_CASES = [
+    "abelian_a_t_z_w", "odd_ode_3", "shc", "supertranslation_2",
+    "supertranslation_3",
+]
+
+
+@pytest.mark.parametrize("name", REDUCED_CASES)
+def test_reduced_check_unchanged(name):
+    # whole reports, recorded before p-injectivity became a rank on the B
+    # monomials
+    path = Path(__file__).parent / "data" / "reduced_check.json"
+    want = json.loads(path.read_text())[name]
+    got = json.loads(json.dumps(reduced_differential_check(*_reduced_case(name))))
+    assert got == want
+
+
+def test_reduced_check_negative_case():
+    rep = reduced_differential_check(_abelian_two_step())
+    assert rep["ok"] is False
+    bad = sorted(
+        d for d, e in rep["degrees"].items() if not e["p_injective_on_ker"]
+    )
+    assert bad == [2, 3]
+    assert all(e["kernels_agree"] for e in rep["degrees"].values())
+
+
+@pytest.mark.parametrize(
+    "name", ["abelian_a_t_z_w", "odd_ode_3", "shc", "supertranslation_2"]
+)
+def test_reduced_injectivity_matches_kernel_projection(name):
+    m, g = _reduced_case(name)
+    rep = reduced_differential_check(m, g)
+    assert rep["degrees"]
+    for d, entry in rep["degrees"].items():
+        assert entry["p_injective_on_ker"] == reduced_p_injective(g, d), d
+
+
+def test_cochain_basis_is_canonical_monomials_times_values():
+    # weakly increasing m-index tuples, strict on even indices, in
+    # lexicographic order, each times every g basis vector of degree d above
+    for g in (build_named("sl_graded:2|1"), shc_symbol()):
+        sp = g.space
+        m_idx = [i for i, b in enumerate(sp) if b.degree < 0]
+        for d in range(-2, 4):
+            for k in range(4):
+                want = []
+                for T in combinations_with_replacement(m_idx, k):
+                    if any(T[i] == T[i + 1] and sp[T[i]].parity == EVEN
+                           for i in range(k - 1)):
+                        continue
+                    for b, bv in enumerate(sp):
+                        if bv.degree - sum(sp[t].degree for t in T) == d:
+                            par = (bv.parity + sum(sp[t].parity for t in T)) % 2
+                            want.append((T, b, par))
+                assert cochain_basis(g, d, k) == want, (d, k)
+    with pytest.raises(ValueError):
+        cochain_basis(shc_symbol(), 0, -1)
