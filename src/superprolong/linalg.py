@@ -365,14 +365,14 @@ class SpanSolver:
     """Reusable exact solver for membership in the span of fixed sparse
     vectors; one elimination up front, then many solves.
 
-    Keys of the vectors may be any mutually comparable hashables; vectors
-    and targets store no zeros.
+    Keys of the vectors may be any mutually comparable hashables; zero
+    entries of the vectors and of a target are ignored.
     """
 
     def __init__(self, vectors):
         self.pivots = []  # (pivot_key, row, coeffs) with row[pivot_key] == 1
         for i, v in enumerate(vectors):
-            row = dict(v)
+            row = {j: x for j, x in v.items() if x}
             coeff = {i: Scalar(1)}
             self._reduce(row, coeff)
             if row:
@@ -396,7 +396,7 @@ class SpanSolver:
         vectors (zero coefficients omitted), or None when target is not in
         their span: the nonzero residual after elimination is the
         certificate."""
-        row = dict(target)
+        row = {j: x for j, x in target.items() if x}
         acc = {}
         for c, prow, pcoeff in self.pivots:
             x = row.get(c)

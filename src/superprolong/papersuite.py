@@ -171,8 +171,9 @@ def run_suite(verbose=True):
             mark = "PASS" if good else "FAIL"
             extra = "" if good else "  (got %r, want %r)" % (got, want)
             print("%s  %s%s" % (mark, key, extra))
-    missing = set(actual) - set(expected)
-    if missing and verbose:
-        for key in sorted(missing):
-            print("WARN  %s not in the expected file" % key)
+    # a result with no expected value is checked by nothing: that fails too
+    for key in sorted(set(actual) - set(expected)):
+        ok = False
+        if verbose:
+            print("FAIL  %s  (got %r, not in the expected file)" % (key, actual[key]))
     return ok

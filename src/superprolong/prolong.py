@@ -6,10 +6,15 @@ vector in the component g_{i-j}, and the defining equations are
 
     u([v,w]) = [u(v), w] - (-1)^{|v||w|} [u(w), v]     for all v, w in m,
 
-solved degreewise as an exact linear kernel.  Brackets between nonnegative
-components are recovered from the operator identity ad_{[u,v]} = [ad_u, ad_v]
-and solved back to coordinates; well-definedness relies on transitivity and
-is asserted at runtime.  Each component is eliminated once, into a cached
+that is, g_i = Z^{i,1}(m, m + g_0 + ... + g_{i-1}).  They are read off the
+package's one Chevalley-Eilenberg differential, ``spencer.differential_rows``:
+each step is ``liesuper.derivations_gr`` in degree i of the truncated algebra
+(the brackets of m with m and with the computed components), the same
+per-parity kernel that gives the default g_0 = Z^{0,1}(m, m).
+
+Brackets between nonnegative components are recovered from the operator
+identity ad_{[u,v]} = [ad_u, ad_v] and solved back to coordinates;
+well-definedness relies on transitivity and is asserted at runtime.  Each component is eliminated once, into a cached
 SpanSolver over its elements' actions flattened to sparse vectors keyed by
 (m-basis index, target coordinate); every later solve returns the sparse
 coordinates {element index: Scalar}, and a nonzero residual after the
@@ -26,7 +31,6 @@ from __future__ import annotations
 from .linalg import (
     ExactMatrix,
     SpanSolver,
-    kernel_basis_rows,
     rank_rows,
     svec_axpy,
     svec_scale,
@@ -101,7 +105,6 @@ class Prolongation:
         self.m = m
         self.space = m.space
         self.n = len(m.space)
-        self.mu = m.mu
         elements = _normalize_g0(m, g0)
         self._check_derivations(elements)
         self.comp = {0: ProlongationComponent(0, elements)}
@@ -119,21 +122,6 @@ class Prolongation:
 
     def _par(self, b):
         return self.space[b].parity
-
-    def component_parity(self, k, t):
-        if k < 0:
-            return self._par(t)
-        return self.comp[k].elements[t][0]
-
-    def component_coords(self, k, parity=None):
-        """Coordinate index list of the degree-k component."""
-        if k < 0:
-            idxs = self.space.indices_of_degree(k)
-        else:
-            idxs = list(range(len(self.comp[k].elements)))
-        if parity is None:
-            return idxs
-        return [t for t in idxs if self.component_parity(k, t) == parity]
 
     def apply_element(self, k, e_idx, target_k, vec):
         """[e, x] for e in comp[k] (k >= 0) and x a vector in the degree
@@ -259,78 +247,22 @@ class Prolongation:
 
     def step(self, i):
         """Solve the degree-i system and return the new component (not yet
-        appended); i must be top+1."""
+        appended); i must be top+1.
+
+        g_i is Z^{i,1}(m, m + g_0 + ... + g_{i-1}): ``derivations_gr`` of the
+        truncated algebra in degree i, with each value index mapped back to
+        its component-local coordinate."""
         if i != self.top + 1:
             raise ProlongationError("steps must be computed in order")
+        g = self._truncation()
         elements = []
-        for p in (EVEN, ODD):
-            unknowns = []
-            pos = {}
-            for b in range(self.n):
-                k = i + self._deg(b)
-                if k < -self.mu:
-                    continue
-                want = (p + self._par(b)) % 2
-                for t in self.component_coords(k, want):
-                    pos[(b, t)] = len(unknowns)
-                    unknowns.append((b, t))
-            if not unknowns:
-                continue
-            rows = []
-            for v in range(self.n):
-                for w in range(v, self.n):
-                    rows.extend(self._equations(i, p, v, w, pos))
-            for vec in kernel_basis_rows(rows, len(unknowns)):
-                action = {}
-                for col, s in vec.items():
-                    b, t = unknowns[col]
-                    action.setdefault(b, {})[t] = s
-                elements.append((p, action))
-        comp = ProlongationComponent(i, elements)
-        return comp
-
-    def _bracket_with_m(self, k, t, w):
-        """[e_t, w] where e_t is a coordinate of the degree-k component and
-        w is an m-basis index; lands in degree k + deg(w)."""
-        if k < 0:
-            return self.m.bracket_indices(t, w)
-        return self.comp[k].elements[t][1].get(w, {})
-
-    def _equations(self, i, p, v, w, pos):
-        """Sparse rows {unknown col: Scalar} of
-        u([v,w]) - [u(v),w] + (-1)^{|v||w|}[u(w),v] = 0 at (v,w)."""
-        space = self.space
-        dv, dw = self._deg(v), self._deg(w)
-        target_deg = i + dv + dw
-        if target_deg < -self.mu:
-            return []
-        sgn_vw = Scalar(-1) if (self._par(v) and self._par(w)) else Scalar(1)
-        coeffs = {}  # target coord -> {unknown col -> Scalar}
-
-        def add(c, col, s):
-            if s:
-                row = coeffs.setdefault(c, {})
-                row[col] = row.get(col, Scalar(0)) + s
-
-        for d, s in self.m.bracket_indices(v, w).items():
-            kd = i + self._deg(d)
-            for t in self.component_coords(kd) if kd >= -self.mu and (kd in self.comp or kd < 0) else []:
-                if (d, t) in pos:
-                    add(t, pos[(d, t)], s)
-        kv = i + dv
-        for t in self.component_coords(kv) if (kv in self.comp or kv < 0) and kv >= -self.mu else []:
-            if (v, t) not in pos:
-                continue
-            for c, s in self._bracket_with_m(kv, t, w).items():
-                add(c, pos[(v, t)], -s)
-        kw = i + dw
-        for t in self.component_coords(kw) if (kw in self.comp or kw < 0) and kw >= -self.mu else []:
-            if (w, t) not in pos:
-                continue
-            for c, s in self._bracket_with_m(kw, t, v).items():
-                add(c, pos[(w, t)], sgn_vw * s)
-        rows = ({col: x for col, x in row.items() if x} for row in coeffs.values())
-        return [row for row in rows if row]
+        for p, action in derivations_gr(g, i).elements:
+            local = {}
+            for b, vec in action.items():
+                off = g.offsets.get(i + self._deg(b), 0)
+                local[b] = {t - off: s for t, s in vec.items()}
+            elements.append((p, local))
+        return ProlongationComponent(i, elements)
 
     def advance(self, i):
         """Compute, transitivity-check and append component i."""
@@ -419,8 +351,9 @@ class Prolongation:
 
     # -- assembly -------------------------------------------------------------
 
-    def assemble(self, truncated=False):
-        """Extended structure constants of m + g_0 + ... + g_top."""
+    def _truncation(self):
+        """m + g_0 + ... + g_top with its brackets of m with m and with the
+        g_k, in global indices: the m basis, then g%d_%d names."""
         names = [b.name for b in self.space]
         basis = list(self.space.basis)
         offsets = {}
@@ -432,28 +365,30 @@ class Prolongation:
                     nm += "'"
                 names.append(nm)
                 basis.append(BasisVector(nm, k, par))
-
-        def glob(k, t):
-            return t if k < 0 else offsets[k] + t
-
-        brackets = {}
-        for (a, b), vec in self.m.alg.table.items():
-            brackets[(a, b)] = dict(vec)
+        with_m = {}
         for k in range(0, self.top + 1):
             for idx, (par, action) in enumerate(self.comp[k].elements):
-                ga = glob(k, idx)
+                ga = offsets[k] + idx
                 for bm, vec in action.items():
-                    res = {glob(k + self._deg(bm), t): s for t, s in vec.items()}
-                    if res:
-                        key = (min(ga, bm), max(ga, bm))
-                        if bm <= ga:
-                            sign = (
-                                Scalar(1)
-                                if (par == ODD and self._par(bm) == ODD)
-                                else Scalar(-1)
-                            )
-                            res = svec_scale(res, sign)
-                        brackets[key] = res
+                    off = offsets.get(k + self._deg(bm), 0)
+                    # [x_b, e] = -(-1)^{|b||e|} [e, x_b]
+                    sign = (
+                        Scalar(1)
+                        if (par == ODD and self._par(bm) == ODD)
+                        else Scalar(-1)
+                    )
+                    with_m[(bm, ga)] = {off + t: sign * s for t, s in vec.items()}
+        return _Truncation(self.m, GradedSuperSpace(basis), offsets, with_m)
+
+    def assemble(self, truncated=False):
+        """Extended structure constants of m + g_0 + ... + g_top."""
+        g = self._truncation()
+
+        def glob(k, t):
+            return t if k < 0 else g.offsets[k] + t
+
+        brackets = {key: dict(vec) for key, vec in self.m.alg.table.items()}
+        brackets.update(g.with_m)
         for k in range(0, self.top + 1):
             for l in range(k, self.top + 1):
                 if k + l > self.top and truncated:
@@ -468,9 +403,28 @@ class Prolongation:
                             brackets[(glob(k, a), glob(l, b))] = {
                                 glob(k + l, t): s for t, s in vec.items()
                             }
-        return LieSuperalgebra(
-            GradedSuperSpace(basis), brackets, field=self.m.field
-        )
+        return LieSuperalgebra(g.space, brackets, field=self.m.field)
+
+
+class _Truncation:
+    """m + g_0 + ... + g_top as coefficients of ``spencer.differential_rows``
+    on 1-cochains of m, which brackets an m-basis vector (left) with m or
+    with an element of some g_k, and nothing else.
+
+    offsets: global index of the first element of each g_k; with_m: the
+    brackets [x_b, e] for e in some g_k, keyed (b, global index of e)."""
+
+    def __init__(self, m, space, offsets, with_m):
+        self.m = m
+        self.space = space
+        self.field = m.field
+        self.offsets = offsets
+        self.with_m = with_m
+
+    def bracket_indices(self, a, b):
+        if b < len(self.m.space):
+            return self.m.bracket_indices(a, b)
+        return self.with_m.get((a, b), {})
 
 
 def _flatten_action(action):

@@ -17,12 +17,16 @@ list and s_ij of extracting x_i then x_j (exterior convention: adjacent
 transposition contributes -1 unless both symbols are odd).  For k = 1 and
 even w this is [x1, w(x2)] - (-1)^{|x1||x2|}[x2, w(x1)] - w([x1, x2]), and
 for every parity the kernel on degree-i 1-cochains coincides with the
-degree-i prolongation equations; these two anchors fix the convention.
+degree-i prolongation equations written out by hand (the step oracle in
+tests/oracles.py, compared on random symbols); these two anchors fix the
+convention.
 
 This is the package's one Chevalley-Eilenberg differential:
 ``liesuper.derivations_gr`` reads the degree-d derivations of m off it as
-the 1-cocycles Z^{d,1}(m, m), the prolongation engine checks a prescribed
-g_0 by applying its C^{0,1}(m, m) rows, and ``cohomology_dims`` and
+the 1-cocycles Z^{d,1}(m, m), the prolongation step ``Prolongation.step``
+reads g_i off it as derivations_gr of the truncated algebra
+m + g_0 + ... + g_{i-1}, the engine checks a prescribed g_0 by applying its
+C^{0,1}(m, m) rows, and ``cohomology_dims`` and
 ``reduced_differential_check`` take ranks of its rows.
 
 Reduced differential.  C^{d,2} = A + B, where A is spanned by the monomials

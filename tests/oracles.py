@@ -94,3 +94,92 @@ def reduced_p_injective(g, d):
     ker2 = kernel_basis_rows(c2.matrix_rows, len(c2.basis))
     proj = [{a_pos[r]: x for r, x in v.items() if r in a_pos} for v in ker2]
     return rank_rows(proj, len(a_rows)) == len(ker2)
+
+
+def prolongation_step(engine, i):
+    """The degree-i prolongation step of a Prolongation engine, with its
+    equations written out pair by pair rather than read off
+    spencer.differential_rows.
+
+    An element u of g_i is unknown through its values u(b) for every m-basis
+    index b: unknowns (b, t) run over the coordinates t of the component of
+    degree i + deg(b) (global m indices when negative, element indices of the
+    computed component otherwise) of parity p + |b|.  For every pair v <= w
+    the equation u([v,w]) - [u(v),w] + (-1)^{|v||w|}[u(w),v] = 0 gives one
+    sparse row per target coordinate.  Returns the (parity, action) list."""
+    from superprolong.linalg import kernel_basis_rows
+    from superprolong.scalars import Scalar
+    from superprolong.superspace import EVEN, ODD
+
+    m, space, n, mu = engine.m, engine.space, engine.n, engine.m.mu
+
+    def deg(b):
+        return space[b].degree
+
+    def par(b):
+        return space[b].parity
+
+    def coords(k, parity=None):
+        if k < -mu or (k >= 0 and k not in engine.comp):
+            return []
+        if k < 0:
+            idxs = space.indices_of_degree(k)
+            pars = [par(t) for t in idxs]
+        else:
+            idxs = list(range(len(engine.comp[k].elements)))
+            pars = [p for p, _ in engine.comp[k].elements]
+        return [t for t, q in zip(idxs, pars) if parity is None or q == parity]
+
+    def bracket_with_m(k, t, w):
+        # [e_t, w] for a coordinate e_t of the degree-k component
+        if k < 0:
+            return m.bracket_indices(t, w)
+        return engine.comp[k].elements[t][1].get(w, {})
+
+    def equations(v, w, pos):
+        if i + deg(v) + deg(w) < -mu:
+            return []
+        sgn_vw = Scalar(-1) if (par(v) and par(w)) else Scalar(1)
+        coeffs = {}  # target coord -> {unknown col -> Scalar}
+
+        def add(c, col, s):
+            if s:
+                row = coeffs.setdefault(c, {})
+                row[col] = row.get(col, Scalar(0)) + s
+
+        for d, s in m.bracket_indices(v, w).items():
+            for t in coords(i + deg(d)):
+                if (d, t) in pos:
+                    add(t, pos[(d, t)], s)
+        for t in coords(i + deg(v)):
+            if (v, t) in pos:
+                for c, s in bracket_with_m(i + deg(v), t, w).items():
+                    add(c, pos[(v, t)], -s)
+        for t in coords(i + deg(w)):
+            if (w, t) in pos:
+                for c, s in bracket_with_m(i + deg(w), t, v).items():
+                    add(c, pos[(w, t)], sgn_vw * s)
+        rows = ({col: x for col, x in row.items() if x} for row in coeffs.values())
+        return [row for row in rows if row]
+
+    elements = []
+    for p in (EVEN, ODD):
+        unknowns = []
+        pos = {}
+        for b in range(n):
+            for t in coords(i + deg(b), (p + par(b)) % 2):
+                pos[(b, t)] = len(unknowns)
+                unknowns.append((b, t))
+        if not unknowns:
+            continue
+        rows = []
+        for v in range(n):
+            for w in range(v, n):
+                rows.extend(equations(v, w, pos))
+        for vec in kernel_basis_rows(rows, len(unknowns)):
+            action = {}
+            for col, s in vec.items():
+                b, t = unknowns[col]
+                action.setdefault(b, {})[t] = s
+            elements.append((p, action))
+    return elements

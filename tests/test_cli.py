@@ -186,6 +186,21 @@ def test_paper_suite_flag(capsys):
     assert out.count("PASS") >= 30
 
 
+def test_paper_suite_fails_on_result_without_expected_value(capsys, monkeypatch):
+    from superprolong import papersuite
+
+    expected = papersuite.expected_results()
+    monkeypatch.setattr(
+        papersuite, "collect_results", lambda: dict(expected, unchecked=1)
+    )
+    code, out, _ = run_cli(["--paper-suite"], capsys)
+    assert code == 1
+    assert "FAIL  unchecked  (got 1, not in the expected file)" in out.splitlines()
+    assert out.count("FAIL") == 1 and out.count("PASS") == len(expected)
+    monkeypatch.setattr(papersuite, "collect_results", lambda: dict(expected))
+    assert papersuite.run_suite(verbose=False) is True
+
+
 @pytest.mark.parametrize(
     "order, degree, message",
     [(1, 4, "order must be >= 2"), (0, 4, "order must be >= 2"),

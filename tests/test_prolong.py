@@ -2,9 +2,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superprolong.scalars import Scalar
-from superprolong.superspace import EVEN, ODD
+from superprolong.superspace import EVEN, ODD, BasisVector, GradedSuperSpace
 from superprolong.catalog import (
     abelian,
     cpe,
@@ -22,7 +23,7 @@ from superprolong.catalog import (
     spo,
     supertranslation,
 )
-from superprolong.liesuper import SymbolAlgebra, validate
+from superprolong.liesuper import LieSuperalgebra, SymbolAlgebra, validate
 from superprolong.prolong import (
     Prolongation,
     ProlongationError,
@@ -34,6 +35,7 @@ from superprolong.spencer import CochainSlice
 from superprolong.linalg import rank_rows
 
 from conftest import g0_of
+from oracles import prolongation_step
 
 
 def test_odd_ode_scaling_prolongations():
@@ -136,6 +138,85 @@ def test_projective_reduction_finite_type():
         assert res.component_superdim(1) == (p, q)  # trace part ~ V*
         assert res.component_superdim(2) == (0, 0)
         assert validate(res.algebra) == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_projective_gl_is_sl(n):
+    # the projective algebra of P^n: V + gl(V) + V* = sl(n+1)
+    res = prolong(
+        SymbolAlgebra(abelian(n, 0)),
+        g0=g0_of(gl(n, 0)),
+        reductions=[(1, projective_trace_reduction)],
+    )
+    assert res.status == "stabilized"
+    assert res.per_degree() == {-1: (n, 0), 0: (n * n, 0), 1: (n, 0), 2: (0, 0)}
+    assert res.total_superdim == ((n + 1) ** 2 - 1, 0)
+
+
+def test_g2_from_the_235_symbol():
+    # Cartan 1910: the symbol of a generic rank-2 distribution on a
+    # 5-manifold, x1, x2 | y = [x1, x2] | [x1, y], [x2, y], prolongs to the
+    # 14-dimensional exceptional algebra G_2
+    space = GradedSuperSpace(
+        [BasisVector("x1", -1, EVEN), BasisVector("x2", -1, EVEN),
+         BasisVector("y", -2, EVEN),
+         BasisVector("z1", -3, EVEN), BasisVector("z2", -3, EVEN)]
+    )
+    m = LieSuperalgebra(space, {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}})
+    res = prolong(SymbolAlgebra(m))
+    assert res.status == "stabilized"
+    assert [sum(res.component_superdim(k)) for k in range(-3, 4)] == [
+        2, 1, 2, 4, 2, 1, 2
+    ]
+    assert res.total_superdim == (14, 0)
+
+
+@st.composite
+def two_step_symbols(draw):
+    """Random 2-step nilpotent symbols: m_{-1} of superdimension at most
+    (2|2), m_{-2} at most (2|1), and [m_{-1}, m_{-1}] -> m_{-2} by random
+    super-antisymmetric constants (canonical pairs a <= b, a repeated index
+    only when odd); Jacobi holds because every double bracket has degree
+    -3."""
+    p1 = draw(st.integers(0, 2))
+    q1 = draw(st.integers(0 if p1 else 1, 2))
+    p2 = draw(st.integers(0, 2))
+    q2 = draw(st.integers(0 if p2 else 1, 1))
+    basis = [BasisVector("x%d" % k, -1, EVEN) for k in range(p1)]
+    basis += [BasisVector("th%d" % k, -1, ODD) for k in range(q1)]
+    basis += [BasisVector("y%d" % k, -2, EVEN) for k in range(p2)]
+    basis += [BasisVector("et%d" % k, -2, ODD) for k in range(q2)]
+    low, high = range(p1 + q1), range(p1 + q1, len(basis))
+    brackets = {}
+    for a in low:
+        for b in range(a, p1 + q1):
+            if a == b and basis[a].parity == EVEN:
+                continue
+            parity = (basis[a].parity + basis[b].parity) % 2
+            vec = {}
+            for c in high:
+                if basis[c].parity == parity:
+                    x = draw(st.integers(-2, 2))
+                    if x:
+                        vec[c] = x
+            if vec:
+                brackets[(a, b)] = vec
+    return LieSuperalgebra(GradedSuperSpace(basis), brackets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_step_symbols())
+def test_step_matches_hand_written_equations(alg):
+    engine = Prolongation(SymbolAlgebra(alg))
+    for i in (1, 2, 3):
+        comp = engine.step(i)
+        assert comp.elements == prolongation_step(engine, i)
+        if not comp.elements:
+            break
+        # append without advance(): a random symbol need not be fundamental,
+        # and the next step reads only the components
+        engine.comp[i] = comp
+        engine.top = i
 
 
 def test_incompatible_reduction_rejected():

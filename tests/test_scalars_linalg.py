@@ -172,6 +172,16 @@ def test_solve_in_span():
     assert solve(M, [Scalar(1), Scalar(0), Scalar(0)]) is None
 
 
+def test_span_solver_ignores_stored_zeros():
+    # a stored zero is neither a pivot nor a residual
+    solver = SpanSolver([{0: Scalar(0), 1: Scalar(1)}])
+    assert solver.solve({1: Scalar(2)}) == {0: Scalar(2)}
+    assert solver.solve({0: Scalar(1)}) is None
+    solver = SpanSolver([{0: Scalar(1)}])
+    assert solver.solve({0: Scalar(1), 1: Scalar(0)}) == {0: Scalar(1)}
+    assert solver.solve({1: Scalar(0)}) == {}
+
+
 @st.composite
 def scalars(draw, gaussian):
     re = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))

@@ -84,8 +84,8 @@ def test_differential_is_superalternating():
 
 
 def test_k1_kernel_equals_prolongation_equations():
-    # deg-0 1-cochain kernel on m-coefficients = degree-0 derivations... the
-    # cross-check run on the full odd-ODE prolongation algebra
+    # on the assembled odd-ODE prolongation g, the kernel of delta on the
+    # degree-i 1-cochains C^{i,1}(m, g) has the dimension of g_i, i = 1..4
     res = prolong(SymbolAlgebra(odd_ode_symbol(3)), g0=odd_ode_scalings(3))
     g = res.algebra
     for i in (1, 2, 3, 4):
