@@ -18,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import ExactMatrix, SpanSolver, kernel_basis_rows, svec_axpy
-from .scalars import FIELD_Q, FIELD_QI, Scalar, as_scalar
+from .scalars import FIELD_Q, FIELD_QI, Scalar
 from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
-from .liesuper import LieSuperalgebra, SymbolAlgebra
+from .liesuper import LieSuperalgebra
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +554,3 @@ def build_named(spec):
         return supertranslation(int(args[0]))
     raise ValueError("unknown catalog name %r" % name)
 
-
-def as_symbol(alg):
-    """Wrap a catalog algebra concentrated in negative degrees."""
-    if isinstance(alg, SymbolAlgebra):
-        return alg
-    return SymbolAlgebra(alg)

@@ -38,27 +38,25 @@ class InputError(Exception):
 
 
 def _load_algebra(args):
-    if args.name:
+    if args.name is not None:
         try:
             return catalog.build_named(args.name)
         except ValueError as e:
             raise InputError(str(e))
-    if args.input:
-        try:
-            with open(args.input) as fh:
-                alg = LieSuperalgebra.from_json(json.load(fh))
-        except KeyError as e:
-            raise InputError("%s: unknown or missing name %s" % (args.input, e))
-        except ValueError as e:  # also json.JSONDecodeError
-            raise InputError("%s: %s" % (args.input, e))
-        bad = validate(alg)
-        if bad:
-            raise InputError(
-                "input algebra fails validation: %s"
-                % "; ".join(sorted({v["kind"] for v in bad}))
-            )
-        return alg
-    raise InputError("need --name or --input")
+    try:
+        with open(args.input) as fh:
+            alg = LieSuperalgebra.from_json(json.load(fh))
+    except KeyError as e:
+        raise InputError("%s: unknown or missing name %s" % (args.input, e))
+    except ValueError as e:  # also json.JSONDecodeError
+        raise InputError("%s: %s" % (args.input, e))
+    bad = validate(alg)
+    if bad:
+        raise InputError(
+            "input algebra fails validation: %s"
+            % "; ".join(sorted({v["kind"] for v in bad}))
+        )
+    return alg
 
 
 def _g0_for(args, m):
@@ -190,13 +188,13 @@ def _load_distribution(args):
     return DistributionSpec(amb, gens, basepoint=base)
 
 
-def cmd_symbol(args, check_only=False):
+def cmd_symbol(args):
     try:
         dist = _load_distribution(args)
     except (KeyError, ValueError, OSError) as e:
         raise InputError(str(e))
     flag = derived_flag(dist)
-    rep = check_strong_regularity(flag, seed=args.seed)
+    rep = check_strong_regularity(flag)
     if args.format == "json":
         out = {
             "regular": rep["ok"],
@@ -215,7 +213,7 @@ def cmd_symbol(args, check_only=False):
         ))
         if rep["ok"]:
             print("strongly regular: PASS")
-            if not check_only:
+            if not args.check_only:
                 sym = extract_symbol(flag, rep)
                 print("symbol dims:", end=" ")
                 print(
@@ -291,14 +289,17 @@ def build_parser():
                     "the checked-in expected results")
     sub = ap.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--name", help="catalog name, e.g. shc_symbol, pe:2")
-        p.add_argument("--input", help="algebra JSON file")
+    def format_option(p):
         p.add_argument("--format", choices=["json", "table"], default="table")
-        p.add_argument("--seed", type=int, default=0)
+
+    def algebra_options(p):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--name", help="catalog name, e.g. shc_symbol, pe:2")
+        source.add_argument("--input", help="algebra JSON file")
+        format_option(p)
 
     p = sub.add_parser("prolong", help="Tanaka-Weisfeiler prolongation")
-    common(p)
+    algebra_options(p)
     p.add_argument("--g0", help="catalog name of the reduced g0, or 'scalings'")
     p.add_argument("--reduce", action="append",
                    help="higher-order reduction DEGREE:NAME "
@@ -309,21 +310,23 @@ def build_parser():
     p.set_defaults(func=cmd_prolong)
 
     p = sub.add_parser("cohomology", help="Spencer cohomology dimensions")
-    common(p)
+    algebra_options(p)
     p.add_argument("--d", required=True, help="degree or range lo..hi")
     p.add_argument("--k", type=int, default=1)
     p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("symbol", help="extract the symbol of a distribution")
-    common(p)
-    p.set_defaults(func=cmd_symbol)
-
-    p = sub.add_parser("check-regular", help="strong regularity diagnosis")
-    common(p)
-    p.set_defaults(func=lambda a: cmd_symbol(a, check_only=True))
+    for command, help_text, check_only in (
+        ("symbol", "extract the symbol of a distribution", False),
+        ("check-regular", "strong regularity diagnosis at the base point", True),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--input", required=True, help="distribution JSON file")
+        format_option(p)
+        p.set_defaults(func=cmd_symbol, check_only=check_only)
 
     p = sub.add_parser("odesym", help="contact symmetries of an odd ODE")
-    common(p)
+    p.add_argument("--input", help="ODE JSON file (instead of --order/--rhs)")
+    format_option(p)
     p.add_argument("--order", type=int)
     p.add_argument("--rhs", help="e.g. 'xi2' for xi''' = xi''")
     p.add_argument("--poly-degree", type=int, default=4)

@@ -17,7 +17,7 @@ from .linalg import (
     svec_axpy,
     svec_scale,
 )
-from .scalars import FIELD_Q, FIELD_QI, Scalar, as_scalar, parse_scalar
+from .scalars import FIELD_Q, Scalar, as_scalar, parse_scalar
 from .superspace import (
     EVEN,
     ODD,
@@ -367,16 +367,6 @@ class DerivationSpace:
             ],
             self.m.field,
         )
-
-    def matrices(self):
-        return [self.matrix(k) for k in range(len(self.elements))]
-
-    def space(self):
-        basis = [
-            BasisVector(name="d%d_%d" % (self.d, k), degree=self.d, parity=par)
-            for k, (par, _) in enumerate(self.elements)
-        ]
-        return GradedSuperSpace(basis)
 
 
 def derivations_gr(m, d=0):

@@ -23,6 +23,7 @@ with [S_f, S_g] = S_{[f,g]}.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .scalars import FIELD_Q, Scalar, as_scalar
 from .superspace import (
@@ -453,7 +454,7 @@ def _rational_roots(poly):
         roots[Fraction(0)] = shift
     den = 1
     for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
 
     def value(lam):
@@ -477,17 +478,11 @@ def _rational_roots(poly):
                 coeffs = _deflate(coeffs, lam)
                 den = 1
                 for c in coeffs:
-                    den = den * c.denominator // _gcd(den, c.denominator)
+                    den = den * c.denominator // gcd(den, c.denominator)
                 ints = [int(c * den) for c in coeffs]
                 changed = True
                 break
     return roots, len(coeffs) <= 1
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -25,16 +25,6 @@ class Scalar:
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def rational(num, den=1):
-        return Scalar(Fraction(num, den))
-
-    @staticmethod
-    def gaussian(re, im):
-        return Scalar(Fraction(re), Fraction(im))
-
     # -- predicates ----------------------------------------------------
 
     @property
@@ -90,9 +80,6 @@ class Scalar:
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
-
-    def conjugate(self):
-        return Scalar(self.re, -self.im)
 
     # -- comparison / hashing -------------------------------------------
 
@@ -167,8 +154,6 @@ def _coerce(x):
     raise TypeError("cannot coerce %r to Scalar" % (x,))
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
 I = Scalar(0, 1)
 
 

@@ -3,14 +3,21 @@ strong-regularity diagnosis and symbol extraction.
 
 Coefficients live in Q[x^1..x^m] (x) Lambda[th^1..th^n] with a cap on the
 even polynomial degree.  A superfunction is treated as invertible at the
-base point iff its evaluation there after killing nilpotents is nonzero;
-the direct-factor property is tested at the base point plus a fixed batch
-of pseudo-random rational sample points, and the report says so.
+base point x0 iff its evaluation there after killing nilpotents is nonzero.
+
+Strong regularity is decided locally at x0, from the derived flag's own
+frame: it holds iff every flag generator reduces into the frame (no
+residuals) and the graded bracket coefficients in that frame are constants.
+The frame needs no further independence test.  ``derived_flag`` reduces each
+new member against the earlier ones, so as a polynomial it has coefficient
+zero in every earlier pivot direction, and its own pivot coefficient is an
+even unit at x0.  The evaluation matrix at x0 (members x pivot directions) is
+therefore triangular with a nonzero diagonal; full rank is an open condition,
+and super Nakayama lifts it to a local frame of a direct factor near x0.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .scalars import FIELD_Q, Scalar, as_scalar, parse_scalar
@@ -26,7 +33,6 @@ from .superspace import (
     signed_sum,
 )
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate as validate_alg
-from .liesuper import check_fundamental_nondegenerate
 
 
 class Ambient:
@@ -125,13 +131,6 @@ class SuperPolynomial(GrassmannPolynomial):
                         c = c * pw
             total = total + c
         return total
-
-    def body(self):
-        """The theta-free part."""
-        return SuperPolynomial(
-            self.ambient,
-            {(xe, th): v for (xe, th), v in self.terms.items() if not th},
-        )
 
     def is_constant(self):
         return all(
@@ -419,9 +418,6 @@ class DerivedFlag:
         self.bracket_generating = bracket_generating
         self.max_depth = max_depth
 
-    def frame_at_level(self, level):
-        return [f for f in self.frames if f.level == level]
-
 
 def _is_scalar_multiple(F, G):
     """True when F = lambda * G for a scalar lambda (same direction support)."""
@@ -454,20 +450,32 @@ def _find_pivot(field, point):
     return None
 
 
-def _reduce_field(field, frames, point):
-    """Reduce against the frame; constant pivots divide exactly, non-constant
-    unit pivots eliminate by cross-multiplication (module-equivalent)."""
-    F = field
-    for fr in frames:
-        c = F.coeffs.get(fr.pivot_dir)
+def _expand_in_frame(field, frames):
+    """Unique frame expansion over the local ring: returns (coeffs, remainder,
+    denominator) with field = (sum_k coeffs[k] * frame[k] + remainder)/den.
+
+    Each frame member in turn clears its pivot direction: a constant pivot
+    divides exactly, a non-constant unit pivot eliminates by
+    cross-multiplication.  The remainder is what ``derived_flag`` adds."""
+    R = field
+    den = SuperPolynomial.constant(field.ambient, 1)
+    coeffs = [SuperPolynomial(field.ambient) for _ in frames]
+    for k, fr in enumerate(frames):
+        c = R.coeffs.get(fr.pivot_dir)
         if not c:
             continue
         p = fr.pivot_poly
         if p.is_constant():
-            F = F - fr.field.scale_fn(c.scale(Scalar(1) / p.constant_value()))
+            lam = c.scale(Scalar(1) / p.constant_value())
+            coeffs[k] = coeffs[k] + lam * den
+            R = R - fr.field.scale_fn(lam)
         else:
-            F = F.scale_fn(p) - fr.field.scale_fn(c)
-    return F
+            for j in range(len(coeffs)):
+                coeffs[j] = p * coeffs[j]
+            coeffs[k] = coeffs[k] + c
+            den = den * p
+            R = R.scale_fn(p) - fr.field.scale_fn(c)
+    return coeffs, R, den
 
 
 def derived_flag(dist, max_depth=None):
@@ -480,10 +488,9 @@ def derived_flag(dist, max_depth=None):
         max_depth = amb.m + amb.n + 1
     frames = []
     residuals = []
-    counter = [0]
 
     def try_add(field, level, label):
-        R = _reduce_field(field, frames, point)
+        R = _expand_in_frame(field, frames)[1]
         if not R:
             return False
         piv = _find_pivot(R, point)
@@ -493,10 +500,7 @@ def derived_flag(dist, max_depth=None):
                     return False
             residuals.append((level, R))
             return True
-        counter[0] += 1
-        frames.append(
-            FrameField(R, level, piv, R.coeffs[piv], label)
-        )
+        frames.append(FrameField(R, level, piv, R.coeffs[piv], label))
         return True
 
     for g in dist.generators:
@@ -518,8 +522,7 @@ def derived_flag(dist, max_depth=None):
             break
         level += 1
         levels_rank[level] = _eval_rank(frames, residuals, level, point)
-    total = _eval_rank(frames, residuals, level, point)
-    bracket_generating = total == (amb.m, amb.n)
+    bracket_generating = levels_rank[level] == (amb.m, amb.n)
     return DerivedFlag(
         dist, frames, residuals, level, levels_rank, bracket_generating,
         max_depth,
@@ -554,55 +557,20 @@ def _eval_rank(frames, residuals, level, point):
 # strong regularity and the symbol
 # ---------------------------------------------------------------------------
 
-def sample_points(ambient, count=5, seed=0, base=None):
-    """The base point plus a fixed pseudo-random batch of rational points."""
-    rng = random.Random(seed)
-    pts = [list(base or [Fraction(0)] * ambient.m)]
-    for _ in range(count):
-        pts.append(
-            [
-                Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                for _ in range(ambient.m)
-            ]
-        )
-    return pts
+def check_strong_regularity(flag, seed=None):
+    """Strong regularity of the flag's distribution near the base point x0.
 
-
-def _expand_in_frame(field, frames):
-    """Unique frame expansion over the local ring: returns (coeffs, remainder,
-    denominator) with field = (sum_k coeffs[k] * frame[k] + remainder)/den."""
-    R = field
-    den = SuperPolynomial.constant(field.ambient, 1)
-    coeffs = [SuperPolynomial(field.ambient) for _ in frames]
-    for k, fr in enumerate(frames):
-        c = R.coeffs.get(fr.pivot_dir)
-        if not c:
-            continue
-        p = fr.pivot_poly
-        if p.is_constant():
-            lam = c.scale(Scalar(1) / p.constant_value())
-            coeffs[k] = coeffs[k] + lam * den
-            R = R - fr.field.scale_fn(lam)
-        else:
-            for j in range(len(coeffs)):
-                coeffs[j] = p * coeffs[j]
-            coeffs[k] = coeffs[k] + c
-            den = den * p
-            R = R.scale_fn(p) - fr.field.scale_fn(c)
-    return coeffs, R, den
-
-
-def check_strong_regularity(flag, points=None, seed=0):
-    """PASS iff the adapted frame exists (no residuals), stays independent at
-    every sample point, and the graded bracket coefficients are constants.
+    PASS iff the flag has no residuals (every generator reduces into the
+    adapted frame) and the graded bracket coefficients in that frame are
+    constants.  The verdict is local at x0: the frame of ``derived_flag`` is
+    independent there by construction (see the module docstring), so no
+    other point is examined.  ``seed`` is accepted for old callers and
+    ignored.
 
     Returns {"ok", "witnesses", "constants"}; constants maps
     (level_i_index, level_j_index) -> {frame_index: Scalar} on PASS.
     """
-    amb = flag.dist.ambient
-    if points is None:
-        points = sample_points(amb, seed=seed, base=flag.dist.basepoint)
-    report = {"ok": True, "witnesses": [], "constants": {}, "sampling": len(points)}
+    report = {"ok": True, "witnesses": [], "constants": {}}
     if flag.residuals:
         report["ok"] = False
         for lv, r in flag.residuals:
@@ -611,32 +579,7 @@ def check_strong_regularity(flag, points=None, seed=0):
                 % (lv, r.to_str())
             )
         return report
-    # (a) independence of frame evaluations at every sample point
-    from .linalg import rank_rows
-
-    for pt in points:
-        rows = {EVEN: [], ODD: []}
-        for fr in flag.frames:
-            vals = fr.field.ev(pt)
-            rows[fr.field.parity].append(
-                {
-                    k: v
-                    for k, (v) in (
-                        (k, vals.get(d)) for k, d in enumerate(amb.directions())
-                    )
-                    if v
-                }
-            )
-        for par in (EVEN, ODD):
-            want = len(rows[par])
-            if rank_rows(rows[par], amb.m + amb.n) != want:
-                report["ok"] = False
-                report["witnesses"].append(
-                    "frame evaluations dependent at x = (%s)"
-                    % ", ".join(str(c) for c in pt)
-                )
-                return report
-    # (b) graded bracket coefficients are constants
+    # the graded bracket coefficients must be constants
     for a, fa in enumerate(flag.frames):
         for b, fb in enumerate(flag.frames):
             if b < a:
@@ -691,11 +634,12 @@ def _constant_ratio(c, den):
     return lam
 
 
-def extract_symbol(flag, regularity=None, seed=0):
+def extract_symbol(flag, regularity=None, seed=None):
     """SymbolAlgebra of a strongly regular flag; structure constants are the
-    constant graded bracket coefficients in the adapted frame."""
+    constant graded bracket coefficients in the adapted frame.  ``seed`` is
+    accepted for old callers and ignored."""
     if regularity is None:
-        regularity = check_strong_regularity(flag, seed=seed)
+        regularity = check_strong_regularity(flag)
     if not regularity["ok"]:
         raise ValueError(
             "distribution is not strongly regular: %s"

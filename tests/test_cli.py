@@ -138,6 +138,52 @@ def test_distribution_bad_x_exponents_exit_two(tmp_path, capsys, command):
     assert err.startswith("input error: x_exponents [1]")
 
 
+def test_check_regular_is_decided_at_the_base_point(tmp_path, capsys):
+    # @y - x*@y vanishes on x = 1, away from the base point x0 = 0
+    data = {"ambient": {"even": ["x", "y"], "odd": []},
+            "generators": ["@x", "@y - x*@y"]}
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(["check-regular", "--input", str(path)], capsys)
+    assert code == 0
+    assert "strongly regular: PASS" in out
+
+
+# each subcommand with its required options; the input file is never opened
+_REQUIRED = {
+    "prolong": ["--name", "shc_symbol"],
+    "cohomology": ["--name", "shc_symbol", "--d", "0"],
+    "symbol": ["--input", "dist.json"],
+    "check-regular": ["--input", "dist.json"],
+    "odesym": [],
+}
+
+
+def _usage_case(argv, message):
+    return pytest.param(argv, message, id=" ".join(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [_usage_case([c] + req + ["--seed", "0"], "unrecognized arguments: --seed")
+     for c, req in _REQUIRED.items()]
+    + [_usage_case([c] + _REQUIRED[c] + ["--name", "shc_symbol"],
+                   "unrecognized arguments: --name")
+       for c in ("symbol", "check-regular", "odesym")]
+    + [_usage_case([c], "the following arguments are required: --input")
+       for c in ("symbol", "check-regular")]
+    + [_usage_case(["prolong", "--name", "shc_symbol", "--input", "alg.json"],
+                   "argument --input: not allowed with argument --name"),
+       _usage_case(["cohomology", "--d", "0"],
+                   "one of the arguments --name --input is required")],
+)
+def test_options_a_subcommand_does_not_read_are_usage_errors(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_symbol_pass_json(tmp_path, capsys):
     data = {
         "ambient": {"even": ["x"], "odd": ["xi", "xi1"]},

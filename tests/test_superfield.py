@@ -1,6 +1,5 @@
 import random
 from itertools import permutations
-from fractions import Fraction
 
 import pytest
 
@@ -10,6 +9,7 @@ from superprolong.catalog import build_named, odd_ode_symbol, shc_symbol
 from superprolong.liesuper import SymbolAlgebra, validate
 from superprolong.superfield import (
     Ambient,
+    DegreeCapError,
     DistributionSpec,
     SuperPolynomial,
     SuperVectorField,
@@ -22,7 +22,6 @@ from superprolong.superfield import (
     left_invariant_fields,
     parse_field,
     parse_superfunction,
-    sample_points,
     symbols_isomorphic_on_the_nose,
 )
 
@@ -197,15 +196,84 @@ def test_translated_basepoint():
     rep0 = check_strong_regularity(flag0)
     assert not rep0["ok"]
     flag1 = derived_flag(DistributionSpec(amb, [F, G], basepoint=[1]))
-    pts = [[Fraction(1)], [Fraction(2)], [Fraction(1, 2)]]
-    rep1 = check_strong_regularity(flag1, points=pts)
+    rep1 = check_strong_regularity(flag1)
     assert rep1["ok"]
 
 
-def test_sample_points_deterministic():
-    amb = Ambient(["x", "y"], ["t"])
-    assert sample_points(amb, seed=3) == sample_points(amb, seed=3)
-    assert sample_points(amb, seed=3) != sample_points(amb, seed=4)
+def vanishing_line_distribution():
+    """D = <@x, @y - x*@y> on R^2: a frame near x0 = 0, dependent on x = 1."""
+    amb = Ambient(["x", "y"], [])
+    return DistributionSpec(
+        amb, [parse_field(amb, "@x", name="X"), parse_field(amb, "@y - x*@y", name="Y")]
+    )
+
+
+def test_regularity_is_decided_at_the_base_point():
+    # strong regularity is a germ condition at x0; the line x = 1, where the
+    # generators become dependent, is outside every small enough neighbourhood
+    rep = check_strong_regularity(derived_flag(vanishing_line_distribution()))
+    assert rep["ok"] and rep["witnesses"] == []
+
+
+@pytest.mark.parametrize(
+    "dist", [vanishing_line_distribution, example_35], ids=["regular", "not-regular"]
+)
+def test_regularity_report_ignores_the_seed(dist):
+    flag = derived_flag(dist())
+    reports = [check_strong_regularity(flag, seed=s) for s in (None, *range(8))]
+    assert all(r == reports[0] for r in reports)
+
+
+def rand_term(amb, rng, parity):
+    """A random +-1, +-2 multiple of a low-degree monomial of the given parity."""
+    even = [SuperPolynomial.constant(amb, 1)]
+    even += [SuperPolynomial.coordinate(amb, n) for n in amb.even]
+    odd = [SuperPolynomial.coordinate(amb, n) for n in amb.odd]
+    if parity == EVEN:
+        f = rng.choice(even + [odd[0] * odd[1]])
+    elif rng.random() < 0.5:
+        f = rng.choice(even) * rng.choice(odd)
+    else:
+        f = rng.choice(odd)
+    return f.scale(rng.choice([-2, -1, 1, 2]))
+
+
+def test_flag_frame_is_triangular_at_the_base_point():
+    # the argument that makes strong regularity a base-point check: each frame
+    # member has coefficient zero in every earlier pivot direction and an even
+    # unit pivot at x0, so the frame's evaluation rank at x0 is its size
+    amb = Ambient(["x", "y", "z"], ["t1", "t2"])
+    x0 = [0, 0, 0]
+    rng = random.Random(7)
+    framed = nonconstant_pivot = 0
+    for _ in range(60):
+        gens = []
+        for lead in ("x", "y", "t1"):
+            F = parse_field(amb, "@" + lead)
+            for d in amb.directions():
+                if amb.direction_name(d) != lead and rng.random() < 0.5:
+                    want = (F.parity + amb.direction_parity(d)) % 2
+                    F = F + SuperVectorField(
+                        amb, F.parity, {d: rand_term(amb, rng, want)}
+                    )
+            gens.append(F)
+        try:
+            flag = derived_flag(DistributionSpec(amb, gens))
+        except DegreeCapError:  # a size limit of the engine, not a verdict
+            continue
+        if flag.residuals:
+            continue
+        framed += 1
+        for k, fr in enumerate(flag.frames):
+            assert fr.pivot_poly.parity() == EVEN and fr.pivot_poly.ev(x0)
+            for earlier in flag.frames[:k]:
+                assert not fr.field.coefficient(earlier.pivot_dir)
+        nonconstant_pivot += any(
+            not fr.pivot_poly.is_constant() for fr in flag.frames
+        )
+        even = sum(1 for fr in flag.frames if fr.field.parity == EVEN)
+        assert flag.levels_rank[flag.depth] == (even, len(flag.frames) - even)
+    assert framed >= 10 and nonconstant_pivot >= 3
 
 
 def test_degree_cap_enforced():
