@@ -504,53 +504,54 @@ def _parse_pq(arg):
     return int(p), int(q)
 
 
+def _graded_sl(pq):
+    p, q = _parse_pq(pq)
+    return sl(p, q, weights=[-(i + 1) for i in range(p + q)])
+
+
+# name -> (the form of its spec, builder of the spec's arguments)
+_NAMED = {
+    "gl": ("gl:p|q", lambda pq: gl(*_parse_pq(pq))),
+    "sl": ("sl:p|q", lambda pq: sl(*_parse_pq(pq))),
+    "sl_graded": ("sl_graded:p|q", _graded_sl),
+    "osp": ("osp:p|q", lambda pq: osp(*_parse_pq(pq))),
+    "spo": ("spo:p|q", lambda pq: spo(*_parse_pq(pq))),
+    "pe": ("pe:n", lambda n: pe(int(n))),
+    "spe": ("spe:n", lambda n: spe(int(n))),
+    "cpe": ("cpe:n", lambda n: cpe(int(n))),
+    "cspe": ("cspe:n", lambda n: cspe(int(n))),
+    "pe_sk": ("pe_sk:n", lambda n: pe(int(n), skew=True)),
+    "spe_sk": ("spe_sk:n", lambda n: spe(int(n), skew=True)),
+    "cpe_sk": ("cpe_sk:n", lambda n: cpe(int(n), skew=True)),
+    "cspe_sk": ("cspe_sk:n", lambda n: cspe(int(n), skew=True)),
+    "spe_ab": (
+        "spe_ab:n:a:b",
+        lambda n, a, b: spe_ab(int(n), Fraction(a), Fraction(b)),
+    ),
+    "abelian": ("abelian:p|q", lambda pq: abelian(*_parse_pq(pq))),
+    "heisenberg_contact": (
+        "heisenberg_contact:p|q",
+        lambda pq: heisenberg_contact(*_parse_pq(pq)),
+    ),
+    "shc_symbol": ("shc_symbol", shc_symbol),
+    "odd_ode_symbol": ("odd_ode_symbol:n", lambda n: odd_ode_symbol(int(n))),
+    "supertranslation": ("supertranslation:N", lambda n: supertranslation(int(n))),
+}
+
+
 def build_named(spec):
     """Build a catalog algebra from a spec string like "pe:2", "osp:2|2",
     "spe_ab:2:1:2", "odd_ode_symbol:3", "supertranslation:1", "shc_symbol",
-    "sl_graded:2|1", "abelian:2|2", "heisenberg_contact:2|0"."""
+    "sl_graded:2|1", "abelian:2|2", "heisenberg_contact:2|0"; "osp(2|2)"
+    is read as "osp:2|2".  A wrong argument count raises ValueError naming
+    the expected form."""
     parts = spec.replace("(", ":").replace(")", "").split(":")
     name = parts[0].strip()
     args = [a for a in parts[1:] if a != ""]
     name = _ALIASES.get(name, name)
-    if name == "gl":
-        return gl(*_parse_pq(args[0]))
-    if name == "sl":
-        return sl(*_parse_pq(args[0]))
-    if name == "sl_graded":
-        p, q = _parse_pq(args[0])
-        weights = [-(i + 1) for i in range(p + q)]
-        return sl(p, q, weights=weights)
-    if name == "osp":
-        return osp(*_parse_pq(args[0]))
-    if name == "spo":
-        return spo(*_parse_pq(args[0]))
-    if name == "pe":
-        return pe(int(args[0]))
-    if name == "spe":
-        return spe(int(args[0]))
-    if name == "cpe":
-        return cpe(int(args[0]))
-    if name == "cspe":
-        return cspe(int(args[0]))
-    if name == "pe_sk":
-        return pe(int(args[0]), skew=True)
-    if name == "spe_sk":
-        return spe(int(args[0]), skew=True)
-    if name == "cpe_sk":
-        return cpe(int(args[0]), skew=True)
-    if name == "cspe_sk":
-        return cspe(int(args[0]), skew=True)
-    if name == "spe_ab":
-        return spe_ab(int(args[0]), Fraction(args[1]), Fraction(args[2]))
-    if name == "abelian":
-        return abelian(*_parse_pq(args[0]))
-    if name == "heisenberg_contact":
-        return heisenberg_contact(*_parse_pq(args[0]))
-    if name == "shc_symbol":
-        return shc_symbol()
-    if name == "odd_ode_symbol":
-        return odd_ode_symbol(int(args[0]))
-    if name == "supertranslation":
-        return supertranslation(int(args[0]))
-    raise ValueError("unknown catalog name %r" % name)
-
+    if name not in _NAMED:
+        raise ValueError("unknown catalog name %r" % name)
+    form, build = _NAMED[name]
+    if len(args) != form.count(":"):
+        raise ValueError("%r: expected the form %s" % (spec, form))
+    return build(*args)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import catalog
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate
-from .prolong import prolong, projective_trace_reduction
+from .prolong import ProlongationError, prolong, projective_trace_reduction
 from .spencer import cohomology_dims
 from .superfield import (
     Ambient,
@@ -111,12 +111,15 @@ def cmd_prolong(args):
     else:
         m = SymbolAlgebra(alg)
         g0 = _g0_for(args, m)
-    res = prolong(
-        m,
-        g0=g0,
-        reductions=_reductions_for(args),
-        max_degree=args.max_degree,
-    )
+    try:
+        res = prolong(
+            m,
+            g0=g0,
+            reductions=_reductions_for(args),
+            max_degree=args.max_degree,
+        )
+    except ProlongationError as e:
+        raise InputError(str(e))
     if args.format == "json":
         print(json.dumps(res.to_json(include_algebra=args.constants), indent=2))
     else:
@@ -205,7 +208,7 @@ def cmd_symbol(args):
         }
         if rep["ok"]:
             sym = extract_symbol(flag, rep)
-            out["symbol"] = sym.alg.to_json()
+            out["symbol"] = sym.to_json()
         print(json.dumps(out, indent=2))
     else:
         print("levels: %s" % " < ".join(
@@ -230,8 +233,20 @@ def cmd_symbol(args):
 
 
 def cmd_odesym(args):
+    given = [
+        flag
+        for flag, value in (
+            ("--order", args.order),
+            ("--rhs", args.rhs),
+            ("--poly-degree", args.poly_degree),
+            ("--exp", args.exp),
+        )
+        if value is not None
+    ]
     try:
         if args.input:
+            if given:
+                raise InputError("--input excludes %s" % ", ".join(given))
             with open(args.input) as fh:
                 spec = OdeSpec.from_json(json.load(fh))
         else:
@@ -240,7 +255,7 @@ def cmd_odesym(args):
             spec = OdeSpec(
                 args.order,
                 args.rhs,
-                poly_degree=args.poly_degree,
+                poly_degree=4 if args.poly_degree is None else args.poly_degree,
                 exponentials=[Fraction(l) for l in args.exp or []],
             )
         res = determine_symmetries(spec)
@@ -329,7 +344,8 @@ def build_parser():
     format_option(p)
     p.add_argument("--order", type=int)
     p.add_argument("--rhs", help="e.g. 'xi2' for xi''' = xi''")
-    p.add_argument("--poly-degree", type=int, default=4)
+    p.add_argument("--poly-degree", type=int,
+                   help="degree of the polynomial basis (default 4)")
     p.add_argument("--exp", action="append",
                    help="extra exponential e^{lambda x} (rational lambda)")
     p.set_defaults(func=cmd_odesym)

@@ -4,7 +4,10 @@ Brackets are stored sparsely for canonical index pairs (a <= b); the other
 order is derived from super antisymmetry [x,y] = -(-1)^{|x||y|}[y,x].
 ``validate`` re-checks everything that can go wrong with a structure-constant
 table (grading, parity, antisymmetry of the raw input, super Jacobi) and
-reports violations as data rather than raising.
+reports violations as data rather than raising.  ``LieSuperalgebra`` is the
+one type: a symbol (``SymbolAlgebra``) is one concentrated in negative
+degrees, and the truncated algebra of a prolongation step is an ordinary
+one whose brackets between nonnegative components are left out.
 """
 
 from __future__ import annotations
@@ -144,32 +147,22 @@ class LieSuperalgebra:
         return LieSuperalgebra(space, brackets, field=data.get("field", FIELD_Q))
 
 
-class SymbolAlgebra:
-    """A Lie superalgebra concentrated in degrees -mu..-1."""
+class SymbolAlgebra(LieSuperalgebra):
+    """A Lie superalgebra concentrated in degrees -mu..-1.
+
+    It shares the basis, structure constants, raw input and matrix
+    realization of ``alg`` by reference, so ``validate`` sees the same input.
+    """
 
     def __init__(self, alg):
         degs = alg.space.degrees()
         if not degs or max(degs) > -1:
             raise ValueError("symbol algebra must live in negative degrees")
-        self.alg = alg
+        self.space, self.field, self.raw, self.table = (
+            alg.space, alg.field, alg.raw, alg.table
+        )
+        self.rep, self.rep_shape = alg.rep, alg.rep_shape
         self.mu = -min(degs)
-
-    @property
-    def space(self):
-        return self.alg.space
-
-    @property
-    def field(self):
-        return self.alg.field
-
-    def bracket_indices(self, a, b):
-        return self.alg.bracket_indices(a, b)
-
-    def bracket_vec(self, u, v):
-        return self.alg.bracket_vec(u, v)
-
-    def superdim(self):
-        return self.alg.superdim()
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +175,6 @@ def validate(L):
     Returns a list of dicts {"kind": ..., "where": names, "detail": str};
     empty list iff the structure constants define a graded Lie superalgebra.
     """
-    if isinstance(L, SymbolAlgebra):
-        L = L.alg
     space = L.space
     out = []
 
@@ -373,20 +364,28 @@ def derivations_gr(m, d=0):
     """All degree-d superderivations D of m, D[x,y] = [Dx,y] + (-1)^{|D||x|}[x,Dy].
 
     They are the 1-cocycles Z^{d,1}(m, m) of the Spencer differential with
-    coefficients m: per parity, a kernel basis of ``spencer.differential_rows``
-    on C^{d,1}(m, m), whose columns (source j, image i) are ordered by j, then i.
+    coefficients m (see ``one_cocycles``); m must live in negative degrees.
     """
-    if isinstance(m, LieSuperalgebra):
+    if not isinstance(m, SymbolAlgebra):
         m = SymbolAlgebra(m)
-    basis = cochain_basis(m, d, 1)
-    target = cochain_basis(m, d, 2)
+    return DerivationSpace(m, d, one_cocycles(m, d))
+
+
+def one_cocycles(g, d):
+    """The 1-cocycles Z^{d,1}(m, g) of the negative part m of g, as
+    (parity, action) pairs with action = {j: {i: Scalar}} (source j in m,
+    value index i in g): per parity, a kernel basis of
+    ``spencer.differential_rows`` on C^{d,1}(m, g), whose columns
+    (source j, image i) are ordered by j, then i."""
+    basis = cochain_basis(g, d, 1)
+    target = cochain_basis(g, d, 2)
     elements = []
     for p in (EVEN, ODD):
         cols = [c for c in basis if c[2] == p]
-        for v in kernel_basis_rows(differential_rows(m, cols, target), len(cols)):
+        for v in kernel_basis_rows(differential_rows(g, cols, target), len(cols)):
             action = {}
             for col, s in v.items():
                 (j,), i, _ = cols[col]
                 action.setdefault(j, {})[i] = s
             elements.append((p, action))
-    return DerivationSpace(m, d, elements)
+    return elements

@@ -8,9 +8,11 @@ vector in the component g_{i-j}, and the defining equations are
 
 that is, g_i = Z^{i,1}(m, m + g_0 + ... + g_{i-1}).  They are read off the
 package's one Chevalley-Eilenberg differential, ``spencer.differential_rows``:
-each step is ``liesuper.derivations_gr`` in degree i of the truncated algebra
-(the brackets of m with m and with the computed components), the same
-per-parity kernel that gives the default g_0 = Z^{0,1}(m, m).
+the truncated algebra m + g_0 + ... + g_{i-1} is an ordinary
+``LieSuperalgebra`` holding the brackets of m with m and with the computed
+components, and each step is its ``liesuper.one_cocycles`` in degree i, the
+same per-parity kernel that ``derivations_gr`` uses for the default
+g_0 = Z^{0,1}(m, m).
 
 Brackets between nonnegative components are recovered from the operator
 identity ad_{[u,v]} = [ad_u, ad_v] and solved back to coordinates;
@@ -43,6 +45,7 @@ from .liesuper import (
     LieSuperalgebra,
     SymbolAlgebra,
     derivations_gr,
+    one_cocycles,
     validate,
 )
 
@@ -61,8 +64,13 @@ def _normalize_g0(m, g0):
         return list(g0.elements)
     out = []
     n = len(m.space)
-    for parity, act in g0:
+    for idx, (parity, act) in enumerate(g0):
         if isinstance(act, ExactMatrix):
+            if (act.rows, act.cols) != (n, n):
+                raise ProlongationError(
+                    "g0 element %d is a %dx%d matrix, expected %dx%d (dim m)"
+                    % (idx, act.rows, act.cols, n, n)
+                )
             action = {}
             for j in range(n):
                 col = {i: act[(i, j)] for i in range(n) if act[(i, j)]}
@@ -100,7 +108,7 @@ class Prolongation:
     """Incremental prolongation engine; use prolong() for the one-shot API."""
 
     def __init__(self, m, g0=None):
-        if isinstance(m, LieSuperalgebra):
+        if not isinstance(m, SymbolAlgebra):
             m = SymbolAlgebra(m)
         self.m = m
         self.space = m.space
@@ -249,17 +257,17 @@ class Prolongation:
         """Solve the degree-i system and return the new component (not yet
         appended); i must be top+1.
 
-        g_i is Z^{i,1}(m, m + g_0 + ... + g_{i-1}): ``derivations_gr`` of the
-        truncated algebra in degree i, with each value index mapped back to
-        its component-local coordinate."""
+        g_i is Z^{i,1}(m, m + g_0 + ... + g_{i-1}): the ``one_cocycles`` of
+        the truncated algebra in degree i, with each value index mapped back
+        to its component-local coordinate."""
         if i != self.top + 1:
             raise ProlongationError("steps must be computed in order")
-        g = self._truncation()
+        g, offsets = self._truncation()
         elements = []
-        for p, action in derivations_gr(g, i).elements:
+        for p, action in one_cocycles(g, i):
             local = {}
             for b, vec in action.items():
-                off = g.offsets.get(i + self._deg(b), 0)
+                off = offsets.get(i + self._deg(b), 0)
                 local[b] = {t - off: s for t, s in vec.items()}
             elements.append((p, local))
         return ProlongationComponent(i, elements)
@@ -352,8 +360,13 @@ class Prolongation:
     # -- assembly -------------------------------------------------------------
 
     def _truncation(self):
-        """m + g_0 + ... + g_top with its brackets of m with m and with the
-        g_k, in global indices: the m basis, then g%d_%d names."""
+        """m + g_0 + ... + g_top with the brackets of m with m and with the
+        g_k, and the global index of the first element of each g_k.
+
+        The basis is that of m, then the g%d_%d names; [e, x_b] is the
+        action of e on b, and the constructor derives [x_b, e].  The
+        brackets between the g_k are left out: they are what ``assemble``
+        adds, and 1-cochains of m never read them."""
         names = [b.name for b in self.space]
         basis = list(self.space.basis)
         offsets = {}
@@ -365,30 +378,25 @@ class Prolongation:
                     nm += "'"
                 names.append(nm)
                 basis.append(BasisVector(nm, k, par))
-        with_m = {}
+        brackets = dict(self.m.table)
         for k in range(0, self.top + 1):
-            for idx, (par, action) in enumerate(self.comp[k].elements):
-                ga = offsets[k] + idx
-                for bm, vec in action.items():
-                    off = offsets.get(k + self._deg(bm), 0)
-                    # [x_b, e] = -(-1)^{|b||e|} [e, x_b]
-                    sign = (
-                        Scalar(1)
-                        if (par == ODD and self._par(bm) == ODD)
-                        else Scalar(-1)
-                    )
-                    with_m[(bm, ga)] = {off + t: sign * s for t, s in vec.items()}
-        return _Truncation(self.m, GradedSuperSpace(basis), offsets, with_m)
+            for idx, (_, action) in enumerate(self.comp[k].elements):
+                for b, vec in action.items():
+                    off = offsets.get(k + self._deg(b), 0)
+                    brackets[(offsets[k] + idx, b)] = {
+                        off + t: s for t, s in vec.items()
+                    }
+        g = LieSuperalgebra(GradedSuperSpace(basis), brackets, field=self.m.field)
+        return g, offsets
 
     def assemble(self, truncated=False):
         """Extended structure constants of m + g_0 + ... + g_top."""
-        g = self._truncation()
+        g, offsets = self._truncation()
 
         def glob(k, t):
-            return t if k < 0 else g.offsets[k] + t
+            return t if k < 0 else offsets[k] + t
 
-        brackets = {key: dict(vec) for key, vec in self.m.alg.table.items()}
-        brackets.update(g.with_m)
+        brackets = dict(g.table)
         for k in range(0, self.top + 1):
             for l in range(k, self.top + 1):
                 if k + l > self.top and truncated:
@@ -404,27 +412,6 @@ class Prolongation:
                                 glob(k + l, t): s for t, s in vec.items()
                             }
         return LieSuperalgebra(g.space, brackets, field=self.m.field)
-
-
-class _Truncation:
-    """m + g_0 + ... + g_top as coefficients of ``spencer.differential_rows``
-    on 1-cochains of m, which brackets an m-basis vector (left) with m or
-    with an element of some g_k, and nothing else.
-
-    offsets: global index of the first element of each g_k; with_m: the
-    brackets [x_b, e] for e in some g_k, keyed (b, global index of e)."""
-
-    def __init__(self, m, space, offsets, with_m):
-        self.m = m
-        self.space = space
-        self.field = m.field
-        self.offsets = offsets
-        self.with_m = with_m
-
-    def bracket_indices(self, a, b):
-        if b < len(self.m.space):
-            return self.m.bracket_indices(a, b)
-        return self.with_m.get((a, b), {})
 
 
 def _flatten_action(action):
@@ -505,8 +492,6 @@ def prolong_step(m, lower, i):
     Leibniz consistency of the supplied data is re-checked: every supplied
     element must solve the degree-k equations.
     """
-    if isinstance(m, LieSuperalgebra):
-        m = SymbolAlgebra(m)
     if len(lower) != i:
         raise ProlongationError("need components 0..%d to prolong to %d" % (i - 1, i))
     engine = Prolongation(m, g0=lower[0])
@@ -530,11 +515,10 @@ def prolong(m, g0=None, reductions=None, max_degree=None, validate_result=True):
     reduce_component's format or a callable engine -> such a list (called
     right after that degree is computed).
     """
-    if isinstance(m, LieSuperalgebra):
-        m = SymbolAlgebra(m)
+    engine = Prolongation(m, g0=g0)
+    m = engine.m
     if max_degree is None:
         max_degree = m.mu + 8
-    engine = Prolongation(m, g0=g0)
     red = {}
     for degree, sub in reductions or []:
         red.setdefault(degree, []).append(sub)

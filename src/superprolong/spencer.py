@@ -22,18 +22,21 @@ tests/oracles.py, compared on random symbols); these two anchors fix the
 convention.
 
 This is the package's one Chevalley-Eilenberg differential:
-``liesuper.derivations_gr`` reads the degree-d derivations of m off it as
-the 1-cocycles Z^{d,1}(m, m), the prolongation step ``Prolongation.step``
-reads g_i off it as derivations_gr of the truncated algebra
-m + g_0 + ... + g_{i-1}, the engine checks a prescribed g_0 by applying its
-C^{0,1}(m, m) rows, and ``cohomology_dims`` and
-``reduced_differential_check`` take ranks of its rows.
+``liesuper.one_cocycles`` reads the 1-cocycles Z^{d,1}(m, g) off it, which
+are the degree-d derivations of m (``derivations_gr``, g = m) and the
+prolongation component g_i (``Prolongation.step``, g the truncated algebra
+m + g_0 + ... + g_{i-1}, an ordinary ``LieSuperalgebra`` without the
+brackets between the g_k, which 1-cochains of m never read); the engine
+checks a prescribed g_0 by applying its C^{0,1}(m, m) rows, and
+``cohomology_dims`` and ``reduced_differential_check`` take ranks of its
+rows.
 
 Reduced differential.  C^{d,2} = A + B, where A is spanned by the monomials
 with an argument of degree -1 and B by those with both arguments of degree
 <= -2; p projects onto A along B.  Since ker p = B, p is injective on
 ker(delta | C^{d,2}) exactly when delta restricted to the B monomials has
-rank |B|, which the check computes without a kernel basis.
+rank |B|, which the check computes from the B columns alone, without a
+kernel basis.
 """
 
 from __future__ import annotations
@@ -151,13 +154,6 @@ def differential_rows(g, basis, target):
     return rows
 
 
-def _coefficients(m, g):
-    """The coefficient algebra: g, or m itself when g is None, with a symbol
-    algebra unwrapped to its Lie superalgebra."""
-    g = m if g is None else g
-    return getattr(g, "alg", g)
-
-
 def _rank_on(rows, cols):
     """Rank of sparse rows restricted to the column subset cols."""
     remap = {c: k for k, c in enumerate(cols)}
@@ -173,11 +169,10 @@ def ce_differential(d, k, m, g=None):
     m is accepted for interface symmetry (its dimensions are checked against
     the negative part of g); pass the coefficient algebra as g.
     """
-    g = _coefficients(m, g)
-    malg = getattr(m, "alg", m)
-    if malg is not g:
-        for deg in malg.space.degrees():
-            if malg.space.superdim(deg) != g.space.superdim(deg):
+    g = m if g is None else g
+    if m is not g:
+        for deg in m.space.degrees():
+            if m.space.superdim(deg) != g.space.superdim(deg):
                 raise ValueError(
                     "negative part of g does not match m at degree %d" % deg
                 )
@@ -186,7 +181,7 @@ def ce_differential(d, k, m, g=None):
 
 def cohomology_dims(d, k, m, g=None):
     """Superdimension (even|odd) of H^{d,k}(m, g)."""
-    g = _coefficients(m, g)
+    g = m if g is None else g
     here = CochainSlice(g, d, k)
     below = CochainSlice(g, d, k - 1) if k >= 1 else None
     dims = []
@@ -211,7 +206,7 @@ def reduced_differential_check(m, g=None):
     ker(delta | C^{d,2}) iff ker(delta) meets B only in 0, i.e. iff delta
     restricted to the B monomials has rank |B|, which is what is computed.
     """
-    g = _coefficients(m, g)
+    g = m if g is None else g
     space = g.space
     degs = [b.degree for b in space]
     mdegs = [abs(d) for d in degs if d < 0]
@@ -242,8 +237,10 @@ def reduced_differential_check(m, g=None):
         else:
             entry["ker_delta"] = entry["ker_partial"] = 0
             entry["kernels_agree"] = True
-        c2 = CochainSlice(g, d, 2)
-        entry["p_injective_on_ker"] = _rank_on(c2.matrix_rows, b_rows) == len(b_rows)
+        b_cols = [c1.target[r] for r in b_rows]
+        entry["p_injective_on_ker"] = not b_cols or rank_rows(
+            differential_rows(g, b_cols, cochain_basis(g, d, 3)), len(b_cols)
+        ) == len(b_cols)
         ok = entry["kernels_agree"] and entry["p_injective_on_ker"]
         if ok:
             # complement N = Z + B: the standard monomials of A at non-pivot

@@ -664,8 +664,7 @@ def extract_symbol(flag, regularity=None, seed=None):
     bad = validate_alg(alg)
     if bad:
         raise ValueError("extracted symbol fails validation: %r" % bad[:3])
-    sym = SymbolAlgebra(alg)
-    return sym
+    return SymbolAlgebra(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +692,7 @@ def left_invariant_fields(m):
     the first kind: X_y = sum_k B+_k/k! (ad_a)^k y with a the tautological
     m-valued coordinate function.  Returns (ambient, fields_by_basis_index).
     """
-    if isinstance(m, LieSuperalgebra):
+    if not isinstance(m, SymbolAlgebra):
         m = SymbolAlgebra(m)
     space = m.space
     even_names = [b.name for b in space if b.parity == EVEN]
@@ -755,8 +754,6 @@ def left_invariant_fields(m):
 
 def left_invariant_distribution(m):
     """DistributionSpec generated by the left-invariant fields of g_{-1}."""
-    if isinstance(m, LieSuperalgebra):
-        m = SymbolAlgebra(m)
     amb, fields = left_invariant_fields(m)
     gens = [
         fields[i]
@@ -770,14 +767,13 @@ def symbols_isomorphic_on_the_nose(s1, s2):
     """Positional comparison: same per-(degree,parity) dimensions and
     identical structure constants under the order-preserving basis match
     within each degree."""
-    a1, a2 = s1.alg, s2.alg
-    if len(a1.space) != len(a2.space):
+    if len(s1.space) != len(s2.space):
         return False
     perm = {}
     used = set()
-    for i, b in enumerate(a1.space):
+    for i, b in enumerate(s1.space):
         found = None
-        for j, c in enumerate(a2.space):
+        for j, c in enumerate(s2.space):
             if j in used:
                 continue
             if c.degree == b.degree and c.parity == b.parity:
@@ -787,10 +783,10 @@ def symbols_isomorphic_on_the_nose(s1, s2):
             return False
         perm[i] = found
         used.add(found)
-    for x in range(len(a1.space)):
-        for y in range(len(a1.space)):
-            v1 = a1.bracket_indices(x, y)
-            v2 = a2.bracket_indices(perm[x], perm[y])
+    for x in range(len(s1.space)):
+        for y in range(len(s1.space)):
+            v1 = s1.bracket_indices(x, y)
+            v2 = s2.bracket_indices(perm[x], perm[y])
             if {perm[c]: s for c, s in v1.items()} != v2:
                 return False
     return True

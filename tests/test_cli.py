@@ -288,3 +288,47 @@ def test_cohomology_bad_degree_or_k_exit_two(capsys, flags, message):
     )
     assert (code, out) == (2, "")
     assert err == "input error: %s\n" % message
+
+
+def _input_error_case(argv, message):
+    return pytest.param(argv, message, id=" ".join(argv))
+
+
+_ODE_FILE = "ode.json"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [_input_error_case(["prolong", "--name", spec],
+                       "%r: expected the form %s" % (spec, form))
+     for spec, form in (("pe", "pe:n"), ("gl", "gl:p|q"),
+                        ("spe_ab:2:1", "spe_ab:n:a:b"),
+                        ("osp:2|2:5", "osp:p|q"))]
+    + [_input_error_case(["prolong", "--name", "abelian:2|1", "--g0", g0], message)
+       for g0, message in (
+           ("gl:2|2", "g0 element 0 is a 4x4 matrix, expected 3x3 (dim m)"),
+           ("gl:1|1", "g0 element 0 is a 2x2 matrix, expected 3x3 (dim m)"),
+           ("gl:3|0", "g0 element 2 is not parity-homogeneous"))]
+    + [_input_error_case(["odesym", "--input", _ODE_FILE] + flags,
+                         "--input excludes " + excluded)
+       for flags, excluded in (
+           (["--order", "5", "--rhs", "xi"], "--order, --rhs"),
+           (["--order", "3"], "--order"),
+           (["--rhs", "xi"], "--rhs"),
+           (["--poly-degree", "4"], "--poly-degree"),
+           (["--exp", "1"], "--exp"))],
+)
+def test_input_errors_exit_two_with_one_line(argv, message, tmp_path, capsys):
+    (tmp_path / _ODE_FILE).write_text(json.dumps({"order": 3, "rhs": "xi2"}))
+    argv = [str(tmp_path / a) if a == _ODE_FILE else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s\n" % message
+
+
+def test_odesym_input_alone_reads_the_file(tmp_path, capsys):
+    path = tmp_path / _ODE_FILE
+    path.write_text(json.dumps({"order": 3, "rhs": "xi2"}))
+    code, out, _ = run_cli(["odesym", "--input", str(path)], capsys)
+    assert code == 0
+    assert "symmetry superdimension: (2|3)" in out

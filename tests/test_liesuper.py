@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -143,6 +144,29 @@ def test_validator_catches_grading_and_antisymmetry():
     assert any(v["kind"] == "antisymmetry" for v in rep)
 
 
+def test_symbol_algebra_is_a_lie_superalgebra_sharing_its_input():
+    alg = shc_symbol()
+    m = SymbolAlgebra(alg)
+    assert isinstance(m, LieSuperalgebra) and m.mu == 3
+    assert m.space is alg.space and m.raw is alg.raw and m.table is alg.table
+    # the symbol sees the raw input, not its canonicalized table: both
+    # orders of one pair with the wrong relative sign, and [e1, e1] != 0
+    ix = alg.space.index
+    table = {k: dict(v) for k, v in alg.table.items()}
+    table[(ix("e2"), ix("e1"))] = dict(table[(ix("e1"), ix("e2"))])
+    table[(ix("e1"), ix("e1"))] = {ix("f1"): Scalar(1)}
+    broken = LieSuperalgebra(alg.space, table)
+    report = validate(broken)
+    assert {v["kind"] for v in report} >= {"antisymmetry", "degree"}
+    assert validate(SymbolAlgebra(broken)) == report
+
+
+@pytest.mark.parametrize("build", [SymbolAlgebra, derivations_gr])
+def test_nonnegative_degrees_are_refused(build):
+    with pytest.raises(ValueError, match="negative degrees"):
+        build(gl(2, 1))
+
+
 def test_abelian_validates_and_fundamentality_witness():
     assert validate(abelian(3, 2)) == []
     # abelian with a degree -2 slice is not fundamental
@@ -278,6 +302,16 @@ def test_build_named_errors():
         build_named("nonsense:3")
     with pytest.raises(ValueError):
         build_named("osp:2|3")  # odd symplectic rank
+
+
+@pytest.mark.parametrize(
+    "spec, form",
+    [("pe", "pe:n"), ("gl", "gl:p|q"), ("spe_ab:2:1", "spe_ab:n:a:b"),
+     ("osp:2|2:5", "osp:p|q"), ("shc_symbol:3", "shc_symbol")],
+)
+def test_build_named_checks_the_argument_count(spec, form):
+    with pytest.raises(ValueError, match="expected the form %s$" % re.escape(form)):
+        build_named(spec)
 
 
 # derivations_gr(m, d).elements for d = -2..1, recorded before derivations

@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from superprolong.scalars import Scalar
 from superprolong.superspace import EVEN, ODD, BasisVector, GradedSuperSpace
@@ -217,6 +217,50 @@ def test_step_matches_hand_written_equations(alg):
         # and the next step reads only the components
         engine.comp[i] = comp
         engine.top = i
+
+
+# a symbol of the kind two_step_symbols draws whose prolongation stabilizes
+# with g_1 != 0, so that every run checks a stabilized case
+STABILIZING_TWO_STEP = LieSuperalgebra(
+    GradedSuperSpace(
+        [BasisVector("x0", -1, EVEN), BasisVector("th0", -1, ODD),
+         BasisVector("th1", -1, ODD), BasisVector("y0", -2, EVEN),
+         BasisVector("et0", -2, ODD)]
+    ),
+    {(0, 1): {4: 1}, (0, 2): {4: 2}, (1, 1): {3: 2}, (1, 2): {3: 1},
+     (2, 2): {3: 2}},
+)
+
+
+def test_two_step_example_stabilizes_with_nonzero_g1():
+    res = prolong(STABILIZING_TWO_STEP)
+    assert res.per_degree() == {-2: (1, 1), -1: (1, 2), 0: (2, 1), 1: (1, 1),
+                                2: (0, 0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_step_symbols())
+@example(STABILIZING_TWO_STEP)
+def test_stabilized_prolongation_validates(alg):
+    try:
+        res = prolong(alg, max_degree=3, validate_result=False)
+    except ProlongationError as e:
+        # a random symbol need not be fundamental
+        assert "transitivity failure" in str(e)
+        event("transitivity failure")
+        return
+    event(res.status)
+    if res.status == "stabilized":
+        assert validate(res.algebra) == []
+
+
+@pytest.mark.parametrize("g0, shape", [(gl(2, 2), "4x4"), (gl(1, 1), "2x2")])
+def test_g0_matrices_must_be_dim_m_square(g0, shape):
+    with pytest.raises(
+        ProlongationError,
+        match="g0 element 0 is a %s matrix, expected 3x3" % shape,
+    ):
+        Prolongation(abelian(2, 1), g0=g0_of(g0))
 
 
 def test_incompatible_reduction_rejected():

@@ -148,7 +148,7 @@ def test_round_trip_catalog_symbols():
         flag = derived_flag(left_invariant_distribution(m))
         sym = extract_symbol(flag)
         assert symbols_isomorphic_on_the_nose(sym, m), name
-        assert validate(sym.alg) == []
+        assert validate(sym) == []
 
 
 def test_contact_frame_of_second_order_ode():
