@@ -109,7 +109,14 @@ def cmd_prolong(args):
         if args.g0:
             raise InputError("--g0 conflicts with a degree-0 structure algebra")
     else:
-        m = SymbolAlgebra(alg)
+        try:
+            m = SymbolAlgebra(alg)
+        except ValueError as e:
+            source = args.input if args.name is None else repr(args.name)
+            raise InputError(
+                "%s: %s, got degrees %s"
+                % (source, e, ", ".join(map(str, degs)))
+            )
         g0 = _g0_for(args, m)
     try:
         res = prolong(

@@ -4,7 +4,9 @@ Brackets are stored sparsely for canonical index pairs (a <= b); the other
 order is derived from super antisymmetry [x,y] = -(-1)^{|x||y|}[y,x].
 ``validate`` re-checks everything that can go wrong with a structure-constant
 table (grading, parity, antisymmetry of the raw input, super Jacobi) and
-reports violations as data rather than raising.  ``LieSuperalgebra`` is the
+reports violations as data rather than raising.  Jacobi defects are reported
+on canonical triples x <= y <= z when grading and antisymmetry hold, and on
+all ordered triples otherwise.  ``LieSuperalgebra`` is the
 one type: a symbol (``SymbolAlgebra``) is one concentrated in negative
 degrees, and the truncated algebra of a prolongation step is an ordinary
 one whose brackets between nonnegative components are left out.
@@ -174,6 +176,20 @@ def validate(L):
 
     Returns a list of dicts {"kind": ..., "where": names, "detail": str};
     empty list iff the structure constants define a graded Lie superalgebra.
+
+    Super Jacobi is checked through the Jacobiator
+    J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]] on basis
+    triples.  If the degree, parity, duplicate and antisymmetry checks
+    report nothing, the bracket is graded and super-antisymmetric, and then
+    swapping two adjacent arguments u, v of J multiplies it by
+    -(-1)^{|u||v|}.  So J vanishes on every ordered triple iff it vanishes
+    on every canonical triple x <= y <= z, and it vanishes outright when an
+    even element repeats (then J = -J, and Q and Q(i) have characteristic
+    0), when deg x + deg y + deg z is not a degree of L (J lies in that
+    degree), or when [x,y], [y,z] and [x,z] are all zero.  Jacobi defects
+    are then reported on the remaining canonical triples only.  Otherwise
+    the argument does not apply, and they are reported on all n^3 ordered
+    triples.
     """
     space = L.space
     out = []
@@ -241,28 +257,52 @@ def validate(L):
                     }
                 )
 
-    # super Jacobi on all ordered basis triples:
-    #   [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]
+    # super Jacobi, J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]],
+    # read from both bracket orders stored once: br[a][b] = [x_a, x_b]
     n = len(space)
+    par = [space[i].parity for i in range(n)]
+    deg = [space[i].degree for i in range(n)]
+    br = [{} for _ in range(n)]
+    minus = Scalar(-1)
+    for (a, b), vec in L.table.items():
+        br[a][b] = vec
+        if a != b:
+            br[b][a] = vec if par[a] and par[b] else svec_scale(vec, minus)
+    canonical = not out
+    degrees = set(deg)
+    empty = {}
     for x in range(n):
-        px = space[x].parity
-        for y in range(n):
-            sgn = Scalar(-1) if (px and space[y].parity) else Scalar(1)
-            xy = L.bracket_indices(x, y)
-            for z in range(n):
-                yz = L.bracket_indices(y, z)
+        bx = br[x]
+        for y in range(x, n) if canonical else range(n):
+            if canonical and y == x and not par[x]:
+                continue
+            by = br[y]
+            xy = bx.get(y, empty)
+            odd_xy = par[x] and par[y]
+            for z in range(y, n) if canonical else range(n):
+                if canonical and (
+                    (z == y and not par[y])
+                    or deg[x] + deg[y] + deg[z] not in degrees
+                ):
+                    continue
+                yz = by.get(z, empty)
+                xz = bx.get(z, empty)
+                if not (xy or yz or xz):
+                    continue
+                # lhs - rhs = J(x,y,z); the [y,[x,z]] term goes to the side
+                # where its sign is +
                 lhs = {}
-                for c, s in yz.items():
-                    svec_axpy(lhs, s, L.bracket_indices(x, c))
                 rhs = {}
+                for c, s in yz.items():
+                    svec_axpy(lhs, s, bx.get(c, empty))
                 for c, s in xy.items():
-                    svec_axpy(rhs, s, L.bracket_indices(c, z))
-                xz = L.bracket_indices(x, z)
+                    svec_axpy(rhs, s, br[c].get(z, empty))
+                acc = lhs if odd_xy else rhs
                 for c, s in xz.items():
-                    svec_axpy(rhs, sgn * s, L.bracket_indices(y, c))
-                defect = dict(lhs)
-                svec_axpy(defect, Scalar(-1), rhs)
-                if defect:
+                    svec_axpy(acc, s, by.get(c, empty))
+                if lhs != rhs:
+                    defect = dict(lhs)
+                    svec_axpy(defect, minus, rhs)
                     out.append(
                         {
                             "kind": "jacobi",

@@ -183,3 +183,53 @@ def prolongation_step(engine, i):
                 action.setdefault(b, {})[t] = s
             elements.append((p, action))
     return elements
+
+
+def jacobi_violations_all_triples(L):
+    """The "jacobi" violations of L's table on all n^3 ordered basis
+    triples, every bracket read through ``L.bracket_indices``: the super
+    Jacobi loop of ``liesuper.validate`` before it was restricted to
+    canonical, degree-pruned triples."""
+    from superprolong.linalg import svec_axpy
+    from superprolong.scalars import Scalar
+
+    space = L.space
+    out = []
+
+    def name(i):
+        return space[i].name
+
+    # super Jacobi on all ordered basis triples:
+    #   [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]
+    n = len(space)
+    for x in range(n):
+        px = space[x].parity
+        for y in range(n):
+            sgn = Scalar(-1) if (px and space[y].parity) else Scalar(1)
+            xy = L.bracket_indices(x, y)
+            for z in range(n):
+                yz = L.bracket_indices(y, z)
+                lhs = {}
+                for c, s in yz.items():
+                    svec_axpy(lhs, s, L.bracket_indices(x, c))
+                rhs = {}
+                for c, s in xy.items():
+                    svec_axpy(rhs, s, L.bracket_indices(c, z))
+                xz = L.bracket_indices(x, z)
+                for c, s in xz.items():
+                    svec_axpy(rhs, sgn * s, L.bracket_indices(y, c))
+                defect = dict(lhs)
+                svec_axpy(defect, Scalar(-1), rhs)
+                if defect:
+                    out.append(
+                        {
+                            "kind": "jacobi",
+                            "where": (name(x), name(y), name(z)),
+                            "detail": "defect "
+                            + ", ".join(
+                                "%s: %s" % (name(c), s.pretty())
+                                for c, s in sorted(defect.items())
+                            ),
+                        }
+                    )
+    return out

@@ -93,6 +93,25 @@ def test_bad_algebra_input_exit_two(tmp_path, capsys, command, text, message):
     assert err.count("\n") == 1
 
 
+def test_prolong_of_an_algebra_with_a_nonnegative_degree_exit_two(tmp_path, capsys):
+    # algebra JSON carries no matrices, so a degree-0 gl(1|1) read from a
+    # file is no structure algebra, and no symbol either
+    from superprolong.catalog import gl
+
+    path = tmp_path / "gl11.json"
+    path.write_text(json.dumps(gl(1, 1).to_json()))
+    code, out, err = run_cli(["prolong", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: %s: symbol algebra must live in negative degrees, "
+        "got degrees 0\n" % path
+    )
+    code, out, err = run_cli(["prolong", "--name", "sl_graded:2|1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: 'sl_graded:2|1': symbol algebra")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cohomology_table(capsys):
     code, out, _ = run_cli(
         ["cohomology", "--name", "sl_graded:2|1", "--d", "1..2", "--k", "1"],

@@ -4,7 +4,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from oracles import jacobi_violations_all_triples
 from superprolong.scalars import FIELD_QI, Scalar
 from superprolong.superspace import EVEN, ODD
 from superprolong import catalog
@@ -142,6 +144,111 @@ def test_validator_catches_grading_and_antisymmetry():
     table[(ix("e2"), ix("e1"))] = {ix("h"): Scalar(1)}  # should be -h
     rep = validate(LieSuperalgebra(shc.space, table))
     assert any(v["kind"] == "antisymmetry" for v in rep)
+
+
+def test_validator_checks_repeated_odd_indices():
+    # [x, x] = y and [x, y] = w for odd x: J(x, x, x) = [x,y] - [y,x] + [x,y]
+    # = 3w, found only on the triple (x, x, x), which repeats an odd index
+    from superprolong.superspace import BasisVector, GradedSuperSpace
+
+    space = GradedSuperSpace(
+        [BasisVector("x", -1, ODD), BasisVector("y", -2, EVEN),
+         BasisVector("w", -3, ODD)]
+    )
+    alg = LieSuperalgebra(space, {(0, 0): {1: Scalar(1)}, (0, 1): {2: Scalar(1)}})
+    assert validate(alg) == [
+        {"kind": "jacobi", "where": ("x", "x", "x"), "detail": "defect w: 3"}
+    ]
+    assert jacobi_violations_all_triples(alg) == validate(alg)
+
+
+def test_validator_reports_jacobi_on_all_triples_after_a_grading_error():
+    shc = shc_symbol()
+    ix = shc.space.index
+    table = {k: dict(v) for k, v in shc.table.items()}
+    # the Jacobi defect of test_validator_catches_broken_jacobi
+    del table[(ix("th1p"), ix("rho1"))]
+    # [f1, f2] = f1 has the wrong degree; f1 and f2 are central, so it adds
+    # no Jacobi defect of its own
+    table[(ix("f1"), ix("f2"))] = {ix("f1"): Scalar(1)}
+    broken = LieSuperalgebra(shc.space, table)
+    report = validate(broken)
+    assert [v["kind"] for v in report if v["kind"] != "jacobi"] == ["degree"]
+    jacobi = [v for v in report if v["kind"] == "jacobi"]
+    assert any(v["where"] == ("e1", "th1p", "th2p") for v in jacobi)
+    # without antisymmetry the canonical triples do not suffice, so the
+    # ordered triples are all checked: the same list as the oracle's
+    assert jacobi == jacobi_violations_all_triples(broken)
+    assert any(v["where"] == ("th2p", "th1p", "e1") for v in jacobi)
+
+
+def _small_prolongation():
+    from superprolong.prolong import prolong
+
+    m = SymbolAlgebra(odd_ode_symbol(3))
+    return prolong(m, g0=catalog.odd_ode_scalings(3)).algebra
+
+
+PERTURBED = [
+    shc_symbol(),
+    osp(1, 2),
+    gl(1, 1),
+    pe(2),
+    build_named("sl_graded:2|1"),
+    heisenberg_contact(2, 2),
+    supertranslation(1),
+    _small_prolongation(),
+]
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A table of PERTURBED with one structure constant changed: on a pair
+    already in the table, on an odd repeated pair, or on any pair, and
+    mostly towards a target of the right degree and parity, so the grading
+    checks pass and the canonical triples are what is checked."""
+    alg = draw(st.sampled_from(PERTURBED))
+    space, n = alg.space, len(alg.space)
+    odd = [a for a in range(n) if space[a].parity == ODD]
+    pairs = [sorted(alg.table)]
+    if odd:
+        pairs.append([(a, a) for a in odd])
+    pairs.append([(a, b) for a in range(n) for b in range(a, n)])
+    a, b = draw(st.sampled_from(draw(st.sampled_from(pairs))))
+    graded = [
+        c for c in range(n)
+        if space[c].degree == space[a].degree + space[b].degree
+        and space[c].parity == (space[a].parity + space[b].parity) % 2
+    ]
+    targets = graded if graded and draw(st.integers(0, 3)) else range(n)
+    c = draw(st.sampled_from(list(targets)))
+    delta = Scalar(draw(st.sampled_from([-2, -1, Fraction(1, 2), 1, 3])))
+    table = {k: dict(v) for k, v in alg.table.items()}
+    vec = table.setdefault((a, b), {})
+    vec[c] = vec.get(c, Scalar(0)) + delta
+    return LieSuperalgebra(space, table, field=alg.field)
+
+
+@settings(max_examples=120, deadline=None)
+@given(perturbed_tables())
+def test_validator_agrees_with_the_all_triples_oracle(alg):
+    report = validate(alg)
+    oracle = jacobi_violations_all_triples(alg)
+    jacobi = [v for v in report if v["kind"] == "jacobi"]
+    others = [v for v in report if v["kind"] != "jacobi"]
+    event("all ordered triples" if others else "canonical triples")
+    event("Jacobi defect" if oracle else "no Jacobi defect")
+    assert bool(report) == bool(others or oracle)
+    assert bool(jacobi) == bool(oracle)
+    assert all(v in oracle for v in jacobi)
+    if others:
+        assert jacobi == oracle
+    else:
+        ix = alg.space.index
+        assert jacobi == [
+            v for v in oracle
+            if ix(v["where"][0]) <= ix(v["where"][1]) <= ix(v["where"][2])
+        ]
 
 
 def test_symbol_algebra_is_a_lie_superalgebra_sharing_its_input():
