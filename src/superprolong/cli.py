@@ -52,9 +52,10 @@ def _load_algebra(args):
         raise InputError("%s: %s" % (args.input, e))
     bad = validate(alg)
     if bad:
+        first = bad[0]
         raise InputError(
-            "input algebra fails validation: %s"
-            % "; ".join(sorted({v["kind"] for v in bad}))
+            "%s: input algebra fails validation: %s at (%s): %s"
+            % (args.input, first["kind"], ", ".join(first["where"]), first["detail"])
         )
     return alg
 

@@ -140,12 +140,11 @@ class LieSuperalgebra:
                 c = space.index(item["basis"])
                 coeff = item["coeff"]
                 vec[c] = parse_scalar(coeff) if isinstance(coeff, str) else as_scalar(coeff)
-            key = (a, b)
-            if key in brackets:
-                for c, s in vec.items():
-                    brackets[key][c] = brackets[key].get(c, Scalar(0)) + s
-            else:
-                brackets[key] = vec
+            if (a, b) in brackets:
+                raise ValueError(
+                    "bracket [%s, %s] listed twice" % (entry["left"], entry["right"])
+                )
+            brackets[(a, b)] = vec
         return LieSuperalgebra(space, brackets, field=data.get("field", FIELD_Q))
 
 
@@ -179,7 +178,7 @@ def validate(L):
 
     Super Jacobi is checked through the Jacobiator
     J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]] on basis
-    triples.  If the degree, parity, duplicate and antisymmetry checks
+    triples.  If the degree, parity and antisymmetry checks
     report nothing, the bracket is graded and super-antisymmetric, and then
     swapping two adjacent arguments u, v of J multiplies it by
     -(-1)^{|u||v|}.  So J vanishes on every ordered triple iff it vanishes
@@ -221,20 +220,10 @@ def validate(L):
 
     # antisymmetry on the raw input: both orders present must be consistent,
     # and [x,x] = 0 for even x
-    raw_map = {}
-    for a, b, vec in L.raw:
-        raw_map.setdefault((a, b), []).append(vec)
-    for (a, b), vecs in raw_map.items():
-        if len(vecs) > 1:
-            out.append(
-                {
-                    "kind": "duplicate",
-                    "where": (name(a), name(b)),
-                    "detail": "bracket listed more than once",
-                }
-            )
+    raw_map = {(a, b): vec for a, b, vec in L.raw}
+    for (a, b), vec in raw_map.items():
         if a == b and space[a].parity == EVEN:
-            if any(vecs[0].values()):
+            if vec:
                 out.append(
                     {
                         "kind": "antisymmetry",
@@ -243,12 +232,12 @@ def validate(L):
                     }
                 )
         if a < b and (b, a) in raw_map:
-            other = raw_map[(b, a)][0]
+            other = raw_map[(b, a)]
             sign = Scalar(1) if (
                 space[a].parity == ODD and space[b].parity == ODD
             ) else Scalar(-1)
             expect = svec_scale(other, sign)
-            if expect != vecs[0]:
+            if expect != vec:
                 out.append(
                     {
                         "kind": "antisymmetry",

@@ -1,4 +1,4 @@
-"""Exact linear algebra: fraction-free sparse elimination, rank, kernels.
+"""Exact linear algebra: one fraction-free sparse elimination, rank, kernels.
 
 Sparse contract.  Inside the package a row or a vector is a dict
 {col: Scalar}; zero entries of input rows are ignored, and nothing this
@@ -11,165 +11,124 @@ Dense boundary.  ``ExactMatrix`` and the public ``rank``, ``kernel_basis``
 and ``solve`` take dense rows (an ExactMatrix or lists of scalars), convert
 them to sparse rows once and densify their answers once.
 
-Rows are cleared of denominators and eliminated by cross-multiplication
-(p * row - f * pivot_row) with gcd-content removal, so all intermediate
-entries are (Gaussian) integers and no division ever rounds.  Pivoting is
-deterministic: columns are scanned left to right and the first candidate row
-in the original order is taken, which makes kernel bases reproducible
-across runs and platforms.  Rational matrices run on plain Python ints;
-Q(i) matrices on integer pairs.
+One elimination.  Each row is scaled by the lcm of its denominators and
+stored as {col: (re, im)} with integer components, over Q and Q(i) alike.
+Rows are inserted in input order.  Each is reduced against the current
+pivot rows in increasing column order by cross-multiplication
+(row := p * row - f * pivot_row) and divided by the gcd of its components,
+so no division ever rounds; a row that is still nonzero becomes the pivot
+row at its lowest column.  ``pivot_columns``, ``rank_rows``,
+``kernel_basis_rows`` and ``SpanSolver`` all read this loop.
+
+The answers do not depend on the order of elimination.  The pivot columns
+of any echelon form are the lowest columns of the nonzero vectors of the
+row space, an invariant of it.  For each free column exactly one kernel
+vector has 1 there and 0 at the other free columns; back substitution
+finds it from any echelon form, and it is then scaled so that its lowest
+entry is 1.  So kernel bases are the same, entry for entry and in order,
+across runs and platforms.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .scalars import FIELD_Q, FIELD_QI, Scalar, as_scalar
 
 
 # ---------------------------------------------------------------------------
-# integerization
+# the elimination, on rows {col: (re, im)} of Gaussian integers
 # ---------------------------------------------------------------------------
 
-def _lcm(a, b):
-    return a // gcd(a, b) * b
+def _int_row(items):
+    """(row, den): the nonzero (col, Scalar) items as a dict of integer
+    pairs (re, im), all scaled by den, the lcm of their denominators."""
+    items = [(j, e) for j, e in items if e.re or e.im]
+    den = 1
+    for _, e in items:
+        den = lcm(den, e.re.denominator, e.im.denominator)
+    return {
+        j: (e.re.numerator * (den // e.re.denominator),
+            e.im.numerator * (den // e.im.denominator))
+        for j, e in items
+    }, den
 
 
-def _to_int_rows(rows):
-    """Convert sparse rows {col: Scalar} into sparse dicts with integer
-    values; Gaussian entries become (re, im) int pairs.
-    Returns (introws, gaussian_flag)."""
-    cache = [[(j, e) for j, e in row.items() if e] for row in rows]
-    gaussian = any(e.im for items in cache for _, e in items)
-    out = []
-    for items in cache:
-        denom = 1
-        for _, e in items:
-            denom = _lcm(denom, e.re.denominator)
-            if gaussian:
-                denom = _lcm(denom, e.im.denominator)
-        if gaussian:
-            out.append({j: (int(e.re * denom), int(e.im * denom)) for j, e in items})
-        else:
-            out.append({j: int(e.re * denom) for j, e in items})
-    return out, gaussian
-
-
-def _content_normalize(row, gaussian):
-    """Divide a sparse integer row by the gcd of all integer components."""
-    g = 0
-    if gaussian:
-        for a, b in row.values():
-            g = gcd(g, gcd(abs(a), abs(b)))
-            if g == 1:
-                return row
-        if g > 1:
-            for j in list(row):
-                a, b = row[j]
-                row[j] = (a // g, b // g)
-    else:
-        for a in row.values():
-            g = gcd(g, abs(a))
-            if g == 1:
-                return row
-        if g > 1:
-            for j in list(row):
-                row[j] //= g
-    return row
-
-
-def _eliminate(row, f, piv_row, p, gaussian):
-    """row := p * row - f * piv_row (sparse, integer or Gaussian-pair)."""
-    out = {}
-    if gaussian:
-        pa, pb = p
+def _reduce(row, pivots):
+    """Reduce an integer row against pivots {col: pivot row led by col},
+    in increasing column order; returns a row holding no pivot column."""
+    todo = [j for j in row if j in pivots]
+    heapify(todo)
+    while todo:
+        c = heappop(todo)
+        f = row.get(c)
+        if f is None:
+            continue
+        piv_row = pivots[c]
+        pa, pb = piv_row[c]
         fa, fb = f
-        for j, (a, b) in row.items():
-            out[j] = (pa * a - pb * b, pa * b + pb * a)
+        out = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in row.items()}
         for j, (a, b) in piv_row.items():
-            c, d = (fa * a - fb * b, fa * b + fb * a)
-            if j in out:
-                x, y = out[j]
-                x -= c
-                y -= d
+            x = fa * a - fb * b
+            y = fa * b + fb * a
+            old = out.get(j)
+            if old is None:
+                out[j] = (-x, -y)
+                if j in pivots:
+                    heappush(todo, j)
+            else:
+                x = old[0] - x
+                y = old[1] - y
                 if x or y:
                     out[j] = (x, y)
                 else:
                     del out[j]
-            elif c or d:
-                out[j] = (-c, -d)
-    else:
-        for j, a in row.items():
-            out[j] = p * a
-        for j, a in piv_row.items():
-            c = f * a
-            if j in out:
-                x = out[j] - c
-                if x:
-                    out[j] = x
-                else:
-                    del out[j]
-            elif c:
-                out[j] = -c
-    return _content_normalize(out, gaussian)
+        row = _primitive(out)
+    return row
 
 
-def _sparse_echelon(introws, gaussian):
-    """Row echelon form of sparse integer rows.
-
-    Returns (ech, piv_cols): ech[k] is a sparse row with leading column
-    piv_cols[k], strictly increasing.
-    """
-    active = [(i, row) for i, row in enumerate(introws) if row]
-    ech = []
-    piv_cols = []
-    lead = {i: min(row) for i, row in active}
-    while active:
-        c = min(lead[i] for i, _ in active)
-        pick = None
-        for pos, (i, row) in enumerate(active):
-            if lead[i] == c:
-                pick = pos
-                break
-        pi, piv_row = active.pop(pick)
-        p = piv_row[c]
-        rest = []
-        for i, row in active:
-            if c in row:
-                row = _eliminate(row, row[c], piv_row, p, gaussian)
-                if row:
-                    lead[i] = min(row)
-                    rest.append((i, row))
-            else:
-                rest.append((i, row))
-        active = rest
-        ech.append(piv_row)
-        piv_cols.append(c)
-    return ech, piv_cols
+def _primitive(row):
+    """The integer row divided by the gcd of its components."""
+    g = 0
+    for a, b in row.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return row
+    if g == 0:
+        return row
+    return {j: (a // g, b // g) for j, (a, b) in row.items()}
 
 
-def _int_to_scalar(x, gaussian):
-    if gaussian:
-        return Scalar(x[0], x[1])
-    return Scalar(x)
+def _echelon(rows):
+    """{pivot column: pivot row} of the rows, inserted in input order."""
+    pivots = {}
+    for row in rows:
+        row = _reduce(_int_row(row.items())[0], pivots)
+        if row:
+            pivots[min(row)] = row
+    return pivots
+
+
+def _quotient(a, b, s, t):
+    """(a + b i) / (s + t i) as a Scalar."""
+    if not t:
+        return Scalar(Fraction(a, s), Fraction(b, s))
+    n = s * s + t * t
+    return Scalar(Fraction(a * s + b * t, n), Fraction(b * s - a * t, n))
 
 
 # ---------------------------------------------------------------------------
 # sparse API (rows: dicts col -> Scalar)
 # ---------------------------------------------------------------------------
 
-def _echelon(rows):
-    introws, gaussian = _to_int_rows(rows)
-    ech, piv = _sparse_echelon(introws, gaussian)
-    return ech, piv, gaussian
-
-
 def pivot_columns(rows, ncols):
     """Pivot columns of the row echelon form, increasing: the leftmost
     columns independent of the columns before them."""
     if not rows or ncols == 0:
         return []
-    return _echelon(rows)[1]
+    return sorted(_echelon(rows))
 
 
 def rank_rows(rows, ncols):
@@ -185,31 +144,38 @@ def kernel_basis_rows(rows, ncols):
     """
     if ncols == 0:
         return []
-    ech, piv, gaussian = _echelon(rows)
-    piv_set = set(piv)
+    pivots = _echelon(rows)
+    piv = sorted(pivots)
     basis = []
     for fc in range(ncols):
-        if fc in piv_set:
+        if fc in pivots:
             continue
-        # entries are filled from column fc down through the pivots, so the
-        # reversed insertion order is increasing
-        v = {fc: Scalar(1)}
-        for k in range(len(piv) - 1, -1, -1):
-            c = piv[k]
+        # back substitution on an integer multiple v = n * w of the vector
+        # w, n a rational integer: v[c] = -s / p becomes v[c] = -s * conj(p)
+        # after scaling v by |p|^2, and the gcd of v's components is removed.
+        # Entries are filled from column fc down through the pivots, so the
+        # reversed insertion order is increasing.
+        v = {fc: (1, 0)}
+        for c in reversed(piv):
             if c > fc:
                 continue
-            row = ech[k]
-            s = Scalar(0)
-            for j, x in row.items():
-                if j > c and j in v:
-                    s = s + _int_to_scalar(x, gaussian) * v[j]
-            if s:
-                v[c] = -s / _int_to_scalar(row[c], gaussian)
+            row = pivots[c]
+            sa = sb = 0
+            for j, (a, b) in row.items():
+                w = v.get(j)
+                if w is not None:
+                    sa += a * w[0] - b * w[1]
+                    sb += a * w[1] + b * w[0]
+            if sa or sb:
+                pa, pb = row[c]
+                n = pa * pa + pb * pb
+                if n != 1:
+                    v = {j: (n * a, n * b) for j, (a, b) in v.items()}
+                v[c] = (-sa * pa - sb * pb, sa * pb - sb * pa)
+                v = _primitive(v)
         items = list(v.items())[::-1]
-        lead = items[0][1]
-        if lead != 1:
-            items = [(j, x / lead) for j, x in items]
-        basis.append(dict(items))
+        s, t = items[0][1]
+        basis.append({j: _quotient(a, b, s, t) for j, (a, b) in items})
     return basis
 
 
@@ -366,46 +332,45 @@ class SpanSolver:
     vectors; one elimination up front, then many solves.
 
     Keys of the vectors may be any mutually comparable hashables; zero
-    entries of the vectors and of a target are ignored.
+    entries of the vectors and of a target are ignored.  Vector i enters the
+    elimination as the row {(0, key): entry} + {(1, i): 1}, so each pivot
+    row records which combination of the vectors it is.  A vector whose
+    (0, key) part vanishes depends on earlier ones and is dropped; a pivot
+    row thus involves only its own vector and earlier independent ones.
     """
 
     def __init__(self, vectors):
-        self.pivots = []  # (pivot_key, row, coeffs) with row[pivot_key] == 1
+        self.pivots = {}
         for i, v in enumerate(vectors):
-            row = {j: x for j, x in v.items() if x}
-            coeff = {i: Scalar(1)}
-            self._reduce(row, coeff)
-            if row:
-                c = min(row)
-                pv = row[c]
-                if pv != 1:
-                    row = {j: x / pv for j, x in row.items()}
-                    coeff = {j: x / pv for j, x in coeff.items()}
-                self.pivots.append((c, row, coeff))
-                self.pivots.sort(key=lambda t: t[0])
-
-    def _reduce(self, row, coeff):
-        for c, prow, pcoeff in self.pivots:
-            x = row.get(c)
-            if x:
-                svec_axpy(row, -x, prow)
-                svec_axpy(coeff, -x, pcoeff)
+            row, den = _int_row(((0, j), x) for j, x in v.items())
+            row[(1, i)] = (den, 0)
+            row = _reduce(row, self.pivots)
+            c = min(row)
+            if c[0] == 0:
+                self.pivots[c] = row
 
     def solve(self, target):
         """Sparse coefficients {vector index: Scalar} over the original
-        vectors (zero coefficients omitted), or None when target is not in
-        their span: the nonzero residual after elimination is the
-        certificate."""
-        row = {j: x for j, x in target.items() if x}
-        acc = {}
-        for c, prow, pcoeff in self.pivots:
-            x = row.get(c)
-            if x:
-                svec_axpy(row, -x, prow)
-                svec_axpy(acc, x, pcoeff)
-        if row:
-            return None
-        return acc
+        vectors, in increasing index order (zero coefficients omitted), or
+        None when target is not in their span: the nonzero residual after
+        elimination is the certificate.  The coefficients sit on the vectors
+        independent of the ones before them.
+
+        The target enters as {(0, key): entry} + {(2, 0): 1}; once its
+        (0, key) part is eliminated, the row reads
+        0 = row[(2, 0)] * target + sum of row[(1, i)] * vector i.
+        """
+        row, den = _int_row(((0, j), x) for j, x in target.items())
+        row[(2, 0)] = (den, 0)
+        row = _reduce(row, self.pivots)
+        s, t = row.pop((2, 0))
+        coeffs = []
+        for (tag, i), (a, b) in row.items():
+            if tag == 0:
+                return None
+            coeffs.append((i, _quotient(-a, -b, s, t)))
+        coeffs.sort()
+        return dict(coeffs)
 
 
 # ---------------------------------------------------------------------------

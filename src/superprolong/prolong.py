@@ -304,42 +304,37 @@ class Prolongation:
     # -- reductions ---------------------------------------------------------
 
     def reduce_component(self, degree, subspace):
-        """Replace g_degree by a subspace.
+        """Replace g_degree, the newest computed component, by a subspace.
 
-        subspace: list of (parity, action) in the same action format, or of
-        (parity, coeff-list over the computed component).  Compatibility
-        [g_j, g_{degree-j}] in g_degree' for 1 <= j <= degree-1 and
-        g_0-invariance are enforced.
+        subspace: list of (parity, action) in the same action format.
+        Compatibility [g_j, g_{degree-j}] in g_degree' for 1 <= j <= degree-1
+        and g_0-invariance are enforced.  A lower component cannot be
+        reduced: the actions of the components above it are written in its
+        coordinates.
         """
         if degree not in self.comp or degree > self.top:
             raise ProlongationError("component %d not computed yet" % degree)
+        if degree < self.top:
+            raise ProlongationError(
+                "component %d lies below the computed g_%d; only the newest "
+                "component can be reduced" % (degree, self.top)
+            )
         old = self.comp[degree]
         new_elements = []
-        for parity, data in subspace:
-            if isinstance(data, dict):
-                coeffs = self._solve_in_component(degree, data)
-                if coeffs is None:
-                    raise ProlongationError(
-                        "reduction subspace is not inside the computed g_%d"
-                        % degree
-                    )
-                action = {}
-                for t, s in coeffs.items():
-                    svec_axpy_action(action, s, old.elements[t][1])
-                new_elements.append((parity, action))
-            else:
-                action = {}
-                for t, s in zip(range(len(old.elements)), data):
-                    s = s if isinstance(s, Scalar) else Scalar(s)
-                    if s:
-                        svec_axpy_action(action, s, old.elements[t][1])
-                new_elements.append((parity, action))
+        for parity, action in subspace:
+            coeffs = self._solve_in_component(degree, action)
+            if coeffs is None:
+                raise ProlongationError(
+                    "reduction subspace is not inside the computed g_%d" % degree
+                )
+            reduced = {}
+            for t, s in coeffs.items():
+                svec_axpy_action(reduced, s, old.elements[t][1])
+            new_elements.append((parity, reduced))
         self.comp[degree] = ProlongationComponent(degree, new_elements)
         # invalidate brackets and solvers touching this component
         self._brackets = {
-            key: val
-            for key, val in self._brackets.items()
-            if key[0] + key[2] < degree and key[0] != degree and key[2] != degree
+            key: val for key, val in self._brackets.items() if key[0] + key[2] < degree
         }
         self._solvers.pop(degree, None)
         self.reduced_at.append(degree)

@@ -93,6 +93,40 @@ def test_bad_algebra_input_exit_two(tmp_path, capsys, command, text, message):
     assert err.count("\n") == 1
 
 
+def _bracket_listed_twice():
+    data = _shc_json()
+    data["brackets"].append(data["brackets"][0])
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("command", ["prolong", "cohomology"])
+def test_bracket_listed_twice_exit_two(tmp_path, capsys, command):
+    path = tmp_path / "dup.json"
+    path.write_text(_bracket_listed_twice())
+    argv = [command, "--input", str(path)]
+    if command == "cohomology":
+        argv += ["--d", "0"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s: bracket [e1, e2] listed twice\n" % path
+
+
+def test_failed_validation_names_the_file_and_the_first_violation(tmp_path, capsys):
+    # deleting [th1p, rho1] from SHC breaks super Jacobi on (e1, th1p, th2p)
+    data = _shc_json()
+    data["brackets"] = [
+        b for b in data["brackets"] if (b["left"], b["right"]) != ("th1p", "rho1")
+    ]
+    path = tmp_path / "shc_broken.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["prolong", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: %s: input algebra fails validation: "
+        "jacobi at (e1, th1p, th2p): defect f1: 1\n" % path
+    )
+
+
 def test_prolong_of_an_algebra_with_a_nonnegative_degree_exit_two(tmp_path, capsys):
     # algebra JSON carries no matrices, so a degree-0 gl(1|1) read from a
     # file is no structure algebra, and no symbol either

@@ -381,6 +381,21 @@ def test_json_round_trip():
         assert validate(back) == []
 
 
+def test_a_bracket_listed_twice_is_an_input_error():
+    # summing the two entries would load [e1, e2] = 2h, which validates
+    data = build_named("shc_symbol").to_json()
+    assert data["brackets"][0]["left"] == "e1"
+    assert data["brackets"][0]["right"] == "e2"
+    data["brackets"].append(data["brackets"][0])
+    with pytest.raises(ValueError, match=r"bracket \[e1, e2\] listed twice"):
+        LieSuperalgebra.from_json(data)
+    # the other argument order is no repeat: antisymmetry checks it
+    first = dict(data["brackets"].pop(), left="e2", right="e1")
+    first["result"] = [{"basis": "h", "coeff": "-1"}]
+    data["brackets"].append(first)
+    assert validate(LieSuperalgebra.from_json(data)) == []
+
+
 def test_supertranslation_brackets():
     st = supertranslation(1)
     ix = st.space.index

@@ -288,6 +288,20 @@ def test_reduction_outside_component_rejected():
     assert engine.comp[1].elements == inside
 
 
+def test_reducing_a_component_below_the_top_is_rejected():
+    # g_2 acts in the coordinates of g_1, so replacing g_1 after g_2 is
+    # computed would leave g_2 pointing at the old coordinates
+    engine = Prolongation(SymbolAlgebra(abelian(2, 0)), g0=g0_of(gl(2, 0)))
+    engine.advance(1)
+    engine.advance(2)
+    g1 = list(engine.comp[1].elements)
+    with pytest.raises(ProlongationError, match="component 1 lies below the computed g_2"):
+        engine.reduce_component(1, projective_trace_reduction(engine))
+    assert engine.comp[1].elements == g1
+    # m + gl(2) + S^2 V* (x) V + S^3 V* (x) V
+    assert len(engine.assemble(truncated=True).space) == 2 + 4 + 6 + 8
+
+
 def _catalog_snapshot(alg):
     """Structure constants of a catalog algebra plus its defining matrices,
     each entry as a "p/q" string."""

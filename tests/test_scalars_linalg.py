@@ -17,7 +17,7 @@ from superprolong.linalg import (
     svec_axpy,
 )
 
-from oracles import naive_kernel_dim, naive_rank
+from oracles import naive_kernel_dim, naive_rank, naive_rref
 
 
 def rand_scalar(rng, gaussian=False):
@@ -258,3 +258,108 @@ def test_solve_rejects_rhs_of_wrong_length(rhs):
         solve([[1, 0]], rhs)
     with pytest.raises(ValueError, match="right-hand side"):
         solve(ExactMatrix([[1, 0]]), rhs)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse rows over Q or Q(i), up to 6 x 6, with a repeated row or a
+    combination of two rows now and then so that ranks fall short."""
+    gaussian = draw(st.booleans())
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "combination"]))
+        if kind == "combination" and rows:
+            a, b = draw(scalars(gaussian)), draw(scalars(gaussian))
+            row = svec_axpy(svec_axpy({}, a, draw(st.sampled_from(rows))),
+                            b, draw(st.sampled_from(rows)))
+        else:
+            row = {}
+            for j in draw(st.sets(st.integers(0, ncols - 1), max_size=4)):
+                x = draw(scalars(gaussian))
+                if x:
+                    row[j] = x
+        rows.append(row)
+    return rows, ncols
+
+
+def rref_kernel(rows, ncols):
+    """The kernel read off the oracle's RREF: for each free column f, 1 at f
+    and minus the RREF entries of column f at the pivots, scaled so that
+    the lowest entry is 1; and the RREF pivots."""
+    mat, piv = naive_rref(dense(rows, ncols)) if rows else ([], [])
+    basis = []
+    for f in range(ncols):
+        if f in piv:
+            continue
+        v = {f: Scalar(1)}
+        for k, c in enumerate(piv):
+            x = Scalar(mat[k][f].re, mat[k][f].im)
+            if x:
+                v[c] = -x
+        lead = v[min(v)]
+        basis.append([(j, v[j] / lead) for j in sorted(v)])
+    return basis, piv
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_one_elimination_matches_the_rref_oracle(problem):
+    rows, ncols = problem
+    want, piv = rref_kernel(rows, ncols)
+    # entry for entry and in order, whatever the elimination order
+    assert [list(v.items()) for v in kernel_basis_rows(rows, ncols)] == want
+    assert pivot_columns(rows, ncols) == piv
+    assert rank_rows(rows, ncols) == len(piv)
+
+
+def test_pivot_columns_when_the_first_row_does_not_hold_the_leftmost_pivot():
+    one = Scalar(1)
+    rows = [{2: one}, {1: one, 3: one}, {0: Scalar(2), 1: one}]
+    assert pivot_columns(rows, 4) == [0, 1, 2]
+    assert kernel_basis_rows(rows, 4) == [
+        {0: one, 1: Scalar(-2), 3: Scalar(2)}
+    ]
+    # a later row that repeats an earlier one adds no pivot
+    rows = [{1: one, 2: one}, {0: I}, {1: Scalar(3), 2: Scalar(3)}]
+    assert pivot_columns(rows, 3) == [0, 1]
+    assert kernel_basis_rows(rows, 3) == [{1: one, 2: Scalar(-1)}]
+
+
+def test_span_solver_mixes_rational_and_gaussian_coefficients():
+    one = Scalar(1)
+    # rational vectors, Gaussian target: Gaussian coefficients
+    solver = SpanSolver([{0: one, 1: Scalar(Fraction(1, 2))}, {1: Scalar(3)}])
+    target = {0: Scalar(2, 1), 1: Scalar(1, Fraction(7, 2))}
+    assert solver.solve(target) == {0: Scalar(2, 1), 1: Scalar(0, 1)}
+    assert solver.solve({2: I}) is None
+    # Gaussian vectors, rational target
+    solver = SpanSolver([{0: I, 1: one}, {1: Scalar(1, 1)}])
+    assert solver.solve({0: one}) == {
+        0: Scalar(0, -1), 1: Scalar(Fraction(1, 2), Fraction(1, 2))
+    }
+    assert solver.solve({0: one, 1: Scalar(0, -1)}) == {0: Scalar(0, -1)}
+
+
+def test_span_solver_puts_coefficients_on_the_earliest_independent_vectors():
+    one = Scalar(1)
+    vectors = [
+        {},                         # zero: dependent on nothing before it
+        {0: one},
+        {0: Scalar(2)},             # 2 * vector 1
+        {1: I},
+        {0: one, 1: I},             # vector 1 + vector 3
+        {2: Scalar(Fraction(1, 3))},
+    ]
+    solver = SpanSolver(vectors)
+    assert solver.solve({0: Scalar(3), 1: Scalar(0, 5), 2: one}) == {
+        1: Scalar(3), 3: Scalar(5), 5: Scalar(3)
+    }
+    assert solver.solve({1: one}) == {3: Scalar(0, -1)}
+    assert solver.solve({}) == {}
+    # the dense public solve: the leftmost independent columns
+    M = [[v.get(j, Scalar(0)) for v in vectors] for j in range(3)]
+    assert solve(M, [Scalar(3), Scalar(0, 5), one]) == [
+        Scalar(0), Scalar(3), Scalar(0), Scalar(5), Scalar(0), Scalar(3)
+    ]
+
