@@ -22,7 +22,7 @@ from .linalg import (
     svec_axpy,
     svec_scale,
 )
-from .scalars import FIELD_Q, Scalar, as_scalar, parse_scalar
+from .scalars import FIELD_Q, Scalar, as_scalar, scalar_from_json
 from .superspace import (
     EVEN,
     ODD,
@@ -138,8 +138,12 @@ class LieSuperalgebra:
             vec = {}
             for item in entry["result"]:
                 c = space.index(item["basis"])
-                coeff = item["coeff"]
-                vec[c] = parse_scalar(coeff) if isinstance(coeff, str) else as_scalar(coeff)
+                if c in vec:
+                    raise ValueError(
+                        "bracket [%s, %s] names basis vector %s twice"
+                        % (entry["left"], entry["right"], item["basis"])
+                    )
+                vec[c] = scalar_from_json(item["coeff"])
             if (a, b) in brackets:
                 raise ValueError(
                     "bracket [%s, %s] listed twice" % (entry["left"], entry["right"])

@@ -17,8 +17,10 @@ Rows are inserted in input order.  Each is reduced against the current
 pivot rows in increasing column order by cross-multiplication
 (row := p * row - f * pivot_row) and divided by the gcd of its components,
 so no division ever rounds; a row that is still nonzero becomes the pivot
-row at its lowest column.  ``pivot_columns``, ``rank_rows``,
-``kernel_basis_rows`` and ``SpanSolver`` all read this loop.
+row at its lowest column, divided once by a gcd in Z[i] of its components
+so that no Gaussian common factor grows through later rows.
+``pivot_columns``, ``rank_rows``, ``kernel_basis_rows`` and ``SpanSolver``
+all read this loop.
 
 The answers do not depend on the order of elimination.  The pivot columns
 of any echelon form are the lowest columns of the nonzero vectors of the
@@ -31,7 +33,6 @@ across runs and platforms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -48,7 +49,10 @@ def _int_row(items):
     items = [(j, e) for j, e in items if e.re or e.im]
     den = 1
     for _, e in items:
-        den = lcm(den, e.re.denominator, e.im.denominator)
+        if type(e.re) is not int or type(e.im) is not int:
+            den = lcm(den, e.re.denominator, e.im.denominator)
+    if den == 1:
+        return {j: (e.re, e.im) for j, e in items}, 1
     return {
         j: (e.re.numerator * (den // e.re.denominator),
             e.im.numerator * (den // e.im.denominator))
@@ -101,22 +105,44 @@ def _primitive(row):
     return {j: (a // g, b // g) for j, (a, b) in row.items()}
 
 
+def _gaussian_gcd(x, y):
+    """A gcd in Z[i] of the Gaussian integers x and y, as (re, im) pairs,
+    by Euclid's algorithm with the quotient rounded to the nearest."""
+    while y != (0, 0):
+        (a, b), (c, d) = x, y
+        n = c * c + d * d
+        # x / y = (a + b i)(c - d i) / n, each part rounded to the nearest
+        q = ((2 * (a * c + b * d) + n) // (2 * n),
+             (2 * (b * c - a * d) + n) // (2 * n))
+        x, y = y, (a - q[0] * c + q[1] * d, b - q[0] * d - q[1] * c)
+    return x
+
+
+def _pivot_row(row):
+    """The integer row divided by a gcd in Z[i] of its components, so that
+    its content is a unit; the division is exact."""
+    row = _primitive(row)
+    if all(not b for _, b in row.values()):
+        return row
+    g = (0, 0)
+    for e in row.values():
+        g = _gaussian_gcd(g, e)
+        if g[0] * g[0] + g[1] * g[1] == 1:
+            return row
+    s, t = g
+    n = s * s + t * t
+    return {j: ((a * s + b * t) // n, (b * s - a * t) // n)
+            for j, (a, b) in row.items()}
+
+
 def _echelon(rows):
     """{pivot column: pivot row} of the rows, inserted in input order."""
     pivots = {}
     for row in rows:
         row = _reduce(_int_row(row.items())[0], pivots)
         if row:
-            pivots[min(row)] = row
+            pivots[min(row)] = _pivot_row(row)
     return pivots
-
-
-def _quotient(a, b, s, t):
-    """(a + b i) / (s + t i) as a Scalar."""
-    if not t:
-        return Scalar(Fraction(a, s), Fraction(b, s))
-    n = s * s + t * t
-    return Scalar(Fraction(a * s + b * t, n), Fraction(b * s - a * t, n))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +200,8 @@ def kernel_basis_rows(rows, ncols):
                 v[c] = (-sa * pa - sb * pb, sa * pb - sb * pa)
                 v = _primitive(v)
         items = list(v.items())[::-1]
-        s, t = items[0][1]
-        basis.append({j: _quotient(a, b, s, t) for j, (a, b) in items})
+        lead = Scalar(*items[0][1])
+        basis.append({j: Scalar(a, b) / lead for j, (a, b) in items})
     return basis
 
 
@@ -347,7 +373,7 @@ class SpanSolver:
             row = _reduce(row, self.pivots)
             c = min(row)
             if c[0] == 0:
-                self.pivots[c] = row
+                self.pivots[c] = _pivot_row(row)
 
     def solve(self, target):
         """Sparse coefficients {vector index: Scalar} over the original
@@ -363,12 +389,12 @@ class SpanSolver:
         row, den = _int_row(((0, j), x) for j, x in target.items())
         row[(2, 0)] = (den, 0)
         row = _reduce(row, self.pivots)
-        s, t = row.pop((2, 0))
+        lead = Scalar(*row.pop((2, 0)))
         coeffs = []
         for (tag, i), (a, b) in row.items():
             if tag == 0:
                 return None
-            coeffs.append((i, _quotient(-a, -b, s, t)))
+            coeffs.append((i, Scalar(-a, -b) / lead))
         coeffs.sort()
         return dict(coeffs)
 

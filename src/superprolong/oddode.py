@@ -407,6 +407,10 @@ class OdeSpec:
             raise ValueError("the symmetry solver handles p = 1 only")
         if isinstance(rhs, str):
             rhs = parse_jet(self.ctx, rhs)
+        elif not isinstance(rhs, JetFunction):
+            raise ValueError(
+                "the right-hand side must be a string or a JetFunction, not %r" % (rhs,)
+            )
         self.order = order
         self.rhs = rhs
         if rhs and rhs.parity() != ODD:

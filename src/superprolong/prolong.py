@@ -157,21 +157,21 @@ class Prolongation:
         pl = self.comp[l].elements[el][0]
         if l < k:
             flip = self.bracket_elements(l, el, k, ek)
-            sign = Scalar(1) if (pk == ODD and pl == ODD) else Scalar(-1)
+            sign = 1 if (pk == ODD and pl == ODD) else -1
             res = svec_scale(flip, sign)
             self._brackets[(k, ek, l, el)] = res
             return res
         # z(b) = [e_k, [e_l, b]] - (-1)^{pk pl} [e_l, [e_k, b]]
         act_k = self.comp[k].elements[ek][1]
         act_l = self.comp[l].elements[el][1]
-        sign = Scalar(1) if (pk == ODD and pl == ODD) else Scalar(-1)
+        sign = 1 if (pk == ODD and pl == ODD) else -1
         z_action = {}
         for b in range(self.n):
             degb = self._deg(b)
             term = {}
             v1 = act_l.get(b)
             if v1:
-                svec_axpy(term, Scalar(1), self.apply_element(k, ek, l + degb, v1))
+                svec_axpy(term, 1, self.apply_element(k, ek, l + degb, v1))
             v2 = act_k.get(b)
             if v2:
                 svec_axpy(term, sign, self.apply_element(l, el, k + degb, v2))
@@ -233,7 +233,7 @@ class Prolongation:
                 col[(b, i)]: s for b, img in action.items() for i, s in img.items()
             }
             for r, row in enumerate(rows):
-                val = Scalar(0)
+                val = 0
                 for c, x in row.items():
                     if c in w:
                         val = val + x * w[c]

@@ -1,10 +1,12 @@
 """Exact scalar arithmetic over Q and Q(i).
 
-Every quantity in this package is a :class:`Scalar`: a pair of
-arbitrary-precision rationals (re, im).  Purely rational values keep
-``im == 0`` and can live in matrices tagged with field ``"Q"``; Gaussian
-rationals require the field tag ``"Qi"``.  There is no floating point
-anywhere.
+Every quantity in this package is a :class:`Scalar`: a pair (re, im) of
+exact rationals.  Each component is a plain ``int`` when it is integral and
+a lowest-terms ``Fraction`` only when it is not, so the common integer case
+runs on machine-speed ``int`` arithmetic; division always goes through
+``Fraction``.  Purely rational values keep ``im == 0`` and can live in
+matrices tagged with field ``"Q"``; Gaussian rationals require the field tag
+``"Qi"``.  There are no floats anywhere: a ``float`` component is refused.
 """
 
 from __future__ import annotations
@@ -16,48 +18,59 @@ FIELD_Q = "Q"
 FIELD_QI = "Qi"
 
 
+def _exact(x):
+    """x as an ``int`` when integral, else as a lowest-terms ``Fraction``."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError("cannot coerce %r to Scalar" % (x,))
+
+
 class Scalar:
     """An element of Q(i), degenerating to Q when the imaginary part is 0."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re if type(re) is int else _exact(re)
+        self.im = im if type(im) is int else _exact(im)
 
     # -- predicates ----------------------------------------------------
 
     @property
     def is_rational(self):
-        return self.im == 0
-
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self.im
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
         return Scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return as_scalar(other) - self
 
     def __neg__(self):
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if self.im == 0 and other.im == 0:
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return Scalar(self.re * other, self.im * other)
+            other = as_scalar(other)
+        if not (self.im or other.im):
             return Scalar(self.re * other.re)
         return Scalar(
             self.re * other.re - self.im * other.im,
@@ -67,27 +80,26 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if not other:
-            raise ZeroDivisionError("division by zero Scalar")
-        if other.im == 0:
-            return Scalar(self.re / other.re, self.im / other.re)
-        n = other.re * other.re + other.im * other.im
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero Scalar")
+            return Scalar(Fraction(a, c), Fraction(b, c) if b else 0)
+        n = c * c + d * d
+        return Scalar(Fraction(a * c + b * d, n), Fraction(b * c - a * d, n))
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        return as_scalar(other) / self
 
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, Scalar):
+        if type(other) is Scalar:
             return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
         return NotImplemented
 
     def __hash__(self):
@@ -146,17 +158,20 @@ def parse_scalar(text):
     return Scalar(re_part, im_part)
 
 
-def _coerce(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
+def scalar_from_json(x):
+    """A JSON coefficient: a "p/q" string (see parse_scalar) or a JSON
+    integer; anything else, a float or a boolean included, is a ValueError."""
+    if isinstance(x, str):
+        return parse_scalar(x)
+    if type(x) is int:
         return Scalar(x)
-    raise TypeError("cannot coerce %r to Scalar" % (x,))
+    raise ValueError("coefficient %r is neither a \"p/q\" string nor an integer" % (x,))
 
 
 I = Scalar(0, 1)
 
 
 def as_scalar(x):
-    """Public coercion helper (ints, Fractions, Scalars)."""
-    return _coerce(x)
+    """x as a Scalar: a Scalar itself, an int or a Fraction; any other
+    value, a float included, is a TypeError."""
+    return x if isinstance(x, Scalar) else Scalar(x)

@@ -103,11 +103,13 @@ def differential_rows(g, basis, target):
     rows = [dict() for _ in range(len(target))]
 
     def add(r, c, v):
-        val = rows[r].get(c, Scalar(0)) + v
+        row = rows[r]
+        old = row.get(c)
+        val = v if old is None else old + v
         if val:
-            rows[r][c] = val
+            row[c] = val
         else:
-            rows[r].pop(c, None)
+            row.pop(c, None)
 
     out_tuples = sorted({T for T, _, _ in target})
     k1 = len(out_tuples[0]) if out_tuples else 0
@@ -125,12 +127,12 @@ def differential_rows(g, basis, target):
                 br = g.bracket_indices(xi, b)
                 if not br:
                     continue
-                tw = Scalar(-s_i if (pxi and col_parity[c]) else s_i)
+                tw = -s_i if (pxi and col_parity[c]) else s_i
                 for tgt, s in br.items():
                     r = pos.get((T, tgt))
                     if r is None:
                         raise AssertionError("differential left the expected bidegree")
-                    add(r, c, tw * s)
+                    add(r, c, s * tw)
         for i in range(k1):
             for j in range(i + 1, k1):
                 br = g.bracket_indices(T[i], T[j])
@@ -150,7 +152,7 @@ def differential_rows(g, basis, target):
                     if not hits:
                         continue
                     for c, b in hits:
-                        add(pos[(T, b)], c, -Scalar(s_ij * sgn) * s)
+                        add(pos[(T, b)], c, s * -(s_ij * sgn))
     return rows
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import FIELD_Q, Scalar, as_scalar, parse_scalar
+from .scalars import FIELD_Q, Scalar, as_scalar, scalar_from_json
 from .superspace import (
     EVEN,
     ODD,
@@ -341,10 +341,7 @@ def field_from_json(ambient, data):
         d = ambient.direction(entry["direction"])
         poly = SuperPolynomial(ambient)
         for mono in entry["monomials"]:
-            c = mono["coeff"]
-            odd = SuperPolynomial.constant(
-                ambient, parse_scalar(c) if isinstance(c, str) else as_scalar(c)
-            )
+            odd = SuperPolynomial.constant(ambient, scalar_from_json(mono["coeff"]))
             for t in mono.get("theta_subset", []):
                 odd = odd * SuperPolynomial.coordinate(ambient, t)
             xe = mono.get("x_exponents", [0] * ambient.m)

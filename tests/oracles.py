@@ -2,10 +2,12 @@
 
 The elimination oracle here is a naive dense Gaussian elimination over
 Fraction pairs, written without reference to the package's sparse
-fraction-free code path.
+fraction-free code path.  Its scalar, C, a Gaussian rational kept as a plain
+pair of Fractions, is also the oracle for ``Scalar`` arithmetic.
 """
 
 from fractions import Fraction
+from math import floor
 
 
 class C:
@@ -36,6 +38,24 @@ class C:
 
     def __eq__(self, o):
         return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+
+def gaussian_content_norm(values):
+    """The norm of a gcd in Z[i] of Gaussian integers given as (re, im)
+    pairs: Euclid's algorithm on C values, each quotient rounded half up
+    part by part."""
+    g = C()
+    for a, b in values:
+        x, y = C(a, b), g
+        while y:
+            q = x / y
+            q = C(floor(q.re + Fraction(1, 2)), floor(q.im + Fraction(1, 2)))
+            x, y = y, x - q * y
+        g = x
+    return g.re * g.re + g.im * g.im
 
 
 def naive_rref(rows):

@@ -111,6 +111,38 @@ def test_bracket_listed_twice_exit_two(tmp_path, capsys, command):
     assert err == "input error: %s: bracket [e1, e2] listed twice\n" % path
 
 
+def _basis_vector_named_twice():
+    data = _shc_json()
+    data["brackets"][0]["result"] = [
+        {"basis": "h", "coeff": "1"}, {"basis": "h", "coeff": "2"}
+    ]
+    return json.dumps(data)
+
+
+def _float_coefficient():
+    data = _shc_json()
+    data["brackets"][0]["result"][0]["coeff"] = 0.5
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("command", ["prolong", "cohomology"])
+@pytest.mark.parametrize(
+    "text, message",
+    [(_basis_vector_named_twice, "bracket [e1, e2] names basis vector h twice"),
+     (_float_coefficient, 'coefficient 0.5 is neither a "p/q" string nor an integer')],
+    ids=["basis-vector-named-twice", "float-coefficient"],
+)
+def test_malformed_bracket_result_exit_two(tmp_path, capsys, command, text, message):
+    path = tmp_path / "alg.json"
+    path.write_text(text())
+    argv = [command, "--input", str(path)]
+    if command == "cohomology":
+        argv += ["--d", "0"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s: %s\n" % (path, message)
+
+
 def test_failed_validation_names_the_file_and_the_first_violation(tmp_path, capsys):
     # deleting [th1p, rho1] from SHC breaks super Jacobi on (e1, th1p, th2p)
     data = _shc_json()
@@ -189,6 +221,25 @@ def test_distribution_bad_x_exponents_exit_two(tmp_path, capsys, command):
     code, out, err = run_cli([command, "--input", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("input error: x_exponents [1]")
+
+
+@pytest.mark.parametrize("command", ["symbol", "check-regular"])
+def test_distribution_float_coefficient_exit_two(tmp_path, capsys, command):
+    data = {
+        "ambient": {"even": ["x", "y"], "odd": ["t"]},
+        "generators": [
+            "@y",
+            {"coefficients": [
+                {"direction": "x",
+                 "monomials": [{"x_exponents": [0, 0], "coeff": 0.5}]}
+            ]},
+        ],
+    }
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == 'input error: coefficient 0.5 is neither a "p/q" string nor an integer\n'
 
 
 def test_check_regular_is_decided_at_the_base_point(tmp_path, capsys):
@@ -377,6 +428,18 @@ def test_input_errors_exit_two_with_one_line(argv, message, tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err == "input error: %s\n" % message
+
+
+@pytest.mark.parametrize("rhs", [2, 2.5])
+def test_odesym_input_with_a_non_string_rhs_exit_two(tmp_path, capsys, rhs):
+    path = tmp_path / _ODE_FILE
+    path.write_text(json.dumps({"order": 3, "rhs": rhs}))
+    code, out, err = run_cli(["odesym", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: the right-hand side must be a string or a JetFunction, "
+        "not %r\n" % rhs
+    )
 
 
 def test_odesym_input_alone_reads_the_file(tmp_path, capsys):

@@ -396,6 +396,29 @@ def test_a_bracket_listed_twice_is_an_input_error():
     assert validate(LieSuperalgebra.from_json(data)) == []
 
 
+def test_a_basis_vector_named_twice_in_one_result_is_an_input_error():
+    # keeping the last coefficient would load [e1, e2] = 2h, which validates
+    data = build_named("shc_symbol").to_json()
+    data["brackets"][0]["result"] = [
+        {"basis": "h", "coeff": "1"}, {"basis": "h", "coeff": "2"}
+    ]
+    with pytest.raises(ValueError, match=r"bracket \[e1, e2\] names basis vector h twice"):
+        LieSuperalgebra.from_json(data)
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1.0, True, None, [1, 2]])
+def test_a_coefficient_must_be_a_string_or_a_json_integer(coeff):
+    data = build_named("shc_symbol").to_json()
+    data["brackets"][0]["result"][0]["coeff"] = coeff
+    with pytest.raises(ValueError, match="neither a \"p/q\" string nor an integer"):
+        LieSuperalgebra.from_json(data)
+    # a JSON integer is read exactly, like its "p/q" string
+    data["brackets"][0]["result"][0]["coeff"] = 3
+    alg = LieSuperalgebra.from_json(data)
+    data["brackets"][0]["result"][0]["coeff"] = "3/1"
+    assert LieSuperalgebra.from_json(data).to_json() == alg.to_json()
+
+
 def test_supertranslation_brackets():
     st = supertranslation(1)
     ix = st.space.index

@@ -243,6 +243,16 @@ def test_rhs_must_be_odd_and_low_order():
         OdeSpec(2, "xi2")
 
 
+@pytest.mark.parametrize("rhs", [2, 2.5, None, {"xi2": 1}])
+def test_rhs_must_be_a_string_or_a_jet_function(rhs):
+    with pytest.raises(ValueError, match="right-hand side must be a string"):
+        OdeSpec(3, rhs)
+    with pytest.raises(ValueError, match="right-hand side must be a string"):
+        OdeSpec.from_json({"order": 3, "rhs": rhs})
+    # a JetFunction is taken as it is
+    assert OdeSpec(3, parse_jet(CTX, "xi2")).rhs.to_str() == "xi2"
+
+
 def test_json_round_trip():
     spec = OdeSpec.from_json(
         {"order": 3, "rhs": "xi2", "basis": {"poly_degree": 2, "exponentials": []}}

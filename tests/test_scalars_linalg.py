@@ -1,13 +1,17 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superprolong.scalars import FIELD_Q, FIELD_QI, I, Scalar, parse_scalar
+from superprolong.catalog import shc_symbol, supertranslation
+from superprolong.prolong import prolong
+from superprolong.scalars import FIELD_Q, FIELD_QI, I, Scalar, as_scalar, parse_scalar
 from superprolong.linalg import (
     ExactMatrix,
     SpanSolver,
+    _echelon,
     kernel_basis,
     kernel_basis_rows,
     pivot_columns,
@@ -17,7 +21,7 @@ from superprolong.linalg import (
     svec_axpy,
 )
 
-from oracles import naive_kernel_dim, naive_rank, naive_rref
+from oracles import C, gaussian_content_norm, naive_kernel_dim, naive_rank, naive_rref
 
 
 def rand_scalar(rng, gaussian=False):
@@ -55,6 +59,114 @@ def test_scalar_serialization_round_trip():
     assert parse_scalar("1/2-1/3*i") == Scalar(Fraction(1, 2), Fraction(-1, 3))
     with pytest.raises(ValueError):
         parse_scalar("i+1")
+
+
+def assert_exact_parts(s):
+    """Each part is an int exactly when it is integral, else a Fraction;
+    never a float or a bool."""
+    for part in (s.re, s.im):
+        assert type(part) in (int, Fraction)
+        assert (type(part) is int) == (Fraction(part).denominator == 1)
+
+
+@st.composite
+def operands(draw):
+    """An int, a Fraction, or a rational or Gaussian Scalar, with small parts."""
+    def part():
+        return Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+
+    kind = draw(st.sampled_from(["int", "fraction", "rational", "gaussian"]))
+    if kind == "int":
+        return draw(st.integers(-6, 6))
+    if kind == "fraction":
+        return part()
+    if kind == "rational":
+        return Scalar(part())
+    return Scalar(part(), part())
+
+
+def pair_oracle(x):
+    return C(x.re, x.im) if isinstance(x, Scalar) else C(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(operands(), operands(),
+       st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]))
+def test_scalar_arithmetic_matches_the_fraction_pair_oracle(a, b, op):
+    if not isinstance(a, Scalar) and not isinstance(b, Scalar):
+        a = Scalar(a)  # one Scalar operand at least, on either side
+    if op is operator.truediv and not pair_oracle(b):
+        with pytest.raises(ZeroDivisionError):
+            op(a, b)
+        return
+    got, want = op(a, b), op(pair_oracle(a), pair_oracle(b))
+    assert type(got) is Scalar
+    assert_exact_parts(got)
+    assert (got.re, got.im) == (want.re, want.im)
+    assert hash(got) == hash(want)
+    assert bool(got) == bool(want)
+    assert (a == b) == (pair_oracle(a) == pair_oracle(b)) == (b == a)
+    assert (got == want.re) == (want.im == 0)
+
+
+def test_scalar_parts_are_ints_exactly_when_integral():
+    cases = [
+        (Scalar(3), 3, 0), (Scalar(Fraction(6, 2)), 3, 0),
+        (Scalar(True, False), 1, 0), (Scalar(Fraction(1, 2)), Fraction(1, 2), 0),
+        (Scalar(Fraction(-4, 6), Fraction(8, 4)), Fraction(-2, 3), 2),
+        (Scalar(Fraction(1, 2)) + Fraction(1, 2), 1, 0),
+        (Scalar(1) / 3 * 3, 1, 0), (I * I, -1, 0),
+        (Scalar(2, 3) / Scalar(2, 3), 1, 0),
+    ]
+    for s, re, im in cases:
+        assert (s.re, s.im) == (re, im)
+        assert type(s.re) is type(re) and type(s.im) is type(im)
+        assert_exact_parts(s)
+    # hashes follow the value, not the representation: hash(Fraction(3)) == hash(3)
+    assert hash(Scalar(3)) == hash((Fraction(3), Fraction(0)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Scalar(0.1), lambda: Scalar(1, 0.5), lambda: as_scalar(0.1),
+     lambda: Scalar(1) + 0.5, lambda: 0.5 * Scalar(1), lambda: Scalar("1/2")],
+    ids=["re", "im", "as_scalar", "add", "rmul", "string"],
+)
+def test_scalar_refuses_floats_and_other_inexact_inputs(build):
+    with pytest.raises(TypeError, match="cannot coerce"):
+        build()
+
+
+def test_scalar_text_forms_are_unchanged():
+    cases = [
+        (Scalar(3), "3/1", "3"),
+        (Scalar(Fraction(-6, 4)), "-3/2", "-3/2"),
+        (Scalar(0), "0/1", "0"),
+        (Scalar(0, 1), "0/1+1/1*i", "i"),
+        (Scalar(0, -1), "0/1-1/1*i", "-i"),
+        (Scalar(Fraction(1, 2), -2), "1/2-2/1*i", "1/2-2*i"),
+        (Scalar(0, Fraction(2, 3)), "0/1+2/3*i", "2/3*i"),
+        (Scalar(-4, Fraction(-5, 3)), "-4/1-5/3*i", "-4-5/3*i"),
+        (Scalar(Fraction(10, 5), Fraction(3, 3)), "2/1+1/1*i", "2+1*i"),
+    ]
+    for s, text, pretty in cases:
+        assert (s.to_str(), s.pretty(), repr(s)) == (text, pretty, "Scalar(%s)" % text)
+        back = parse_scalar(text)
+        assert back == s and back.to_str() == text
+        assert_exact_parts(back)
+
+
+@pytest.mark.parametrize("build", [shc_symbol, lambda: supertranslation(2)],
+                         ids=["shc", "supertranslation-2"])
+def test_prolongation_structure_constants_keep_integral_parts_as_ints(build):
+    res = prolong(build())
+    entries = [s for vec in res.algebra.table.values() for s in vec.values()]
+    for comp in res.engine.comp.values():
+        for _, action in comp.elements:
+            entries.extend(s for img in action.values() for s in img.values())
+    assert entries
+    for s in entries:
+        assert_exact_parts(s)
 
 
 def test_kernel_identity_is_trivial():
@@ -363,3 +475,70 @@ def test_span_solver_puts_coefficients_on_the_earliest_independent_vectors():
         Scalar(0), Scalar(3), Scalar(0), Scalar(5), Scalar(0), Scalar(3)
     ]
 
+
+
+@st.composite
+def dense_gaussian_matrices(draw):
+    """Dense rows over Q(i), up to 7 x 8; most entries are nonzero."""
+    ncols = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        row = {}
+        for j in range(ncols):
+            x = draw(scalars(True))
+            if x:
+                row[j] = x
+        rows.append(row)
+    return rows, ncols
+
+
+def assert_gaussian_primitive(pivots):
+    for row in pivots.values():
+        assert gaussian_content_norm(row.values()) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_gaussian_matrices())
+def test_dense_gaussian_elimination_matches_the_oracle_with_primitive_pivots(problem):
+    rows, ncols = problem
+    want, piv = rref_kernel(rows, ncols)
+    assert [list(v.items()) for v in kernel_basis_rows(rows, ncols)] == want
+    assert pivot_columns(rows, ncols) == piv
+    # every stored pivot row has a unit as its Gaussian content
+    assert_gaussian_primitive(_echelon(rows))
+    assert_gaussian_primitive(SpanSolver(rows).pivots)
+
+
+def test_a_gaussian_common_factor_is_removed_from_a_pivot_row():
+    # (1 + i) * (1, 1 + i, 1 - 2i): the rational content is 1, the Gaussian
+    # content 1 + i
+    row = {0: Scalar(1, 1), 1: Scalar(0, 2), 2: Scalar(3, -1)}
+    (stored,) = _echelon([row]).values()
+    assert gaussian_content_norm(stored.values()) == 1
+    unit = Scalar(*stored[0])
+    assert gaussian_content_norm([stored[0]]) == 1
+    assert [Scalar(*stored[j]) / unit for j in range(3)] == [
+        Scalar(1), Scalar(1, 1), Scalar(1, -2)
+    ]
+
+
+def test_dense_random_gaussian_matrix_matches_the_oracle():
+    # entries p/q + r i with |p| <= 5, q <= 3, |r| <= 2 at density 1/2: a
+    # Gaussian common factor left in the pivot rows makes this matrix take
+    # seconds, its pivot rows growing to thousands of bits
+    rng = random.Random(20)
+    nrows, ncols = 20, 30
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            if rng.random() < 0.5:
+                x = Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                           rng.randint(-2, 2))
+                if x:
+                    row[j] = x
+        rows.append(row)
+    want, piv = rref_kernel(rows, ncols)
+    assert [list(v.items()) for v in kernel_basis_rows(rows, ncols)] == want
+    assert rank_rows(rows, ncols) == len(piv)
+    assert_gaussian_primitive(_echelon(rows))
