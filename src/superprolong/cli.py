@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import catalog
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate
@@ -264,7 +263,7 @@ def cmd_odesym(args):
                 args.order,
                 args.rhs,
                 poly_degree=4 if args.poly_degree is None else args.poly_degree,
-                exponentials=[Fraction(l) for l in args.exp or []],
+                exponentials=args.exp or [],
             )
         res = determine_symmetries(spec)
     except ValueError as e:

@@ -18,9 +18,11 @@ pivot rows in increasing column order by cross-multiplication
 (row := p * row - f * pivot_row) and divided by the gcd of its components,
 so no division ever rounds; a row that is still nonzero becomes the pivot
 row at its lowest column, divided once by a gcd in Z[i] of its components
-so that no Gaussian common factor grows through later rows.
-``pivot_columns``, ``rank_rows``, ``kernel_basis_rows`` and ``SpanSolver``
-all read this loop.
+so that no Gaussian common factor grows through later rows.  A row
+becomes a pivot exactly when it is independent of the rows before it, and
+``independent_rows`` reports which rows did.  ``pivot_columns``,
+``rank_rows``, ``independent_rows``, ``kernel_basis_rows`` and
+``SpanSolver`` all read this loop.
 
 The answers do not depend on the order of elimination.  The pivot columns
 of any echelon form are the lowest columns of the nonzero vectors of the
@@ -135,13 +137,16 @@ def _pivot_row(row):
             for j, (a, b) in row.items()}
 
 
-def _echelon(rows):
-    """{pivot column: pivot row} of the rows, inserted in input order."""
+def _echelon(rows, independent=None):
+    """{pivot column: pivot row} of the rows, inserted in input order; the
+    indices of the rows that become pivots are appended to independent."""
     pivots = {}
-    for row in rows:
+    for i, row in enumerate(rows):
         row = _reduce(_int_row(row.items())[0], pivots)
         if row:
             pivots[min(row)] = _pivot_row(row)
+            if independent is not None:
+                independent.append(i)
     return pivots
 
 
@@ -152,13 +157,19 @@ def _echelon(rows):
 def pivot_columns(rows, ncols):
     """Pivot columns of the row echelon form, increasing: the leftmost
     columns independent of the columns before them."""
-    if not rows or ncols == 0:
-        return []
     return sorted(_echelon(rows))
 
 
 def rank_rows(rows, ncols):
     return len(pivot_columns(rows, ncols))
+
+
+def independent_rows(rows):
+    """Increasing indices of the rows independent of the rows before them:
+    rows[:k] has rank the number of these indices below k."""
+    independent = []
+    _echelon(rows, independent)
+    return independent
 
 
 def kernel_basis_rows(rows, ncols):
@@ -168,8 +179,6 @@ def kernel_basis_rows(rows, ncols):
     zeros stored and its lowest entry normalized to 1; the basis size equals
     ncols - rank.
     """
-    if ncols == 0:
-        return []
     pivots = _echelon(rows)
     piv = sorted(pivots)
     basis = []

@@ -23,9 +23,9 @@ with [S_f, S_g] = S_{[f,g]}.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .scalars import FIELD_Q, Scalar, as_scalar
+from .scalars import FIELD_Q, Scalar, _read_rational, as_scalar
 from .superspace import (
     EVEN,
     ODD,
@@ -398,6 +398,9 @@ def _jet_coordinate(ctx, nm):
 
 class OdeSpec:
     def __init__(self, order, rhs, poly_degree=4, exponentials=(), ctx=None):
+        for name, value in (("order", order), ("poly_degree", poly_degree)):
+            if type(value) is not int:
+                raise ValueError("%s must be an integer, not %r" % (name, value))
         if order < 2:
             raise ValueError("order must be >= 2")
         if poly_degree < 0:
@@ -418,16 +421,16 @@ class OdeSpec:
         if rhs.max_order() > order - 1:
             raise ValueError("right-hand side order exceeds %d" % (order - 1))
         self.poly_degree = poly_degree
-        self.exponentials = [Fraction(l) for l in exponentials]
+        self.exponentials = [_read_rational(l, "exponential") for l in exponentials]
 
     @staticmethod
     def from_json(data):
         basis = data.get("basis", {})
         return OdeSpec(
-            int(data["order"]),
+            data["order"],
             data["rhs"],
-            poly_degree=int(basis.get("poly_degree", 4)),
-            exponentials=[Fraction(l) for l in basis.get("exponentials", [])],
+            poly_degree=basis.get("poly_degree", 4),
+            exponentials=basis.get("exponentials", []),
         )
 
 
@@ -456,10 +459,6 @@ def _rational_roots(poly):
         shift += 1
     if shift:
         roots[Fraction(0)] = shift
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
 
     def value(lam):
         tot = Fraction(0)
@@ -470,7 +469,10 @@ def _rational_roots(poly):
     changed = True
     while changed and len(coeffs) > 1:
         changed = False
-        a0, an = abs(ints[0]), abs(ints[-1])
+        # candidates p/q: p divides the constant and q the leading
+        # coefficient of the polynomial scaled to integers
+        den = lcm(*(c.denominator for c in coeffs))
+        a0, an = abs(int(coeffs[0] * den)), abs(int(coeffs[-1] * den))
         cands = set()
         for pnum in _divisors(a0):
             for qden in _divisors(an):
@@ -480,10 +482,6 @@ def _rational_roots(poly):
             if value(lam) == 0:
                 roots[lam] = roots.get(lam, 0) + 1
                 coeffs = _deflate(coeffs, lam)
-                den = 1
-                for c in coeffs:
-                    den = den * c.denominator // gcd(den, c.denominator)
-                ints = [int(c * den) for c in coeffs]
                 changed = True
                 break
     return roots, len(coeffs) <= 1
@@ -634,7 +632,13 @@ def determine_symmetries(spec, compute_bound=True):
         EVEN: [(), ((), (1,))],       # 1 and xi*xi'
         ODD: [((),), ((1,),)],         # xi and xi'
     }
-    xi_n = JetFunction.odd_coord(ctx, (1,) * n)
+
+    def defect(f):
+        """The tangency defect of f's prolonged field on xi^(n) = rhs."""
+        S = prolong_field(f, n)
+        T = S.coefficient(("xi", (1,) * n)) - S.apply(spec.rhs)
+        return T.substitute_odd((1,) * n, spec.rhs)
+
     generators = []
     for parity in (EVEN, ODD):
         ansatz = []
@@ -647,10 +651,7 @@ def determine_symmetries(spec, compute_bound=True):
                 ansatz.append(f)
         rows_by_key = {}
         for col, f in enumerate(ansatz):
-            S = prolong_field(f, n)
-            T = S.coefficient(("xi", (1,) * n)) - S.apply(spec.rhs)
-            T = T.substitute_odd((1,) * n, spec.rhs)
-            for key, v in T.terms.items():
+            for key, v in defect(f).terms.items():
                 rows_by_key.setdefault(key, {})[col] = v
         rows = list(rows_by_key.values())
         for vec in kernel_basis_rows(rows, len(ansatz)):
@@ -658,11 +659,6 @@ def determine_symmetries(spec, compute_bound=True):
             for col, s in vec.items():
                 f = f + ansatz[col].scale(s)
             generators.append(GeneratingFunction(f, order=n))
-
-    def is_symmetry(f):
-        S = prolong_field(f, n)
-        T = S.coefficient(("xi", (1,) * n)) - S.apply(spec.rhs)
-        return not T.substitute_odd((1,) * n, spec.rhs)
 
     # Lie closure: a bracket of symmetries is a symmetry; adopt any bracket
     # that escapes the current span (possible when the ansatz basis missed a
@@ -682,7 +678,7 @@ def determine_symmetries(spec, compute_bound=True):
                 break
         if adopted is None:
             break
-        if not is_symmetry(adopted):
+        if defect(adopted):
             raise AssertionError("a bracket of symmetries failed tangency")
         generators.append(GeneratingFunction(adopted, order=n))
         warnings.append(

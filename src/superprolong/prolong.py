@@ -39,7 +39,7 @@ from .linalg import (
 )
 from .scalars import Scalar
 from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
-from .spencer import cochain_basis, differential_rows
+from .spencer import CochainSlice
 from .liesuper import (
     DerivationSpace,
     LieSuperalgebra,
@@ -224,21 +224,19 @@ class Prolongation:
         # (d w)(a, b) = [w a, b] + (-1)^{|w||a|}[a, w b] - w[a, b]: each
         # element must be a cocycle of C^{0,1}(m, m), and a nonzero target
         # row names the canonical pair a <= b at fault
-        basis = cochain_basis(m, 0, 1)
-        target = cochain_basis(m, 0, 2)
-        rows = differential_rows(m, basis, target)
-        col = {(T[0], i): c for c, (T, i, _) in enumerate(basis)}
+        sl = CochainSlice(m, 0, 1)
+        col = {(T[0], i): c for c, (T, i, _) in enumerate(sl.basis)}
         for idx, (p, action) in enumerate(elements):
             w = {
                 col[(b, i)]: s for b, img in action.items() for i, s in img.items()
             }
-            for r, row in enumerate(rows):
+            for r, row in enumerate(sl.matrix_rows):
                 val = 0
                 for c, x in row.items():
                     if c in w:
                         val = val + x * w[c]
                 if val:
-                    a, b = target[r][0]
+                    a, b = sl.target[r][0]
                     raise ProlongationError(
                         "g0 element %d is not a derivation of m "
                         "(fails on pair %s, %s)"

@@ -168,6 +168,22 @@ def scalar_from_json(x):
     raise ValueError("coefficient %r is neither a \"p/q\" string nor an integer" % (x,))
 
 
+def _read_rational(x, what):
+    """x as a Fraction: an int, a Fraction or a "p/q" string (integers
+    allowed in place of p/q); anything else, a float or a boolean included,
+    is a ValueError naming what."""
+    if type(x) is int or isinstance(x, Fraction):
+        return Fraction(x)
+    if isinstance(x, str):
+        m = _SCALAR_RE.match(x)
+        if m and m.group("im") is None:
+            try:
+                return Fraction(m.group("re"))
+            except ZeroDivisionError:
+                pass
+    raise ValueError('%s %r is neither an integer nor a "p/q" string' % (what, x))
+
+
 I = Scalar(0, 1)
 
 

@@ -33,15 +33,19 @@ rows.
 
 Reduced differential.  C^{d,2} = A + B, where A is spanned by the monomials
 with an argument of degree -1 and B by those with both arguments of degree
-<= -2; p projects onto A along B.  Since ker p = B, p is injective on
-ker(delta | C^{d,2}) exactly when delta restricted to the B monomials has
-rank |B|, which the check computes from the B columns alone, without a
-kernel basis.
+<= -2; p projects onto A along B.  The check eliminates the rows of
+delta: C^{d,1} -> C^{d,2} once, A rows first.  A row becomes a pivot iff it
+is independent of the rows before it, so rank(p o delta) is the number of
+pivots among the A rows, rank(delta) the number of all pivots, and the A
+monomials whose rows reduce to zero span a complement Z of Im(p o delta)
+in A.  Since ker p = B, p is injective on ker(delta | C^{d,2}) exactly when
+delta restricted to the B monomials has rank |B|, computed from the B
+columns alone, without a kernel basis.
 """
 
 from __future__ import annotations
 
-from .linalg import ExactMatrix, pivot_columns, rank_rows
+from .linalg import ExactMatrix, independent_rows, rank_rows
 from .scalars import Scalar
 from .superspace import (
     EVEN,
@@ -65,8 +69,6 @@ class CochainSlice:
         self.matrix_rows = differential_rows(g, self.basis, self.target)
 
     def matrix(self):
-        if not self.basis or not self.target:
-            return ExactMatrix.zeros(len(self.target), len(self.basis), self.g.field)
         n = len(self.basis)
         dense = [
             [row.get(c, Scalar(0)) for c in range(n)] for row in self.matrix_rows
@@ -156,15 +158,6 @@ def differential_rows(g, basis, target):
     return rows
 
 
-def _rank_on(rows, cols):
-    """Rank of sparse rows restricted to the column subset cols."""
-    remap = {c: k for k, c in enumerate(cols)}
-    return rank_rows(
-        [{remap[c]: v for c, v in row.items() if c in remap} for row in rows],
-        len(cols),
-    )
-
-
 def ce_differential(d, k, m, g=None):
     """Matrix of the Chevalley-Eilenberg differential C^{d,k} -> C^{d,k+1}.
 
@@ -182,17 +175,24 @@ def ce_differential(d, k, m, g=None):
 
 
 def cohomology_dims(d, k, m, g=None):
-    """Superdimension (even|odd) of H^{d,k}(m, g)."""
+    """Superdimension (even|odd) of H^{d,k}(m, g).
+
+    delta is even, so a row whose target has parity p has its entries in
+    the parity-p columns only: delta on the parity-p cochains is those rows,
+    ranked as they stand, with no column remap.
+    """
     g = m if g is None else g
     here = CochainSlice(g, d, k)
-    below = CochainSlice(g, d, k - 1) if k >= 1 else None
+    slices = [here, CochainSlice(g, d, k - 1)] if k >= 1 else [here]
     dims = []
     for parity in (EVEN, ODD):
-        cols = [i for i, (_, _, p) in enumerate(here.basis) if p == parity]
-        dim = len(cols) - _rank_on(here.matrix_rows, cols)
-        if below is not None:
-            bcols = [i for i, (_, _, p) in enumerate(below.basis) if p == parity]
-            dim -= _rank_on(below.matrix_rows, bcols)
+        dim = sum(1 for _, _, p in here.basis if p == parity)
+        for sl in slices:
+            dim -= rank_rows(
+                [row for row, (_, _, p) in zip(sl.matrix_rows, sl.target)
+                 if p == parity],
+                len(sl.basis),
+            )
         dims.append(dim)
     return tuple(dims)
 
@@ -200,13 +200,8 @@ def cohomology_dims(d, k, m, g=None):
 def reduced_differential_check(m, g=None):
     """Check ker(p o delta) = ker(delta) on 1-cochains and injectivity of p on
     ker(delta | C^{d,2}) for every degree d with nonzero C^{d,2}; emit a
-    complement N = Z + B per degree on success.
-
-    C^{d,2} is the direct sum of A, spanned by the monomials with an argument
-    of degree -1, and B, spanned by those with both arguments of degree
-    <= -2; p projects onto A along B, so ker p = B.  Hence p is injective on
-    ker(delta | C^{d,2}) iff ker(delta) meets B only in 0, i.e. iff delta
-    restricted to the B monomials has rank |B|, which is what is computed.
+    complement N = Z + B per degree on success.  A, B, p and the ranks that
+    decide both halves are as in the module docstring.
     """
     g = m if g is None else g
     space = g.space
@@ -227,37 +222,28 @@ def reduced_differential_check(m, g=None):
                 b_rows.append(r)
             else:
                 a_rows.append(r)
-        entry = {}
+        # one elimination, A rows first: the pivots among them are the
+        # rank of p o delta
+        independent = set(
+            independent_rows([c1.matrix_rows[r] for r in a_rows + b_rows])
+        )
+        z_members = [r for i, r in enumerate(a_rows) if i not in independent]
         ncols = len(c1.basis)
-        part = [c1.matrix_rows[r] for r in a_rows]
-        if ncols:
-            rk_full = rank_rows(c1.matrix_rows, ncols)
-            rk_part = rank_rows(part, ncols)
-            entry["ker_delta"] = ncols - rk_full
-            entry["ker_partial"] = ncols - rk_part
-            entry["kernels_agree"] = rk_full == rk_part
-        else:
-            entry["ker_delta"] = entry["ker_partial"] = 0
-            entry["kernels_agree"] = True
+        rk_full = len(independent)
+        rk_part = len(a_rows) - len(z_members)
+        entry = {
+            "ker_delta": ncols - rk_full,
+            "ker_partial": ncols - rk_part,
+            "kernels_agree": rk_full == rk_part,
+        }
         b_cols = [c1.target[r] for r in b_rows]
         entry["p_injective_on_ker"] = not b_cols or rank_rows(
             differential_rows(g, b_cols, cochain_basis(g, d, 3)), len(b_cols)
         ) == len(b_cols)
         ok = entry["kernels_agree"] and entry["p_injective_on_ker"]
         if ok:
-            # complement N = Z + B: the standard monomials of A at non-pivot
-            # positions of Im(partial) extend it to all of A
-            by_col = {}
-            for r_local, row in enumerate(part):
-                for c, v in row.items():
-                    by_col.setdefault(c, {})[r_local] = v
-            im_vecs = [by_col.get(c, {}) for c in range(ncols)]
-            pivset = set(pivot_columns(im_vecs, len(a_rows)))
-            z_members = [
-                a_rows[r_local]
-                for r_local in range(len(a_rows))
-                if r_local not in pivset
-            ]
+            # complement N = Z + B: the A monomials whose rows depend on the
+            # A rows before them extend Im(p o delta) to all of A
             entry["complement_Z"] = [
                 _monomial_label(g, c1.target[r]) for r in z_members
             ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import FIELD_Q, Scalar, as_scalar, scalar_from_json
+from .scalars import FIELD_Q, Scalar, _read_rational, as_scalar, scalar_from_json
 from .superspace import (
     EVEN,
     ODD,
@@ -43,6 +43,10 @@ class Ambient:
         self.odd = list(odd_names)
         self.m = len(self.even)
         self.n = len(self.odd)
+        if type(degree_cap) is not int or degree_cap < 0:
+            raise ValueError(
+                "degree_cap must be a nonnegative integer, not %r" % (degree_cap,)
+            )
         self.degree_cap = degree_cap
         if len(set(self.even) | set(self.odd)) != self.m + self.n:
             raise ValueError("coordinate names must be distinct")
@@ -382,7 +386,8 @@ class DistributionSpec:
             if not g:
                 raise ValueError("zero generator")
         self.basepoint = [
-            Fraction(v) for v in (basepoint or [0] * ambient.m)
+            _read_rational(v, "basepoint coordinate")
+            for v in (basepoint or [0] * ambient.m)
         ]
         if len(self.basepoint) != ambient.m:
             raise ValueError("basepoint needs %d even coordinates" % ambient.m)

@@ -448,3 +448,63 @@ def test_odesym_input_alone_reads_the_file(tmp_path, capsys):
     code, out, _ = run_cli(["odesym", "--input", str(path)], capsys)
     assert code == 0
     assert "symmetry superdimension: (2|3)" in out
+
+
+_CONTACT = {"ambient": {"even": ["x"], "odd": ["xi", "xi1"]},
+            "generators": ["@x + xi1*@xi", "@xi1"]}
+
+
+@pytest.mark.parametrize("command", ["symbol", "check-regular"])
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"basepoint": [0.1]},
+         'basepoint coordinate 0.1 is neither an integer nor a "p/q" string'),
+        ({"basepoint": [True]},
+         'basepoint coordinate True is neither an integer nor a "p/q" string'),
+        ({"degree_cap": "8"}, "degree_cap must be a nonnegative integer, not '8'"),
+        ({"degree_cap": 2.5}, "degree_cap must be a nonnegative integer, not 2.5"),
+        ({"degree_cap": True}, "degree_cap must be a nonnegative integer, not True"),
+    ],
+    ids=["basepoint-float", "basepoint-bool", "cap-string", "cap-float", "cap-bool"],
+)
+def test_distribution_inexact_numbers_exit_two(tmp_path, capsys, command, extra, message):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(dict(_CONTACT, **extra)))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"order": 3.7}, "order must be an integer, not 3.7"),
+        ({"order": True}, "order must be an integer, not True"),
+        ({"basis": {"poly_degree": "2"}}, "poly_degree must be an integer, not '2'"),
+        ({"basis": {"exponentials": [0.1]}},
+         'exponential 0.1 is neither an integer nor a "p/q" string'),
+        ({"basis": {"exponentials": [False]}},
+         'exponential False is neither an integer nor a "p/q" string'),
+    ],
+    ids=["order-float", "order-bool", "degree-string", "exp-float", "exp-bool"],
+)
+def test_odesym_input_inexact_numbers_exit_two(tmp_path, capsys, extra, message):
+    path = tmp_path / _ODE_FILE
+    path.write_text(json.dumps(dict({"order": 3, "rhs": "xi2"}, **extra)))
+    code, out, err = run_cli(["odesym", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s\n" % message
+
+
+def test_odesym_exp_takes_an_exact_rational(capsys):
+    code, out, err = run_cli(
+        ["odesym", "--order", "3", "--rhs", "xi2", "--exp", "0.5"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == 'input error: exponential \'0.5\' is neither an integer nor a "p/q" string\n'
+    code, out, _ = run_cli(
+        ["odesym", "--order", "3", "--rhs", "xi2", "--exp", "1/2"], capsys
+    )
+    assert code == 0
+    assert "symmetry superdimension: (2|3)" in out

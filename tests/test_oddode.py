@@ -262,3 +262,40 @@ def test_json_round_trip():
     assert data["superdim"] == {"even": 2, "odd": 3}
     assert data["prolongation_bound"] == {"even": 4, "odd": 4}
     assert any(g["f"] == "exp(x)" for g in data["generators"])
+
+
+_NOT_RATIONAL = 'exponential %r is neither an integer nor a "p/q" string'
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"order": 3.7}, "order must be an integer, not 3.7"),
+        ({"order": 3.0}, "order must be an integer, not 3.0"),
+        ({"order": True}, "order must be an integer, not True"),
+        ({"order": "3"}, "order must be an integer, not '3'"),
+        ({"basis": {"poly_degree": 2.5}}, "poly_degree must be an integer, not 2.5"),
+        ({"basis": {"poly_degree": False}}, "poly_degree must be an integer, not False"),
+        ({"basis": {"poly_degree": "2"}}, "poly_degree must be an integer, not '2'"),
+        ({"basis": {"exponentials": [0.1]}}, _NOT_RATIONAL % 0.1),
+        ({"basis": {"exponentials": [True]}}, _NOT_RATIONAL % True),
+        ({"basis": {"exponentials": ["0.5"]}}, _NOT_RATIONAL % "0.5"),
+        ({"basis": {"exponentials": ["1+1*i"]}}, _NOT_RATIONAL % "1+1*i"),
+    ],
+    ids=["order-float", "order-integral-float", "order-bool", "order-string",
+         "degree-float", "degree-bool", "degree-string", "exp-float",
+         "exp-bool", "exp-decimal-string", "exp-gaussian"],
+)
+def test_ode_json_numbers_must_be_exact(data, message):
+    with pytest.raises(ValueError) as err:
+        OdeSpec.from_json({"order": 3, "rhs": "xi2", **data})
+    assert str(err.value) == message
+
+
+def test_exponentials_are_read_once_as_exact_rationals():
+    want = [Fraction(1, 2), Fraction(1), Fraction(-3)]
+    spec = OdeSpec.from_json(
+        {"order": 3, "rhs": "xi2", "basis": {"exponentials": ["1/2", 1, "-3"]}}
+    )
+    assert spec.exponentials == want
+    assert OdeSpec(3, "xi2", exponentials=[Fraction(1, 2), "1", -3]).exponentials == want

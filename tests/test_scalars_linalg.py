@@ -12,6 +12,7 @@ from superprolong.linalg import (
     ExactMatrix,
     SpanSolver,
     _echelon,
+    independent_rows,
     kernel_basis,
     kernel_basis_rows,
     pivot_columns,
@@ -423,6 +424,18 @@ def test_one_elimination_matches_the_rref_oracle(problem):
     assert [list(v.items()) for v in kernel_basis_rows(rows, ncols)] == want
     assert pivot_columns(rows, ncols) == piv
     assert rank_rows(rows, ncols) == len(piv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_independent_rows_are_the_rows_that_raise_the_oracle_rank(problem):
+    rows, ncols = problem
+    want = [
+        i for i in range(len(rows))
+        if naive_rank(dense(rows[:i + 1], ncols)) > naive_rank(dense(rows[:i], ncols))
+    ]
+    assert independent_rows(rows) == want
+    assert len(want) == rank_rows(rows, ncols)
 
 
 def test_pivot_columns_when_the_first_row_does_not_hold_the_leftmost_pivot():

@@ -29,7 +29,7 @@ from superprolong.spencer import (
 from superprolong.linalg import rank_rows
 
 from conftest import delta_squared_rows, g0_of
-from oracles import reduced_p_injective
+from oracles import naive_rank, reduced_p_injective
 
 
 def slice_dims(g, d, k):
@@ -175,10 +175,31 @@ def test_complement_spans():
     res = prolong(SymbolAlgebra(odd_ode_symbol(2)), g0=odd_ode_scalings(2))
     rep = reduced_differential_check(res.m, res.algebra)
     assert rep["ok"]
+    g = res.algebra
+    names = [b.name for b in g.space]
     for d, entry in rep["degrees"].items():
-        # dim A = dim Im(partial) + dim Z
-        sl_labels = entry["complement_Z"]
-        assert isinstance(sl_labels, list)
+        c1 = CochainSlice(g, d, 1)
+        a_rows = [
+            r for r, (T, _, _) in enumerate(c1.target)
+            if any(g.space[t].degree == -1 for t in T)
+        ]
+        labels = {
+            "^".join(names[t] + "*" for t in T) + "(x)" + names[b]: r
+            for r, (T, b, _) in enumerate(c1.target)
+        }
+        z_rows = [labels[label] for label in entry["complement_Z"]]
+        assert set(z_rows) <= set(a_rows)
+        assert entry["complement_B_dim"] == len(c1.target) - len(a_rows)
+        # Im(partial) in A coordinates: one vector per cochain, by the oracle
+        zero = Scalar(0)
+        image = [
+            [c1.matrix_rows[r].get(c, zero) for r in a_rows]
+            for c in range(len(c1.basis))
+        ]
+        units = [[Scalar(int(r == z)) for r in a_rows] for z in z_rows]
+        # dim A = dim Im(partial) + dim Z, and together they span A
+        assert len(a_rows) == naive_rank(image) + len(z_rows), d
+        assert naive_rank(image + units) == len(a_rows), d
 
 
 def test_ce_differential_matrix_shape_and_field():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -323,3 +324,20 @@ def test_json_x_exponents_need_one_nonnegative_int_per_even_coordinate(exponents
         field_from_json(amb, data)
     data["coefficients"][0]["monomials"][0]["x_exponents"] = [1, 0]
     assert not (field_from_json(amb, data) - parse_field(amb, "x*@x")).coeffs
+
+
+@pytest.mark.parametrize("basepoint", [[0.1], [True], ["0.5"], ["1/0"]])
+def test_basepoint_coordinates_must_be_exact_rationals(basepoint):
+    amb = Ambient(["x"], ["t"])
+    gens = [parse_field(amb, "x*@x"), parse_field(amb, "@t")]
+    with pytest.raises(ValueError, match="basepoint coordinate"):
+        DistributionSpec(amb, gens, basepoint=basepoint)
+    dist = DistributionSpec(amb, gens, basepoint=["1/2"])
+    assert dist.basepoint == [Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("cap", ["8", 2.5, 8.0, True, -1, None])
+def test_degree_cap_must_be_a_nonnegative_integer(cap):
+    with pytest.raises(ValueError) as err:
+        Ambient(["x"], [], degree_cap=cap)
+    assert str(err.value) == "degree_cap must be a nonnegative integer, not %r" % (cap,)
