@@ -421,6 +421,8 @@ class OdeSpec:
         if rhs.max_order() > order - 1:
             raise ValueError("right-hand side order exceeds %d" % (order - 1))
         self.poly_degree = poly_degree
+        if not isinstance(exponentials, (list, tuple)):
+            raise ValueError("exponentials must be a list, not %r" % (exponentials,))
         self.exponentials = [_read_rational(l, "exponential") for l in exponentials]
 
     @staticmethod

@@ -385,6 +385,8 @@ class DistributionSpec:
         for g in self.generators:
             if not g:
                 raise ValueError("zero generator")
+        if not isinstance(basepoint, (list, tuple, type(None))):
+            raise ValueError("basepoint must be a list, not %r" % (basepoint,))
         self.basepoint = [
             _read_rational(v, "basepoint coordinate")
             for v in (basepoint or [0] * ambient.m)

@@ -281,10 +281,11 @@ _NOT_RATIONAL = 'exponential %r is neither an integer nor a "p/q" string'
         ({"basis": {"exponentials": [True]}}, _NOT_RATIONAL % True),
         ({"basis": {"exponentials": ["0.5"]}}, _NOT_RATIONAL % "0.5"),
         ({"basis": {"exponentials": ["1+1*i"]}}, _NOT_RATIONAL % "1+1*i"),
+        ({"basis": {"exponentials": 0.5}}, "exponentials must be a list, not 0.5"),
     ],
     ids=["order-float", "order-integral-float", "order-bool", "order-string",
          "degree-float", "degree-bool", "degree-string", "exp-float",
-         "exp-bool", "exp-decimal-string", "exp-gaussian"],
+         "exp-bool", "exp-decimal-string", "exp-gaussian", "exp-not-a-list"],
 )
 def test_ode_json_numbers_must_be_exact(data, message):
     with pytest.raises(ValueError) as err:
