@@ -26,7 +26,7 @@ for d in range(0, 4):
 print("\ncross-check: dim ker(delta: C^{i,1} -> C^{i,2}) vs dim g_i")
 for i in (1, 2, 3):
     sl = CochainSlice(res.algebra, i, 1)
-    ker = len(sl.basis) - rank_rows(sl.matrix_rows, len(sl.basis))
+    ker = len(sl.basis) - rank_rows(sl.matrix_rows)
     print("   i=%d: kernel %d, component %d" % (i, ker, sum(res.component_superdim(i))))
 
 # Reduced differential: same kernels on 1-cochains, injective projection on

@@ -14,9 +14,7 @@ from .superspace import (
     BasisVector,
     ExteriorBasisMonomial,
     GradedSuperSpace,
-    exterior_dim,
     exterior_power_basis,
-    hom_degree_component,
     koszul_sign,
 )
 from .liesuper import (
@@ -32,11 +30,9 @@ from .prolong import (
     ProlongationResult,
     projective_trace_reduction,
     prolong,
-    prolong_step,
 )
 from .spencer import (
     CochainSlice,
-    ce_differential,
     cohomology_dims,
     reduced_differential_check,
 )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import ExactMatrix, SpanSolver, kernel_basis_rows, svec_axpy
-from .scalars import FIELD_Q, FIELD_QI, Scalar
+from .scalars import FIELD_Q, FIELD_QI, Scalar, _read_rational
 from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
 from .liesuper import LieSuperalgebra
 
@@ -29,22 +29,6 @@ from .liesuper import LieSuperalgebra
 
 def _entry_parity(p, i):
     return EVEN if i < p else ODD
-
-
-def supertranspose(M, p):
-    """Supertranspose convention under which X^st P + (-1)^{|X|} P X = 0
-    cuts out the periplectic algebras in their block form:
-    (A B; C D)^st = (A^t -C^t; B^t D^t)."""
-    n = M.rows
-    out = [[Scalar(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = M[(i, j)]
-            if not s:
-                continue
-            sign = -1 if (_entry_parity(p, i) == ODD and _entry_parity(p, j) == EVEN) else 1
-            out[j][i] = s * Scalar(sign)
-    return ExactMatrix(out, M.field)
 
 
 def _matrix_family(p, q, members, names, field=FIELD_Q, weights=None):
@@ -526,7 +510,10 @@ _NAMED = {
     "cspe_sk": ("cspe_sk:n", lambda n: cspe(int(n), skew=True)),
     "spe_ab": (
         "spe_ab:n:a:b",
-        lambda n, a, b: spe_ab(int(n), Fraction(a), Fraction(b)),
+        lambda n, a, b: spe_ab(
+            int(n), _read_rational(a, "spe_ab argument a"),
+            _read_rational(b, "spe_ab argument b"),
+        ),
     ),
     "abelian": ("abelian:p|q", lambda pq: abelian(*_parse_pq(pq))),
     "heisenberg_contact": (

@@ -36,19 +36,33 @@ class InputError(Exception):
     pass
 
 
+def _read_input(path, build):
+    """build(data) for the JSON object in the file at path.  A file that
+    cannot be read, malformed JSON, a top-level value that is not an object,
+    and a KeyError, TypeError, AttributeError or ValueError of build are an
+    InputError naming the file."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object, got %s" % type(data).__name__)
+        return build(data)
+    except OSError as e:  # the message names the file
+        raise InputError(str(e))
+    except KeyError as e:
+        raise InputError("%s: unknown or missing name %s" % (path, e))
+    except (TypeError, AttributeError, ValueError) as e:
+        # ValueError includes json.JSONDecodeError
+        raise InputError("%s: %s" % (path, e))
+
+
 def _load_algebra(args):
     if args.name is not None:
         try:
             return catalog.build_named(args.name)
         except ValueError as e:
             raise InputError(str(e))
-    try:
-        with open(args.input) as fh:
-            alg = LieSuperalgebra.from_json(json.load(fh))
-    except KeyError as e:
-        raise InputError("%s: unknown or missing name %s" % (args.input, e))
-    except ValueError as e:  # also json.JSONDecodeError
-        raise InputError("%s: %s" % (args.input, e))
+    alg = _read_input(args.input, LieSuperalgebra.from_json)
     bad = validate(alg)
     if bad:
         first = bad[0]
@@ -178,9 +192,7 @@ def cmd_cohomology(args):
     return EXIT_OK
 
 
-def _load_distribution(args):
-    with open(args.input) as fh:
-        data = json.load(fh)
+def _distribution_from_json(data):
     amb = Ambient(
         data["ambient"]["even"],
         data["ambient"]["odd"],
@@ -199,10 +211,7 @@ def _load_distribution(args):
 
 
 def cmd_symbol(args):
-    try:
-        dist = _load_distribution(args)
-    except (KeyError, ValueError, OSError) as e:
-        raise InputError(str(e))
+    dist = _read_input(args.input, _distribution_from_json)
     flag = derived_flag(dist)
     rep = check_strong_regularity(flag)
     if args.format == "json":
@@ -250,24 +259,23 @@ def cmd_odesym(args):
         )
         if value is not None
     ]
-    try:
-        if args.input:
-            if given:
-                raise InputError("--input excludes %s" % ", ".join(given))
-            with open(args.input) as fh:
-                spec = OdeSpec.from_json(json.load(fh))
-        else:
-            if args.order is None or args.rhs is None:
-                raise InputError("need --order and --rhs (or --input)")
+    if args.input:
+        if given:
+            raise InputError("--input excludes %s" % ", ".join(given))
+        spec = _read_input(args.input, OdeSpec.from_json)
+    else:
+        if args.order is None or args.rhs is None:
+            raise InputError("need --order and --rhs (or --input)")
+        try:
             spec = OdeSpec(
                 args.order,
                 args.rhs,
                 poly_degree=4 if args.poly_degree is None else args.poly_degree,
                 exponentials=args.exp or [],
             )
-        res = determine_symmetries(spec)
-    except ValueError as e:
-        raise InputError(str(e))
+        except ValueError as e:
+            raise InputError(str(e))
+    res = determine_symmetries(spec)
     if args.format == "json":
         print(json.dumps(res.to_json(), indent=2))
     else:
@@ -370,9 +378,6 @@ def main(argv=None):
     try:
         code = args.func(args)
     except InputError as e:
-        print("input error: %s" % e, file=sys.stderr)
-        code = EXIT_INPUT
-    except FileNotFoundError as e:
         print("input error: %s" % e, file=sys.stderr)
         code = EXIT_INPUT
     sys.exit(code)

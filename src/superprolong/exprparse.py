@@ -3,7 +3,7 @@
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := NUMBER | NAME ['^' INT] | DIR
-    NUMBER := integer or integer/integer
+    NUMBER := integer or integer/integer (nonzero denominator)
     DIR    := '@' NAME   (also written with a leading 'd_' or a unicode del)
 
 The parser returns a list of signed factor lists; consumers interpret names
@@ -14,7 +14,8 @@ symbols).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+
+from .scalars import _fraction
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)"
@@ -35,7 +36,7 @@ def tokenize(text):
                 break
             raise ValueError("cannot tokenize %r at %d" % (text, pos))
         if m.group("num"):
-            out.append(("num", Fraction(m.group("num"))))
+            out.append(("num", _fraction(m.group("num"), "number")))
         elif m.group("dir"):
             out.append(("dir", m.group("dirname")))
         elif m.group("name"):

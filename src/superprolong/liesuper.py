@@ -15,7 +15,6 @@ one whose brackets between nonnegative components are left out.
 from __future__ import annotations
 
 from .linalg import (
-    ExactMatrix,
     SpanSolver,
     kernel_basis_rows,
     rank_rows,
@@ -121,16 +120,15 @@ class LieSuperalgebra:
 
     @staticmethod
     def from_json(data):
-        space = GradedSuperSpace(
-            [
-                BasisVector(
-                    name=b["name"],
-                    degree=int(b["degree"]),
-                    parity=parity_from_str(b["parity"]),
+        basis = []
+        for b in data["basis"]:
+            degree = b["degree"]
+            if type(degree) is not int:
+                raise ValueError(
+                    "degree of %s must be an integer, not %r" % (b["name"], degree)
                 )
-                for b in data["basis"]
-            ]
-        )
+            basis.append(BasisVector(b["name"], degree, parity_from_str(b["parity"])))
+        space = GradedSuperSpace(basis)
         brackets = {}
         for entry in data.get("brackets", []):
             a = space.index(entry["left"])
@@ -330,7 +328,7 @@ def check_fundamental_nondegenerate(m):
                     nxt.append(w)
         slice_idx = space.indices_of_degree(-depth)
         want = len(slice_idx)
-        got = rank_rows(nxt, n)
+        got = rank_rows(nxt)
         if got < want:
             report["ok"] = False
             report["fundamental"] = False
@@ -367,30 +365,25 @@ def check_fundamental_nondegenerate(m):
 # graded derivations
 # ---------------------------------------------------------------------------
 
-class DerivationSpace:
-    """Basis of degree-d superderivations of a symbol algebra, with their
-    matrices on m (columns are images of the basis of m)."""
+class ProlongationComponent:
+    """The degree-d component of a graded algebra of maps on m: the
+    degree-d derivations of m (``derivations_gr``) or a computed
+    prolongation component g_d (d >= 0).
 
-    def __init__(self, m, d, elements):
-        self.m = m
-        self.d = d
-        self.elements = elements  # list of (parity, action dict j -> {i: Scalar})
+    elements: list of (parity, action); action maps each m-basis index b to
+    a sparse vector over the coordinates of the component of degree
+    d + deg(b): global m indices when that degree is negative, element
+    indices of the computed component otherwise.
+    """
+
+    def __init__(self, degree, elements):
+        self.degree = degree
+        self.elements = elements
 
     @property
     def superdim(self):
         p = sum(1 for par, _ in self.elements if par == EVEN)
         return (p, len(self.elements) - p)
-
-    def matrix(self, k):
-        n = len(self.m.space)
-        _, action = self.elements[k]
-        return ExactMatrix(
-            [
-                [action.get(j, {}).get(i, Scalar(0)) for j in range(n)]
-                for i in range(n)
-            ],
-            self.m.field,
-        )
 
 
 def derivations_gr(m, d=0):
@@ -401,7 +394,7 @@ def derivations_gr(m, d=0):
     """
     if not isinstance(m, SymbolAlgebra):
         m = SymbolAlgebra(m)
-    return DerivationSpace(m, d, one_cocycles(m, d))
+    return ProlongationComponent(d, one_cocycles(m, d))
 
 
 def one_cocycles(g, d):

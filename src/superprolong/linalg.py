@@ -3,8 +3,9 @@
 Sparse contract.  Inside the package a row or a vector is a dict
 {col: Scalar}; zero entries of input rows are ignored, and nothing this
 module returns stores a zero.  ``rank_rows``, ``pivot_columns`` and
-``kernel_basis_rows`` take a list of such rows and the number of columns;
-``kernel_basis_rows`` returns such dicts.  ``SpanSolver`` is the one exact
+``independent_rows`` take a list of such rows, keyed by any mutually
+comparable hashables; ``kernel_basis_rows`` takes rows keyed by the columns
+0..ncols-1 and ncols, and returns such dicts.  ``SpanSolver`` is the one exact
 solver: it eliminates sparse vectors once and returns sparse coefficients.
 
 Dense boundary.  ``ExactMatrix`` and the public ``rank``, ``kernel_basis``
@@ -154,14 +155,14 @@ def _echelon(rows, independent=None):
 # sparse API (rows: dicts col -> Scalar)
 # ---------------------------------------------------------------------------
 
-def pivot_columns(rows, ncols):
+def pivot_columns(rows):
     """Pivot columns of the row echelon form, increasing: the leftmost
     columns independent of the columns before them."""
     return sorted(_echelon(rows))
 
 
-def rank_rows(rows, ncols):
-    return len(pivot_columns(rows, ncols))
+def rank_rows(rows):
+    return len(pivot_columns(rows))
 
 
 def independent_rows(rows):
@@ -259,60 +260,6 @@ class ExactMatrix:
             and self.field == other.field
         )
 
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            field = FIELD_QI if FIELD_QI in (self.field, other.field) else FIELD_Q
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    s = Scalar(0)
-                    for k in range(self.cols):
-                        a = self.entries[i][k]
-                        if a:
-                            s = s + a * other.entries[k][j]
-                    row.append(s)
-                out.append(row)
-            return ExactMatrix(out, field)
-        s = as_scalar(other)
-        return ExactMatrix(
-            [[e * s for e in row] for row in self.entries], self.field
-        )
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        field = FIELD_QI if FIELD_QI in (self.field, other.field) else FIELD_Q
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            field,
-        )
-
-    def __neg__(self):
-        return ExactMatrix([[-e for e in row] for row in self.entries], self.field)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def apply(self, vec):
-        """Matrix-vector product; vec is a list of Scalars."""
-        out = []
-        for row in self.entries:
-            s = Scalar(0)
-            for a, v in zip(row, vec):
-                if a and v:
-                    s = s + a * v
-            out.append(s)
-        return out
-
-    def is_zero(self):
-        return all(not e for row in self.entries for e in row)
-
 
 def _sparse_rows(M):
     """(sparse rows, ncols) of an ExactMatrix or a list of dense rows."""
@@ -330,7 +277,7 @@ def _densify(v, ncols):
 
 def rank(M):
     """Rank of M over its exact field."""
-    return rank_rows(*_sparse_rows(M))
+    return rank_rows(_sparse_rows(M)[0])
 
 
 def kernel_basis(M):

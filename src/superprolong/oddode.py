@@ -45,20 +45,6 @@ class JetContext:
     def __init__(self, p=1):
         self.p = p
 
-    def odd_coords(self, order):
-        """All multi-indices (sorted tuples over 1..p) with |I| <= order."""
-        out = [()]
-        cur = [()]
-        for _ in range(order):
-            nxt = []
-            for I in cur:
-                lo = I[-1] if I else 1
-                for i in range(lo, self.p + 1):
-                    nxt.append(I + (i,))
-            out.extend(nxt)
-            cur = nxt
-        return out
-
     def direction_name(self, d):
         if d[0] == "x":
             return "x" if self.p == 1 else "x%d" % (d[1] + 1)
@@ -222,16 +208,6 @@ class ContactField(PolynomialField):
             self.ambient, max(self.order, other.order), parity, coeffs
         )
 
-    def restrict(self, order):
-        return ContactField(
-            self.ambient, order, self.parity,
-            {
-                d: f.truncate(order)
-                for d, f in self.coeffs.items()
-                if d[0] == "x" or len(d[1]) <= order
-            },
-        )
-
 
 class GeneratingFunction:
     """A generating superfunction on J^1 with its parity and (optional)
@@ -248,8 +224,6 @@ class GeneratingFunction:
 
 def contact_vf(f, ctx=None):
     """The order-1 contact field S_f of a generating superfunction."""
-    if isinstance(f, GeneratingFunction):
-        f = f.fn
     ctx = ctx or f.ambient
     if f.max_order() > 1:
         raise ValueError("generating superfunctions live on J^1")
@@ -277,8 +251,6 @@ def contact_vf(f, ctx=None):
 def prolong_field(f, r):
     """Prolongation of S_f to J^r: the d_{xi_I} coefficient for |I| = k is
     D_{x^{j_1}}...D_{x^{j_k}} f truncated to jet order k."""
-    if isinstance(f, GeneratingFunction):
-        f = f.fn
     ctx = f.ambient
     base = contact_vf(f)
     if r < 1:
@@ -305,10 +277,6 @@ def prolong_field(f, r):
 
 def lagrange_bracket(f, g):
     """[f, g] with S_{[f,g]} = [S_f, S_g]."""
-    if isinstance(f, GeneratingFunction):
-        f = f.fn
-    if isinstance(g, GeneratingFunction):
-        g = g.fn
     ctx = f.ambient
     pf = f.parity()
     if pf is None:
@@ -319,43 +287,6 @@ def lagrange_bracket(f, g):
         out = out + f.first_order_total(i) * g.diff_odd((i + 1,))
         out = out + (f.diff_odd((i + 1,)) * g.first_order_total(i)).scale(sgn)
     return out
-
-
-def iota_sigma(S):
-    """Contraction of the contact form sigma = d xi - dx^i xi_i with S."""
-    ctx = S.ambient
-    out = JetFunction(ctx) + S.coefficient(("xi", ()))
-    for i in range(ctx.p):
-        cx = S.coefficient(("x", i))
-        if cx:
-            out = out - cx * JetFunction.odd_coord(ctx, (i + 1,))
-    return out
-
-
-def contact_form_preserved(S):
-    """sigma([S, V]) = 0 for V in the contact distribution of J^1."""
-    ctx = S.ambient
-    kernel_fields = []
-    for i in range(ctx.p):
-        kernel_fields.append(
-            ContactField(
-                ctx, 1, EVEN,
-                {
-                    ("x", i): JetFunction.constant(ctx, 1),
-                    ("xi", ()): JetFunction.odd_coord(ctx, (i + 1,)),
-                },
-            )
-        )
-        kernel_fields.append(
-            ContactField(
-                ctx, 1, ODD,
-                {("xi", (i + 1,)): JetFunction.constant(ctx, 1)},
-            )
-        )
-    for V in kernel_fields:
-        if iota_sigma(S.bracket(V)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,11 @@ from .linalg import (
     svec_scale,
 )
 from .scalars import Scalar
-from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
+from .superspace import ODD, BasisVector, GradedSuperSpace
 from .spencer import CochainSlice
 from .liesuper import (
-    DerivationSpace,
     LieSuperalgebra,
+    ProlongationComponent,
     SymbolAlgebra,
     derivations_gr,
     one_cocycles,
@@ -55,13 +55,10 @@ class ProlongationError(ValueError):
 
 
 def _normalize_g0(m, g0):
-    """Accept a DerivationSpace, (parity, action-dict) pairs or
-    (parity, ExactMatrix) pairs; return [(parity, action)] with
-    action = {src_index: {dst_index: Scalar}}."""
+    """Accept (parity, action-dict) pairs or (parity, ExactMatrix) pairs;
+    return [(parity, action)] with action = {src_index: {dst_index: Scalar}}."""
     if g0 is None:
         return derivations_gr(m, 0).elements
-    if isinstance(g0, DerivationSpace):
-        return list(g0.elements)
     out = []
     n = len(m.space)
     for idx, (parity, act) in enumerate(g0):
@@ -80,28 +77,6 @@ def _normalize_g0(m, g0):
         else:
             out.append((parity, {j: dict(col) for j, col in act.items() if col}))
     return out
-
-
-class ProlongationComponent:
-    """One computed component g_i (i >= 0).
-
-    elements: list of (parity, action); action maps each m-basis index b to a
-    sparse vector over the coordinates of the component of degree
-    i + deg(b): global m indices when that degree is negative, element
-    indices of the computed component otherwise.
-    """
-
-    def __init__(self, degree, elements):
-        self.degree = degree
-        self.elements = elements
-
-    def __len__(self):
-        return len(self.elements)
-
-    @property
-    def superdim(self):
-        p = sum(1 for par, _ in self.elements if par == EVEN)
-        return (p, len(self.elements) - p)
 
 
 class Prolongation:
@@ -283,17 +258,11 @@ class Prolongation:
         if not comp.elements:
             return
         deg1 = self.space.indices_of_degree(-1)
-        flats = []
-        for _, action in comp.elements:
-            flat = {}
-            for pos_b, b in enumerate(deg1):
-                for t, s in action.get(b, {}).items():
-                    flat[(pos_b, t)] = s
-            flats.append(flat)
-        keys = sorted({k for f in flats for k in f})
-        posmap = {k: j for j, k in enumerate(keys)}
-        vecs = [{posmap[k]: v for k, v in f.items()} for f in flats]
-        if rank_rows(vecs, len(keys)) != len(comp.elements):
+        flats = [
+            {(b, t): s for b in deg1 for t, s in action.get(b, {}).items()}
+            for _, action in comp.elements
+        ]
+        if rank_rows(flats) != len(comp.elements):
             raise ProlongationError(
                 "transitivity failure at degree %d: ad restricted to g_{-1} "
                 "is not injective" % i
@@ -477,55 +446,29 @@ class ProlongationResult:
         return data
 
 
-def prolong_step(m, lower, i):
-    """One prolongation step from explicitly given lower components.
-
-    lower: list of component element-lists for degrees 0..i-1 in the engine's
-    (parity, action) format.  Returns the ProlongationComponent of degree i.
-    Leibniz consistency of the supplied data is re-checked: every supplied
-    element must solve the degree-k equations.
-    """
-    if len(lower) != i:
-        raise ProlongationError("need components 0..%d to prolong to %d" % (i - 1, i))
-    engine = Prolongation(m, g0=lower[0])
-    for k in range(1, i):
-        expected = engine.step(k)
-        engine.comp[k] = ProlongationComponent(k, expected.elements)
-        engine.top = k
-        for parity, action in lower[k]:
-            if engine._solve_in_component(k, action) is None:
-                raise ProlongationError(
-                    "lower component %d fails the Leibniz constraints" % k
-                )
-        engine.comp[k] = ProlongationComponent(k, list(lower[k]))
-    return engine.advance(i)
-
-
 def prolong(m, g0=None, reductions=None, max_degree=None, validate_result=True):
     """Full prolongation pr(m, g0) with optional reductions.
 
-    reductions: list of (degree, subspace) where subspace is either a list in
-    reduce_component's format or a callable engine -> such a list (called
-    right after that degree is computed).
+    reductions: list of (degree, reduction) where reduction is a callable
+    engine -> subspace in reduce_component's format, called right after that
+    degree is computed.
     """
     engine = Prolongation(m, g0=g0)
     m = engine.m
     if max_degree is None:
         max_degree = m.mu + 8
     red = {}
-    for degree, sub in reductions or []:
-        red.setdefault(degree, []).append(sub)
-    for subs in red.get(0, []):
-        engine.reduce_component(0, subs(engine) if callable(subs) else subs)
+    for degree, reduction in reductions or []:
+        red.setdefault(degree, []).append(reduction)
+    for reduction in red.get(0, []):
+        engine.reduce_component(0, reduction(engine))
     status, stabilized_at = "truncated", None
     i = 0
     while i < max_degree:
         i += 1
         comp = engine.advance(i)
-        for subs in red.get(i, []):
-            engine.reduce_component(
-                i, subs(engine) if callable(subs) else subs
-            )
+        for reduction in red.get(i, []):
+            engine.reduce_component(i, reduction(engine))
             comp = engine.comp[i]
         if not comp.elements:
             status = "stabilized"

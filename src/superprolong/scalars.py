@@ -144,15 +144,25 @@ _SCALAR_RE = _re.compile(
 )
 
 
+def _fraction(numeral, what):
+    """The Fraction of a numeral "p" or "p/q" (p, q digit strings, p
+    possibly signed); q = 0 is a ValueError naming what."""
+    try:
+        return Fraction(numeral)
+    except ZeroDivisionError:
+        raise ValueError("%s %r has a zero denominator" % (what, numeral)) from None
+
+
 def parse_scalar(text):
-    """Parse "p/q" or "p/q+r/s*i" (integers allowed in place of p/q)."""
+    """Parse "p/q" or "p/q+r/s*i" (integers allowed in place of p/q); a
+    zero denominator is a ValueError."""
     m = _SCALAR_RE.match(text)
     if not m:
         raise ValueError("cannot parse scalar %r" % text)
-    re_part = Fraction(m.group("re"))
+    re_part = _fraction(m.group("re"), "scalar")
     if m.group("im") is None:
         return Scalar(re_part)
-    im_part = Fraction(m.group("im"))
+    im_part = _fraction(m.group("im"), "scalar")
     if m.group("sign") == "-":
         im_part = -im_part
     return Scalar(re_part, im_part)
@@ -169,18 +179,15 @@ def scalar_from_json(x):
 
 
 def _read_rational(x, what):
-    """x as a Fraction: an int, a Fraction or a "p/q" string (integers
-    allowed in place of p/q); anything else, a float or a boolean included,
-    is a ValueError naming what."""
+    """x as a Fraction: an int, a Fraction or a "p/q" string with q != 0
+    (integers allowed in place of p/q); anything else, a float or a boolean
+    included, is a ValueError naming what."""
     if type(x) is int or isinstance(x, Fraction):
         return Fraction(x)
     if isinstance(x, str):
         m = _SCALAR_RE.match(x)
         if m and m.group("im") is None:
-            try:
-                return Fraction(m.group("re"))
-            except ZeroDivisionError:
-                pass
+            return _fraction(m.group("re"), what)
     raise ValueError('%s %r is neither an integer nor a "p/q" string' % (what, x))
 
 

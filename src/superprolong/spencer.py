@@ -45,8 +45,7 @@ columns alone, without a kernel basis.
 
 from __future__ import annotations
 
-from .linalg import ExactMatrix, independent_rows, rank_rows
-from .scalars import Scalar
+from .linalg import independent_rows, rank_rows
 from .superspace import (
     EVEN,
     ODD,
@@ -57,8 +56,9 @@ from .superspace import (
 
 
 class CochainSlice:
-    """The component C^{d,k}(m, g) with its differential matrix d: C^{d,k} ->
-    C^{d,k+1} in the canonical monomial bases."""
+    """The component C^{d,k}(m, g) with the sparse rows (``matrix_rows``) of
+    its differential d: C^{d,k} -> C^{d,k+1} in the canonical monomial
+    bases."""
 
     def __init__(self, g, d, k):
         self.g = g
@@ -67,13 +67,6 @@ class CochainSlice:
         self.basis = cochain_basis(g, d, k)
         self.target = cochain_basis(g, d, k + 1)
         self.matrix_rows = differential_rows(g, self.basis, self.target)
-
-    def matrix(self):
-        n = len(self.basis)
-        dense = [
-            [row.get(c, Scalar(0)) for c in range(n)] for row in self.matrix_rows
-        ]
-        return ExactMatrix(dense, self.g.field)
 
 
 def cochain_basis(g, d, k):
@@ -158,22 +151,6 @@ def differential_rows(g, basis, target):
     return rows
 
 
-def ce_differential(d, k, m, g=None):
-    """Matrix of the Chevalley-Eilenberg differential C^{d,k} -> C^{d,k+1}.
-
-    m is accepted for interface symmetry (its dimensions are checked against
-    the negative part of g); pass the coefficient algebra as g.
-    """
-    g = m if g is None else g
-    if m is not g:
-        for deg in m.space.degrees():
-            if m.space.superdim(deg) != g.space.superdim(deg):
-                raise ValueError(
-                    "negative part of g does not match m at degree %d" % deg
-                )
-    return CochainSlice(g, d, k).matrix()
-
-
 def cohomology_dims(d, k, m, g=None):
     """Superdimension (even|odd) of H^{d,k}(m, g).
 
@@ -190,8 +167,7 @@ def cohomology_dims(d, k, m, g=None):
         for sl in slices:
             dim -= rank_rows(
                 [row for row, (_, _, p) in zip(sl.matrix_rows, sl.target)
-                 if p == parity],
-                len(sl.basis),
+                 if p == parity]
             )
         dims.append(dim)
     return tuple(dims)
@@ -238,7 +214,7 @@ def reduced_differential_check(m, g=None):
         }
         b_cols = [c1.target[r] for r in b_rows]
         entry["p_injective_on_ker"] = not b_cols or rank_rows(
-            differential_rows(g, b_cols, cochain_basis(g, d, 3)), len(b_cols)
+            differential_rows(g, b_cols, cochain_basis(g, d, 3))
         ) == len(b_cols)
         ok = entry["kernels_agree"] and entry["p_injective_on_ker"]
         if ok:

@@ -33,6 +33,7 @@ from .superspace import (
     signed_sum,
 )
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate as validate_alg
+from .linalg import rank_rows
 
 
 class Ambient:
@@ -394,10 +395,6 @@ class DistributionSpec:
         if len(self.basepoint) != ambient.m:
             raise ValueError("basepoint needs %d even coordinates" % ambient.m)
 
-    def rank(self):
-        p = sum(1 for g in self.generators if g.parity == EVEN)
-        return (p, len(self.generators) - p)
-
 
 class FrameField:
     """A frame member: field, flag level, pivot direction and pivot
@@ -536,14 +533,10 @@ def derived_flag(dist, max_depth=None):
 def _eval_rank(frames, residuals, level, point):
     """Evaluation rank at the base point of the level-<=level generators,
     split by parity."""
-    from .linalg import rank_rows
-
     ev_rows = {EVEN: [], ODD: []}
     fields = [f.field for f in frames if f.level <= level]
     fields += [r for lv, r in residuals if lv <= level]
-    dims = 0
     for f in fields:
-        dims = f.ambient.m + f.ambient.n
         vals = f.ev(point)
         row = {}
         for k, d in enumerate(f.ambient.directions()):
@@ -551,10 +544,7 @@ def _eval_rank(frames, residuals, level, point):
             if v:
                 row[k] = v
         ev_rows[f.parity].append(row)
-    return (
-        rank_rows(ev_rows[EVEN], dims),
-        rank_rows(ev_rows[ODD], dims),
-    )
+    return rank_rows(ev_rows[EVEN]), rank_rows(ev_rows[ODD])
 
 
 # ---------------------------------------------------------------------------

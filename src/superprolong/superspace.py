@@ -1,5 +1,5 @@
-"""Graded supervector spaces, the Koszul sign oracle, Hom, super-Lambda^k and
-the Grassmann-polynomial core.
+"""Graded supervector spaces, the Koszul sign oracle, super-Lambda^k and the
+Grassmann-polynomial core.
 
 Sign convention (used verbatim everywhere else in the package): inside a
 super exterior power, exchanging two adjacent symbols contributes -1 unless
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from .exprparse import parse_terms
 from .scalars import Scalar, as_scalar
@@ -226,41 +225,6 @@ def exterior_power_basis(space, k):
 
     rec(0, [])
     return out
-
-
-def exterior_dim(p, q, k):
-    """dim Lambda^k of a (p|q)-dimensional space: sum_j C(p,k-j)*C(q+j-1,j)."""
-    total = 0
-    for j in range(k + 1):
-        if k - j > p:
-            continue
-        multiset = 1 if j == 0 else (0 if q == 0 else comb(q + j - 1, j))
-        total += comb(p, k - j) * multiset
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Hom components
-# ---------------------------------------------------------------------------
-
-def hom_degree_component(src, dst, d):
-    """Degree-d component of Hom(src, dst) as a GradedSuperSpace.
-
-    Basis: elementary maps e* (x) f with degree(f) - degree(e) = d, tagged
-    with parity(e) + parity(f); all carry Z-degree d.
-    """
-    basis = []
-    for e in src:
-        for f in dst:
-            if f.degree - e.degree == d:
-                basis.append(
-                    BasisVector(
-                        name="%s*|%s" % (e.name, f.name),
-                        degree=d,
-                        parity=(e.parity + f.parity) % 2,
-                    )
-                )
-    return GradedSuperSpace(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 The elimination oracle here is a naive dense Gaussian elimination over
 Fraction pairs, written without reference to the package's sparse
 fraction-free code path.  Its scalar, C, a Gaussian rational kept as a plain
-pair of Fractions, is also the oracle for ``Scalar`` arithmetic.
+pair of Fractions, is also the oracle for ``Scalar`` arithmetic.  The
+dense matrix products, the supertranspose and the contact-form checks are
+reference computations that only tests read.
 """
 
 from fractions import Fraction
-from math import floor
+from math import comb, floor
 
 
 class C:
@@ -113,7 +115,7 @@ def reduced_p_injective(g, d):
     a_pos = {r: k for k, r in enumerate(a_rows)}
     ker2 = kernel_basis_rows(c2.matrix_rows, len(c2.basis))
     proj = [{a_pos[r]: x for r, x in v.items() if r in a_pos} for v in ker2]
-    return rank_rows(proj, len(a_rows)) == len(ker2)
+    return rank_rows(proj) == len(ker2)
 
 
 def prolongation_step(engine, i):
@@ -253,3 +255,172 @@ def jacobi_violations_all_triples(L):
                         }
                     )
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense matrix products: the reference for matrix realizations and ranks
+# ---------------------------------------------------------------------------
+
+def mat_mul(A, other):
+    """A * other for an ExactMatrix A and an ExactMatrix or a scalar."""
+    from superprolong.linalg import ExactMatrix
+    from superprolong.scalars import FIELD_Q, FIELD_QI, Scalar, as_scalar
+
+    if isinstance(other, ExactMatrix):
+        if A.cols != other.rows:
+            raise ValueError("shape mismatch")
+        field = FIELD_QI if FIELD_QI in (A.field, other.field) else FIELD_Q
+        out = []
+        for i in range(A.rows):
+            row = []
+            for j in range(other.cols):
+                s = Scalar(0)
+                for k in range(A.cols):
+                    a = A.entries[i][k]
+                    if a:
+                        s = s + a * other.entries[k][j]
+                row.append(s)
+            out.append(row)
+        return ExactMatrix(out, field)
+    s = as_scalar(other)
+    return ExactMatrix([[e * s for e in row] for row in A.entries], A.field)
+
+
+def mat_add(A, B):
+    from superprolong.linalg import ExactMatrix
+    from superprolong.scalars import FIELD_Q, FIELD_QI
+
+    if A.rows != B.rows or A.cols != B.cols:
+        raise ValueError("shape mismatch")
+    field = FIELD_QI if FIELD_QI in (A.field, B.field) else FIELD_Q
+    return ExactMatrix(
+        [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(A.entries, B.entries)],
+        field,
+    )
+
+
+def mat_apply(A, vec):
+    """Matrix-vector product; vec is a list of Scalars."""
+    from superprolong.scalars import Scalar
+
+    out = []
+    for row in A.entries:
+        s = Scalar(0)
+        for a, v in zip(row, vec):
+            if a and v:
+                s = s + a * v
+        out.append(s)
+    return out
+
+
+def mat_is_zero(A):
+    return all(not e for row in A.entries for e in row)
+
+
+def supertranspose(M, p):
+    """Supertranspose convention under which X^st P + (-1)^{|X|} P X = 0
+    cuts out the periplectic algebras in their block form:
+    (A B; C D)^st = (A^t -C^t; B^t D^t)."""
+    from superprolong.catalog import _entry_parity
+    from superprolong.linalg import ExactMatrix
+    from superprolong.scalars import Scalar
+    from superprolong.superspace import EVEN, ODD
+
+    n = M.rows
+    out = [[Scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            s = M[(i, j)]
+            if not s:
+                continue
+            sign = -1 if (_entry_parity(p, i) == ODD and _entry_parity(p, j) == EVEN) else 1
+            out[j][i] = s * Scalar(sign)
+    return ExactMatrix(out, M.field)
+
+
+# ---------------------------------------------------------------------------
+# superspaces and jets
+# ---------------------------------------------------------------------------
+
+def exterior_dim(p, q, k):
+    """dim Lambda^k of a (p|q)-dimensional space: sum_j C(p,k-j)*C(q+j-1,j)."""
+    total = 0
+    for j in range(k + 1):
+        if k - j > p:
+            continue
+        multiset = 1 if j == 0 else (0 if q == 0 else comb(q + j - 1, j))
+        total += comb(p, k - j) * multiset
+    return total
+
+
+def odd_coords(ctx, order):
+    """All multi-indices (sorted tuples over 1..p) with |I| <= order of the
+    jet context ctx."""
+    out = [()]
+    cur = [()]
+    for _ in range(order):
+        nxt = []
+        for I in cur:
+            lo = I[-1] if I else 1
+            for i in range(lo, ctx.p + 1):
+                nxt.append(I + (i,))
+        out.extend(nxt)
+        cur = nxt
+    return out
+
+
+def restrict(S, order):
+    """The contact field S on J^order: coefficients truncated to jet order
+    order, directions d_{xi_I} with |I| > order dropped."""
+    from superprolong.oddode import ContactField
+
+    return ContactField(
+        S.ambient, order, S.parity,
+        {
+            d: f.truncate(order)
+            for d, f in S.coeffs.items()
+            if d[0] == "x" or len(d[1]) <= order
+        },
+    )
+
+
+def iota_sigma(S):
+    """Contraction of the contact form sigma = d xi - dx^i xi_i with S."""
+    from superprolong.oddode import JetFunction
+
+    ctx = S.ambient
+    out = JetFunction(ctx) + S.coefficient(("xi", ()))
+    for i in range(ctx.p):
+        cx = S.coefficient(("x", i))
+        if cx:
+            out = out - cx * JetFunction.odd_coord(ctx, (i + 1,))
+    return out
+
+
+def contact_form_preserved(S):
+    """sigma([S, V]) = 0 for V in the contact distribution of J^1."""
+    from superprolong.oddode import ContactField, JetFunction
+    from superprolong.superspace import EVEN, ODD
+
+    ctx = S.ambient
+    kernel_fields = []
+    for i in range(ctx.p):
+        kernel_fields.append(
+            ContactField(
+                ctx, 1, EVEN,
+                {
+                    ("x", i): JetFunction.constant(ctx, 1),
+                    ("xi", ()): JetFunction.odd_coord(ctx, (i + 1,)),
+                },
+            )
+        )
+        kernel_fields.append(
+            ContactField(
+                ctx, 1, ODD,
+                {("xi", (i + 1,)): JetFunction.constant(ctx, 1)},
+            )
+        )
+    for V in kernel_fields:
+        if iota_sigma(S.bracket(V)):
+            return False
+    return True

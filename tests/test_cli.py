@@ -125,12 +125,19 @@ def _float_coefficient():
     return json.dumps(data)
 
 
+def _zero_denominator():
+    data = _shc_json()
+    data["brackets"][0]["result"][0]["coeff"] = "1/0"
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("command", ["prolong", "cohomology"])
 @pytest.mark.parametrize(
     "text, message",
     [(_basis_vector_named_twice, "bracket [e1, e2] names basis vector h twice"),
-     (_float_coefficient, 'coefficient 0.5 is neither a "p/q" string nor an integer')],
-    ids=["basis-vector-named-twice", "float-coefficient"],
+     (_float_coefficient, 'coefficient 0.5 is neither a "p/q" string nor an integer'),
+     (_zero_denominator, "scalar '1/0' has a zero denominator")],
+    ids=["basis-vector-named-twice", "float-coefficient", "zero-denominator"],
 )
 def test_malformed_bracket_result_exit_two(tmp_path, capsys, command, text, message):
     path = tmp_path / "alg.json"
@@ -141,6 +148,84 @@ def test_malformed_bracket_result_exit_two(tmp_path, capsys, command, text, mess
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err == "input error: %s: %s\n" % (path, message)
+
+
+@pytest.mark.parametrize(
+    "degree", [-1.5, True, "-1"], ids=["float", "bool", "string"]
+)
+def test_algebra_degree_must_be_a_json_integer(tmp_path, capsys, degree):
+    data = _shc_json()
+    data["basis"][0]["degree"] = degree
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["prolong", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s: degree of e1 must be an integer, not %r\n" % (
+        path, degree
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["prolong", "--name", "spe_ab:2:1/0:1"],
+      "spe_ab argument a '1/0' has a zero denominator"),
+     (["prolong", "--name", "spe_ab:2:1:0/0"],
+      "spe_ab argument b '0/0' has a zero denominator"),
+     (["odesym", "--order", "3", "--rhs", "1/0*xi"],
+      "number '1/0' has a zero denominator")],
+    ids=["spe_ab-a", "spe_ab-b", "odesym-rhs"],
+)
+def test_zero_denominator_exit_two(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s\n" % message
+
+
+def _zero_denominator_field():
+    return {
+        "ambient": {"even": ["x", "y"], "odd": ["t"]},
+        "generators": [
+            "@y",
+            {"coefficients": [
+                {"direction": "x",
+                 "monomials": [{"x_exponents": [0, 0], "coeff": "1/0"}]}
+            ]},
+        ],
+    }
+
+
+def _bracket_result_object():
+    data = _shc_json()
+    data["brackets"][0]["result"] = {"basis": "h", "coeff": "1"}
+    return data
+
+
+_CONTACT_WITH_A_NUMBER = {"ambient": {"even": ["x"], "odd": ["xi", "xi1"]},
+                          "generators": ["@x + xi1*@xi", 5]}
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [("odesym", lambda: {"rhs": "xi2"}, "unknown or missing name 'order'"),
+     ("odesym", lambda: {"order": 3}, "unknown or missing name 'rhs'"),
+     ("prolong", lambda: [1, 2], "expected a JSON object, got list"),
+     ("symbol", lambda: [1, 2], "expected a JSON object, got list"),
+     ("odesym", lambda: [1, 2], "expected a JSON object, got list"),
+     ("odesym", lambda: {"order": 3, "rhs": "xi2", "basis": [2]}, ""),
+     ("prolong", _bracket_result_object, ""),
+     ("symbol", lambda: _CONTACT_WITH_A_NUMBER, ""),
+     ("symbol", _zero_denominator_field, "scalar '1/0' has a zero denominator")],
+    ids=["ode-without-order", "ode-without-rhs", "prolong-array", "symbol-array",
+         "odesym-array", "ode-basis-list", "bracket-result-object",
+         "generator-number", "field-zero-denominator"],
+)
+def test_json_input_of_the_wrong_shape_exit_two(tmp_path, capsys, command, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data()))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: %s: %s" % (path, message))
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_failed_validation_names_the_file_and_the_first_violation(tmp_path, capsys):
@@ -220,7 +305,7 @@ def test_distribution_bad_x_exponents_exit_two(tmp_path, capsys, command):
     path.write_text(json.dumps(data))
     code, out, err = run_cli([command, "--input", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("input error: x_exponents [1]")
+    assert err.startswith("input error: %s: x_exponents [1]" % path)
 
 
 @pytest.mark.parametrize("command", ["symbol", "check-regular"])
@@ -239,7 +324,10 @@ def test_distribution_float_coefficient_exit_two(tmp_path, capsys, command):
     path.write_text(json.dumps(data))
     code, out, err = run_cli([command, "--input", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err == 'input error: coefficient 0.5 is neither a "p/q" string nor an integer\n'
+    assert err == (
+        'input error: %s: coefficient 0.5 is neither a "p/q" string nor an integer\n'
+        % path
+    )
 
 
 def test_check_regular_is_decided_at_the_base_point(tmp_path, capsys):
@@ -373,7 +461,7 @@ def test_odesym_rejects_unsolvable_order_or_degree(
     )
     code, out, err = run_cli(["odesym", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err == "input error: %s\n" % message
+    assert err == "input error: %s: %s\n" % (path, message)
 
 
 @pytest.mark.parametrize(
@@ -437,8 +525,8 @@ def test_odesym_input_with_a_non_string_rhs_exit_two(tmp_path, capsys, rhs):
     code, out, err = run_cli(["odesym", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == (
-        "input error: the right-hand side must be a string or a JetFunction, "
-        "not %r\n" % rhs
+        "input error: %s: the right-hand side must be a string or a JetFunction, "
+        "not %r\n" % (path, rhs)
     )
 
 
@@ -473,7 +561,7 @@ def test_distribution_inexact_numbers_exit_two(tmp_path, capsys, command, extra,
     path.write_text(json.dumps(dict(_CONTACT, **extra)))
     code, out, err = run_cli([command, "--input", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err == "input error: %s\n" % message
+    assert err == "input error: %s: %s\n" % (path, message)
 
 
 @pytest.mark.parametrize(
@@ -494,7 +582,7 @@ def test_odesym_input_inexact_numbers_exit_two(tmp_path, capsys, extra, message)
     path.write_text(json.dumps(dict({"order": 3, "rhs": "xi2"}, **extra)))
     code, out, err = run_cli(["odesym", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err == "input error: %s\n" % message
+    assert err == "input error: %s: %s\n" % (path, message)
 
 
 def test_odesym_exp_takes_an_exact_rational(capsys):

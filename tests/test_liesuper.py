@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from oracles import jacobi_violations_all_triples
+from oracles import (
+    jacobi_violations_all_triples,
+    mat_add,
+    mat_is_zero,
+    mat_mul,
+    supertranspose,
+)
 from superprolong.scalars import FIELD_QI, Scalar
 from superprolong.superspace import EVEN, ODD
 from superprolong import catalog
@@ -26,7 +32,6 @@ from superprolong.catalog import (
     spe_ab,
     spo,
     supertranslation,
-    supertranspose,
 )
 from superprolong.liesuper import (
     LieSuperalgebra,
@@ -85,7 +90,7 @@ def test_matrix_bracket_is_supercommutator():
                 pb = alg.space[b].parity
                 Ma, Mb = alg.rep[a], alg.rep[b]
                 sgn = Scalar(1) if (pa and pb) else Scalar(-1)
-                C = Ma * Mb + (Mb * Ma) * sgn
+                C = mat_add(mat_mul(Ma, Mb), mat_mul(mat_mul(Mb, Ma), sgn))
                 expect = alg.bracket_indices(a, b)
                 got = ExactSum(alg, expect)
                 assert C == got, (alg.space[a].name, alg.space[b].name)
@@ -97,7 +102,7 @@ def ExactSum(alg, vec):
 
     out = ExactMatrix.zeros(n, n, alg.field)
     for c, s in vec.items():
-        out = out + alg.rep[c] * s
+        out = mat_add(out, mat_mul(alg.rep[c], s))
     return out
 
 
@@ -110,8 +115,10 @@ def test_pe_supertranspose_membership():
             for k in range(len(alg.space)):
                 X = alg.rep[k]
                 sgn = Scalar(-1) if alg.space[k].parity else Scalar(1)
-                M = supertranspose(X, n) * P + (P * X) * sgn
-                assert M.is_zero(), (n, skew, alg.space[k].name)
+                M = mat_add(
+                    mat_mul(supertranspose(X, n), P), mat_mul(mat_mul(P, X), sgn)
+                )
+                assert mat_is_zero(M), (n, skew, alg.space[k].name)
 
 
 def test_validator_catches_broken_jacobi():
@@ -348,25 +355,22 @@ def test_derivations_satisfy_identity_independently():
     m = SymbolAlgebra(shc_symbol())
     ders = derivations_gr(m, 0)
     n = len(m.space)
-    for k, (p, action) in enumerate(ders.elements):
-        M = ders.matrix(k)
+    for p, action in ders.elements:
         for a in range(n):
             for b in range(n):
                 lhs = {}
                 for c, s in m.bracket_indices(a, b).items():
-                    col = {i: M[(i, c)] for i in range(n) if M[(i, c)]}
+                    col = action.get(c, {})
                     for i, x in col.items():
                         lhs[i] = lhs.get(i, Scalar(0)) + s * x
                 rhs = {}
-                for i in range(n):
-                    if M[(i, a)]:
-                        for c, s in m.bracket_indices(i, b).items():
-                            rhs[c] = rhs.get(c, Scalar(0)) + M[(i, a)] * s
+                for i, x in action.get(a, {}).items():
+                    for c, s in m.bracket_indices(i, b).items():
+                        rhs[c] = rhs.get(c, Scalar(0)) + x * s
                 sgn = Scalar(-1) if (p and m.space[a].parity) else Scalar(1)
-                for i in range(n):
-                    if M[(i, b)]:
-                        for c, s in m.bracket_indices(a, i).items():
-                            rhs[c] = rhs.get(c, Scalar(0)) + sgn * M[(i, b)] * s
+                for i, x in action.get(b, {}).items():
+                    for c, s in m.bracket_indices(a, i).items():
+                        rhs[c] = rhs.get(c, Scalar(0)) + sgn * x * s
                 assert {k2: v for k2, v in lhs.items() if v} == {
                     k2: v for k2, v in rhs.items() if v
                 }

@@ -22,7 +22,15 @@ from superprolong.linalg import (
     svec_axpy,
 )
 
-from oracles import C, gaussian_content_norm, naive_kernel_dim, naive_rank, naive_rref
+from oracles import (
+    C,
+    gaussian_content_norm,
+    mat_apply,
+    mat_mul,
+    naive_kernel_dim,
+    naive_rank,
+    naive_rref,
+)
 
 
 def rand_scalar(rng, gaussian=False):
@@ -188,7 +196,7 @@ def test_kernel_single_row():
     km = kernel_basis(M)
     assert len(km) == 2
     for v in km:
-        assert all(not e for e in M.apply(v))
+        assert all(not e for e in mat_apply(M, v))
         assert next(e for e in v if e) == Scalar(1)
     solver = SpanSolver([{i: e for i, e in enumerate(v) if e} for v in km])
     for hand in ([-2, 1, 0], [-3, 0, 1]):
@@ -218,7 +226,7 @@ def test_rank_plus_kernel_is_cols_randomized():
                     row[j] = x
             rows.append(row)
         M = dense(rows, cols)
-        r = rank_rows(rows, cols)
+        r = rank_rows(rows)
         km = kernel_basis_rows(rows, cols)
         assert r + len(km) == cols
         assert r == naive_rank(M)
@@ -236,7 +244,7 @@ def test_rank_plus_kernel_is_cols_randomized():
         assert rank(M) == rank(ExactMatrix(M, FIELD_QI)) == r
         assert kernel_basis(M) == kernel_basis(ExactMatrix(M, FIELD_QI)) == dense(km, cols)
         # solve: the unique solution on the pivot columns, free variables 0
-        piv = pivot_columns(rows, cols)
+        piv = pivot_columns(rows)
         x = {c: rand_scalar(rng, gaussian) for c in piv}
         rhs = [sum((a * x.get(j, Scalar(0)) for j, a in row.items()), Scalar(0)) for row in rows]
         got = solve(M, rhs)
@@ -254,7 +262,7 @@ def test_rank_of_product_bound():
     for _ in range(20):
         A = ExactMatrix([[rand_scalar(rng) for _ in range(4)] for _ in range(4)])
         B = ExactMatrix([[rand_scalar(rng) for _ in range(4)] for _ in range(4)])
-        assert rank(A * B) <= min(rank(A), rank(B))
+        assert rank(mat_mul(A, B)) <= min(rank(A), rank(B))
 
 
 def test_field_tag_enforced():
@@ -422,8 +430,8 @@ def test_one_elimination_matches_the_rref_oracle(problem):
     want, piv = rref_kernel(rows, ncols)
     # entry for entry and in order, whatever the elimination order
     assert [list(v.items()) for v in kernel_basis_rows(rows, ncols)] == want
-    assert pivot_columns(rows, ncols) == piv
-    assert rank_rows(rows, ncols) == len(piv)
+    assert pivot_columns(rows) == piv
+    assert rank_rows(rows) == len(piv)
 
 
 @settings(max_examples=200, deadline=None)
@@ -435,19 +443,19 @@ def test_independent_rows_are_the_rows_that_raise_the_oracle_rank(problem):
         if naive_rank(dense(rows[:i + 1], ncols)) > naive_rank(dense(rows[:i], ncols))
     ]
     assert independent_rows(rows) == want
-    assert len(want) == rank_rows(rows, ncols)
+    assert len(want) == rank_rows(rows)
 
 
 def test_pivot_columns_when_the_first_row_does_not_hold_the_leftmost_pivot():
     one = Scalar(1)
     rows = [{2: one}, {1: one, 3: one}, {0: Scalar(2), 1: one}]
-    assert pivot_columns(rows, 4) == [0, 1, 2]
+    assert pivot_columns(rows) == [0, 1, 2]
     assert kernel_basis_rows(rows, 4) == [
         {0: one, 1: Scalar(-2), 3: Scalar(2)}
     ]
     # a later row that repeats an earlier one adds no pivot
     rows = [{1: one, 2: one}, {0: I}, {1: Scalar(3), 2: Scalar(3)}]
-    assert pivot_columns(rows, 3) == [0, 1]
+    assert pivot_columns(rows) == [0, 1]
     assert kernel_basis_rows(rows, 3) == [{1: one, 2: Scalar(-1)}]
 
 
@@ -516,7 +524,7 @@ def test_dense_gaussian_elimination_matches_the_oracle_with_primitive_pivots(pro
     rows, ncols = problem
     want, piv = rref_kernel(rows, ncols)
     assert [list(v.items()) for v in kernel_basis_rows(rows, ncols)] == want
-    assert pivot_columns(rows, ncols) == piv
+    assert pivot_columns(rows) == piv
     # every stored pivot row has a unit as its Gaussian content
     assert_gaussian_primitive(_echelon(rows))
     assert_gaussian_primitive(SpanSolver(rows).pivots)
@@ -553,5 +561,5 @@ def test_dense_random_gaussian_matrix_matches_the_oracle():
         rows.append(row)
     want, piv = rref_kernel(rows, ncols)
     assert [list(v.items()) for v in kernel_basis_rows(rows, ncols)] == want
-    assert rank_rows(rows, ncols) == len(piv)
+    assert rank_rows(rows) == len(piv)
     assert_gaussian_primitive(_echelon(rows))

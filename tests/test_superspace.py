@@ -5,14 +5,13 @@ from superprolong.superspace import (
     ODD,
     BasisVector,
     GradedSuperSpace,
-    exterior_dim,
     exterior_power_basis,
     extraction_sign,
-    hom_degree_component,
     koszul_sign,
     sort_with_sign,
 )
-from superprolong.catalog import odd_ode_symbol
+
+from oracles import exterior_dim
 
 
 def make_space(p, q, degree=-1):
@@ -87,26 +86,3 @@ def test_exterior_monomial_shapes():
     # purely even truncates at k = n
     S = make_space(3, 0)
     assert exterior_power_basis(S, 4) == []
-
-
-def test_hom_degree_component_example():
-    m = odd_ode_symbol(2).space
-    h = hom_degree_component(m, m, 0)
-    assert h.superdim() == (3, 2)
-    assert hom_degree_component(m, m, -5).superdim() == (0, 0)
-    one = make_space(1, 0)
-    assert hom_degree_component(one, one, 0).superdim() == (1, 0)
-
-
-def test_hom_additive_over_direct_sums():
-    m = odd_ode_symbol(3).space
-    a = make_space(2, 1, degree=-1)
-    b = make_space(1, 2, degree=-2)
-    basis = [BasisVector("a" + v.name, v.degree, v.parity) for v in a]
-    basis += [BasisVector("b" + v.name, v.degree, v.parity) for v in b]
-    ab = GradedSuperSpace(basis)
-    for d in (-1, 0, 1):
-        pa = hom_degree_component(m, a, d).superdim()
-        pb = hom_degree_component(m, b, d).superdim()
-        pab = hom_degree_component(m, ab, d).superdim()
-        assert pab == (pa[0] + pb[0], pa[1] + pb[1])
