@@ -23,7 +23,11 @@ so that no Gaussian common factor grows through later rows.  A row
 becomes a pivot exactly when it is independent of the rows before it, and
 ``independent_rows`` reports which rows did.  ``pivot_columns``,
 ``rank_rows``, ``independent_rows``, ``kernel_basis_rows`` and
-``SpanSolver`` all read this loop.
+``SpanSolver`` all read this loop.  ``SpanSolver`` then back-substitutes
+once, in descending pivot order with the same reduction, so that no pivot
+row holds another pivot column; each solve reads its coefficients off
+those rows, one integer multiple per pivot the target holds, and
+eliminates nothing.
 
 The answers do not depend on the order of elimination.  The pivot columns
 of any echelon form are the lowest columns of the nonzero vectors of the
@@ -37,6 +41,7 @@ across runs and platforms.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from fractions import Fraction
 from math import gcd, lcm
 
 from .scalars import FIELD_Q, FIELD_QI, Scalar, as_scalar
@@ -49,17 +54,20 @@ from .scalars import FIELD_Q, FIELD_QI, Scalar, as_scalar
 def _int_row(items):
     """(row, den): the nonzero (col, Scalar) items as a dict of integer
     pairs (re, im), all scaled by den, the lcm of their denominators."""
-    items = [(j, e) for j, e in items if e.re or e.im]
+    row = {}
     den = 1
-    for _, e in items:
-        if type(e.re) is not int or type(e.im) is not int:
-            den = lcm(den, e.re.denominator, e.im.denominator)
+    for j, e in items:
+        a, b = e.re, e.im
+        if a or b:
+            row[j] = (a, b)
+            if type(a) is not int or type(b) is not int:
+                den = lcm(den, a.denominator, b.denominator)
     if den == 1:
-        return {j: (e.re, e.im) for j, e in items}, 1
+        return row, 1
     return {
-        j: (e.re.numerator * (den // e.re.denominator),
-            e.im.numerator * (den // e.im.denominator))
-        for j, e in items
+        j: (a.numerator * (den // a.denominator),
+            b.numerator * (den // b.denominator))
+        for j, (a, b) in row.items()
     }, den
 
 
@@ -311,7 +319,8 @@ def solve(M, rhs):
 
 class SpanSolver:
     """Reusable exact solver for membership in the span of fixed sparse
-    vectors; one elimination up front, then many solves.
+    vectors: one elimination and one back substitution up front, then each
+    solve is a read-off.
 
     Keys of the vectors may be any mutually comparable hashables; zero
     entries of the vectors and of a target are ignored.  Vector i enters the
@@ -319,40 +328,94 @@ class SpanSolver:
     row records which combination of the vectors it is.  A vector whose
     (0, key) part vanishes depends on earlier ones and is dropped; a pivot
     row thus involves only its own vector and earlier independent ones.
+
+    Back substitution then runs in descending pivot order: each pivot row is
+    reduced against the rows already done and divided by its Gaussian
+    content again, so that no pivot row holds another pivot column.
+    ``pivots`` maps each pivot column to that reduced, Gaussian-primitive
+    integer row.  Multiplied by conj(lead) / gcd(lead.re, lead.im), a row
+    has a positive rational integer lead; it is stored under its pivot key
+    as (lead, w, comb), w its vector part off the pivot and comb its (1, i)
+    part, so that lead * e_key + w = sum of comb[i] * vector i.
     """
 
     def __init__(self, vectors):
-        self.pivots = {}
+        pivots = {}
         for i, v in enumerate(vectors):
             row, den = _int_row(((0, j), x) for j, x in v.items())
             row[(1, i)] = (den, 0)
-            row = _reduce(row, self.pivots)
+            row = _reduce(row, pivots)
             c = min(row)
             if c[0] == 0:
-                self.pivots[c] = _pivot_row(row)
+                pivots[c] = _pivot_row(row)
+        self.pivots = {}
+        for c in sorted(pivots, reverse=True):
+            self.pivots[c] = _pivot_row(_reduce(pivots[c], self.pivots))
+        self._read = {}
+        for c, row in self.pivots.items():
+            parts = ({}, {})
+            for (tag, j), x in row.items():
+                parts[tag][j] = x
+            a, b = parts[0].pop(c[1])
+            g = gcd(a, b)
+            w, comb = (_pair_axpy({}, a // g, -b // g, p) for p in parts)
+            self._read[c[1]] = ((a * a + b * b) // g, w, comb)
 
     def solve(self, target):
         """Sparse coefficients {vector index: Scalar} over the original
         vectors, in increasing index order (zero coefficients omitted), or
-        None when target is not in their span: the nonzero residual after
-        elimination is the certificate.  The coefficients sit on the vectors
-        independent of the ones before them.
+        None when target is not in their span.  The coefficients sit on the
+        vectors independent of the ones before them.
 
-        The target enters as {(0, key): entry} + {(2, 0): 1}; once its
-        (0, key) part is eliminated, the row reads
-        0 = row[(2, 0)] * target + sum of row[(1, i)] * vector i.
+        No elimination runs here.  With t = den * target in Gaussian
+        integers and L the lcm of the leads of the pivot keys that t holds,
+        f_c = t[c] * L / lead_c.  The residual L * t - sum of
+        f_c * (lead_c * e_c + w_c) is zero at every pivot column and lies in
+        the span exactly when target does, so a nonzero residual certifies
+        that target is outside; otherwise target is the sum of
+        f_c * comb_c / (den * L).
         """
-        row, den = _int_row(((0, j), x) for j, x in target.items())
-        row[(2, 0)] = (den, 0)
-        row = _reduce(row, self.pivots)
-        lead = Scalar(*row.pop((2, 0)))
-        coeffs = []
-        for (tag, i), (a, b) in row.items():
-            if tag == 0:
-                return None
-            coeffs.append((i, Scalar(-a, -b) / lead))
-        coeffs.sort()
-        return dict(coeffs)
+        if not target:
+            return {}
+        row, den = _int_row(target.items())
+        read = self._read
+        hit = [(read[j], t) for j, t in row.items() if j in read]
+        L = lcm(*(lead for (lead, _, _), _ in hit))
+        residual = {
+            j: (L * a, L * b) for j, (a, b) in row.items() if j not in read
+        }
+        fs = []
+        for (lead, w, comb), (a, b) in hit:
+            q = L // lead
+            fs.append((a * q, b * q, comb))
+            _pair_axpy(residual, -a * q, -b * q, w)
+        if residual:
+            return None
+        acc = {}
+        for fa, fb, comb in fs:
+            _pair_axpy(acc, fa, fb, comb)
+        d = den * L
+        return {
+            i: Scalar(a, b) if d == 1 else Scalar(Fraction(a, d), Fraction(b, d))
+            for i, (a, b) in sorted(acc.items())
+        }
+
+
+def _pair_axpy(acc, fa, fb, v):
+    """acc += (fa + fb i) * v in place, for dicts of Gaussian-integer pairs
+    (re, im); zero entries are pruned."""
+    for j, (x, y) in v.items():
+        a = fa * x - fb * y
+        b = fa * y + fb * x
+        old = acc.get(j)
+        if old is not None:
+            a += old[0]
+            b += old[1]
+        if a or b:
+            acc[j] = (a, b)
+        else:
+            acc.pop(j, None)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,16 @@ g_0 = Z^{0,1}(m, m).
 
 Brackets between nonnegative components are recovered from the operator
 identity ad_{[u,v]} = [ad_u, ad_v] and solved back to coordinates;
-well-definedness relies on transitivity and is asserted at runtime.  Each component is eliminated once, into a cached
+well-definedness relies on transitivity and is asserted at runtime.  One
+bracket is computed and cached per unordered pair of elements, in the
+canonical order (k, e_k) <= (l, e_l); the other order is its sign flip by
+super-antisymmetry, which ``apply_element`` folds into its coefficient.
+Each component is eliminated and back-substituted once, into a cached
 SpanSolver over its elements' actions flattened to sparse vectors keyed by
-(m-basis index, target coordinate); every later solve returns the sparse
-coordinates {element index: Scalar}, and a nonzero residual after the
-elimination certifies that the vector lies outside the component, which
-raises ProlongationError.  Reductions express g_0 matrices and prescribed
+(m-basis index, target coordinate); every later solve reads off the sparse
+coordinates {element index: Scalar}, and a nonzero residual certifies
+that the vector lies outside the component, which raises
+ProlongationError.  Reductions express g_0 matrices and prescribed
 subspaces through the same cached solvers.
 
 Reductions replace a computed component by a prescribed subspace; codomains
@@ -88,11 +92,12 @@ class Prolongation:
         self.m = m
         self.space = m.space
         self.n = len(m.space)
+        self._degs = [b.degree for b in m.space]
         elements = _normalize_g0(m, g0)
         self._check_derivations(elements)
         self.comp = {0: ProlongationComponent(0, elements)}
         self.top = 0
-        self._brackets = {}  # (k, ek, l, el) -> vec over comp[k+l], k <= l
+        self._brackets = {}  # (k, ek, l, el) -> vec over comp[k+l], canonical
         self._solvers = {}
         self.reduced_at = []
         if g0 is not None:
@@ -100,15 +105,14 @@ class Prolongation:
 
     # -- small helpers ---------------------------------------------------
 
-    def _deg(self, b):
-        return self.space[b].degree
-
     def _par(self, b):
         return self.space[b].parity
 
     def apply_element(self, k, e_idx, target_k, vec):
         """[e, x] for e in comp[k] (k >= 0) and x a vector in the degree
-        target_k component; lands in degree k + target_k."""
+        target_k component; lands in degree k + target_k.  A bracket with a
+        component element t is read from the cache in canonical order, with
+        the super-antisymmetry sign folded into its coefficient."""
         par_e, action = self.comp[k].elements[e_idx]
         out = {}
         if target_k < 0:
@@ -117,36 +121,38 @@ class Prolongation:
                 if img:
                     svec_axpy(out, c, img)
             return out
+        elements = self.comp[target_k].elements
         for t, c in vec.items():
-            res = self.bracket_elements(k, e_idx, target_k, t)
+            if (k, e_idx) <= (target_k, t):
+                res = self.bracket_elements(k, e_idx, target_k, t)
+            else:
+                res = self.bracket_elements(target_k, t, k, e_idx)
+                if not (par_e == ODD and elements[t][0] == ODD):
+                    c = -c
             if res:
                 svec_axpy(out, c, res)
         return out
 
     def bracket_elements(self, k, ek, l, el):
         """[e_k, e_l] for computed elements (k, l >= 0) as a vector over
-        comp[k+l]; zero when k+l exceeds the stabilized range."""
-        if (k, ek, l, el) in self._brackets:
-            return self._brackets[(k, ek, l, el)]
-        pk = self.comp[k].elements[ek][0]
-        pl = self.comp[l].elements[el][0]
-        if l < k:
-            flip = self.bracket_elements(l, el, k, ek)
-            sign = 1 if (pk == ODD and pl == ODD) else -1
-            res = svec_scale(flip, sign)
-            self._brackets[(k, ek, l, el)] = res
-            return res
-        # z(b) = [e_k, [e_l, b]] - (-1)^{pk pl} [e_l, [e_k, b]]
-        act_k = self.comp[k].elements[ek][1]
-        act_l = self.comp[l].elements[el][1]
+        comp[k+l]; zero when k+l exceeds the stabilized range.  Only
+        canonical pairs, (k, ek) <= (l, el), are cached; any other pair is
+        the sign-flipped copy of its canonical one."""
+        key = (k, ek, l, el)
+        if key in self._brackets:
+            return self._brackets[key]
+        pk, act_k = self.comp[k].elements[ek]
+        pl, act_l = self.comp[l].elements[el]
         sign = 1 if (pk == ODD and pl == ODD) else -1
+        if (l, el) < (k, ek):
+            return svec_scale(self.bracket_elements(l, el, k, ek), sign)
+        # z(b) = [e_k, [e_l, b]] - (-1)^{pk pl} [e_l, [e_k, b]]
+        degs = self._degs
         z_action = {}
-        for b in range(self.n):
-            degb = self._deg(b)
-            term = {}
+        for b in act_l.keys() | act_k.keys():
+            degb = degs[b]
             v1 = act_l.get(b)
-            if v1:
-                svec_axpy(term, 1, self.apply_element(k, ek, l + degb, v1))
+            term = self.apply_element(k, ek, l + degb, v1) if v1 else {}
             v2 = act_k.get(b)
             if v2:
                 svec_axpy(term, sign, self.apply_element(l, el, k + degb, v2))
@@ -158,7 +164,7 @@ class Prolongation:
                 raise ProlongationError(
                     "bracket [g_%d, g_%d] escapes the computed range" % (k, l)
                 )
-            self._brackets[(k, ek, l, el)] = {}
+            self._brackets[key] = {}
             return {}
         res = self._solve_in_component(degree, z_action)
         if res is None:
@@ -167,7 +173,7 @@ class Prolongation:
                 "(reduction compatibility violated by elements %d, %d)"
                 % (k, l, degree, ek, el)
             )
-        self._brackets[(k, ek, l, el)] = res
+        self._brackets[key] = res
         return res
 
     def _solve_in_component(self, degree, action):
@@ -188,7 +194,7 @@ class Prolongation:
         for idx, (p, action) in enumerate(elements):
             for b, col in action.items():
                 for i in col:
-                    if self._deg(i) != self._deg(b):
+                    if self._degs[i] != self._degs[b]:
                         raise ProlongationError(
                             "g0 element %d is not of degree 0" % idx
                         )
@@ -222,7 +228,13 @@ class Prolongation:
         k = len(self.comp[0].elements)
         for i in range(k):
             for j in range(i, k):
-                self.bracket_elements(0, i, 0, j)  # raises if not in span
+                try:
+                    self.bracket_elements(0, i, 0, j)
+                except ProlongationError:
+                    raise ProlongationError(
+                        "g0 is not closed under the bracket: the bracket of "
+                        "g0 elements %d and %d does not lie in g0" % (i, j)
+                    ) from None
 
     # -- the prolongation step ----------------------------------------------
 
@@ -240,7 +252,7 @@ class Prolongation:
         for p, action in one_cocycles(g, i):
             local = {}
             for b, vec in action.items():
-                off = offsets.get(i + self._deg(b), 0)
+                off = offsets.get(i + self._degs[b], 0)
                 local[b] = {t - off: s for t, s in vec.items()}
             elements.append((p, local))
         return ProlongationComponent(i, elements)
@@ -344,7 +356,7 @@ class Prolongation:
         for k in range(0, self.top + 1):
             for idx, (_, action) in enumerate(self.comp[k].elements):
                 for b, vec in action.items():
-                    off = offsets.get(k + self._deg(b), 0)
+                    off = offsets.get(k + self._degs[b], 0)
                     brackets[(offsets[k] + idx, b)] = {
                         off + t: s for t, s in vec.items()
                     }

@@ -40,6 +40,13 @@ class Ambient:
     """Coordinate chart of R^{m|n}: ordered even and odd coordinate names."""
 
     def __init__(self, even_names, odd_names, degree_cap=8):
+        for kind, names in (("even", even_names), ("odd", odd_names)):
+            if not (isinstance(names, (list, tuple))
+                    and all(isinstance(x, str) for x in names)):
+                raise ValueError(
+                    "%s coordinates must be a list of names, not %r"
+                    % (kind, names)
+                )
         self.even = list(even_names)
         self.odd = list(odd_names)
         self.m = len(self.even)

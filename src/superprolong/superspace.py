@@ -29,10 +29,13 @@ ODD = 1
 
 
 def parity_from_str(s):
-    if s in (0, "even", "0"):
-        return EVEN
-    if s in (1, "odd", "1"):
-        return ODD
+    """The parity named by the int 0 or 1 or the string "even", "odd", "0"
+    or "1"; anything else, a boolean or a float included, is a ValueError."""
+    if type(s) is int or isinstance(s, str):
+        if s in (0, "even", "0"):
+            return EVEN
+        if s in (1, "odd", "1"):
+            return ODD
     raise ValueError("bad parity %r" % (s,))
 
 

@@ -166,6 +166,19 @@ def test_algebra_degree_must_be_a_json_integer(tmp_path, capsys, degree):
 
 
 @pytest.mark.parametrize(
+    "parity", [False, True, 0.0, 1.0], ids=["false", "true", "float0", "float1"]
+)
+def test_algebra_parity_must_be_a_name_or_an_integer(tmp_path, capsys, parity):
+    data = _shc_json()
+    data["basis"][0]["parity"] = parity
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["prolong", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s: bad parity %r\n" % (path, parity)
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [(["prolong", "--name", "spe_ab:2:1/0:1"],
       "spe_ab argument a '1/0' has a zero denominator"),
@@ -560,6 +573,26 @@ def test_distribution_inexact_numbers_exit_two(tmp_path, capsys, command, extra,
     path = tmp_path / "dist.json"
     path.write_text(json.dumps(dict(_CONTACT, **extra)))
     code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s: %s\n" % (path, message)
+
+
+@pytest.mark.parametrize(
+    "ambient, message",
+    [
+        ({"even": "xy", "odd": []},
+         "even coordinates must be a list of names, not 'xy'"),
+        ({"even": ["x", "y"], "odd": "t"},
+         "odd coordinates must be a list of names, not 't'"),
+        ({"even": ["x", 1], "odd": []},
+         "even coordinates must be a list of names, not ['x', 1]"),
+    ],
+    ids=["even-string", "odd-string", "numeric-name"],
+)
+def test_distribution_coordinates_must_be_lists_of_names(tmp_path, capsys, ambient, message):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"ambient": ambient, "generators": ["@x", "@y"]}))
+    code, out, err = run_cli(["symbol", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == "input error: %s: %s\n" % (path, message)
 

@@ -257,8 +257,57 @@ def test_incompatible_reduction_rejected():
         par, action = engine.comp[1].elements[0]
         return [(par, {b: dict(v) for b, v in action.items()})]
 
-    with pytest.raises(ProlongationError):
+    with pytest.raises(ProlongationError, match="does not lie in g_1"):
         prolong(m, g0=g0_of(gl(2, 0)), reductions=[(1, bad_reduction)])
+
+
+def test_g0_not_closed_under_the_bracket_names_the_two_elements():
+    # E12 and E21 of gl(2) alone: [E12, E21] = E11 - E22 lies outside their
+    # span, and no reduction was applied
+    m = SymbolAlgebra(abelian(2, 0))
+    one = Scalar(1)
+    e12 = (EVEN, {1: {0: one}})
+    e21 = (EVEN, {0: {1: one}})
+    with pytest.raises(ProlongationError) as exc:
+        Prolongation(m, g0=[e12, e21])
+    assert str(exc.value) == (
+        "g0 is not closed under the bracket: the bracket of g0 elements "
+        "0 and 1 does not lie in g0"
+    )
+
+
+@pytest.mark.parametrize(
+    "alg, g0, max_degree",
+    [(shc_symbol(), None, None), (abelian(1, 2), gl(1, 2), 4)],
+    ids=["shc", "gl12-deg4"],
+)
+def test_brackets_are_super_antisymmetric_in_either_order(alg, g0, max_degree):
+    # only canonical pairs are cached, and the other order is their sign
+    # flip; the assembled algebra derives each reversed pair by its own
+    # sign rule, so the two must agree on every pair in either order
+    res = prolong(
+        SymbolAlgebra(alg), g0=None if g0 is None else g0_of(g0),
+        max_degree=max_degree, validate_result=False,
+    )
+    engine = res.engine
+    _, offsets = engine._truncation()
+    elements = [
+        (k, e, p)
+        for k in sorted(engine.comp)
+        for e, (p, _) in enumerate(engine.comp[k].elements)
+    ]
+    assert len(elements) > 10
+    for k, a, pa in elements:
+        for l, b, pb in elements:
+            if k + l > engine.top:
+                continue
+            got = engine.bracket_elements(k, a, l, b)
+            sign = 1 if pa == ODD and pb == ODD else -1
+            assert got == {
+                t: sign * s for t, s in engine.bracket_elements(l, b, k, a).items()
+            }
+            glob = {offsets[k + l] + t: s for t, s in got.items()}
+            assert glob == res.algebra.bracket_indices(offsets[k] + a, offsets[l] + b)
 
 
 def test_reduction_outside_component_rejected():

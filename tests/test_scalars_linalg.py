@@ -371,6 +371,62 @@ def test_span_solver_returns_exact_sparse_coefficients(problem):
                 assert solver.solve(svec_axpy(dict(target), x, {j: Scalar(1)})) is None
 
 
+@st.composite
+def dependent_spans(draw):
+    """Sparse vectors over Q or Q(i) on keys 0..dim-1 in which some vectors
+    are combinations of earlier ones; the indices of the vectors that raise
+    the oracle rank; coefficients of a random combination of all vectors;
+    an extra key with a scalar; and keys for stored zeros."""
+    gaussian = draw(st.booleans())
+    dim = draw(st.integers(1, 6))
+    vectors = []
+    for _ in range(draw(st.integers(1, 7))):
+        if vectors and draw(st.booleans()):
+            v = {}
+            for i in draw(st.sets(st.integers(0, len(vectors) - 1), max_size=3)):
+                svec_axpy(v, draw(scalars(gaussian)), vectors[i])
+        else:
+            v = {}
+            for j in draw(st.sets(st.integers(0, dim - 1), max_size=4)):
+                x = draw(scalars(gaussian))
+                if x:
+                    v[j] = x
+        vectors.append(v)
+    indep = [
+        i for i in range(len(vectors))
+        if naive_rank(dense(vectors[:i + 1], dim)) > naive_rank(dense(vectors[:i], dim))
+    ]
+    coeffs = {i: draw(scalars(gaussian)) for i in range(len(vectors))}
+    extra = (draw(st.integers(0, dim)), draw(scalars(gaussian)))
+    zeros = draw(st.sets(st.integers(0, dim + 1), max_size=3))
+    return dim, vectors, indep, coeffs, extra, zeros
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_spans())
+def test_span_solver_reads_off_coefficients_on_the_independent_vectors(problem):
+    dim, vectors, indep, coeffs, (j, x), zeros = problem
+    solver = SpanSolver(vectors)
+    target = combination(vectors, {i: c for i, c in coeffs.items() if c})
+    got = solver.solve(target)
+    # exact, sparse, in increasing order, on the independent vectors only,
+    # and re-expanding to the target
+    assert got is not None and all(got.values())
+    assert list(got) == sorted(got) and set(got) <= set(indep)
+    assert combination(vectors, got) == target
+    # stored zeros in the target change nothing
+    padded = dict(target)
+    for k in zeros:
+        padded.setdefault(k, Scalar(0))
+    assert solver.solve(padded) == got
+    # one extra entry off the span leaves a residual: key dim lies outside
+    # every vector, and key j < dim when it raises the oracle rank
+    off = svec_axpy(dict(target), x, {j: Scalar(1)})
+    dims = max(dim, j + 1)
+    if x and naive_rank(dense([vectors[i] for i in indep] + [{j: x}], dims)) > len(indep):
+        assert solver.solve(off) is None
+
+
 @pytest.mark.parametrize("rhs", [[1, 5], []], ids=["too-long", "too-short"])
 def test_solve_rejects_rhs_of_wrong_length(rhs):
     # one equation x0 = 1: a second entry would be the impossible 0 = 5,

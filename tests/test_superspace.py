@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from superprolong.superspace import (
     EVEN,
     ODD,
@@ -8,6 +10,7 @@ from superprolong.superspace import (
     exterior_power_basis,
     extraction_sign,
     koszul_sign,
+    parity_from_str,
     sort_with_sign,
 )
 
@@ -86,3 +89,14 @@ def test_exterior_monomial_shapes():
     # purely even truncates at k = n
     S = make_space(3, 0)
     assert exterior_power_basis(S, 4) == []
+
+
+def test_parity_is_read_from_the_ints_and_names_only():
+    for s in (0, "even", "0"):
+        assert parity_from_str(s) == EVEN
+    for s in (1, "odd", "1"):
+        assert parity_from_str(s) == ODD
+    # a JSON boolean or float equals 0 or 1 but names no parity
+    for s in (False, True, 0.0, 1.0, 2, "2", None):
+        with pytest.raises(ValueError, match="bad parity"):
+            parity_from_str(s)
