@@ -198,10 +198,19 @@ def _distribution_from_json(data):
         data["ambient"]["odd"],
         degree_cap=data.get("degree_cap", 8),
     )
+    generators = data["generators"]
+    if not isinstance(generators, list):
+        raise ValueError(
+            "generators must be a JSON array, got %s" % type(generators).__name__
+        )
     gens = []
-    for entry in data["generators"]:
+    for entry in generators:
         if isinstance(entry, str):
             gens.append(parse_field(amb, entry))
+        elif not isinstance(entry, dict):
+            raise ValueError(
+                "generators: %r is neither a string nor a JSON object" % (entry,)
+            )
         elif "expr" in entry:
             gens.append(parse_field(amb, entry["expr"], name=entry.get("name")))
         else:

@@ -377,28 +377,36 @@ class SpanSolver:
         """
         if not target:
             return {}
-        row, den = _int_row(target.items())
-        read = self._read
-        hit = [(read[j], t) for j, t in row.items() if j in read]
-        L = lcm(*(lead for (lead, _, _), _ in hit))
-        residual = {
-            j: (L * a, L * b) for j, (a, b) in row.items() if j not in read
-        }
-        fs = []
-        for (lead, w, comb), (a, b) in hit:
-            q = L // lead
-            fs.append((a * q, b * q, comb))
-            _pair_axpy(residual, -a * q, -b * q, w)
-        if residual:
+        found = self._read_off(*_int_row(target.items()))
+        if found is None:
             return None
-        acc = {}
-        for fa, fb, comb in fs:
-            _pair_axpy(acc, fa, fb, comb)
-        d = den * L
+        acc, d = found
         return {
             i: Scalar(a, b) if d == 1 else Scalar(Fraction(a, d), Fraction(b, d))
             for i, (a, b) in sorted(acc.items())
         }
+
+    def _read_off(self, row, den):
+        """The read-off of ``solve`` on a target given as row / den, row a
+        dict of Gaussian-integer pairs with no zeros and den > 0: (acc, d)
+        with coefficients acc / d, acc a pair dict keyed by vector index and
+        d > 0, or None when the residual is nonzero."""
+        read = self._read
+        L = lcm(*(read[j][0] for j in row if j in read))
+        residual = {
+            j: (L * a, L * b) for j, (a, b) in row.items() if j not in read
+        }
+        acc = {}
+        for j, (a, b) in row.items():
+            r = read.get(j)
+            if r is not None:
+                lead, w, comb = r
+                q = L // lead
+                _pair_axpy(residual, -a * q, -b * q, w)
+                _pair_axpy(acc, a * q, b * q, comb)
+        if residual:
+            return None
+        return acc, den * L
 
 
 def _pair_axpy(acc, fa, fb, v):

@@ -359,6 +359,10 @@ class OdeSpec:
     @staticmethod
     def from_json(data):
         basis = data.get("basis", {})
+        if not isinstance(basis, dict):
+            raise ValueError(
+                "basis must be a JSON object, got %s" % type(basis).__name__
+            )
         return OdeSpec(
             data["order"],
             data["rhs"],

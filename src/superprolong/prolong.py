@@ -16,17 +16,23 @@ g_0 = Z^{0,1}(m, m).
 
 Brackets between nonnegative components are recovered from the operator
 identity ad_{[u,v]} = [ad_u, ad_v] and solved back to coordinates;
-well-definedness relies on transitivity and is asserted at runtime.  One
-bracket is computed and cached per unordered pair of elements, in the
-canonical order (k, e_k) <= (l, e_l); the other order is its sign flip by
-super-antisymmetry, which ``apply_element`` folds into its coefficient.
-Each component is eliminated and back-substituted once, into a cached
-SpanSolver over its elements' actions flattened to sparse vectors keyed by
-(m-basis index, target coordinate); every later solve reads off the sparse
-coordinates {element index: Scalar}, and a nonzero residual certifies
-that the vector lies outside the component, which raises
-ProlongationError.  Reductions express g_0 matrices and prescribed
-subspaces through the same cached solvers.
+well-definedness relies on transitivity and is asserted at runtime.  They
+are computed by blocks: ``_block(k, l)``, k <= l, makes every
+[e_{k,a}, e_{l,c}] at once (c >= a when k == l) in one loop over
+Gaussian-integer pairs, reading the inner brackets from the lower blocks
+(k, l + deg b) and (l, k + deg b) as lists with the super-antisymmetry sign
+folded in, so blocks are made in increasing total degree.  Each component's
+actions are turned into integer form once.  Each component is eliminated
+and back-substituted once, into a cached SpanSolver over its elements'
+actions flattened to sparse vectors keyed by (m-basis index, target
+coordinate); a block reads its coordinates off that solver in integers,
+and a nonzero residual certifies that a bracket lies outside the
+component, which raises ProlongationError.  A block stores each bracket as
+its integer coordinates and one denominator; ``bracket_elements`` is the
+one reader of a pair, as {element index: Scalar}, the other order being
+the sign flip.  Reductions express g_0 matrices and prescribed subspaces
+through the same cached solvers, and a reduction of g_d drops the blocks of
+total degree d and above.
 
 Reductions replace a computed component by a prescribed subspace; codomains
 of all later steps are restricted cumulatively (recorded in metadata).
@@ -34,15 +40,18 @@ of all later steps are restricted cumulatively (recorded in metadata).
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .linalg import (
     ExactMatrix,
     SpanSolver,
+    _int_row,
     rank_rows,
     svec_axpy,
-    svec_scale,
 )
 from .scalars import Scalar
-from .superspace import ODD, BasisVector, GradedSuperSpace
+from .superspace import BasisVector, GradedSuperSpace
 from .spencer import CochainSlice
 from .liesuper import (
     LieSuperalgebra,
@@ -97,95 +106,184 @@ class Prolongation:
         self._check_derivations(elements)
         self.comp = {0: ProlongationComponent(0, elements)}
         self.top = 0
-        self._brackets = {}  # (k, ek, l, el) -> vec over comp[k+l], canonical
+        self._blocks = {}  # (k, l), k <= l -> rows of brackets, see _block
+        self._ints = {}  # k -> integer actions of g_k, see _int_actions
         self._solvers = {}
         self.reduced_at = []
         if g0 is not None:
             self._check_g0_closed()
 
-    # -- small helpers ---------------------------------------------------
-
-    def _par(self, b):
-        return self.space[b].parity
-
-    def apply_element(self, k, e_idx, target_k, vec):
-        """[e, x] for e in comp[k] (k >= 0) and x a vector in the degree
-        target_k component; lands in degree k + target_k.  A bracket with a
-        component element t is read from the cache in canonical order, with
-        the super-antisymmetry sign folded into its coefficient."""
-        par_e, action = self.comp[k].elements[e_idx]
-        out = {}
-        if target_k < 0:
-            for b, c in vec.items():
-                img = action.get(b)
-                if img:
-                    svec_axpy(out, c, img)
-            return out
-        elements = self.comp[target_k].elements
-        for t, c in vec.items():
-            if (k, e_idx) <= (target_k, t):
-                res = self.bracket_elements(k, e_idx, target_k, t)
-            else:
-                res = self.bracket_elements(target_k, t, k, e_idx)
-                if not (par_e == ODD and elements[t][0] == ODD):
-                    c = -c
-            if res:
-                svec_axpy(out, c, res)
-        return out
+    # -- brackets between nonnegative components ------------------------------
 
     def bracket_elements(self, k, ek, l, el):
-        """[e_k, e_l] for computed elements (k, l >= 0) as a vector over
-        comp[k+l]; zero when k+l exceeds the stabilized range.  Only
-        canonical pairs, (k, ek) <= (l, el), are cached; any other pair is
-        the sign-flipped copy of its canonical one."""
-        key = (k, ek, l, el)
-        if key in self._brackets:
-            return self._brackets[key]
-        pk, act_k = self.comp[k].elements[ek]
-        pl, act_l = self.comp[l].elements[el]
-        sign = 1 if (pk == ODD and pl == ODD) else -1
-        if (l, el) < (k, ek):
-            return svec_scale(self.bracket_elements(l, el, k, ek), sign)
-        # z(b) = [e_k, [e_l, b]] - (-1)^{pk pl} [e_l, [e_k, b]]
-        degs = self._degs
-        z_action = {}
-        for b in act_l.keys() | act_k.keys():
-            degb = degs[b]
-            v1 = act_l.get(b)
-            term = self.apply_element(k, ek, l + degb, v1) if v1 else {}
-            v2 = act_k.get(b)
-            if v2:
-                svec_axpy(term, sign, self.apply_element(l, el, k + degb, v2))
-            if term:
-                z_action[b] = term
-        degree = k + l
-        if degree > self.top or degree not in self.comp:
-            if z_action:
-                raise ProlongationError(
-                    "bracket [g_%d, g_%d] escapes the computed range" % (k, l)
-                )
-            self._brackets[key] = {}
+        """[e_k, e_l] for computed elements (k, l >= 0) as {t: Scalar} over
+        comp[k+l], in increasing t; zero when k+l exceeds the stabilized
+        range.  It is read off the block of the canonical order
+        (k, ek) <= (l, el); the other order is its sign flip by
+        super-antisymmetry."""
+        if (k, ek) <= (l, el):
+            entry = self._block(k, l)[ek][el]
+        else:
+            both_odd = self.comp[k].elements[ek][0] and self.comp[l].elements[el][0]
+            entry = _flip(self._block(l, k)[el][ek], both_odd)
+        if entry is None:
             return {}
-        res = self._solve_in_component(degree, z_action)
-        if res is None:
-            raise ProlongationError(
-                "bracket of g_%d and g_%d does not lie in g_%d "
-                "(reduction compatibility violated by elements %d, %d)"
-                % (k, l, degree, ek, el)
-            )
-        self._brackets[key] = res
-        return res
+        coords, d = entry
+        if d == 1:
+            return {t: Scalar(a, b) for t, a, b in coords}
+        return {
+            t: Scalar(Fraction(a, d), Fraction(b, d)) for t, a, b in coords
+        }
 
-    def _solve_in_component(self, degree, action):
-        """Sparse coordinates {element index: Scalar} of an action over the
-        computed component g_degree, or None when it lies outside."""
+    def _block(self, k, l):
+        """Every bracket [e_{k,a}, e_{l,c}] for k <= l, with c >= a when
+        k == l, as rows [a][c] of (coords, den) or None for a zero bracket
+        (and below the diagonal of a k == l block).  coords are the
+        coordinates over comp[k+l] as Gaussian-integer triples (t, re, im)
+        in increasing t, divided with den > 0 by their gcd, so the bracket is
+        coords / den.  A block is cached once it is complete.
+
+        With s = -(-1)^{|e_a||e_c|}, z(b) = [e_a, e_c(b)] + s [e_c, e_a(b)]
+        for each m-basis vector b; the inner brackets are read from the
+        rows of the lower blocks (k, l + deg b) and (l, k + deg b), which
+        are ensured first, so blocks are made in increasing total degree.
+        z is accumulated in integer pairs over one running denominator,
+        keyed (b, t), and read off the solver of g_{k+l}; a nonzero residual
+        raises ProlongationError, which names the pair in ``elements``."""
+        block = self._blocks.get((k, l))
+        if block is not None:
+            return block
+        degs = self._degs
+        ints_k, ints_l = self._int_actions(k), self._int_actions(l)
+        par_k = [p for p, _ in self.comp[k].elements]
+        par_l = [p for p, _ in self.comp[l].elements]
+        lower_x = {d: self._rows(k, l + d) for d in set(degs)}
+        lower_y = {d: self._rows(l, k + d) for d in set(degs)}
+        xs = [lower_x[d] for d in degs]
+        ys_of = [[lower_y[d][c] for d in degs] for c in range(len(ints_l))]
+        degree = k + l
+        solver = self._solver(degree) if degree <= self.top else None
+        block = []
+        for a, act_a in enumerate(ints_k):
+            xs_of_a = [x[a] for x in xs]
+            row = [None] * len(ints_l)
+            for c in range(a if k == l else 0, len(ints_l)):
+                s = 1 if par_k[a] and par_l[c] else -1
+                z = {}
+                D = 1
+                for act, lower, f in ((ints_l[c], xs_of_a, 1), (act_a, ys_of[c], s)):
+                    for b, img in enumerate(act):
+                        if img is None:
+                            continue
+                        vec, den = img
+                        rows_b = lower[b]
+                        for t, vr, vi in vec:
+                            br = rows_b[t]
+                            if br is None:
+                                continue
+                            coords, q = br
+                            q *= den * f
+                            if q != D:
+                                if D % q:
+                                    m = lcm(D, q) // D
+                                    for key, (x, y) in z.items():
+                                        z[key] = (x * m, y * m)
+                                    D *= m
+                                m = D // q
+                                vr, vi = vr * m, vi * m
+                            for u, cr, ci in coords:
+                                key = (b, u)
+                                x = vr * cr - vi * ci
+                                y = vr * ci + vi * cr
+                                old = z.get(key)
+                                if old is not None:
+                                    x += old[0]
+                                    y += old[1]
+                                    if not (x or y):
+                                        del z[key]
+                                        continue
+                                z[key] = (x, y)
+                if not z:
+                    continue
+                if solver is None:
+                    raise ProlongationError(
+                        "bracket [g_%d, g_%d] escapes the computed range" % (k, l)
+                    )
+                found = solver._read_off(z, D)
+                if found is None:
+                    err = ProlongationError(
+                        "bracket of g_%d and g_%d does not lie in g_%d "
+                        "(reduction compatibility violated by elements %d, %d)"
+                        % (k, l, degree, a, c)
+                    )
+                    err.elements = (a, c)
+                    raise err
+                acc, d = found
+                if acc:
+                    g = d
+                    for x, y in acc.values():
+                        if g == 1:
+                            break
+                        g = gcd(g, x, y)
+                    coords = tuple(
+                        (t, x // g, y // g) for t, (x, y) in sorted(acc.items())
+                    )
+                    row[c] = (coords, d // g)
+            block.append(row)
+        self._blocks[(k, l)] = block
+        return block
+
+    def _rows(self, k, d):
+        """[e_{k,a}, x_t] as lists [a][t] of (coords, den) or None: for
+        d < 0, x_t an m-basis vector of degree d and the element's own
+        action; for d >= 0, x_t = e_{d,t}, read from the block of (k, d) or
+        (d, k) with the super-antisymmetry sign folded into den."""
+        if d < 0:
+            return self._int_actions(k)
+        if k < d:
+            return self._block(k, d)
+        block = self._block(d, k)
+        par_k = [p for p, _ in self.comp[k].elements]
+        par_d = [p for p, _ in self.comp[d].elements]
+        return [
+            [
+                block[a][t] if k == d and t >= a else _flip(block[t][a], pa and pt)
+                for t, pt in enumerate(par_d)
+            ]
+            for a, pa in enumerate(par_k)
+        ]
+
+    def _int_actions(self, k):
+        """The actions of g_k's elements in Gaussian-integer form, made once
+        per component: for each element a list over the m basis of
+        (coords, den) or None, coords (t, re, im) triples of its image and
+        den the element's one denominator."""
+        ints = self._ints.get(k)
+        if ints is None:
+            ints = []
+            for _, action in self.comp[k].elements:
+                row, den = _int_row(_flatten_action(action).items())
+                imgs = [[] for _ in range(self.n)]
+                for (b, t), (x, y) in row.items():
+                    imgs[b].append((t, x, y))
+                ints.append([(tuple(v), den) if v else None for v in imgs])
+            self._ints[k] = ints
+        return ints
+
+    def _solver(self, degree):
+        """The cached SpanSolver over g_degree's flattened actions."""
         solver = self._solvers.get(degree)
         if solver is None:
             solver = SpanSolver(
                 [_flatten_action(a) for _, a in self.comp[degree].elements]
             )
             self._solvers[degree] = solver
-        return solver.solve(_flatten_action(action))
+        return solver
+
+    def _solve_in_component(self, degree, action):
+        """Sparse coordinates {element index: Scalar} of an action over the
+        computed component g_degree, or None when it lies outside."""
+        return self._solver(degree).solve(_flatten_action(action))
 
     # -- validation of inputs ----------------------------------------------
 
@@ -198,7 +296,7 @@ class Prolongation:
                         raise ProlongationError(
                             "g0 element %d is not of degree 0" % idx
                         )
-                    if self._par(i) != (self._par(b) + p) % 2:
+                    if self.space[i].parity != (self.space[b].parity + p) % 2:
                         raise ProlongationError(
                             "g0 element %d is not parity-homogeneous" % idx
                         )
@@ -225,16 +323,17 @@ class Prolongation:
                     )
 
     def _check_g0_closed(self):
-        k = len(self.comp[0].elements)
-        for i in range(k):
-            for j in range(i, k):
-                try:
-                    self.bracket_elements(0, i, 0, j)
-                except ProlongationError:
-                    raise ProlongationError(
-                        "g0 is not closed under the bracket: the bracket of "
-                        "g0 elements %d and %d does not lie in g0" % (i, j)
-                    ) from None
+        # the first read computes the whole (0, 0) block, which stops at the
+        # first pair of g0 elements whose bracket lies outside g0
+        if not self.comp[0].elements:
+            return
+        try:
+            self.bracket_elements(0, 0, 0, 0)
+        except ProlongationError as e:
+            raise ProlongationError(
+                "g0 is not closed under the bracket: the bracket of "
+                "g0 elements %d and %d does not lie in g0" % e.elements
+            ) from None
 
     # -- the prolongation step ----------------------------------------------
 
@@ -311,25 +410,21 @@ class Prolongation:
                 svec_axpy_action(reduced, s, old.elements[t][1])
             new_elements.append((parity, reduced))
         self.comp[degree] = ProlongationComponent(degree, new_elements)
-        # invalidate brackets and solvers touching this component
-        self._brackets = {
-            key: val for key, val in self._brackets.items() if key[0] + key[2] < degree
+        # invalidate the blocks, integer actions and solver touching it
+        self._blocks = {
+            key: val for key, val in self._blocks.items() if key[0] + key[1] < degree
         }
+        self._ints.pop(degree, None)
         self._solvers.pop(degree, None)
         self.reduced_at.append(degree)
         self._check_reduction_compat(degree)
 
     def _check_reduction_compat(self, degree):
-        for j in range(1, degree):
-            other = degree - j
-            if other not in self.comp:
-                continue
-            for a in range(len(self.comp[j].elements)):
-                for b in range(len(self.comp[other].elements)):
-                    self.bracket_elements(j, a, other, b)  # raises if outside
-        for a in range(len(self.comp[0].elements)):
-            for b in range(len(self.comp[degree].elements)):
-                self.bracket_elements(0, a, degree, b)
+        # each block [g_k, g_{degree-k}] lands in the reduced g_degree or
+        # raises at its first pair outside it: 0 < k <= degree - k, then k = 0
+        for k in list(range(1, degree // 2 + 1)) + [0]:
+            if self.comp[k].elements and self.comp[degree - k].elements:
+                self.bracket_elements(k, 0, degree - k, 0)
 
     # -- assembly -------------------------------------------------------------
 
@@ -386,6 +481,14 @@ class Prolongation:
                                 glob(k + l, t): s for t, s in vec.items()
                             }
         return LieSuperalgebra(g.space, brackets, field=self.m.field)
+
+
+def _flip(entry, both_odd):
+    """A (coords, den) bracket entry of [x, y] as one of [y, x]: the sign
+    -(-1)^{|x||y|} is folded into den."""
+    if entry is None or both_odd:
+        return entry
+    return entry[0], -entry[1]
 
 
 def _flatten_action(action):

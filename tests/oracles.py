@@ -5,7 +5,9 @@ Fraction pairs, written without reference to the package's sparse
 fraction-free code path.  Its scalar, C, a Gaussian rational kept as a plain
 pair of Fractions, is also the oracle for ``Scalar`` arithmetic.  The
 dense matrix products, the supertranspose and the contact-form checks are
-reference computations that only tests read.
+reference computations that only tests read, and ``RecursiveBrackets`` is
+the per-pair bracket recursion that the prolongation's block kernel
+replaced.
 """
 
 from fractions import Fraction
@@ -205,6 +207,93 @@ def prolongation_step(engine, i):
                 action.setdefault(b, {})[t] = s
             elements.append((p, action))
     return elements
+
+
+class RecursiveBrackets:
+    """Brackets between the computed components of a Prolongation engine
+    by the per-pair recursion the engine used before its block kernel:
+    ``apply_element`` and ``bracket_elements`` as they stood there, on the
+    engine's components and its Scalar ``_solve_in_component``, with their
+    own cache of canonical pairs."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self._brackets = {}
+
+    def apply_element(self, k, e_idx, target_k, vec):
+        """[e, x] for e in comp[k] (k >= 0) and x a vector in the degree
+        target_k component; lands in degree k + target_k.  A bracket with a
+        component element t is read from the cache in canonical order, with
+        the super-antisymmetry sign folded into its coefficient."""
+        from superprolong.linalg import svec_axpy
+        from superprolong.superspace import ODD
+
+        par_e, action = self.engine.comp[k].elements[e_idx]
+        out = {}
+        if target_k < 0:
+            for b, c in vec.items():
+                img = action.get(b)
+                if img:
+                    svec_axpy(out, c, img)
+            return out
+        elements = self.engine.comp[target_k].elements
+        for t, c in vec.items():
+            if (k, e_idx) <= (target_k, t):
+                res = self.bracket_elements(k, e_idx, target_k, t)
+            else:
+                res = self.bracket_elements(target_k, t, k, e_idx)
+                if not (par_e == ODD and elements[t][0] == ODD):
+                    c = -c
+            if res:
+                svec_axpy(out, c, res)
+        return out
+
+    def bracket_elements(self, k, ek, l, el):
+        """[e_k, e_l] for computed elements (k, l >= 0) as a vector over
+        comp[k+l]; zero when k+l exceeds the stabilized range.  Only
+        canonical pairs, (k, ek) <= (l, el), are cached; any other pair is
+        the sign-flipped copy of its canonical one."""
+        from superprolong.linalg import svec_axpy, svec_scale
+        from superprolong.prolong import ProlongationError
+        from superprolong.superspace import ODD
+
+        key = (k, ek, l, el)
+        if key in self._brackets:
+            return self._brackets[key]
+        pk, act_k = self.engine.comp[k].elements[ek]
+        pl, act_l = self.engine.comp[l].elements[el]
+        sign = 1 if (pk == ODD and pl == ODD) else -1
+        if (l, el) < (k, ek):
+            return svec_scale(self.bracket_elements(l, el, k, ek), sign)
+        # z(b) = [e_k, [e_l, b]] - (-1)^{pk pl} [e_l, [e_k, b]]
+        degs = self.engine._degs
+        z_action = {}
+        for b in act_l.keys() | act_k.keys():
+            degb = degs[b]
+            v1 = act_l.get(b)
+            term = self.apply_element(k, ek, l + degb, v1) if v1 else {}
+            v2 = act_k.get(b)
+            if v2:
+                svec_axpy(term, sign, self.apply_element(l, el, k + degb, v2))
+            if term:
+                z_action[b] = term
+        degree = k + l
+        if degree > self.engine.top or degree not in self.engine.comp:
+            if z_action:
+                raise ProlongationError(
+                    "bracket [g_%d, g_%d] escapes the computed range" % (k, l)
+                )
+            self._brackets[key] = {}
+            return {}
+        res = self.engine._solve_in_component(degree, z_action)
+        if res is None:
+            raise ProlongationError(
+                "bracket of g_%d and g_%d does not lie in g_%d "
+                "(reduction compatibility violated by elements %d, %d)"
+                % (k, l, degree, ek, el)
+            )
+        self._brackets[key] = res
+        return res
 
 
 def jacobi_violations_all_triples(L):

@@ -131,13 +131,23 @@ def _zero_denominator():
     return json.dumps(data)
 
 
+def _gaussian_coefficient_under_q():
+    data = _shc_json()
+    assert data["field"] == "Q"
+    data["brackets"][0]["result"][0]["coeff"] = "0+1*i"
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("command", ["prolong", "cohomology"])
 @pytest.mark.parametrize(
     "text, message",
     [(_basis_vector_named_twice, "bracket [e1, e2] names basis vector h twice"),
      (_float_coefficient, 'coefficient 0.5 is neither a "p/q" string nor an integer'),
-     (_zero_denominator, "scalar '1/0' has a zero denominator")],
-    ids=["basis-vector-named-twice", "float-coefficient", "zero-denominator"],
+     (_zero_denominator, "scalar '1/0' has a zero denominator"),
+     (_gaussian_coefficient_under_q,
+      'bracket [e1, e2] has the Gaussian coefficient 0+1*i under field "Q"')],
+    ids=["basis-vector-named-twice", "float-coefficient", "zero-denominator",
+         "gaussian-under-q"],
 )
 def test_malformed_bracket_result_exit_two(tmp_path, capsys, command, text, message):
     path = tmp_path / "alg.json"
@@ -176,6 +186,21 @@ def test_algebra_parity_must_be_a_name_or_an_integer(tmp_path, capsys, parity):
     code, out, err = run_cli(["prolong", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == "input error: %s: bad parity %r\n" % (path, parity)
+
+
+@pytest.mark.parametrize(
+    "field", ["R", "Q(i)", 0, None], ids=["R", "Q(i)", "zero", "null"]
+)
+def test_algebra_field_must_be_q_or_qi(tmp_path, capsys, field):
+    data = _shc_json()
+    data["field"] = field
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["prolong", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == 'input error: %s: field must be "Q" or "Qi", not %r\n' % (
+        path, field
+    )
 
 
 @pytest.mark.parametrize(
@@ -224,13 +249,18 @@ _CONTACT_WITH_A_NUMBER = {"ambient": {"even": ["x"], "odd": ["xi", "xi1"]},
      ("prolong", lambda: [1, 2], "expected a JSON object, got list"),
      ("symbol", lambda: [1, 2], "expected a JSON object, got list"),
      ("odesym", lambda: [1, 2], "expected a JSON object, got list"),
-     ("odesym", lambda: {"order": 3, "rhs": "xi2", "basis": [2]}, ""),
-     ("prolong", _bracket_result_object, ""),
-     ("symbol", lambda: _CONTACT_WITH_A_NUMBER, ""),
+     ("odesym", lambda: {"order": 3, "rhs": "xi2", "basis": [2]},
+      "basis must be a JSON object, got list\n"),
+     ("prolong", _bracket_result_object,
+      "result of bracket [e1, e2] must be a JSON array of objects\n"),
+     ("symbol", lambda: _CONTACT_WITH_A_NUMBER,
+      "generators: 5 is neither a string nor a JSON object\n"),
+     ("symbol", lambda: {"ambient": {"even": ["x"], "odd": []}, "generators": "@x"},
+      "generators must be a JSON array, got str\n"),
      ("symbol", _zero_denominator_field, "scalar '1/0' has a zero denominator")],
     ids=["ode-without-order", "ode-without-rhs", "prolong-array", "symbol-array",
          "odesym-array", "ode-basis-list", "bracket-result-object",
-         "generator-number", "field-zero-denominator"],
+         "generator-number", "generators-string", "field-zero-denominator"],
 )
 def test_json_input_of_the_wrong_shape_exit_two(tmp_path, capsys, command, data, message):
     path = tmp_path / "input.json"

@@ -34,7 +34,7 @@ from superprolong.spencer import CochainSlice
 from superprolong.linalg import rank_rows
 
 from conftest import g0_of
-from oracles import prolongation_step
+from oracles import RecursiveBrackets, prolongation_step
 
 
 def test_odd_ode_scaling_prolongations():
@@ -238,6 +238,50 @@ def test_stabilized_prolongation_validates(alg):
     event(res.status)
     if res.status == "stabilized":
         assert validate(res.algebra) == []
+
+
+def _assert_blocks_match_the_recursion(res):
+    # every pair in either order, with its coordinates in the same order;
+    # above a truncated top the recursion raises for a nonzero z, so only a
+    # stabilized result is compared there
+    engine = res.engine
+    oracle = RecursiveBrackets(engine)
+    elements = [
+        (k, e) for k in sorted(engine.comp) for e in range(len(engine.comp[k].elements))
+    ]
+    for k, a in elements:
+        for l, b in elements:
+            if k + l > engine.top and res.status != "stabilized":
+                continue
+            got = engine.bracket_elements(k, a, l, b)
+            want = oracle.bracket_elements(k, a, l, b)
+            assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_step_symbols())
+@example(STABILIZING_TWO_STEP)
+def test_block_brackets_match_the_recursion_on_random_symbols(alg):
+    try:
+        res = prolong(alg, max_degree=3, validate_result=False)
+    except ProlongationError as e:
+        assert "transitivity failure" in str(e)
+        return
+    _assert_blocks_match_the_recursion(res)
+
+
+@pytest.mark.parametrize(
+    "alg, g0, max_degree",
+    [(shc_symbol(), None, None), (abelian(1, 2), gl(1, 2), 4),
+     (supertranslation(2), None, None)],
+    ids=["shc", "gl12-deg4", "supertranslation2"],
+)
+def test_block_brackets_match_the_recursion(alg, g0, max_degree):
+    res = prolong(
+        SymbolAlgebra(alg), g0=None if g0 is None else g0_of(g0),
+        max_degree=max_degree, validate_result=False,
+    )
+    _assert_blocks_match_the_recursion(res)
 
 
 @pytest.mark.parametrize("g0, shape", [(gl(2, 2), "4x4"), (gl(1, 1), "2x2")])
