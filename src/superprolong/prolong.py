@@ -17,22 +17,16 @@ g_0 = Z^{0,1}(m, m).
 Brackets between nonnegative components are recovered from the operator
 identity ad_{[u,v]} = [ad_u, ad_v] and solved back to coordinates;
 well-definedness relies on transitivity and is asserted at runtime.  They
-are computed by blocks: ``_block(k, l)``, k <= l, makes every
-[e_{k,a}, e_{l,c}] at once (c >= a when k == l) in one loop over
-Gaussian-integer pairs, reading the inner brackets from the lower blocks
-(k, l + deg b) and (l, k + deg b) as lists with the super-antisymmetry sign
-folded in, so blocks are made in increasing total degree.  Each component's
-actions are turned into integer form once.  Each component is eliminated
-and back-substituted once, into a cached SpanSolver over its elements'
-actions flattened to sparse vectors keyed by (m-basis index, target
-coordinate); a block reads its coordinates off that solver in integers,
-and a nonzero residual certifies that a bracket lies outside the
-component, which raises ProlongationError.  A block stores each bracket as
-its integer coordinates and one denominator; ``bracket_elements`` is the
-one reader of a pair, as {element index: Scalar}, the other order being
-the sign flip.  Reductions express g_0 matrices and prescribed subspaces
-through the same cached solvers, and a reduction of g_d drops the blocks of
-total degree d and above.
+are computed by blocks, in increasing total degree: ``_block(k, l)`` makes
+every [e_{k,a}, e_{l,c}] in one loop over Gaussian-integer pairs and keeps
+each as integer coordinates over one denominator; ``bracket_elements`` is
+the one reader of a pair.  Each component is eliminated and
+back-substituted once, into a cached SpanSolver over its elements' actions
+flattened to sparse vectors keyed by (m-basis index, target coordinate);
+a block reads each bracket off it in integers, and a nonzero residual
+certifies that the bracket lies outside the component, which raises
+ProlongationError.  Reductions express g_0 matrices and prescribed
+subspaces through the same cached solvers.
 
 Reductions replace a computed component by a prescribed subspace; codomains
 of all later steps are restricted cumulatively (recorded in metadata).
