@@ -17,6 +17,7 @@ from .prolong import ProlongationError, prolong, projective_trace_reduction
 from .spencer import cohomology_dims
 from .superfield import (
     Ambient,
+    DegreeCapError,
     DistributionSpec,
     check_strong_regularity,
     derived_flag,
@@ -203,6 +204,8 @@ def _distribution_from_json(data):
         raise ValueError(
             "generators must be a JSON array, got %s" % type(generators).__name__
         )
+    if not generators:
+        raise ValueError("generators must not be empty")
     gens = []
     for entry in generators:
         if isinstance(entry, str):
@@ -211,6 +214,8 @@ def _distribution_from_json(data):
             raise ValueError(
                 "generators: %r is neither a string nor a JSON object" % (entry,)
             )
+        elif not isinstance(entry.get("name", ""), (str, type(None))):
+            raise ValueError("generators: name %r is not a string" % (entry["name"],))
         elif "expr" in entry:
             gens.append(parse_field(amb, entry["expr"], name=entry.get("name")))
         else:
@@ -221,8 +226,11 @@ def _distribution_from_json(data):
 
 def cmd_symbol(args):
     dist = _read_input(args.input, _distribution_from_json)
-    flag = derived_flag(dist)
-    rep = check_strong_regularity(flag)
+    try:
+        flag = derived_flag(dist)
+        rep = check_strong_regularity(flag)
+    except DegreeCapError as e:
+        raise InputError("%s: %s; raise degree_cap" % (args.input, e))
     if args.format == "json":
         out = {
             "regular": rep["ok"],

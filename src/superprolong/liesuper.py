@@ -8,8 +8,9 @@ reports violations as data rather than raising.  Jacobi defects are reported
 on canonical triples x <= y <= z when grading and antisymmetry hold, and on
 all ordered triples otherwise.  ``LieSuperalgebra`` is the
 one type: a symbol (``SymbolAlgebra``) is one concentrated in negative
-degrees, and the truncated algebra of a prolongation step is an ordinary
-one whose brackets between nonnegative components are left out.
+degrees, and a prolongation's truncated algebra is an ordinary one over a
+canonical table (``_canonical``) that the engine grows by each new
+component, without the brackets between nonnegative components.
 """
 
 from __future__ import annotations
@@ -48,16 +49,16 @@ class LieSuperalgebra:
         self.field = field
         self.rep = rep
         self.rep_shape = rep_shape  # (p, q) of the defining representation
-        self.raw = []
-        for (a, b), res in brackets.items():
-            vec = {c: as_scalar(s) for c, s in res.items() if as_scalar(s)}
-            self.raw.append((a, b, vec))
+        self.raw = [
+            (key, {c: t for c, s in res.items() if (t := as_scalar(s))})
+            for key, res in brackets.items()
+        ]
         self.table = {}
-        for a, b, vec in self.raw:
+        for (a, b), vec in self.raw:
             if a <= b:
                 if vec:
                     self.table[(a, b)] = dict(vec)
-        for a, b, vec in self.raw:
+        for (a, b), vec in self.raw:
             if a > b and (b, a) not in self.table:
                 sign = Scalar(-1) if not (
                     space[a].parity == ODD and space[b].parity == ODD
@@ -65,6 +66,16 @@ class LieSuperalgebra:
                 flipped = svec_scale(vec, sign)
                 if flipped:
                     self.table[(b, a)] = flipped
+
+    @classmethod
+    def _canonical(cls, space, table, field):
+        """An algebra over a table that is already canonical (a <= b) with
+        zero-free Scalar coefficients, taken by reference; ``raw`` is a live
+        view of the table's own items."""
+        alg = cls.__new__(cls)
+        alg.space, alg.table, alg.field, alg.raw = space, table, field, table.items()
+        alg.rep = alg.rep_shape = None
+        return alg
 
     # -- bracket evaluation ------------------------------------------------
 
@@ -190,6 +201,9 @@ def validate(L):
 
     Returns a list of dicts {"kind": ..., "where": names, "detail": str};
     empty list iff the structure constants define a graded Lie superalgebra.
+    The raw-input antisymmetry check compares the two orders of a pair where
+    both were given; a table built canonical (``_canonical``, as by the
+    prolongation engine) has one order, so there it checks [x,x] = 0 only.
 
     Super Jacobi is checked through the Jacobiator
     J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]] on basis
@@ -211,7 +225,7 @@ def validate(L):
     def name(i):
         return space[i].name
 
-    for a, b, vec in L.raw:
+    for (a, b), vec in L.raw:
         for c, s in vec.items():
             if not s:
                 continue
@@ -235,7 +249,7 @@ def validate(L):
 
     # antisymmetry on the raw input: both orders present must be consistent,
     # and [x,x] = 0 for even x
-    raw_map = {(a, b): vec for a, b, vec in L.raw}
+    raw_map = dict(L.raw)
     for (a, b), vec in raw_map.items():
         if a == b and space[a].parity == EVEN:
             if vec:

@@ -8,11 +8,11 @@ vector in the component g_{i-j}, and the defining equations are
 
 that is, g_i = Z^{i,1}(m, m + g_0 + ... + g_{i-1}).  They are read off the
 package's one Chevalley-Eilenberg differential, ``spencer.differential_rows``:
-the truncated algebra m + g_0 + ... + g_{i-1} is an ordinary
-``LieSuperalgebra`` holding the brackets of m with m and with the computed
-components, and each step is its ``liesuper.one_cocycles`` in degree i, the
-same per-parity kernel that ``derivations_gr`` uses for the default
-g_0 = Z^{0,1}(m, m).
+the truncated algebra m + g_0 + ... + g_{i-1} is one ``LieSuperalgebra``
+that the engine grows by each new component, never rebuilds, and whose
+table ``assemble`` copies once to add the block brackets; each step is its
+``liesuper.one_cocycles`` in degree i, the same per-parity kernel that
+``derivations_gr`` uses for the default g_0 = Z^{0,1}(m, m).
 
 Brackets between nonnegative components are recovered from the operator
 identity ad_{[u,v]} = [ad_u, ad_v] and solved back to coordinates;
@@ -82,7 +82,8 @@ def _normalize_g0(m, g0):
                     action[j] = col
             out.append((parity, action))
         else:
-            out.append((parity, {j: dict(col) for j, col in act.items() if col}))
+            out.append((parity, {j: v for j, col in act.items()
+                                 if (v := {i: s for i, s in col.items() if s})}))
     return out
 
 
@@ -103,6 +104,8 @@ class Prolongation:
         self._blocks = {}  # (k, l), k <= l -> rows of brackets, see _block
         self._ints = {}  # k -> integer actions of g_k, see _int_actions
         self._solvers = {}
+        self._g = LieSuperalgebra._canonical(m.space, dict(m.table), m.field)
+        self._grown = []  # (component, offset) pairs _g was grown by
         self.reduced_at = []
         if g0 is not None:
             self._check_g0_closed()
@@ -423,58 +426,65 @@ class Prolongation:
     # -- assembly -------------------------------------------------------------
 
     def _truncation(self):
-        """m + g_0 + ... + g_top with the brackets of m with m and with the
-        g_k, and the global index of the first element of each g_k.
+        """The truncated algebra m + g_0 + ... + g_top without the brackets
+        between the g_k (``assemble`` adds them; 1-cochains of m never read
+        them), and the global index of the first element of each g_k.
 
-        The basis is that of m, then the g%d_%d names; [e, x_b] is the
-        action of e on b, and the constructor derives [x_b, e].  The
-        brackets between the g_k are left out: they are what ``assemble``
-        adds, and 1-cochains of m never read them."""
-        names = [b.name for b in self.space]
-        basis = list(self.space.basis)
-        offsets = {}
-        for k in range(0, self.top + 1):
-            offsets[k] = len(basis)
-            for idx, (par, _) in enumerate(self.comp[k].elements):
+        It is one algebra, grown by each new component: from the first g_k
+        that is not, by identity, the one it was grown by, its basis vectors
+        and brackets are dropped and grown again.  The basis is that of m,
+        then the g%d_%d names; [x_b, e] = -(-1)^{|b||e|} [e, x_b] is written
+        at the canonical key (b, e)."""
+        g, grown = self._g, self._grown
+        k = 0
+        while k < len(grown) and k <= self.top and grown[k][0] is self.comp[k]:
+            k += 1
+        basis = list(g.space)
+        if k < len(grown):
+            cut = grown[k][1]
+            del grown[k:], basis[cut:]
+            for key in [key for key in g.table if key[1] >= cut]:
+                del g.table[key]
+        names = {b.name for b in basis}
+        for k in range(len(grown), self.top + 1):
+            start = len(basis)
+            grown.append((self.comp[k], start))
+            for idx, (par, action) in enumerate(self.comp[k].elements):
                 nm = "g%d_%d" % (k, idx + 1)
                 while nm in names:
                     nm += "'"
-                names.append(nm)
+                names.add(nm)
                 basis.append(BasisVector(nm, k, par))
-        brackets = dict(self.m.table)
-        for k in range(0, self.top + 1):
-            for idx, (_, action) in enumerate(self.comp[k].elements):
                 for b, vec in action.items():
-                    off = offsets.get(k + self._degs[b], 0)
-                    brackets[(offsets[k] + idx, b)] = {
-                        off + t: s for t, s in vec.items()
-                    }
-        g = LieSuperalgebra(GradedSuperSpace(basis), brackets, field=self.m.field)
-        return g, offsets
+                    if vec:
+                        d = k + self._degs[b]
+                        off = grown[d][1] if d >= 0 else 0
+                        odd = par and self.space[b].parity
+                        g.table[(b, start + idx)] = {
+                            off + t: s if odd else -s for t, s in vec.items()
+                        }
+        g.space = GradedSuperSpace(basis)
+        return g, {k: off for k, (_, off) in enumerate(grown)}
 
     def assemble(self, truncated=False):
-        """Extended structure constants of m + g_0 + ... + g_top."""
+        """Extended structure constants of m + g_0 + ... + g_top: a shallow
+        copy of the truncated algebra's table plus the block brackets, each
+        written at its canonical key."""
         g, offsets = self._truncation()
-
-        def glob(k, t):
-            return t if k < 0 else offsets[k] + t
-
-        brackets = dict(g.table)
+        table = dict(g.table)
         for k in range(0, self.top + 1):
             for l in range(k, self.top + 1):
                 if k + l > self.top and truncated:
                     continue
                 for a in range(len(self.comp[k].elements)):
-                    bs = range(a, len(self.comp[l].elements)) if l == k else range(
-                        len(self.comp[l].elements)
-                    )
-                    for b in bs:
+                    for b in range(a if l == k else 0, len(self.comp[l].elements)):
                         vec = self.bracket_elements(k, a, l, b)
                         if vec:
-                            brackets[(glob(k, a), glob(l, b))] = {
-                                glob(k + l, t): s for t, s in vec.items()
+                            off = offsets[k + l]
+                            table[(offsets[k] + a, offsets[l] + b)] = {
+                                off + t: s for t, s in vec.items()
                             }
-        return LieSuperalgebra(g.space, brackets, field=self.m.field)
+        return LieSuperalgebra._canonical(g.space, table, self.m.field)
 
 
 def _flip(entry, both_odd):

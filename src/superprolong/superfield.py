@@ -366,6 +366,11 @@ def field_from_json(ambient, data):
                     "x_exponents %r: need one nonnegative integer per even "
                     "coordinate (%d)" % (xe, ambient.m)
                 )
+            if sum(xe) > ambient.degree_cap:
+                raise ValueError(
+                    "x_exponents %r: even degree %d exceeds degree_cap %d"
+                    % (xe, sum(xe), ambient.degree_cap)
+                )
             xe = tuple(xe)
             poly = poly + SuperPolynomial(
                 ambient, {(xe, th): v for (_, th), v in odd.terms.items()}

@@ -5,9 +5,10 @@ Fraction pairs, written without reference to the package's sparse
 fraction-free code path.  Its scalar, C, a Gaussian rational kept as a plain
 pair of Fractions, is also the oracle for ``Scalar`` arithmetic.  The
 dense matrix products, the supertranspose and the contact-form checks are
-reference computations that only tests read, and ``RecursiveBrackets`` is
-the per-pair bracket recursion that the prolongation's block kernel
-replaced.
+reference computations that only tests read; ``truncation`` is the
+from-scratch rebuild of a prolongation's truncated algebra that the engine's
+growing one replaced, and ``RecursiveBrackets`` is the per-pair bracket
+recursion that the prolongation's block kernel replaced.
 """
 
 from fractions import Fraction
@@ -207,6 +208,42 @@ def prolongation_step(engine, i):
                 action.setdefault(b, {})[t] = s
             elements.append((p, action))
     return elements
+
+
+def truncation(engine):
+    """The truncated algebra m + g_0 + ... + g_top of a Prolongation engine
+    rebuilt from scratch through the public constructor, as the engine did
+    at every step before it grew one algebra, and the global index of the
+    first element of each g_k.
+
+    The basis is that of m, then the g%d_%d names; [e, x_b] is the
+    action of e on b, and the constructor derives [x_b, e].  The
+    brackets between the g_k are left out: they are what ``assemble``
+    adds, and 1-cochains of m never read them."""
+    from superprolong.liesuper import LieSuperalgebra
+    from superprolong.superspace import BasisVector, GradedSuperSpace
+
+    names = [b.name for b in engine.space]
+    basis = list(engine.space.basis)
+    offsets = {}
+    for k in range(0, engine.top + 1):
+        offsets[k] = len(basis)
+        for idx, (par, _) in enumerate(engine.comp[k].elements):
+            nm = "g%d_%d" % (k, idx + 1)
+            while nm in names:
+                nm += "'"
+            names.append(nm)
+            basis.append(BasisVector(nm, k, par))
+    brackets = dict(engine.m.table)
+    for k in range(0, engine.top + 1):
+        for idx, (_, action) in enumerate(engine.comp[k].elements):
+            for b, vec in action.items():
+                off = offsets.get(k + engine._degs[b], 0)
+                brackets[(offsets[k] + idx, b)] = {
+                    off + t: s for t, s in vec.items()
+                }
+    g = LieSuperalgebra(GradedSuperSpace(basis), brackets, field=engine.m.field)
+    return g, offsets
 
 
 class RecursiveBrackets:

@@ -351,6 +351,56 @@ def test_distribution_bad_x_exponents_exit_two(tmp_path, capsys, command):
     assert err.startswith("input error: %s: x_exponents [1]" % path)
 
 
+def _x_table(exponent, **extra):
+    return dict(extra, coefficients=[
+        {"direction": "x",
+         "monomials": [{"x_exponents": [exponent], "coeff": "1"}]}
+    ])
+
+
+@pytest.mark.parametrize("command", ["symbol", "check-regular"])
+@pytest.mark.parametrize(
+    "generators, message",
+    [([], "generators must not be empty"),
+     ([{"name": ["Dx"], "expr": "@x"}, "@xi1"],
+      "generators: name ['Dx'] is not a string"),
+     ([_x_table(0, name={"a": 1}), "@xi1"],
+      "generators: name {'a': 1} is not a string"),
+     (["@xi1", _x_table(20)],
+      "x_exponents [20]: even degree 20 exceeds degree_cap 8"),
+     (["@xi1", _x_table(0, name=None)], None)],
+    ids=["empty", "name-list", "name-object", "exponent-above-cap", "name-null"],
+)
+def test_distribution_generators_are_checked_at_read_time(
+    tmp_path, capsys, command, generators, message
+):
+    data = {"ambient": {"even": ["x"], "odd": ["xi", "xi1"]}, "degree_cap": 8,
+            "generators": generators}
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    if message is None:  # a null name is no name
+        assert (code, err) == (0, "")
+        return
+    assert (code, out) == (2, "")
+    assert err == "input error: %s: %s\n" % (path, message)
+
+
+@pytest.mark.parametrize("command", ["symbol", "check-regular"])
+def test_degree_cap_exceeded_in_the_derived_flag_exit_two(tmp_path, capsys, command):
+    # [y^5 @x, x^5 @y] has coefficients of even degree 9
+    data = {"ambient": {"even": ["x", "y", "z"], "odd": []},
+            "generators": ["y^5*@x", "x^5*@y"]}
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: %s: even degree cap 8 exceeded in a product; "
+        "raise degree_cap\n" % path
+    )
+
+
 @pytest.mark.parametrize("command", ["symbol", "check-regular"])
 def test_distribution_float_coefficient_exit_two(tmp_path, capsys, command):
     data = {

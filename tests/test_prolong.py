@@ -34,7 +34,7 @@ from superprolong.spencer import CochainSlice
 from superprolong.linalg import rank_rows
 
 from conftest import g0_of
-from oracles import RecursiveBrackets, prolongation_step
+from oracles import RecursiveBrackets, prolongation_step, truncation
 
 
 def test_odd_ode_scaling_prolongations():
@@ -282,6 +282,101 @@ def test_block_brackets_match_the_recursion(alg, g0, max_degree):
         max_degree=max_degree, validate_result=False,
     )
     _assert_blocks_match_the_recursion(res)
+
+
+def _assert_truncation_matches_the_rebuild(engine):
+    # the engine's one growing algebra against a from-scratch rebuild:
+    # basis names, degrees, parities, offsets and canonical table
+    g, offsets = engine._truncation()
+    want, want_offsets = truncation(engine)
+    assert offsets == want_offsets
+    assert [(b.name, b.degree, b.parity) for b in g.space] == [
+        (b.name, b.degree, b.parity) for b in want.space
+    ]
+    assert g.table == want.table
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_step_symbols())
+@example(STABILIZING_TWO_STEP)
+def test_grown_truncation_matches_the_rebuild_on_random_symbols(alg):
+    engine = Prolongation(SymbolAlgebra(alg))
+    _assert_truncation_matches_the_rebuild(engine)
+    for i in (1, 2, 3):
+        try:
+            engine.advance(i)
+        except ProlongationError as e:
+            # a random symbol need not be fundamental; g_i is appended first
+            assert "transitivity failure" in str(e)
+        _assert_truncation_matches_the_rebuild(engine)
+        if not engine.comp[i].elements:
+            break
+
+
+def test_grown_truncation_follows_reductions():
+    # degree 0: gl(2) cut to its scalings after the algebra grew by gl(2)
+    engine = Prolongation(SymbolAlgebra(abelian(2, 0)), g0=g0_of(gl(2, 0)))
+    _assert_truncation_matches_the_rebuild(engine)
+    one = Scalar(1)
+    engine.reduce_component(0, [(EVEN, {0: {0: one}, 1: {1: one}})])
+    _assert_truncation_matches_the_rebuild(engine)
+    assert len(engine._truncation()[0].space) == 3
+    engine.advance(1)
+    _assert_truncation_matches_the_rebuild(engine)
+    # degree 1: the projective reduction of gl(2|1), S^2 V* (x) V -> V*
+    engine = Prolongation(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)))
+    engine.advance(1)
+    _assert_truncation_matches_the_rebuild(engine)
+    engine.reduce_component(1, projective_trace_reduction(engine))
+    _assert_truncation_matches_the_rebuild(engine)
+    assert len(engine._truncation()[0].space) == 3 + 9 + 3
+    engine.advance(2)
+    _assert_truncation_matches_the_rebuild(engine)
+
+
+def test_assembled_table_is_not_changed_by_later_steps():
+    res = prolong(SymbolAlgebra(abelian(1, 2)), g0=g0_of(gl(1, 2)), max_degree=3)
+    assert res.status == "truncated"
+    alg = res.algebra
+    before = ({key: dict(vec) for key, vec in alg.table.items()}, alg.space)
+    res.engine.advance(res.engine.top + 1)
+    grown, _ = res.engine._truncation()
+    assert len(grown.space) > len(alg.space) and grown.table is not alg.table
+    assert (alg.table, alg.space) == before
+
+
+def test_zero_coefficients_of_a_g0_action_are_no_entries():
+    # as in the matrix form, an explicit zero is no entry: it neither breaks
+    # parity-homogeneity (X -> th1) nor reaches the structure constants
+    # (an all-zero image of X)
+    padded = [(p, {b: dict(col) for b, col in act.items()})
+              for p, act in odd_ode_scalings(3)]
+    padded[0][1][0][1] = Scalar(0)
+    padded[1][1][0] = {0: Scalar(0)}
+    m = SymbolAlgebra(odd_ode_symbol(3))
+    assert prolong(m, g0=padded).to_json(include_algebra=True) == prolong(
+        m, g0=odd_ode_scalings(3)
+    ).to_json(include_algebra=True)
+
+
+def test_validate_checks_the_degree_of_an_assembled_entry():
+    # one order per pair and no raw copy: a wrong-degree entry put into an
+    # assembled table is still read by the degree check
+    res = prolong(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)),
+                  reductions=[(1, projective_trace_reduction)])
+    alg = res.algebra
+    assert validate(alg) == []
+    space = alg.space
+    (a, b), vec = next(iter(alg.table.items()))
+    c = next(
+        c for c, v in enumerate(space)
+        if v.degree != space[a].degree + space[b].degree
+        and v.parity == (space[a].parity + space[b].parity) % 2
+    )
+    alg.table[(a, b)] = {c: Scalar(1)}
+    kinds = [(r["kind"], r["where"]) for r in validate(alg)]
+    assert ("degree", (space[a].name, space[b].name, space[c].name)) in kinds
+    assert "parity" not in {kind for kind, _ in kinds}
 
 
 @pytest.mark.parametrize("g0, shape", [(gl(2, 2), "4x4"), (gl(1, 1), "2x2")])
