@@ -54,10 +54,9 @@ class LieSuperalgebra:
             for key, res in brackets.items()
         ]
         self.table = {}
-        for (a, b), vec in self.raw:
-            if a <= b:
-                if vec:
-                    self.table[(a, b)] = dict(vec)
+        for key, vec in self.raw:
+            if key[0] <= key[1] and vec:
+                self.table[key] = dict(vec)
         for (a, b), vec in self.raw:
             if a > b and (b, a) not in self.table:
                 sign = Scalar(-1) if not (
