@@ -10,22 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import catalog
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate
 from .prolong import ProlongationError, prolong, projective_trace_reduction
+from .scalars import FIELD_Q, FIELD_QI, _read_rational, scalar_from_json
 from .spencer import cohomology_dims
+from .superspace import BasisVector, GradedSuperSpace, parity_from_str
 from .superfield import (
-    Ambient,
-    DegreeCapError,
-    DistributionSpec,
-    check_strong_regularity,
-    derived_flag,
-    extract_symbol,
-    field_from_json,
-    parse_field,
+    Ambient, DegreeCapError, DistributionSpec, SuperPolynomial, SuperVectorField,
+    _field_parity, check_strong_regularity, derived_flag, extract_symbol, parse_field,
 )
-from .oddode import OdeSpec, determine_symmetries
+from .oddode import JetContext, OdeSpec, determine_symmetries, parse_jet
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -57,13 +54,158 @@ def _read_input(path, build):
         raise InputError("%s: %s" % (path, e))
 
 
+# -- one checked reader per JSON input format (docs/formats.md) -------------
+
+_MISSING = object()
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", type(None): "null"}
+
+
+def _check(value, path, kind):
+    """value as kind: a JSON type (no boolean is an int), a tuple of them, or
+    a leaf reader that turns the value into an object or raises ValueError.
+    A value of another type and a leaf ValueError raise one ValueError that
+    starts with path, e.g. ``brackets[2].result[0].basis: ...``."""
+    try:
+        if not isinstance(kind, (type, tuple)):
+            return kind(value)
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if type(value) not in kinds:
+            raise ValueError("expected %s, got %s" % (
+                " or ".join(_JSON_TYPES[k] for k in kinds), json.dumps(value)))
+        return value
+    except ValueError as e:
+        raise ValueError("%s: %s" % (path, e)) from None
+
+
+def _read(obj, key, path, kind, default=_MISSING):
+    """obj[key] checked as kind, where path names the JSON object obj; a
+    missing key without a default is a ValueError naming its path."""
+    path = "%s.%s" % (path, key) if path else key
+    if key not in obj:
+        if default is _MISSING:
+            raise ValueError("%s: missing" % path)
+        return default
+    return _check(obj[key], path, kind)
+
+
+def _each(obj, key, path, kind, default=_MISSING):
+    """[(path, item)] of the JSON array obj[key], each item checked as kind."""
+    items = _read(obj, key, path, list, default)
+    path = "%s.%s" % (path, key) if path else key
+    paths = ["%s[%d]" % (path, i) for i in range(len(items))]
+    return [(q, _check(item, q, kind)) for q, item in zip(paths, items)]
+
+
+def _one_of(names, what):
+    """A leaf reader: one of the strings names, as its index."""
+    index = {name: i for i, name in enumerate(names)}
+    def read(value):
+        if type(value) is not str or value not in index:
+            raise ValueError("unknown %s %r" % (what, value))
+        return index[value]
+    return read
+
+
+def read_algebra(data):
+    """A LieSuperalgebra from algebra JSON."""
+    field = _read(data, "field", "", str, FIELD_Q)
+    if field not in (FIELD_Q, FIELD_QI):
+        raise ValueError('field: expected "Q" or "Qi", got %s' % json.dumps(field))
+    space = GradedSuperSpace([
+        BasisVector(_read(b, "name", p, str), _read(b, "degree", p, int),
+                    _read(b, "parity", p, parity_from_str))
+        for p, b in _each(data, "basis", "", dict)
+    ])
+    index = _one_of([b.name for b in space], "basis vector")
+    brackets = {}
+    for p, entry in _each(data, "brackets", "", dict, []):
+        a, b = _read(entry, "left", p, index), _read(entry, "right", p, index)
+        if (a, b) in brackets:
+            raise ValueError("%s: bracket [%s, %s] listed twice"
+                             % (p, space[a].name, space[b].name))
+        vec = brackets[(a, b)] = {}
+        for q, term in _each(entry, "result", p, dict):
+            c = _read(term, "basis", q, index)
+            if c in vec:
+                raise ValueError("%s.basis: %s named twice" % (q, space[c].name))
+            vec[c] = _read(term, "coeff", q, scalar_from_json)
+            if field == FIELD_Q and not vec[c].is_rational:
+                raise ValueError('%s.coeff: Gaussian coefficient %s under field "Q"'
+                                 % (q, term["coeff"]))
+    return LieSuperalgebra(space, brackets, field=field)
+
+
+def _read_field(amb, entry, path):
+    """A coefficient-table generator; each theta_subset is an ordered product
+    of odd coordinates, so its order carries the sign and a repeat gives 0."""
+
+    def exponents(xe):
+        if not (type(xe) is list and len(xe) == amb.m
+                and all(type(e) is int and e >= 0 for e in xe)):
+            raise ValueError("need one nonnegative integer per even coordinate "
+                             "(%d), got %s" % (amb.m, json.dumps(xe)))
+        if sum(xe) > amb.degree_cap:
+            raise ValueError("even degree %d exceeds degree_cap %d"
+                             % (sum(xe), amb.degree_cap))
+        return tuple(xe)
+
+    terms, zero, odd = {}, SuperPolynomial(amb), _one_of(amb.odd, "odd coordinate")
+    for p, coeff in _each(entry, "coefficients", path, dict):
+        d = _read(coeff, "direction", p, amb.direction)
+        for q, mono in _each(coeff, "monomials", p, dict):
+            xe = _read(mono, "x_exponents", q, exponents, (0,) * amb.m)
+            c = _read(mono, "coeff", q, scalar_from_json)
+            term = SuperPolynomial(amb, {(xe, ()): c})
+            for _, a in _each(mono, "theta_subset", q, odd, []):
+                term = term * SuperPolynomial.coordinate(amb, amb.odd[a])
+            terms[d] = terms.get(d, zero) + term
+    parity = _read(entry, "parity", path, parity_from_str, None)
+    name = _read(entry, "name", path, (str, type(None)), None)
+    return _check(terms, path, lambda terms: SuperVectorField(
+        amb, _field_parity(amb, terms, "the field") if parity is None else parity,
+        terms, name=name))
+
+
+def read_distribution(data):
+    """A DistributionSpec from distribution JSON."""
+    ambient = _read(data, "ambient", "", dict)
+    amb = Ambient([x for _, x in _each(ambient, "even", "ambient", str)],
+                  [x for _, x in _each(ambient, "odd", "ambient", str)],
+                  degree_cap=_read(data, "degree_cap", "", int, 8))
+    gens = []
+    for p, entry in _each(data, "generators", "", (str, dict)):
+        if type(entry) is str:
+            gens.append(_check(entry, p, partial(parse_field, amb)))
+        elif "expr" in entry:
+            gens.append(_check(_read(entry, "expr", p, str), p + ".expr", partial(
+                parse_field, amb, name=_read(entry, "name", p, (str, type(None)), None))))
+        else:
+            gens.append(_read_field(amb, entry, p))
+    if not gens:
+        raise ValueError("generators: must not be empty")
+    basepoint = [v for _, v in _each(data, "basepoint", "", _read_rational, [])]
+    return DistributionSpec(amb, gens, basepoint=basepoint)
+
+
+def read_ode(data):
+    """An OdeSpec from ODE JSON."""
+    basis = _read(data, "basis", "", dict, {})
+    return OdeSpec(
+        _read(data, "order", "", int),
+        _check(_read(data, "rhs", "", str), "rhs", partial(parse_jet, JetContext(1))),
+        poly_degree=_read(basis, "poly_degree", "basis", int, 4),
+        exponentials=[x for _, x in _each(basis, "exponentials", "basis", _read_rational, [])],
+    )
+
+
 def _load_algebra(args):
     if args.name is not None:
         try:
             return catalog.build_named(args.name)
         except ValueError as e:
             raise InputError(str(e))
-    alg = _read_input(args.input, LieSuperalgebra.from_json)
+    alg = _read_input(args.input, read_algebra)
     bad = validate(alg)
     if bad:
         first = bad[0]
@@ -193,39 +335,8 @@ def cmd_cohomology(args):
     return EXIT_OK
 
 
-def _distribution_from_json(data):
-    amb = Ambient(
-        data["ambient"]["even"],
-        data["ambient"]["odd"],
-        degree_cap=data.get("degree_cap", 8),
-    )
-    generators = data["generators"]
-    if not isinstance(generators, list):
-        raise ValueError(
-            "generators must be a JSON array, got %s" % type(generators).__name__
-        )
-    if not generators:
-        raise ValueError("generators must not be empty")
-    gens = []
-    for entry in generators:
-        if isinstance(entry, str):
-            gens.append(parse_field(amb, entry))
-        elif not isinstance(entry, dict):
-            raise ValueError(
-                "generators: %r is neither a string nor a JSON object" % (entry,)
-            )
-        elif not isinstance(entry.get("name", ""), (str, type(None))):
-            raise ValueError("generators: name %r is not a string" % (entry["name"],))
-        elif "expr" in entry:
-            gens.append(parse_field(amb, entry["expr"], name=entry.get("name")))
-        else:
-            gens.append(field_from_json(amb, entry))
-    base = data.get("basepoint")
-    return DistributionSpec(amb, gens, basepoint=base)
-
-
 def cmd_symbol(args):
-    dist = _read_input(args.input, _distribution_from_json)
+    dist = _read_input(args.input, read_distribution)
     try:
         flag = derived_flag(dist)
         rep = check_strong_regularity(flag)
@@ -279,7 +390,7 @@ def cmd_odesym(args):
     if args.input:
         if given:
             raise InputError("--input excludes %s" % ", ".join(given))
-        spec = _read_input(args.input, OdeSpec.from_json)
+        spec = _read_input(args.input, read_ode)
     else:
         if args.order is None or args.rhs is None:
             raise InputError("need --order and --rhs (or --input)")

@@ -22,13 +22,10 @@ from .linalg import (
     svec_axpy,
     svec_scale,
 )
-from .scalars import FIELD_Q, FIELD_QI, Scalar, as_scalar, scalar_from_json
+from .scalars import FIELD_Q, Scalar, as_scalar
 from .superspace import (
     EVEN,
     ODD,
-    BasisVector,
-    GradedSuperSpace,
-    parity_from_str,
     parity_to_str,
 )
 from .spencer import cochain_basis, differential_rows
@@ -127,50 +124,6 @@ class LieSuperalgebra:
                 }
             )
         return {"basis": basis, "brackets": brackets, "field": self.field}
-
-    @staticmethod
-    def from_json(data):
-        field = data.get("field", FIELD_Q)
-        if field not in (FIELD_Q, FIELD_QI):
-            raise ValueError('field must be "Q" or "Qi", not %r' % (field,))
-        basis = []
-        for b in data["basis"]:
-            degree = b["degree"]
-            if type(degree) is not int:
-                raise ValueError(
-                    "degree of %s must be an integer, not %r" % (b["name"], degree)
-                )
-            basis.append(BasisVector(b["name"], degree, parity_from_str(b["parity"])))
-        space = GradedSuperSpace(basis)
-        brackets = {}
-        for entry in data.get("brackets", []):
-            pair = "[%s, %s]" % (entry["left"], entry["right"])
-            a = space.index(entry["left"])
-            b = space.index(entry["right"])
-            result = entry["result"]
-            if not isinstance(result, list) or not all(
-                isinstance(t, dict) for t in result
-            ):
-                raise ValueError(
-                    "result of bracket %s must be a JSON array of objects" % pair
-                )
-            vec = {}
-            for item in result:
-                c = space.index(item["basis"])
-                if c in vec:
-                    raise ValueError(
-                        "bracket %s names basis vector %s twice" % (pair, item["basis"])
-                    )
-                vec[c] = scalar_from_json(item["coeff"])
-                if field == FIELD_Q and not vec[c].is_rational:
-                    raise ValueError(
-                        'bracket %s has the Gaussian coefficient %s under field "Q"'
-                        % (pair, item["coeff"])
-                    )
-            if (a, b) in brackets:
-                raise ValueError("bracket %s listed twice" % pair)
-            brackets[(a, b)] = vec
-        return LieSuperalgebra(space, brackets, field=field)
 
 
 class SymbolAlgebra(LieSuperalgebra):

@@ -328,17 +328,12 @@ def _jet_coordinate(ctx, nm):
 # ---------------------------------------------------------------------------
 
 class OdeSpec:
-    def __init__(self, order, rhs, poly_degree=4, exponentials=(), ctx=None):
-        for name, value in (("order", order), ("poly_degree", poly_degree)):
-            if type(value) is not int:
-                raise ValueError("%s must be an integer, not %r" % (name, value))
+    def __init__(self, order, rhs, poly_degree=4, exponentials=()):
         if order < 2:
             raise ValueError("order must be >= 2")
         if poly_degree < 0:
             raise ValueError("poly_degree must be >= 0")
-        self.ctx = ctx or JetContext(1)
-        if self.ctx.p != 1:
-            raise ValueError("the symmetry solver handles p = 1 only")
+        self.ctx = JetContext(1)
         if isinstance(rhs, str):
             rhs = parse_jet(self.ctx, rhs)
         elif not isinstance(rhs, JetFunction):
@@ -352,23 +347,7 @@ class OdeSpec:
         if rhs.max_order() > order - 1:
             raise ValueError("right-hand side order exceeds %d" % (order - 1))
         self.poly_degree = poly_degree
-        if not isinstance(exponentials, (list, tuple)):
-            raise ValueError("exponentials must be a list, not %r" % (exponentials,))
         self.exponentials = [_read_rational(l, "exponential") for l in exponentials]
-
-    @staticmethod
-    def from_json(data):
-        basis = data.get("basis", {})
-        if not isinstance(basis, dict):
-            raise ValueError(
-                "basis must be a JSON object, got %s" % type(basis).__name__
-            )
-        return OdeSpec(
-            data["order"],
-            data["rhs"],
-            poly_degree=basis.get("poly_degree", 4),
-            exponentials=basis.get("exponentials", []),
-        )
 
 
 def _linear_constant_coefficients(spec):

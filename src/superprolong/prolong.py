@@ -41,6 +41,7 @@ from .linalg import (
     ExactMatrix,
     SpanSolver,
     _int_row,
+    independent_rows,
     rank_rows,
     svec_axpy,
 )
@@ -99,6 +100,12 @@ class Prolongation:
         self._degs = [b.degree for b in m.space]
         elements = _normalize_g0(m, g0)
         self._check_derivations(elements)
+        if g0 is not None:  # refuse the first element in the span of those before it
+            rows = independent_rows([_flatten_action(a) for _, a in elements]) + [None]
+            idx = next(i for i, j in enumerate(rows) if i != j)
+            if idx < len(elements):
+                raise ProlongationError(
+                    "g0 element %d lies in the span of the elements before it" % idx)
         self.comp = {0: ProlongationComponent(0, elements)}
         self.top = 0
         self._blocks = {}  # (k, l), k <= l -> rows of brackets, see _block

@@ -178,7 +178,7 @@ def scalar_from_json(x):
     raise ValueError("coefficient %r is neither a \"p/q\" string nor an integer" % (x,))
 
 
-def _read_rational(x, what):
+def _read_rational(x, what="number"):
     """x as a Fraction: an int, a Fraction or a "p/q" string with q != 0
     (integers allowed in place of p/q); anything else, a float or a boolean
     included, is a ValueError naming what."""

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import FIELD_Q, Scalar, _read_rational, as_scalar, scalar_from_json
+from .scalars import FIELD_Q, Scalar, _read_rational, as_scalar
 from .superspace import (
     EVEN,
     ODD,
     BasisVector,
     GradedSuperSpace,
     GrassmannPolynomial,
-    parity_from_str,
     parse_polynomial_terms,
     scaled_name,
     signed_sum,
@@ -40,13 +39,6 @@ class Ambient:
     """Coordinate chart of R^{m|n}: ordered even and odd coordinate names."""
 
     def __init__(self, even_names, odd_names, degree_cap=8):
-        for kind, names in (("even", even_names), ("odd", odd_names)):
-            if not (isinstance(names, (list, tuple))
-                    and all(isinstance(x, str) for x in names)):
-                raise ValueError(
-                    "%s coordinates must be a list of names, not %r"
-                    % (kind, names)
-                )
         self.even = list(even_names)
         self.odd = list(odd_names)
         self.m = len(self.even)
@@ -311,12 +303,13 @@ def _parse(ambient, text):
     )
 
 
-def _field_parities(ambient, terms):
-    return {
-        (poly.parity() + ambient.direction_parity(d)) % 2
-        for d, poly in terms.items()
-        if poly
-    }
+def _field_parity(ambient, terms, what):
+    """The one parity of the field with these coefficients (EVEN for 0)."""
+    pars = {(poly.parity() + ambient.direction_parity(d)) % 2
+            for d, poly in terms.items() if poly}
+    if len(pars) > 1:
+        raise ValueError("%s is not parity-homogeneous" % what)
+    return pars.pop() if pars else EVEN
 
 
 def parse_superfunction(ambient, text):
@@ -338,53 +331,9 @@ def parse_field(ambient, text, name=None):
         d = ambient.direction(direction)
         cur = terms.get(d)
         terms[d] = poly if cur is None else cur + poly
-    pars = _field_parities(ambient, terms)
-    if len(pars) > 1:
-        raise ValueError("field %r is not parity-homogeneous" % text)
-    parity = pars.pop() if pars else EVEN
-    return SuperVectorField(ambient, parity, terms, name=name)
-
-
-def field_from_json(ambient, data):
-    """A field from its JSON form; each theta_subset is an ordered product of
-    odd coordinates, so its order carries the sign and a repeat gives 0."""
-    terms = {}
-    for entry in data["coefficients"]:
-        d = ambient.direction(entry["direction"])
-        poly = SuperPolynomial(ambient)
-        for mono in entry["monomials"]:
-            odd = SuperPolynomial.constant(ambient, scalar_from_json(mono["coeff"]))
-            for t in mono.get("theta_subset", []):
-                odd = odd * SuperPolynomial.coordinate(ambient, t)
-            xe = mono.get("x_exponents", [0] * ambient.m)
-            if not (
-                isinstance(xe, list)
-                and len(xe) == ambient.m
-                and all(type(e) is int and e >= 0 for e in xe)
-            ):
-                raise ValueError(
-                    "x_exponents %r: need one nonnegative integer per even "
-                    "coordinate (%d)" % (xe, ambient.m)
-                )
-            if sum(xe) > ambient.degree_cap:
-                raise ValueError(
-                    "x_exponents %r: even degree %d exceeds degree_cap %d"
-                    % (xe, sum(xe), ambient.degree_cap)
-                )
-            xe = tuple(xe)
-            poly = poly + SuperPolynomial(
-                ambient, {(xe, th): v for (_, th), v in odd.terms.items()}
-            )
-        terms[d] = poly
-    parity = data.get("parity")
-    if parity is not None:
-        return SuperVectorField(
-            ambient, parity_from_str(parity), terms, name=data.get("name")
-        )
-    pars = _field_parities(ambient, terms)
-    if len(pars) != 1:
-        raise ValueError("cannot infer a homogeneous parity")
-    return SuperVectorField(ambient, pars.pop(), terms, name=data.get("name"))
+    return SuperVectorField(
+        ambient, _field_parity(ambient, terms, "field %r" % text), terms, name=name
+    )
 
 
 # ---------------------------------------------------------------------------

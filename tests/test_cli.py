@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import settings, strategies as st, given
 
 from superprolong.cli import main
 
@@ -39,9 +45,10 @@ def test_prolong_json_round_trips(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["total"] == {"even": 4, "odd": 4}
-    from superprolong.liesuper import LieSuperalgebra, validate
+    from superprolong.cli import read_algebra
+    from superprolong.liesuper import validate
 
-    alg = LieSuperalgebra.from_json(data["algebra"])
+    alg = read_algebra(data["algebra"])
     assert validate(alg) == []
 
 
@@ -76,7 +83,7 @@ def _unknown_basis_vector():
 @pytest.mark.parametrize("command", ["prolong", "cohomology"])
 @pytest.mark.parametrize(
     "text, message",
-    [(_unknown_basis_vector, "unknown or missing name 'W'"),
+    [(_unknown_basis_vector, "brackets[0].result[0].basis: unknown basis vector 'W'"),
      (lambda: json.dumps(_shc_json())[:40], "Expecting")],
     ids=["unknown-basis-vector", "truncated-json"],
 )
@@ -108,7 +115,9 @@ def test_bracket_listed_twice_exit_two(tmp_path, capsys, command):
         argv += ["--d", "0"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
-    assert err == "input error: %s: bracket [e1, e2] listed twice\n" % path
+    assert err == "input error: %s: brackets[%d]: bracket [e1, e2] listed twice\n" % (
+        path, len(_shc_json()["brackets"])
+    )
 
 
 def _basis_vector_named_twice():
@@ -141,11 +150,12 @@ def _gaussian_coefficient_under_q():
 @pytest.mark.parametrize("command", ["prolong", "cohomology"])
 @pytest.mark.parametrize(
     "text, message",
-    [(_basis_vector_named_twice, "bracket [e1, e2] names basis vector h twice"),
-     (_float_coefficient, 'coefficient 0.5 is neither a "p/q" string nor an integer'),
-     (_zero_denominator, "scalar '1/0' has a zero denominator"),
+    [(_basis_vector_named_twice, "brackets[0].result[1].basis: h named twice"),
+     (_float_coefficient, 'brackets[0].result[0].coeff: '
+      'coefficient 0.5 is neither a "p/q" string nor an integer'),
+     (_zero_denominator, "brackets[0].result[0].coeff: scalar '1/0' has a zero denominator"),
      (_gaussian_coefficient_under_q,
-      'bracket [e1, e2] has the Gaussian coefficient 0+1*i under field "Q"')],
+      'brackets[0].result[0].coeff: Gaussian coefficient 0+1*i under field "Q"')],
     ids=["basis-vector-named-twice", "float-coefficient", "zero-denominator",
          "gaussian-under-q"],
 )
@@ -170,8 +180,8 @@ def test_algebra_degree_must_be_a_json_integer(tmp_path, capsys, degree):
     path.write_text(json.dumps(data))
     code, out, err = run_cli(["prolong", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err == "input error: %s: degree of e1 must be an integer, not %r\n" % (
-        path, degree
+    assert err == "input error: %s: basis[0].degree: expected an integer, got %s\n" % (
+        path, json.dumps(degree)
     )
 
 
@@ -185,22 +195,24 @@ def test_algebra_parity_must_be_a_name_or_an_integer(tmp_path, capsys, parity):
     path.write_text(json.dumps(data))
     code, out, err = run_cli(["prolong", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err == "input error: %s: bad parity %r\n" % (path, parity)
+    assert err == "input error: %s: basis[0].parity: bad parity %r\n" % (path, parity)
 
 
 @pytest.mark.parametrize(
-    "field", ["R", "Q(i)", 0, None], ids=["R", "Q(i)", "zero", "null"]
+    "field, message",
+    [("R", 'expected "Q" or "Qi", got "R"'),
+     ("Q(i)", 'expected "Q" or "Qi", got "Q(i)"'),
+     (0, "expected a string, got 0"), (None, "expected a string, got null")],
+    ids=["R", "Q(i)", "zero", "null"],
 )
-def test_algebra_field_must_be_q_or_qi(tmp_path, capsys, field):
+def test_algebra_field_must_be_q_or_qi(tmp_path, capsys, field, message):
     data = _shc_json()
     data["field"] = field
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(["prolong", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err == 'input error: %s: field must be "Q" or "Qi", not %r\n' % (
-        path, field
-    )
+    assert err == "input error: %s: field: %s\n" % (path, message)
 
 
 @pytest.mark.parametrize(
@@ -244,20 +256,21 @@ _CONTACT_WITH_A_NUMBER = {"ambient": {"even": ["x"], "odd": ["xi", "xi1"]},
 
 @pytest.mark.parametrize(
     "command, data, message",
-    [("odesym", lambda: {"rhs": "xi2"}, "unknown or missing name 'order'"),
-     ("odesym", lambda: {"order": 3}, "unknown or missing name 'rhs'"),
+    [("odesym", lambda: {"rhs": "xi2"}, "order: missing\n"),
+     ("odesym", lambda: {"order": 3}, "rhs: missing\n"),
      ("prolong", lambda: [1, 2], "expected a JSON object, got list"),
      ("symbol", lambda: [1, 2], "expected a JSON object, got list"),
      ("odesym", lambda: [1, 2], "expected a JSON object, got list"),
      ("odesym", lambda: {"order": 3, "rhs": "xi2", "basis": [2]},
-      "basis must be a JSON object, got list\n"),
+      "basis: expected an object, got [2]\n"),
      ("prolong", _bracket_result_object,
-      "result of bracket [e1, e2] must be a JSON array of objects\n"),
+      'brackets[0].result: expected an array, got {"basis": "h", "coeff": "1"}\n'),
      ("symbol", lambda: _CONTACT_WITH_A_NUMBER,
-      "generators: 5 is neither a string nor a JSON object\n"),
+      "generators[1]: expected a string or an object, got 5\n"),
      ("symbol", lambda: {"ambient": {"even": ["x"], "odd": []}, "generators": "@x"},
-      "generators must be a JSON array, got str\n"),
-     ("symbol", _zero_denominator_field, "scalar '1/0' has a zero denominator")],
+      'generators: expected an array, got "@x"\n'),
+     ("symbol", _zero_denominator_field, "generators[1].coefficients[0].monomials[0]"
+      ".coeff: scalar '1/0' has a zero denominator\n")],
     ids=["ode-without-order", "ode-without-rhs", "prolong-array", "symbol-array",
          "odesym-array", "ode-basis-list", "bracket-result-object",
          "generator-number", "generators-string", "field-zero-denominator"],
@@ -269,6 +282,91 @@ def test_json_input_of_the_wrong_shape_exit_two(tmp_path, capsys, command, data,
     assert (code, out) == (2, "")
     assert err.startswith("input error: %s: %s" % (path, message))
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _theta_table(theta):
+    return {"coefficients": [
+        {"direction": "xi", "monomials": [{"theta_subset": theta, "coeff": "1"}]}
+    ]}
+
+
+@pytest.mark.parametrize("command", ["symbol", "check-regular"])
+@pytest.mark.parametrize(
+    "theta, message",
+    [(["x"], "theta_subset[0]: unknown odd coordinate 'x'"),
+     ({"xi1": 1}, 'theta_subset: expected an array, got {"xi1": 1}'),
+     ("xi", 'theta_subset: expected an array, got "xi"')],
+    ids=["even-name", "object", "string"],
+)
+def test_theta_subset_is_a_list_of_odd_coordinates(tmp_path, capsys, command, theta, message):
+    # the even "x" was multiplied in and then dropped, reading as @xi
+    data = {"ambient": {"even": ["x"], "odd": ["xi", "xi1"]},
+            "generators": ["@xi1", _theta_table(theta)]}
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s: generators[1].coefficients[0].monomials[0].%s\n" % (
+        path, message
+    )
+
+
+def _shc_with_e1_named(name):
+    def rename(entry, key):
+        return dict(entry, **{key: name}) if entry[key] == "e1" else entry
+
+    data = _shc_json()
+    data["basis"] = [rename(b, "name") for b in data["basis"]]
+    data["brackets"] = [
+        dict(rename(rename(b, "left"), "right"),
+             result=[rename(t, "basis") for t in b["result"]])
+        for b in data["brackets"]
+    ]
+    return data
+
+
+def _heisenberg_with_a_number_name():
+    from superprolong.catalog import build_named
+
+    data = build_named("heisenberg_contact:2|0").to_json()
+    data["basis"][0]["name"] = 1.5
+    return data
+
+
+def _shc_bracket(key, value):
+    data = _shc_json()
+    data["brackets"][0][key] = value
+    return data
+
+
+def _shc_result_basis(value):
+    data = _shc_json()
+    data["brackets"][0]["result"][0]["basis"] = value
+    return data
+
+
+@pytest.mark.parametrize("command", ["prolong", "cohomology"])
+@pytest.mark.parametrize(
+    "data, message",
+    [(lambda: _shc_with_e1_named(7), "basis[0].name: expected a string, got 7"),
+     (_heisenberg_with_a_number_name, "basis[0].name: expected a string, got 1.5"),
+     (lambda: _shc_bracket("left", 7), "brackets[0].left: unknown basis vector 7"),
+     (lambda: _shc_bracket("right", "W"), "brackets[0].right: unknown basis vector 'W'"),
+     (lambda: _shc_result_basis(["h"]),
+      "brackets[0].result[0].basis: unknown basis vector ['h']")],
+    ids=["shc-e1-named-7", "heisenberg-name-1.5", "left-number", "right-unknown",
+         "result-basis-list"],
+)
+def test_algebra_names_are_strings_of_the_basis(tmp_path, capsys, command, data, message):
+    # a numeric name prolonged SHC to (17|14) and was written back as 7
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data()))
+    argv = [command, "--input", str(path)]
+    if command == "cohomology":
+        argv += ["--d", "0"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: %s: %s\n" % (path, message)
 
 
 def test_failed_validation_names_the_file_and_the_first_violation(tmp_path, capsys):
@@ -348,7 +446,10 @@ def test_distribution_bad_x_exponents_exit_two(tmp_path, capsys, command):
     path.write_text(json.dumps(data))
     code, out, err = run_cli([command, "--input", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("input error: %s: x_exponents [1]" % path)
+    assert err == (
+        "input error: %s: generators[1].coefficients[0].monomials[0].x_exponents: "
+        "need one nonnegative integer per even coordinate (2), got [1]\n" % path
+    )
 
 
 def _x_table(exponent, **extra):
@@ -361,13 +462,14 @@ def _x_table(exponent, **extra):
 @pytest.mark.parametrize("command", ["symbol", "check-regular"])
 @pytest.mark.parametrize(
     "generators, message",
-    [([], "generators must not be empty"),
+    [([], "generators: must not be empty"),
      ([{"name": ["Dx"], "expr": "@x"}, "@xi1"],
-      "generators: name ['Dx'] is not a string"),
+      'generators[0].name: expected a string or null, got ["Dx"]'),
      ([_x_table(0, name={"a": 1}), "@xi1"],
-      "generators: name {'a': 1} is not a string"),
+      'generators[0].name: expected a string or null, got {"a": 1}'),
      (["@xi1", _x_table(20)],
-      "x_exponents [20]: even degree 20 exceeds degree_cap 8"),
+      "generators[1].coefficients[0].monomials[0].x_exponents: "
+      "even degree 20 exceeds degree_cap 8"),
      (["@xi1", _x_table(0, name=None)], None)],
     ids=["empty", "name-list", "name-object", "exponent-above-cap", "name-null"],
 )
@@ -418,8 +520,8 @@ def test_distribution_float_coefficient_exit_two(tmp_path, capsys, command):
     code, out, err = run_cli([command, "--input", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == (
-        'input error: %s: coefficient 0.5 is neither a "p/q" string nor an integer\n'
-        % path
+        "input error: %s: generators[1].coefficients[0].monomials[0].coeff: "
+        'coefficient 0.5 is neither a "p/q" string nor an integer\n' % path
     )
 
 
@@ -482,9 +584,10 @@ def test_symbol_pass_json(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["regular"] is True
-    from superprolong.liesuper import LieSuperalgebra, validate
+    from superprolong.cli import read_algebra
+    from superprolong.liesuper import validate
 
-    sym = LieSuperalgebra.from_json(payload["symbol"])
+    sym = read_algebra(payload["symbol"])
     assert validate(sym) == []
     assert sym.space.superdim() == (1, 2)
 
@@ -617,10 +720,7 @@ def test_odesym_input_with_a_non_string_rhs_exit_two(tmp_path, capsys, rhs):
     path.write_text(json.dumps({"order": 3, "rhs": rhs}))
     code, out, err = run_cli(["odesym", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err == (
-        "input error: %s: the right-hand side must be a string or a JetFunction, "
-        "not %r\n" % (path, rhs)
-    )
+    assert err == "input error: %s: rhs: expected a string, got %s\n" % (path, rhs)
 
 
 def test_odesym_input_alone_reads_the_file(tmp_path, capsys):
@@ -640,12 +740,12 @@ _CONTACT = {"ambient": {"even": ["x"], "odd": ["xi", "xi1"]},
     "extra, message",
     [
         ({"basepoint": [0.1]},
-         'basepoint coordinate 0.1 is neither an integer nor a "p/q" string'),
+         'basepoint[0]: number 0.1 is neither an integer nor a "p/q" string'),
         ({"basepoint": [True]},
-         'basepoint coordinate True is neither an integer nor a "p/q" string'),
-        ({"degree_cap": "8"}, "degree_cap must be a nonnegative integer, not '8'"),
-        ({"degree_cap": 2.5}, "degree_cap must be a nonnegative integer, not 2.5"),
-        ({"degree_cap": True}, "degree_cap must be a nonnegative integer, not True"),
+         'basepoint[0]: number True is neither an integer nor a "p/q" string'),
+        ({"degree_cap": "8"}, 'degree_cap: expected an integer, got "8"'),
+        ({"degree_cap": 2.5}, "degree_cap: expected an integer, got 2.5"),
+        ({"degree_cap": True}, "degree_cap: expected an integer, got true"),
     ],
     ids=["basepoint-float", "basepoint-bool", "cap-string", "cap-float", "cap-bool"],
 )
@@ -660,12 +760,9 @@ def test_distribution_inexact_numbers_exit_two(tmp_path, capsys, command, extra,
 @pytest.mark.parametrize(
     "ambient, message",
     [
-        ({"even": "xy", "odd": []},
-         "even coordinates must be a list of names, not 'xy'"),
-        ({"even": ["x", "y"], "odd": "t"},
-         "odd coordinates must be a list of names, not 't'"),
-        ({"even": ["x", 1], "odd": []},
-         "even coordinates must be a list of names, not ['x', 1]"),
+        ({"even": "xy", "odd": []}, 'ambient.even: expected an array, got "xy"'),
+        ({"even": ["x", "y"], "odd": "t"}, 'ambient.odd: expected an array, got "t"'),
+        ({"even": ["x", 1], "odd": []}, "ambient.even[1]: expected a string, got 1"),
     ],
     ids=["even-string", "odd-string", "numeric-name"],
 )
@@ -680,13 +777,14 @@ def test_distribution_coordinates_must_be_lists_of_names(tmp_path, capsys, ambie
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ({"order": 3.7}, "order must be an integer, not 3.7"),
-        ({"order": True}, "order must be an integer, not True"),
-        ({"basis": {"poly_degree": "2"}}, "poly_degree must be an integer, not '2'"),
+        ({"order": 3.7}, "order: expected an integer, got 3.7"),
+        ({"order": True}, "order: expected an integer, got true"),
+        ({"basis": {"poly_degree": "2"}},
+         'basis.poly_degree: expected an integer, got "2"'),
         ({"basis": {"exponentials": [0.1]}},
-         'exponential 0.1 is neither an integer nor a "p/q" string'),
+         'basis.exponentials[0]: number 0.1 is neither an integer nor a "p/q" string'),
         ({"basis": {"exponentials": [False]}},
-         'exponential False is neither an integer nor a "p/q" string'),
+         'basis.exponentials[0]: number False is neither an integer nor a "p/q" string'),
     ],
     ids=["order-float", "order-bool", "degree-string", "exp-float", "exp-bool"],
 )
@@ -709,3 +807,88 @@ def test_odesym_exp_takes_an_exact_rational(capsys):
     )
     assert code == 0
     assert "symmetry superdimension: (2|3)" in out
+
+
+# The example documents of docs/formats.md, one per JSON input format, and
+# the subcommands that read them.
+_DOC_ALGEBRA = {
+    "field": "Q",
+    "basis": [
+        {"name": "X", "degree": -1, "parity": "even"},
+        {"name": "th1", "degree": -1, "parity": "odd"},
+        {"name": "th2", "degree": -2, "parity": "odd"},
+    ],
+    "brackets": [
+        {"left": "X", "right": "th1", "result": [{"basis": "th2", "coeff": "1/1"}]}
+    ],
+}
+_DOC_DISTRIBUTION = {
+    "ambient": {"even": ["x", "u", "p", "q", "z"], "odd": ["theta", "nu"]},
+    "basepoint": [0, 0, 0, 0, 0],
+    "degree_cap": 8,
+    "generators": [
+        {"name": "Dx", "expr": "@x + p*@u + q*@p + q^2*@z"},
+        {"name": "Dq", "expr": "@q"},
+        {"coefficients": [
+            {"direction": "theta",
+             "monomials": [{"x_exponents": [0, 0, 0, 0, 0],
+                            "theta_subset": [], "coeff": "1/1"}]}
+        ]},
+    ],
+}
+_DOC_ODE = {"order": 3, "rhs": "xi2", "basis": {"poly_degree": 2, "exponentials": []}}
+_FUZZED = {
+    "prolong": (_DOC_ALGEBRA, []),
+    "cohomology": (_DOC_ALGEBRA, ["--d", "0..2"]),
+    "symbol": (_DOC_DISTRIBUTION, []),
+    "check-regular": (_DOC_DISTRIBUTION, []),
+    "odesym": (_DOC_ODE, []),
+}
+_DELETE = object()
+# no integer above 6: "order" and "poly_degree" set the solver's cost
+_SUBSTITUTES = [_DELETE, None, True, False, 0, 1, -1, 6, 1.5, "", "x", "xi",
+                "odd", "1/0", "W", [], [1], ["x"], {}, {"a": 1}]
+# Python's own wording, which names no field of the file
+_PYTHON_WORDING = ("object is not", "unhashable", "indices must", "has no attribute",
+                   "not iterable", "unknown or missing name")
+
+
+def _paths(value, path=()):
+    """Every path to a value inside value, containers included."""
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield path + (key,)
+            yield from _paths(item, path + (key,))
+
+
+def _substituted(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZED))
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_single_field_substitutions_exit_with_a_named_field(command, data):
+    doc, extra = _FUZZED[command]
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    value = data.draw(st.sampled_from(_SUBSTITUTES), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "input.json"
+        file.write_text(json.dumps(_substituted(doc, path, value)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--input", str(file)] + extra)
+    code, err = exc.value.code, err.getvalue()
+    assert code in (0, 2, 3, 4), err
+    if code == 2:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert not any(words in err for words in _PYTHON_WORDING), err

@@ -5,6 +5,7 @@ import pytest
 
 from superprolong.scalars import Scalar
 from superprolong.superspace import EVEN, ODD
+from superprolong.cli import read_ode
 from superprolong.liesuper import validate
 from superprolong.oddode import (
     ContactField,
@@ -247,14 +248,14 @@ def test_rhs_must_be_odd_and_low_order():
 def test_rhs_must_be_a_string_or_a_jet_function(rhs):
     with pytest.raises(ValueError, match="right-hand side must be a string"):
         OdeSpec(3, rhs)
-    with pytest.raises(ValueError, match="right-hand side must be a string"):
-        OdeSpec.from_json({"order": 3, "rhs": rhs})
+    with pytest.raises(ValueError, match="^rhs: expected a string, got "):
+        read_ode({"order": 3, "rhs": rhs})
     # a JetFunction is taken as it is
     assert OdeSpec(3, parse_jet(CTX, "xi2")).rhs.to_str() == "xi2"
 
 
 def test_json_round_trip():
-    spec = OdeSpec.from_json(
+    spec = read_ode(
         {"order": 3, "rhs": "xi2", "basis": {"poly_degree": 2, "exponentials": []}}
     )
     res = determine_symmetries(spec)
@@ -264,24 +265,26 @@ def test_json_round_trip():
     assert any(g["f"] == "exp(x)" for g in data["generators"])
 
 
-_NOT_RATIONAL = 'exponential %r is neither an integer nor a "p/q" string'
+_NOT_RATIONAL = 'basis.exponentials[0]: number %r is neither an integer nor a "p/q" string'
 
 
 @pytest.mark.parametrize(
     "data, message",
     [
-        ({"order": 3.7}, "order must be an integer, not 3.7"),
-        ({"order": 3.0}, "order must be an integer, not 3.0"),
-        ({"order": True}, "order must be an integer, not True"),
-        ({"order": "3"}, "order must be an integer, not '3'"),
-        ({"basis": {"poly_degree": 2.5}}, "poly_degree must be an integer, not 2.5"),
-        ({"basis": {"poly_degree": False}}, "poly_degree must be an integer, not False"),
-        ({"basis": {"poly_degree": "2"}}, "poly_degree must be an integer, not '2'"),
+        ({"order": 3.7}, "order: expected an integer, got 3.7"),
+        ({"order": 3.0}, "order: expected an integer, got 3.0"),
+        ({"order": True}, "order: expected an integer, got true"),
+        ({"order": "3"}, 'order: expected an integer, got "3"'),
+        ({"basis": {"poly_degree": 2.5}}, "basis.poly_degree: expected an integer, got 2.5"),
+        ({"basis": {"poly_degree": False}},
+         "basis.poly_degree: expected an integer, got false"),
+        ({"basis": {"poly_degree": "2"}}, 'basis.poly_degree: expected an integer, got "2"'),
         ({"basis": {"exponentials": [0.1]}}, _NOT_RATIONAL % 0.1),
         ({"basis": {"exponentials": [True]}}, _NOT_RATIONAL % True),
         ({"basis": {"exponentials": ["0.5"]}}, _NOT_RATIONAL % "0.5"),
         ({"basis": {"exponentials": ["1+1*i"]}}, _NOT_RATIONAL % "1+1*i"),
-        ({"basis": {"exponentials": 0.5}}, "exponentials must be a list, not 0.5"),
+        ({"basis": {"exponentials": 0.5}},
+         "basis.exponentials: expected an array, got 0.5"),
     ],
     ids=["order-float", "order-integral-float", "order-bool", "order-string",
          "degree-float", "degree-bool", "degree-string", "exp-float",
@@ -289,13 +292,13 @@ _NOT_RATIONAL = 'exponential %r is neither an integer nor a "p/q" string'
 )
 def test_ode_json_numbers_must_be_exact(data, message):
     with pytest.raises(ValueError) as err:
-        OdeSpec.from_json({"order": 3, "rhs": "xi2", **data})
+        read_ode({"order": 3, "rhs": "xi2", **data})
     assert str(err.value) == message
 
 
 def test_exponentials_are_read_once_as_exact_rationals():
     want = [Fraction(1, 2), Fraction(1), Fraction(-3)]
-    spec = OdeSpec.from_json(
+    spec = read_ode(
         {"order": 3, "rhs": "xi2", "basis": {"exponentials": ["1/2", 1, "-3"]}}
     )
     assert spec.exponentials == want

@@ -388,6 +388,27 @@ def test_g0_matrices_must_be_dim_m_square(g0, shape):
         Prolongation(abelian(2, 1), g0=g0_of(g0))
 
 
+def _unit(c=1):
+    return (EVEN, {0: {0: Scalar(c)}})
+
+
+@pytest.mark.parametrize(
+    "g0",
+    [[_unit(), _unit()], [_unit(), _unit(2)], g0_of(gl(1, 0)) * 2],
+    ids=["e-e", "e-2e", "gl10-twice"],
+)
+def test_dependent_g0_elements_are_refused(g0):
+    # counting each copy would double every g_k: (2|0) in degrees 0..3
+    m = SymbolAlgebra(abelian(1, 0))
+    assert prolong(m, g0=g0[:1], max_degree=3).component_superdim(0) == (1, 0)
+    with pytest.raises(ProlongationError) as exc:
+        Prolongation(m, g0=g0)
+    assert str(exc.value) == "g0 element 1 lies in the span of the elements before it"
+    # a zero element lies in the span of none
+    with pytest.raises(ProlongationError, match="^g0 element 0 lies in the span"):
+        Prolongation(m, g0=[(EVEN, {})] + g0)
+
+
 def test_incompatible_reduction_rejected():
     # a non-gl(V)-invariant line inside g_1 must be refused
     m = SymbolAlgebra(abelian(2, 0))

@@ -18,13 +18,19 @@ from superprolong.superfield import (
     check_strong_regularity,
     derived_flag,
     extract_symbol,
-    field_from_json,
     left_invariant_distribution,
     left_invariant_fields,
     parse_field,
     parse_superfunction,
     symbols_isomorphic_on_the_nose,
 )
+from superprolong.cli import _read_field
+
+
+def field_from_json(amb, data):
+    """One generator in the coefficient-table form, read as the distribution
+    JSON reader reads it."""
+    return _read_field(amb, data, "generators[0]")
 
 
 def example_35():
