@@ -15,7 +15,6 @@ from .superspace import (
     ExteriorBasisMonomial,
     GradedSuperSpace,
     exterior_power_basis,
-    koszul_sign,
 )
 from .liesuper import (
     LieSuperalgebra,

@@ -107,16 +107,26 @@ def _one_of(names, what):
     return read
 
 
+def _distinct(named, what):
+    """A ValueError at the path of the first of the (path, name) pairs whose
+    name repeats an earlier one."""
+    seen = set()
+    for path, name in named:
+        if name in seen:
+            raise ValueError("%s: duplicate %s %r" % (path, what, name))
+        seen.add(name)
+
+
 def read_algebra(data):
     """A LieSuperalgebra from algebra JSON."""
     field = _read(data, "field", "", str, FIELD_Q)
     if field not in (FIELD_Q, FIELD_QI):
         raise ValueError('field: expected "Q" or "Qi", got %s' % json.dumps(field))
-    space = GradedSuperSpace([
-        BasisVector(_read(b, "name", p, str), _read(b, "degree", p, int),
-                    _read(b, "parity", p, parity_from_str))
-        for p, b in _each(data, "basis", "", dict)
-    ])
+    basis = [(p, BasisVector(_read(b, "name", p, str), _read(b, "degree", p, int),
+                             _read(b, "parity", p, parity_from_str)))
+             for p, b in _each(data, "basis", "", dict)]
+    _distinct([(p + ".name", v.name) for p, v in basis], "basis name")
+    space = GradedSuperSpace([v for _, v in basis])
     index = _one_of([b.name for b in space], "basis vector")
     brackets = {}
     for p, entry in _each(data, "brackets", "", dict, []):
@@ -170,22 +180,28 @@ def _read_field(amb, entry, path):
 def read_distribution(data):
     """A DistributionSpec from distribution JSON."""
     ambient = _read(data, "ambient", "", dict)
-    amb = Ambient([x for _, x in _each(ambient, "even", "ambient", str)],
-                  [x for _, x in _each(ambient, "odd", "ambient", str)],
+    even, odd = (_each(ambient, side, "ambient", str) for side in ("even", "odd"))
+    _distinct(even + odd, "coordinate name")
+    amb = Ambient([x for _, x in even], [x for _, x in odd],
                   degree_cap=_read(data, "degree_cap", "", int, 8))
     gens = []
     for p, entry in _each(data, "generators", "", (str, dict)):
         if type(entry) is str:
-            gens.append(_check(entry, p, partial(parse_field, amb)))
+            gen = _check(entry, p, partial(parse_field, amb))
         elif "expr" in entry:
-            gens.append(_check(_read(entry, "expr", p, str), p + ".expr", partial(
-                parse_field, amb, name=_read(entry, "name", p, (str, type(None)), None))))
+            gen = _check(_read(entry, "expr", p, str), p + ".expr", partial(
+                parse_field, amb, name=_read(entry, "name", p, (str, type(None)), None)))
         else:
-            gens.append(_read_field(amb, entry, p))
+            gen = _read_field(amb, entry, p)
+        if not gen:
+            raise ValueError("%s: zero generator" % p)
+        gens.append(gen)
     if not gens:
         raise ValueError("generators: must not be empty")
-    basepoint = [v for _, v in _each(data, "basepoint", "", _read_rational, [])]
-    return DistributionSpec(amb, gens, basepoint=basepoint)
+    basepoint = None  # a missing base point is the origin
+    if "basepoint" in data:
+        basepoint = [v for _, v in _each(data, "basepoint", "", _read_rational)]
+    return _check(basepoint, "basepoint", partial(DistributionSpec, amb, gens))
 
 
 def read_ode(data):
@@ -256,6 +272,7 @@ def _fmt_dims(d):
 
 def cmd_prolong(args):
     alg = _load_algebra(args)
+    source = args.input if args.name is None else repr(args.name)
     degs = alg.space.degrees()
     if degs == [0] and alg.rep is not None:
         # a matrix structure algebra: prolong the flat G-structure it cuts
@@ -269,7 +286,6 @@ def cmd_prolong(args):
         try:
             m = SymbolAlgebra(alg)
         except ValueError as e:
-            source = args.input if args.name is None else repr(args.name)
             raise InputError(
                 "%s: %s, got degrees %s"
                 % (source, e, ", ".join(map(str, degs)))
@@ -283,7 +299,7 @@ def cmd_prolong(args):
             max_degree=args.max_degree,
         )
     except ProlongationError as e:
-        raise InputError(str(e))
+        raise InputError("%s: %s" % (source, e))
     if args.format == "json":
         print(json.dumps(res.to_json(include_algebra=args.constants), indent=2))
     else:

@@ -23,6 +23,7 @@ with [S_f, S_g] = S_{[f,g]}.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from .scalars import FIELD_Q, Scalar, _read_rational, as_scalar
@@ -32,7 +33,7 @@ from .superspace import (
     BasisVector,
     GradedSuperSpace,
     GrassmannPolynomial,
-    parse_polynomial_terms,
+    parse_polynomial,
 )
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate as validate_alg
 from .superfield import PolynomialField
@@ -114,23 +115,10 @@ class JetFunction(GrassmannPolynomial):
 
     def diff_x(self, i=0):
         """d/dx^i; for p = 1 this also differentiates the exponential part."""
-        out = {}
-
-        def add(key, v):
-            s = out.get(key, Scalar(0)) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-
-        for (xe, lam, odd), v in self.terms.items():
-            if xe[i]:
-                nxe = list(xe)
-                nxe[i] -= 1
-                add((tuple(nxe), lam, odd), v * Scalar(xe[i]))
-            if lam and i == 0:
-                add((xe, lam, odd), v * Scalar(lam))
-        return JetFunction(self.ambient, out)
+        out = super().diff_x(i)
+        # a nonzero lambda only occurs for p = 1, where i = 0
+        exp_part = {key: v * Scalar(key[1]) for key, v in self.terms.items() if key[1]}
+        return out + JetFunction(self.ambient, exp_part) if exp_part else out
 
     def total_derivative(self, i=0):
         """Full total derivative D_{x^i} (raises jet order by one)."""
@@ -296,14 +284,9 @@ def lagrange_bracket(f, g):
 def parse_jet(ctx, text):
     """Parse "a(x)*xi + b*xi1*xi2" style jet functions (p = 1 names: x, xi,
     xi1, xi2, ...; p > 1: x1..xp, xi, xi_12...)."""
-    out = JetFunction(ctx)
-    for direction, poly in parse_polynomial_terms(
-        text, JetFunction.constant(ctx, 1), lambda nm: _jet_coordinate(ctx, nm)
-    ):
-        if direction is not None:
-            raise ValueError("direction symbol in a jet function: %r" % text)
-        out = out + poly
-    return out
+    return parse_polynomial(
+        text, JetFunction.constant(ctx, 1), partial(_jet_coordinate, ctx)
+    )
 
 
 def _jet_coordinate(ctx, nm):

@@ -45,14 +45,10 @@ columns alone, without a kernel basis.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .linalg import independent_rows, rank_rows
-from .superspace import (
-    EVEN,
-    ODD,
-    exterior_power_basis,
-    extraction_sign,
-    sort_with_sign,
-)
+from .superspace import EVEN, ODD, exterior_power_basis, sort_with_sign
 
 
 class CochainSlice:
@@ -85,6 +81,20 @@ def cochain_basis(g, d, k):
     return out
 
 
+@lru_cache(maxsize=None)
+def _slot_signs(pars):
+    """(s_i per slot i, s_ij per slot pair i < j) of argument slots with
+    these parities: the signs of sorting the slot orders (i, rest) and
+    (i, j, rest) back into place."""
+    def sign(front):
+        order = front + tuple(p for p in range(len(pars)) if p not in front)
+        return sort_with_sign(order, [pars[p] for p in order])[1]
+
+    slots = range(len(pars))
+    return ([sign((i,)) for i in slots],
+            {(i, j): sign((i, j)) for i in slots for j in slots if i < j})
+
+
 def differential_rows(g, basis, target):
     """Sparse matrix rows (dicts col -> Scalar) of the differential w.r.t.
     monomial bases; rows are indexed by the target basis."""
@@ -109,13 +119,13 @@ def differential_rows(g, basis, target):
     out_tuples = sorted({T for T, _, _ in target})
     k1 = len(out_tuples[0]) if out_tuples else 0
     for T in out_tuples:
-        pars = [space[t].parity for t in T]
+        s1, s2 = _slot_signs(tuple(space[t].parity for t in T))
         for i in range(k1):
             rest = T[:i] + T[i + 1 :]
             hits = cols_by_tuple.get(rest)
             if not hits:
                 continue
-            s_i = extraction_sign(pars, (i,))
+            s_i = s1[i]
             xi = T[i]
             pxi = space[xi].parity
             for c, b in hits:
@@ -133,7 +143,7 @@ def differential_rows(g, basis, target):
                 br = g.bracket_indices(T[i], T[j])
                 if not br:
                     continue
-                s_ij = extraction_sign(pars, (i, j))
+                s_ij = s2[(i, j)]
                 rest = tuple(t for p, t in enumerate(T) if p != i and p != j)
                 rest_pars = [space[t].parity for t in rest]
                 for cidx, s in br.items():

@@ -19,6 +19,7 @@ and super Nakayama lifts it to a local frame of a direct factor near x0.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .scalars import FIELD_Q, Scalar, _read_rational, as_scalar
 from .superspace import (
@@ -27,6 +28,7 @@ from .superspace import (
     BasisVector,
     GradedSuperSpace,
     GrassmannPolynomial,
+    parse_polynomial,
     parse_polynomial_terms,
     scaled_name,
     signed_sum,
@@ -111,15 +113,6 @@ class SuperPolynomial(GrassmannPolynomial):
                 "even degree cap %d exceeded in a product" % self.ambient.degree_cap
             )
         return (xe,)
-
-    def diff_x(self, i):
-        out = {}
-        for (xe, th), v in self.terms.items():
-            if xe[i]:
-                nxe = list(xe)
-                nxe[i] -= 1
-                out[(tuple(nxe), th)] = v * Scalar(xe[i])
-        return SuperPolynomial(self.ambient, out)
 
     def ev(self, point):
         """Evaluation at (x = point, theta = 0)."""
@@ -295,14 +288,6 @@ class SuperVectorField(PolynomialField):
 # parsing
 # ---------------------------------------------------------------------------
 
-def _parse(ambient, text):
-    return parse_polynomial_terms(
-        text,
-        SuperPolynomial.constant(ambient, 1),
-        lambda name: SuperPolynomial.coordinate(ambient, name),
-    )
-
-
 def _field_parity(ambient, terms, what):
     """The one parity of the field with these coefficients (EVEN for 0)."""
     pars = {(poly.parity() + ambient.direction_parity(d)) % 2
@@ -312,20 +297,21 @@ def _field_parity(ambient, terms, what):
     return pars.pop() if pars else EVEN
 
 
+def _ring(ambient):
+    """The unit and the coordinate function of the superfunctions."""
+    return (SuperPolynomial.constant(ambient, 1),
+            partial(SuperPolynomial.coordinate, ambient))
+
+
 def parse_superfunction(ambient, text):
-    out = SuperPolynomial(ambient)
-    for direction, poly in _parse(ambient, text):
-        if direction is not None:
-            raise ValueError("direction symbol inside a function: %r" % text)
-        out = out + poly
-    return out
+    return parse_polynomial(text, *_ring(ambient))
 
 
 def parse_field(ambient, text, name=None):
     """Parse "@x + p*@u + q^2*@z" style expressions; the direction marker is
     '@name', 'd_name' or a literal unicode del."""
     terms = {}
-    for direction, poly in _parse(ambient, text):
+    for direction, poly in parse_polynomial_terms(text, *_ring(ambient)):
         if direction is None:
             raise ValueError("term without a direction in %r" % text)
         d = ambient.direction(direction)
@@ -351,7 +337,7 @@ class DistributionSpec:
             raise ValueError("basepoint must be a list, not %r" % (basepoint,))
         self.basepoint = [
             _read_rational(v, "basepoint coordinate")
-            for v in (basepoint or [0] * ambient.m)
+            for v in ([0] * ambient.m if basepoint is None else basepoint)
         ]
         if len(self.basepoint) != ambient.m:
             raise ValueError("basepoint needs %d even coordinates" % ambient.m)

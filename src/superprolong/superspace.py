@@ -1,25 +1,26 @@
-"""Graded supervector spaces, the Koszul sign oracle, super-Lambda^k and the
-Grassmann-polynomial core.
+"""Graded supervector spaces, the one Koszul sign routine, super-Lambda^k
+and the Grassmann-polynomial core.
 
 Sign convention (used verbatim everywhere else in the package): inside a
 super exterior power, exchanging two adjacent symbols contributes -1 unless
 both symbols are odd, in which case it contributes +1.  Even symbols never
-repeat in a monomial; odd symbols may.  All sign arithmetic on permutations
-routes through :func:`koszul_sign` / :func:`sort_with_sign`, and products of
-Grassmann monomials through :func:`merge_with_sign`, which equals
-``sort_with_sign`` of the concatenation with every symbol tagged EVEN (odd
-coordinates anticommute like the even symbols of the exterior convention);
-no other module does inline sign arithmetic on permutations.
+repeat in a monomial; odd symbols may.  :func:`sort_with_sign` is the only
+routine that does sign arithmetic on permutations: the Spencer signs s_i and
+s_ij are the signs of sorting a slot order, and a product of Grassmann
+monomials is the sort of their concatenation with every symbol tagged EVEN
+(odd coordinates anticommute like the even symbols of the exterior
+convention).
 
 :class:`GrassmannPolynomial` is the one sparse polynomial-superalgebra core:
-superfunctions on R^{m|n} and functions on jet superspaces subclass it, and
-:func:`parse_polynomial_terms` is the one loop reading their expressions.
+superfunctions on R^{m|n} and functions on jet superspaces subclass it, it
+differentiates along every coordinate, and :func:`parse_polynomial_terms`
+is the one loop reading their expressions, :func:`parse_polynomial` the one
+summing them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .exprparse import parse_terms
 from .scalars import Scalar, as_scalar
@@ -98,99 +99,33 @@ class GradedSuperSpace:
 
 
 # ---------------------------------------------------------------------------
-# sign oracle
+# the sign routine
 # ---------------------------------------------------------------------------
 
-def koszul_sign(parities, perm):
-    """Sign of rearranging parity-tagged symbols under the exterior convention.
-
-    perm[i] is the position in the original list of the symbol that ends up
-    at slot i.  Each inversion contributes -1, except inversions of two odd
-    symbols which contribute +1.
+def sort_with_sign(items, parities, key=None):
+    """Sort items ascending under key (default: their own order), returning
+    (sorted_tuple, Koszul sign of the rearrangement) under the exterior
+    convention: each exchange of two adjacent items contributes -1 unless
+    both are odd.  The sign is 0 when an even item repeats (the monomial
+    dies).  Insertion sort; inputs here are tiny.
     """
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation: %r" % (perm,))
-    sign = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if perm[i] > perm[j]:
-                if not (parities[perm[i]] == ODD and parities[perm[j]] == ODD):
-                    sign = -sign
-    return sign
-
-
-def sort_with_sign(indices, parities):
-    """Sort index tuple ascending, returning (sorted_tuple, koszul sign).
-
-    Returns sign 0 when an even-parity index repeats (the monomial dies).
-    Insertion sort; inputs here are tiny.
-    """
-    items = list(indices)
+    keys = list(items) if key is None else [key(s) for s in items]
+    items = list(items)
     pars = list(parities)
     sign = 1
     for i in range(1, len(items)):
         j = i
-        while j > 0 and items[j - 1] > items[j]:
+        while j > 0 and keys[j - 1] > keys[j]:
             if not (pars[j - 1] == ODD and pars[j] == ODD):
                 sign = -sign
+            keys[j - 1], keys[j] = keys[j], keys[j - 1]
             items[j - 1], items[j] = items[j], items[j - 1]
             pars[j - 1], pars[j] = pars[j], pars[j - 1]
             j -= 1
     for k in range(1, len(items)):
-        if items[k] == items[k - 1] and pars[k] == EVEN:
+        if keys[k] == keys[k - 1] and pars[k] == EVEN:
             return tuple(items), 0
     return tuple(items), sign
-
-
-def merge_with_sign(a, b, key=None):
-    """Product of two monomials of anticommuting symbols, each a tuple sorted
-    strictly increasing under key (default: the symbols' own order).
-
-    Returns (merged, sign), and ((), 0) when a symbol repeats; this is
-    sort_with_sign(a + b, [EVEN] * len(a + b)) computed as one merge pass.
-    """
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    if set(a) & set(b):
-        return (), 0
-    ka = a if key is None else [key(s) for s in a]
-    kb = b if key is None else [key(s) for s in b]
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if ka[i] < kb[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            # b[j] moves left past the remaining entries of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged), sign
-
-
-def extraction_sign(parities, positions):
-    """Sign of pulling the listed slots (in the given order) to the front.
-
-    Equivalent to koszul_sign of the permutation that places the extracted
-    slots first and keeps everything else in order.
-    """
-    return _extraction_sign_cached(tuple(parities), tuple(positions))
-
-
-@lru_cache(maxsize=None)
-def _extraction_sign_cached(parities, positions):
-    order = list(positions) + [
-        i for i in range(len(parities)) if i not in set(positions)
-    ]
-    return koszul_sign(parities, order)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +266,28 @@ class GrassmannPolynomial:
         for ka, va in self.terms.items():
             oa = ka[-1]
             for kb, vb in other.terms.items():
-                odd, sign = merge_with_sign(oa, kb[-1], key_of)
-                if sign == 0:
-                    continue
+                odd, sign = oa + kb[-1], 1
+                if oa and kb[-1]:
+                    odd, sign = sort_with_sign(odd, (EVEN,) * len(odd), key_of)
+                    if sign == 0:
+                        continue
                 key = self._mul_even(ka, kb) + (odd,)
                 s = out.get(key, Scalar(0)) + va * vb * Scalar(sign)
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
+        return self._new(out)
+
+    def diff_x(self, i):
+        """Derivative along the even coordinate x^i of the polynomial part:
+        lowers the exponent key[0][i]."""
+        out = {}
+        for key, v in self.terms.items():
+            e = key[0][i]
+            if e:
+                xe = key[0][:i] + (e - 1,) + key[0][i + 1 :]
+                out[(xe,) + key[1:]] = v * Scalar(e)
         return self._new(out)
 
     def diff_odd(self, s):
@@ -393,4 +341,15 @@ def parse_polynomial_terms(text, one, coordinate):
             else:
                 direction = f[1]
         out.append((direction, poly))
+    return out
+
+
+def parse_polynomial(text, one, coordinate):
+    """The sum of the terms of an expression without direction factors, read
+    as in :func:`parse_polynomial_terms`."""
+    out = one.scale(0)
+    for direction, poly in parse_polynomial_terms(text, one, coordinate):
+        if direction is not None:
+            raise ValueError("direction symbol in a %s: %r" % (one.kind, text))
+        out = out + poly
     return out

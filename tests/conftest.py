@@ -25,3 +25,17 @@ def delta_squared_rows(g, d, k):
 def g0_of(alg):
     """Structure algebra as prolongation input: its defining matrices."""
     return [(alg.space[k].parity, alg.rep[k]) for k in range(len(alg.space))]
+
+
+def g2_symbol():
+    """Cartan's (2,3,5) symbol, the symbol of a generic rank-2 distribution
+    on a 5-manifold: x1, x2 | y = [x1, x2] | z1 = [x1, y], z2 = [x2, y]."""
+    from superprolong.liesuper import LieSuperalgebra
+    from superprolong.superspace import EVEN, BasisVector, GradedSuperSpace
+
+    space = GradedSuperSpace(
+        [BasisVector("x1", -1, EVEN), BasisVector("x2", -1, EVEN),
+         BasisVector("y", -2, EVEN),
+         BasisVector("z1", -3, EVEN), BasisVector("z2", -3, EVEN)]
+    )
+    return LieSuperalgebra(space, {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}})

@@ -8,7 +8,11 @@ dense matrix products, the supertranspose and the contact-form checks are
 reference computations that only tests read; ``truncation`` is the
 from-scratch rebuild of a prolongation's truncated algebra that the engine's
 growing one replaced, and ``RecursiveBrackets`` is the per-pair bracket
-recursion that the prolongation's block kernel replaced.
+recursion that the prolongation's block kernel replaced.  ``koszul_sign``
+is the O(n^2) inversion count that the package's one sign routine,
+``superspace.sort_with_sign``, is compared against, and
+``differential_formula`` evaluates the Spencer differential from the
+formula in the ``spencer`` docstring with those signs.
 """
 
 from fractions import Fraction
@@ -99,6 +103,81 @@ def naive_kernel_dim(rows):
     if not rows:
         return 0
     return len(rows[0]) - naive_rank(rows)
+
+
+def koszul_sign(parities, perm):
+    """Sign of rearranging parity-tagged symbols under the exterior convention.
+
+    perm[i] is the position in the original list of the symbol that ends up
+    at slot i.  Each inversion contributes -1, except inversions of two odd
+    symbols which contribute +1.
+    """
+    from superprolong.superspace import ODD
+
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError("not a permutation: %r" % (perm,))
+    sign = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if perm[i] > perm[j]:
+                if not (parities[perm[i]] == ODD and parities[perm[j]] == ODD):
+                    sign = -sign
+    return sign
+
+
+def differential_formula(g, basis, target):
+    """The matrix {(row, col): Scalar} of the Spencer differential between
+    cochain bases (``spencer.cochain_basis``), each entry evaluated from the
+    docstring formula
+
+      (d w)(x_1,...,x_{k+1}) =
+          sum_i  s_i (-1)^{|x_i||w|} [x_i, w(..., no x_i, ...)]
+        - sum_{i<j} s_ij w([x_i, x_j], ..., no x_i, x_j, ...)
+
+    by direct brackets, with s_i, s_ij and the values of a basis cochain on
+    unsorted arguments taken from ``koszul_sign``."""
+    from superprolong.scalars import Scalar
+
+    par = [b.parity for b in g.space]
+    zero = Scalar(0)
+
+    def extraction(pars, front):
+        rest = [p for p in range(len(pars)) if p not in front]
+        return koszul_sign(pars, list(front) + rest)
+
+    def value(T0, args):
+        """The coefficient of w(x_args) on the value of the basis cochain
+        with tuple T0: the sign of sorting args into T0, or 0."""
+        perm = sorted(range(len(args)), key=lambda p: args[p])
+        if tuple(args[p] for p in perm) != T0:
+            return 0
+        return koszul_sign([par[a] for a in args], perm)
+
+    out = {}
+    for r, (T, e, _) in enumerate(target):
+        pars = [par[t] for t in T]
+        for c, (T0, b0, pw) in enumerate(basis):
+            total = zero
+            for i in range(len(T)):
+                rest = T[:i] + T[i + 1 :]
+                v = value(T0, rest)
+                if v:
+                    s = extraction(pars, (i,)) * (-1 if par[T[i]] and pw else 1)
+                    br = g.bracket_indices(T[i], b0).get(e, zero)
+                    total = total + br * Scalar(s * v)
+            if e == b0:
+                for i in range(len(T)):
+                    for j in range(i + 1, len(T)):
+                        rest = tuple(t for p, t in enumerate(T) if p not in (i, j))
+                        for x, coeff in g.bracket_indices(T[i], T[j]).items():
+                            v = value(T0, (x,) + rest)
+                            if v:
+                                s = extraction(pars, (i, j)) * v
+                                total = total - coeff * Scalar(s)
+            if total:
+                out[(r, c)] = total
+    return out
 
 
 def reduced_p_injective(g, d):

@@ -325,6 +325,12 @@ def _shc_with_e1_named(name):
     return data
 
 
+def _shc_basis_named(i, name):
+    data = _shc_json()
+    data["basis"][i]["name"] = name
+    return data
+
+
 def _heisenberg_with_a_number_name():
     from superprolong.catalog import build_named
 
@@ -353,9 +359,10 @@ def _shc_result_basis(value):
      (lambda: _shc_bracket("left", 7), "brackets[0].left: unknown basis vector 7"),
      (lambda: _shc_bracket("right", "W"), "brackets[0].right: unknown basis vector 'W'"),
      (lambda: _shc_result_basis(["h"]),
-      "brackets[0].result[0].basis: unknown basis vector ['h']")],
+      "brackets[0].result[0].basis: unknown basis vector ['h']"),
+     (lambda: _shc_basis_named(1, "e1"), "basis[1].name: duplicate basis name 'e1'")],
     ids=["shc-e1-named-7", "heisenberg-name-1.5", "left-number", "right-unknown",
-         "result-basis-list"],
+         "result-basis-list", "duplicate-name"],
 )
 def test_algebra_names_are_strings_of_the_basis(tmp_path, capsys, command, data, message):
     # a numeric name prolonged SHC to (17|14) and was written back as 7
@@ -402,6 +409,21 @@ def test_prolong_of_an_algebra_with_a_nonnegative_degree_exit_two(tmp_path, caps
     assert (code, out) == (2, "")
     assert err.startswith("input error: 'sl_graded:2|1': symbol algebra")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_prolongation_error_names_the_input_file(tmp_path, capsys):
+    # an abelian symbol in degrees -1, -1, -2 is not generated by its
+    # degree -1 part, so its prolongation fails transitivity
+    basis = [{"name": n, "degree": d, "parity": "even"}
+             for n, d in (("a", -1), ("b", -1), ("c", -2))]
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps({"basis": basis}))
+    code, out, err = run_cli(["prolong", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: %s: transitivity failure at degree 1: ad restricted to "
+        "g_{-1} is not injective\n" % path
+    )
 
 
 def test_cohomology_table(capsys):
@@ -470,8 +492,10 @@ def _x_table(exponent, **extra):
      (["@xi1", _x_table(20)],
       "generators[1].coefficients[0].monomials[0].x_exponents: "
       "even degree 20 exceeds degree_cap 8"),
+     (["@xi1", "@x - @x"], "generators[1]: zero generator"),
      (["@xi1", _x_table(0, name=None)], None)],
-    ids=["empty", "name-list", "name-object", "exponent-above-cap", "name-null"],
+    ids=["empty", "name-list", "name-object", "exponent-above-cap", "zero",
+         "name-null"],
 )
 def test_distribution_generators_are_checked_at_read_time(
     tmp_path, capsys, command, generators, message
@@ -692,7 +716,8 @@ _ODE_FILE = "ode.json"
      for spec, form in (("pe", "pe:n"), ("gl", "gl:p|q"),
                         ("spe_ab:2:1", "spe_ab:n:a:b"),
                         ("osp:2|2:5", "osp:p|q"))]
-    + [_input_error_case(["prolong", "--name", "abelian:2|1", "--g0", g0], message)
+    + [_input_error_case(["prolong", "--name", "abelian:2|1", "--g0", g0],
+                         "'abelian:2|1': " + message)
        for g0, message in (
            ("gl:2|2", "g0 element 0 is a 4x4 matrix, expected 3x3 (dim m)"),
            ("gl:1|1", "g0 element 0 is a 2x2 matrix, expected 3x3 (dim m)"),
@@ -757,14 +782,32 @@ def test_distribution_inexact_numbers_exit_two(tmp_path, capsys, command, extra,
     assert err == "input error: %s: %s\n" % (path, message)
 
 
+@pytest.mark.parametrize("command", ["symbol", "check-regular"])
+def test_an_empty_basepoint_is_not_the_origin(tmp_path, capsys, command):
+    # only a missing "basepoint" means the origin; [] on R^3 read as it
+    data = {"ambient": {"even": ["x", "y", "z"], "odd": []},
+            "generators": ["@x", "@y", "@z"]}
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(data))
+    assert run_cli([command, "--input", str(path)], capsys)[0] == 0
+    path.write_text(json.dumps(dict(data, basepoint=[])))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: %s: basepoint: basepoint needs 3 even coordinates\n" % path
+    )
+
+
 @pytest.mark.parametrize(
     "ambient, message",
     [
         ({"even": "xy", "odd": []}, 'ambient.even: expected an array, got "xy"'),
         ({"even": ["x", "y"], "odd": "t"}, 'ambient.odd: expected an array, got "t"'),
         ({"even": ["x", 1], "odd": []}, "ambient.even[1]: expected a string, got 1"),
+        ({"even": ["x", "y"], "odd": ["x"]},
+         "ambient.odd[0]: duplicate coordinate name 'x'"),
     ],
-    ids=["even-string", "odd-string", "numeric-name"],
+    ids=["even-string", "odd-string", "numeric-name", "duplicate-name"],
 )
 def test_distribution_coordinates_must_be_lists_of_names(tmp_path, capsys, ambient, message):
     path = tmp_path / "dist.json"

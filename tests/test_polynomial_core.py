@@ -1,6 +1,6 @@
 """Properties of the Grassmann-polynomial core that superfunctions on
-R^{m|n} and jet functions share: the merge sign against the sort oracle,
-associativity, supercommutativity and the Leibniz rule of the odd
+R^{m|n} and jet functions share: products of monomials against the Koszul
+sign oracle, associativity, supercommutativity and the Leibniz rule of the odd
 derivative, and the contact-field bracket on jets with p = 2."""
 
 from fractions import Fraction
@@ -18,9 +18,9 @@ from superprolong.oddode import (
 )
 from superprolong.scalars import Scalar
 from superprolong.superfield import Ambient, SuperPolynomial
-from superprolong.superspace import EVEN, merge_with_sign, sort_with_sign
+from superprolong.superspace import EVEN
 
-from oracles import odd_coords
+from oracles import koszul_sign, odd_coords
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -29,30 +29,36 @@ def subsets(symbols):
     return [c for k in range(len(symbols) + 1) for c in combinations(symbols, k)]
 
 
-def test_merge_matches_sort_oracle_on_all_pairs():
-    for a in subsets(range(6)):
-        for b in subsets(range(6)):
-            merged, sign = merge_with_sign(a, b)
-            srt, want = sort_with_sign(a + b, [EVEN] * (len(a) + len(b)))
-            assert sign == want, (a, b)
-            if sign:
-                assert merged == srt, (a, b)
-
-
-def test_merge_with_jet_key_matches_sort_oracle():
-    # multi-indices of J^2 with p = 2, ordered by (order, lex): the merge
-    # must agree with the oracle run on their ranks
-    ctx = JetContext(2)
-    symbols = sorted(odd_coords(ctx, 2), key=JetFunction.symbol_key)
-    rank = {s: r for r, s in enumerate(symbols)}
+def _check_monomial_products(ring, ambient, even, symbols, key=None):
+    """Every product of two monomials over the odd symbols, each sorted under
+    key: zero when a symbol repeats, else the sorted concatenation with the
+    oracle's sign, odd symbols tagged EVEN as in the exterior convention."""
+    order = key or (lambda s: s)
     for a in subsets(symbols):
         for b in subsets(symbols):
-            merged, sign = merge_with_sign(a, b, JetFunction.symbol_key)
-            ranks = tuple(rank[s] for s in a + b)
-            srt, want = sort_with_sign(ranks, [EVEN] * len(ranks))
-            assert sign == want, (a, b)
-            if sign:
-                assert tuple(rank[s] for s in merged) == srt, (a, b)
+            prod = ring(ambient, {even + (a,): 1}) * ring(ambient, {even + (b,): 1})
+            ab = a + b
+            if set(a) & set(b):
+                assert not prod, (a, b)
+                continue
+            perm = sorted(range(len(ab)), key=lambda p: order(ab[p]))
+            sign = koszul_sign([EVEN] * len(ab), perm)
+            odd = tuple(ab[p] for p in perm)
+            assert prod.terms == {even + (odd,): Scalar(sign)}, (a, b)
+
+
+def test_monomial_products_match_koszul_oracle():
+    amb = Ambient(["x"], ["a%d" % k for k in range(6)])
+    _check_monomial_products(SuperPolynomial, amb, ((0,),), tuple(range(6)))
+
+
+def test_jet_monomial_products_match_koszul_oracle():
+    # multi-indices of J^2 with p = 2, ordered by (order, lex)
+    ctx = JetContext(2)
+    symbols = sorted(odd_coords(ctx, 2), key=JetFunction.symbol_key)
+    _check_monomial_products(
+        JetFunction, ctx, ((0, 0), Fraction(0)), symbols, JetFunction.symbol_key
+    )
 
 
 # (ring element class, ambient, even parts of keys, odd symbols, sort key)

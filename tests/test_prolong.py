@@ -33,7 +33,7 @@ from superprolong.prolong import (
 from superprolong.spencer import CochainSlice
 from superprolong.linalg import rank_rows
 
-from conftest import g0_of
+from conftest import g0_of, g2_symbol
 from oracles import RecursiveBrackets, prolongation_step, truncation
 
 
@@ -140,16 +140,9 @@ def test_projective_gl_is_sl(n):
 
 
 def test_g2_from_the_235_symbol():
-    # Cartan 1910: the symbol of a generic rank-2 distribution on a
-    # 5-manifold, x1, x2 | y = [x1, x2] | [x1, y], [x2, y], prolongs to the
-    # 14-dimensional exceptional algebra G_2
-    space = GradedSuperSpace(
-        [BasisVector("x1", -1, EVEN), BasisVector("x2", -1, EVEN),
-         BasisVector("y", -2, EVEN),
-         BasisVector("z1", -3, EVEN), BasisVector("z2", -3, EVEN)]
-    )
-    m = LieSuperalgebra(space, {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}})
-    res = prolong(SymbolAlgebra(m))
+    # Cartan 1910: the (2,3,5) symbol prolongs to the 14-dimensional
+    # exceptional algebra G_2
+    res = prolong(SymbolAlgebra(g2_symbol()))
     assert res.status == "stabilized"
     assert [sum(res.component_superdim(k)) for k in range(-3, 4)] == [
         2, 1, 2, 4, 2, 1, 2

@@ -332,7 +332,7 @@ def test_json_x_exponents_need_one_nonnegative_int_per_even_coordinate(exponents
     assert not (field_from_json(amb, data) - parse_field(amb, "x*@x")).coeffs
 
 
-@pytest.mark.parametrize("basepoint", [[0.1], [True], ["0.5"], ["1/0"], 0.5])
+@pytest.mark.parametrize("basepoint", [[0.1], [True], ["0.5"], ["1/0"], 0.5, []])
 def test_basepoint_coordinates_must_be_exact_rationals(basepoint):
     amb = Ambient(["x"], ["t"])
     gens = [parse_field(amb, "x*@x"), parse_field(amb, "@t")]

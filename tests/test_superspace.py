@@ -8,13 +8,11 @@ from superprolong.superspace import (
     BasisVector,
     GradedSuperSpace,
     exterior_power_basis,
-    extraction_sign,
-    koszul_sign,
     parity_from_str,
     sort_with_sign,
 )
 
-from oracles import exterior_dim
+from oracles import exterior_dim, koszul_sign
 
 
 def make_space(p, q, degree=-1):
@@ -50,26 +48,39 @@ def test_koszul_sign_is_multiplicative():
 
 
 def test_sort_with_sign_matches_koszul():
+    # distinct items, so the sign is the oracle's sign of the sorting
+    # permutation; a key reorders the items and the permutation with them
     rng = random.Random(4)
+    for key in (None, lambda s: -s):
+        order = key or (lambda s: s)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            items = rng.sample(range(10), n)
+            pars = [rng.randint(0, 1) for _ in range(n)]
+            perm = sorted(range(n), key=lambda p: order(items[p]))
+            srt, sign = sort_with_sign(items, pars, key)
+            assert srt == tuple(items[p] for p in perm)
+            assert sign == koszul_sign(pars, perm), (items, pars)
+
+
+def test_sort_with_sign_kills_repeated_even_items():
+    rng = random.Random(5)
     for _ in range(100):
         n = rng.randint(1, 6)
         idx = [rng.randint(0, 3) for _ in range(n)]
-        pars = [rng.randint(0, 1) for _ in range(n)]
+        pars = [idx[k] % 2 for k in range(n)]  # one parity per symbol
         srt, sign = sort_with_sign(idx, pars)
         assert srt == tuple(sorted(idx))
-        if sign == 0:
-            dup = [i for i in idx if idx.count(i) > 1]
-            assert any(
-                pars[k] == EVEN and idx.count(idx[k]) > 1 for k in range(n)
-            ), (idx, pars, dup)
+        even_repeat = any(idx.count(i) > 1 for i in idx if i % 2 == EVEN)
+        assert (sign == 0) == even_repeat, (idx, pars)
 
 
 def test_extraction_sign():
     # pulling slot 1 of (even, odd, odd) to the front passes one even symbol
-    assert extraction_sign((EVEN, ODD, ODD), (1,)) == -1
+    assert koszul_sign((EVEN, ODD, ODD), (1, 0, 2)) == -1
     # pulling two odd slots over each other costs nothing
-    assert extraction_sign((ODD, ODD), (1, 0)) == 1
-    assert extraction_sign((EVEN, EVEN), (1, 0)) == -1
+    assert koszul_sign((ODD, ODD), (1, 0)) == 1
+    assert koszul_sign((EVEN, EVEN), (1, 0)) == -1
 
 
 def test_exterior_dimension_formula_exhaustive():
