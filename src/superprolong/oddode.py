@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
 from math import lcm
 
 from .scalars import FIELD_Q, Scalar, _read_rational, as_scalar
@@ -38,6 +39,8 @@ from .superspace import (
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate as validate_alg
 from .superfield import PolynomialField
 from .linalg import SpanSolver, kernel_basis_rows
+from .catalog import odd_ode_scalings, odd_ode_symbol
+from .prolong import prolong
 
 
 class JetContext:
@@ -184,17 +187,8 @@ class JetFunction(GrassmannPolynomial):
 class ContactField(PolynomialField):
     """Vector field on J^r: coefficients per d_{x^i}, d_{xi_I}."""
 
-    __slots__ = ("order",)
+    __slots__ = ()
     polynomial = JetFunction
-
-    def __init__(self, ctx, order, parity, coeffs):
-        super().__init__(ctx, parity, coeffs)
-        self.order = order
-
-    def _like(self, other, parity, coeffs):
-        return ContactField(
-            self.ambient, max(self.order, other.order), parity, coeffs
-        )
 
 
 class GeneratingFunction:
@@ -210,14 +204,14 @@ class GeneratingFunction:
         return self.fn.to_str()
 
 
-def contact_vf(f, ctx=None):
+def contact_vf(f):
     """The order-1 contact field S_f of a generating superfunction."""
-    ctx = ctx or f.ambient
+    ctx = f.ambient
     if f.max_order() > 1:
         raise ValueError("generating superfunctions live on J^1")
     pf = f.parity()
     if pf is None:
-        return ContactField(ctx, 1, ODD, {})
+        return ContactField(ctx, ODD, {})
     sgn = Scalar(-1) if pf else Scalar(1)
     coeffs = {}
     xi_coeff = JetFunction(ctx) + f
@@ -233,7 +227,7 @@ def contact_vf(f, ctx=None):
             coeffs[("xi", (i + 1,))] = dtot
     if xi_coeff:
         coeffs[("xi", ())] = xi_coeff
-    return ContactField(ctx, 1, (pf + 1) % 2, coeffs)
+    return ContactField(ctx, (pf + 1) % 2, coeffs)
 
 
 def prolong_field(f, r):
@@ -260,7 +254,7 @@ def prolong_field(f, r):
                 t = g.truncate(k)
                 if t:
                     coeffs[("xi", J)] = t
-    return ContactField(ctx, r, base.parity, coeffs)
+    return ContactField(ctx, base.parity, coeffs)
 
 
 def lagrange_bracket(f, g):
@@ -343,73 +337,50 @@ def _linear_constant_coefficients(spec):
     return coeffs
 
 
-def _rational_roots(poly):
+def _rational_roots(coeffs):
     """Rational roots with multiplicity of a Fraction-coefficient polynomial
-    given low-to-high; returns (roots dict, fully_factored flag)."""
-    coeffs = list(poly)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return {}, True
-    roots = {}
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots[Fraction(0)] = shift
-
-    def value(lam):
-        tot = Fraction(0)
-        for k, c in enumerate(coeffs):
-            tot += c * lam ** k
-        return tot
-
-    changed = True
-    while changed and len(coeffs) > 1:
-        changed = False
-        # candidates p/q: p divides the constant and q the leading
-        # coefficient of the polynomial scaled to integers
-        den = lcm(*(c.denominator for c in coeffs))
-        a0, an = abs(int(coeffs[0] * den)), abs(int(coeffs[-1] * den))
-        cands = set()
-        for pnum in _divisors(a0):
-            for qden in _divisors(an):
-                cands.add(Fraction(pnum, qden))
-                cands.add(Fraction(-pnum, qden))
-        for lam in sorted(cands):
-            if value(lam) == 0:
-                roots[lam] = roots.get(lam, 0) + 1
-                coeffs = _deflate(coeffs, lam)
-                changed = True
+    given low-to-high with a nonzero leading coefficient; returns (roots
+    dict, fully_factored flag)."""
+    shift = next(k for k, c in enumerate(coeffs) if c)
+    coeffs = coeffs[shift:]
+    roots = {Fraction(0): shift} if shift else {}
+    # candidates p/q: p divides the lowest and q the leading coefficient of
+    # the polynomial scaled to integers; every quotient's roots are among them
+    den = lcm(*(c.denominator for c in coeffs))
+    ps = _divisors(int(coeffs[0] * den))
+    qs = _divisors(int(coeffs[-1] * den))
+    for lam in sorted({Fraction(s * p, q) for p in ps for q in qs for s in (1, -1)}):
+        while len(coeffs) > 1:
+            quotient, remainder = _divide(coeffs, lam)
+            if remainder:
                 break
+            roots[lam] = roots.get(lam, 0) + 1
+            coeffs = quotient
     return roots, len(coeffs) <= 1
 
 
 def _divisors(n):
+    """The positive divisors of n != 0, by trial division up to sqrt|n|."""
     n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
+    out = set()
     d = 1
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
-            out.append(n // d)
+            out.update((d, n // d))
         d += 1
-    return sorted(set(out))
+    return out
 
 
-def _deflate(coeffs, lam):
-    """Divide by (t - lam); coeffs low-to-high, exact."""
+def _divide(coeffs, lam):
+    """(quotient, remainder) of the division by (t - lam); coeffs
+    low-to-high, exact."""
     n = len(coeffs) - 1
     out = [Fraction(0)] * n
     carry = coeffs[n]
     for k in range(n - 1, -1, -1):
         out[k] = carry
         carry = coeffs[k] + lam * carry
-    assert carry == 0
-    return out
+    return out, carry
 
 
 def _span_coefficients(generators):
@@ -474,7 +445,7 @@ class SymmetryResult:
         }
 
 
-def determine_symmetries(spec, compute_bound=True):
+def determine_symmetries(spec):
     """All contact symmetries of xi^(n) = rhs with generating superfunctions
     in the ansatz span c(x) * {1, xi, xi', xi xi'}.
 
@@ -561,22 +532,29 @@ def determine_symmetries(spec, compute_bound=True):
 
     # Lie closure: a bracket of symmetries is a symmetry; adopt any bracket
     # that escapes the current span (possible when the ansatz basis missed a
-    # coefficient function).
-    guard = 0
-    while guard < 32:
-        guard += 1
-        adopted = None
+    # coefficient function), then scan again from the first pair.  Each
+    # unordered pair is bracketed once; the scan that adopts nothing leaves
+    # every bracket's coordinates in coords.
+    brackets = {}
+    for adoptions in range(33):
         coefficients = _span_coefficients(generators)
-        for a in range(len(generators)):
-            for b in range(a, len(generators)):
-                br = lagrange_bracket(generators[a].fn, generators[b].fn)
-                if br and coefficients(br) is None:
-                    adopted = br
-                    break
-            if adopted is not None:
+        coords = {}
+        for a, b in combinations_with_replacement(range(len(generators)), 2):
+            if (a, b) not in brackets:
+                brackets[a, b] = lagrange_bracket(generators[a].fn, generators[b].fn)
+            vec = coefficients(brackets[a, b])
+            if vec is None:
                 break
-        if adopted is None:
+            if vec:
+                coords[a, b] = vec
+        else:
             break
+        if adoptions == 32:
+            raise AssertionError(
+                "bracket [%s, %s] leaves the closed solution span"
+                % (generators[a].to_str(), generators[b].to_str())
+            )
+        adopted = brackets[a, b]
         if defect(adopted):
             raise AssertionError("a bracket of symmetries failed tangency")
         generators.append(GeneratingFunction(adopted, order=n))
@@ -585,61 +563,38 @@ def determine_symmetries(spec, compute_bound=True):
             % adopted.to_str()
         )
     # order: even fields (odd f) first to match the (even|odd) convention
-    generators.sort(key=lambda g: (0 if g.parity == ODD else 1))
-    # abstract symmetry algebra: element parity is the field parity |f|+1
-    names = []
-    for g in generators:
-        nm = g.to_str()
-        while nm in names:
-            nm += "'"
-        names.append(nm)
-    basis = [
-        BasisVector(nm, g.grading if g.grading is not None else 0,
-                    (g.parity + 1) % 2)
-        for nm, g in zip(names, generators)
-    ]
-    use_gradings = all(g.grading is not None for g in generators)
-    if not use_gradings:
-        basis = [
-            BasisVector(nm, 0, (g.parity + 1) % 2)
-            for nm, g in zip(names, generators)
-        ]
+    order = sorted(range(len(generators)), key=lambda i: generators[i].parity != ODD)
+    pos = {i: k for k, i in enumerate(order)}
+    generators = [generators[i] for i in order]
+    # abstract symmetry algebra: element parity is the field parity |f|+1;
+    # the generators are independent, so their printed forms are distinct
+    graded = all(g.grading is not None for g in generators)
+    if not graded:
         warnings.append(
             "some generators have ambiguous weights; algebra left ungraded"
         )
-    space = GradedSuperSpace(basis)
-    brackets = {}
-    table = []
-    coefficients = _span_coefficients(generators)
-    for a in range(len(generators)):
-        row = []
-        for b in range(len(generators)):
-            br = lagrange_bracket(generators[a].fn, generators[b].fn)
-            row.append(br.to_str())
-            if b < a or not br:
-                continue
-            vec = coefficients(br)
-            if vec is None:
-                raise AssertionError(
-                    "bracket [%s, %s] leaves the closed solution span"
-                    % (names[a], names[b])
-                )
-            if vec:
-                brackets[(a, b)] = vec
-        table.append(row)
-    algebra = LieSuperalgebra(space, brackets, field=FIELD_Q)
+    space = GradedSuperSpace([
+        BasisVector(g.to_str(), g.grading if graded else 0, (g.parity + 1) % 2)
+        for g in generators
+    ])
+    # coordinates and table in the sorted order; LieSuperalgebra takes
+    # either pair order, and [g_b, g_a] is the super-antisymmetric flip
+    algebra = LieSuperalgebra(space, {
+        (pos[a], pos[b]): {pos[c]: v for c, v in vec.items()}
+        for (a, b), vec in coords.items()
+    }, field=FIELD_Q)
     bad = validate_alg(algebra)
     if bad:
         raise AssertionError("symmetry algebra fails validation: %r" % bad[:3])
-    bound = None
-    if compute_bound:
-        from .catalog import odd_ode_symbol, odd_ode_scalings
-        from .prolong import prolong
-
-        res = prolong(
-            SymbolAlgebra(odd_ode_symbol(n)), g0=odd_ode_scalings(n),
-            validate_result=False,
-        )
-        if res.status == "stabilized":
-            bound = res.total_superdim
+    table = [[None] * len(generators) for _ in generators]
+    for (i, j), br in brackets.items():
+        a, b = pos[i], pos[j]
+        table[a][b] = br.to_str()
+        odd_fields = generators[a].parity == generators[b].parity == EVEN
+        table[b][a] = (br if odd_fields else -br).to_str()
+    res = prolong(
+        SymbolAlgebra(odd_ode_symbol(n)), g0=odd_ode_scalings(n),
+        validate_result=False,
+    )
+    bound = res.total_superdim if res.status == "stabilized" else None
     return SymmetryResult(spec, generators, algebra, table, bound, warnings)

@@ -142,7 +142,7 @@ class PolynomialField:
     """Parity-homogeneous derivation of a Grassmann-polynomial ring: one
     coefficient per direction, ("x", i) for an even coordinate and any other
     tag for the odd symbol d[1].  Subclasses name their coefficient class
-    (``polynomial``) and build results of their own type (``_like``)."""
+    (``polynomial``); results are of the subclass's own type (``_like``)."""
 
     __slots__ = ("ambient", "parity", "coeffs")
     polynomial = None
@@ -152,12 +152,9 @@ class PolynomialField:
         self.parity = parity
         self.coeffs = {d: poly for d, poly in coeffs.items() if poly}
 
-    def _like(self, other, parity, coeffs):
-        """A field of this class for a result of self and other."""
-        raise NotImplementedError
-
-    def is_zero(self):
-        return not self.coeffs
+    def _like(self, parity, coeffs):
+        """A field of this class on the same chart."""
+        return type(self)(self.ambient, parity, coeffs)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -186,10 +183,10 @@ class PolynomialField:
                 out[d] = s
             else:
                 out.pop(d, None)
-        return self._like(other, self.parity, out)
+        return self._like(self.parity, out)
 
     def __neg__(self):
-        return self._like(self, self.parity, {d: -c for d, c in self.coeffs.items()})
+        return self._like(self.parity, {d: -c for d, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -218,7 +215,7 @@ def bracket_fields(X, Y):
         c = a + b if X.parity and Y.parity else a - b
         if c:
             out[d] = c
-    return X._like(Y, (X.parity + Y.parity) % 2, out)
+    return X._like((X.parity + Y.parity) % 2, out)
 
 
 class SuperVectorField(PolynomialField):
@@ -239,7 +236,7 @@ class SuperVectorField(PolynomialField):
                         % ambient.direction_name(d)
                     )
 
-    def _like(self, other, parity, coeffs):
+    def _like(self, parity, coeffs):
         return SuperVectorField(self.ambient, parity, coeffs, check=False)
 
     def scale_fn(self, f):
@@ -356,15 +353,12 @@ class FrameField:
 
 
 class DerivedFlag:
-    def __init__(self, dist, frames, residuals, depth, levels_rank,
-                 bracket_generating, max_depth):
-        self.dist = dist
+    def __init__(self, frames, residuals, depth, levels_rank, bracket_generating):
         self.frames = frames          # list of FrameField, frame order
         self.residuals = residuals    # list of (level, field)
         self.depth = depth
         self.levels_rank = levels_rank  # level -> (even, odd) eval rank at x0
         self.bracket_generating = bracket_generating
-        self.max_depth = max_depth
 
 
 def _is_scalar_multiple(F, G):
@@ -426,14 +420,12 @@ def _expand_in_frame(field, frames):
     return coeffs, R, den
 
 
-def derived_flag(dist, max_depth=None):
-    """Weak derived flag D = D^1 in D^2 in ...; per level a reduced
-    generating set (frame members with unit pivots plus non-framable
-    residual generators)."""
+def derived_flag(dist):
+    """Weak derived flag D = D^1 in D^2 in ... up to depth m + n + 1; per
+    level a reduced generating set (frame members with unit pivots plus
+    non-framable residual generators)."""
     amb = dist.ambient
     point = dist.basepoint
-    if max_depth is None:
-        max_depth = amb.m + amb.n + 1
     frames = []
     residuals = []
 
@@ -455,7 +447,7 @@ def derived_flag(dist, max_depth=None):
         try_add(g, 1, g.name or ("gen%d" % (len(frames) + 1)))
     level = 1
     levels_rank = {1: _eval_rank(frames, residuals, 1, point)}
-    while level < max_depth:
+    while level < amb.m + amb.n + 1:
         new = False
         current = [(f.field, f.label) for f in frames if f.level == level]
         current += [(r, "res") for lv, r in residuals if lv == level]
@@ -471,10 +463,7 @@ def derived_flag(dist, max_depth=None):
         level += 1
         levels_rank[level] = _eval_rank(frames, residuals, level, point)
     bracket_generating = levels_rank[level] == (amb.m, amb.n)
-    return DerivedFlag(
-        dist, frames, residuals, level, levels_rank, bracket_generating,
-        max_depth,
-    )
+    return DerivedFlag(frames, residuals, level, levels_rank, bracket_generating)
 
 
 def _eval_rank(frames, residuals, level, point):

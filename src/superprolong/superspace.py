@@ -213,9 +213,6 @@ class GrassmannPolynomial:
     def _new(self, terms):
         return type(self)(self.ambient, terms)
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

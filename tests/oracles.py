@@ -580,7 +580,7 @@ def restrict(S, order):
     from superprolong.oddode import ContactField
 
     return ContactField(
-        S.ambient, order, S.parity,
+        S.ambient, S.parity,
         {
             d: f.truncate(order)
             for d, f in S.coeffs.items()
@@ -612,7 +612,7 @@ def contact_form_preserved(S):
     for i in range(ctx.p):
         kernel_fields.append(
             ContactField(
-                ctx, 1, EVEN,
+                ctx, EVEN,
                 {
                     ("x", i): JetFunction.constant(ctx, 1),
                     ("xi", ()): JetFunction.odd_coord(ctx, (i + 1,)),
@@ -621,7 +621,7 @@ def contact_form_preserved(S):
         )
         kernel_fields.append(
             ContactField(
-                ctx, 1, ODD,
+                ctx, ODD,
                 {("xi", (i + 1,)): JetFunction.constant(ctx, 1)},
             )
         )

@@ -722,6 +722,8 @@ _ODE_FILE = "ode.json"
            ("gl:2|2", "g0 element 0 is a 4x4 matrix, expected 3x3 (dim m)"),
            ("gl:1|1", "g0 element 0 is a 2x2 matrix, expected 3x3 (dim m)"),
            ("gl:3|0", "g0 element 2 is not parity-homogeneous"))]
+    + [_input_error_case(["odesym", "--order", "3", "--rhs", "xi*@x"],
+                         "direction symbol in a jet superfunction: 'xi*@x'")]
     + [_input_error_case(["odesym", "--input", _ODE_FILE] + flags,
                          "--input excludes " + excluded)
        for flags, excluded in (

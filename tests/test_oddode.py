@@ -34,7 +34,7 @@ def jf(text):
 def test_contact_vf_examples():
     assert contact_vf(jf("xi1")).to_str() == "-@x"
     assert contact_vf(jf("x")).to_str() == "x*@xi+@xi1"
-    assert contact_vf(jf("0")).is_zero()
+    assert not contact_vf(jf("0"))
     assert contact_vf(jf("1")).to_str() == "@xi"
 
 
@@ -303,3 +303,68 @@ def test_exponentials_are_read_once_as_exact_rationals():
     )
     assert spec.exponentials == want
     assert OdeSpec(3, "xi2", exponentials=[Fraction(1, 2), "1", -3]).exponentials == want
+
+
+def test_closure_adopts_the_bracket_the_ansatz_missed():
+    # poly_degree 1 has no x^2 coefficient, so the generator with x^2*xi1
+    # can only come from a bracket of two found generators
+    res = determine_symmetries(OdeSpec(2, "0", poly_degree=1))
+    assert res.superdim == (4, 4)
+    assert res.certified_complete
+    assert res.warnings == [
+        "closure adopted a bracket outside the ansatz span: -x*xi+x^2*xi1"
+    ]
+    res = determine_symmetries(OdeSpec(4, "0", poly_degree=2))
+    assert res.superdim == (4, 4)
+    assert res.certified_complete
+    assert res.warnings == [
+        "closure adopted a bracket outside the ansatz span: 1/3*x^3"
+    ]
+
+
+@pytest.mark.parametrize(
+    "order, rhs, degree",
+    [(2, "0", 1), (4, "0", 2), (3, "xi2", 2), (3, "xi*xi1*xi2", 2), (5, "xi4", 4)],
+)
+def test_bracket_table_is_every_lagrange_bracket(order, rhs, degree):
+    res = determine_symmetries(OdeSpec(order, rhs, poly_degree=degree))
+    gens = res.generators
+    assert len(res.bracket_table) == len(gens)
+    for a, g in enumerate(gens):
+        assert len(res.bracket_table[a]) == len(gens)
+        for b, h in enumerate(gens):
+            want = lagrange_bracket(g.fn, h.fn).to_str()
+            assert res.bracket_table[a][b] == want, (a, b)
+
+
+@pytest.mark.parametrize(
+    "order, rhs, degree", [(2, "0", 3), (3, "xi2", 2), (2, "0", 1), (5, "0", 2)]
+)
+def test_each_unordered_pair_is_bracketed_once(order, rhs, degree, monkeypatch):
+    # with or without adoptions, the closure scans bracket n(n+1)/2 pairs
+    # and the table reuses them
+    from superprolong import oddode
+
+    calls = []
+    monkeypatch.setattr(
+        oddode, "lagrange_bracket",
+        lambda f, g: calls.append(1) or lagrange_bracket(f, g),
+    )
+    n = len(determine_symmetries(OdeSpec(order, rhs, poly_degree=degree)).generators)
+    assert len(calls) == n * (n + 1) // 2
+
+
+def test_closure_errors(monkeypatch):
+    from superprolong import oddode
+
+    # a bracket that is not a symmetry fails the tangency check
+    monkeypatch.setattr(oddode, "lagrange_bracket", lambda f, g: jf("x^7*xi"))
+    with pytest.raises(AssertionError, match="failed tangency"):
+        determine_symmetries(OdeSpec(2, "0", poly_degree=3))
+    monkeypatch.undo()
+    # a span that never holds a nonzero bracket stops after 32 adoptions
+    monkeypatch.setattr(
+        oddode, "_span_coefficients", lambda gens: lambda f: None if f else {}
+    )
+    with pytest.raises(AssertionError, match="leaves the closed solution span"):
+        determine_symmetries(OdeSpec(2, "0", poly_degree=3))

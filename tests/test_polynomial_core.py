@@ -141,8 +141,8 @@ def generating_p2(draw):
 @SETTINGS
 @given(generating_p2(), generating_p2())
 def test_contact_bracket_represents_lagrange_bracket_p2(f, g):
-    left = contact_vf(f, JetContext(2)).bracket(contact_vf(g, JetContext(2)))
-    right = contact_vf(lagrange_bracket(f, g), JetContext(2))
+    left = contact_vf(f).bracket(contact_vf(g))
+    right = contact_vf(lagrange_bracket(f, g))
     assert not (left - right).coeffs
 
 

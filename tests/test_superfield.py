@@ -25,6 +25,7 @@ from superprolong.superfield import (
     symbols_isomorphic_on_the_nose,
 )
 from superprolong.cli import _read_field
+from superprolong.oddode import JetContext, parse_jet
 
 
 def field_from_json(amb, data):
@@ -102,7 +103,7 @@ def test_even_self_bracket_vanishes():
     for _ in range(20):
         X = rand_field(amb, rng)
         if X.parity == EVEN:
-            assert bracket_fields(X, X).is_zero()
+            assert not bracket_fields(X, X)
 
 
 def test_nonregular_example_fails_with_witness():
@@ -137,7 +138,7 @@ def test_left_invariant_bracket_law():
                     term = fields[c].scale_fn(SuperPolynomial.constant(amb, s))
                     expect = term if expect is None else expect + term
                 if expect is None:
-                    assert br.is_zero()
+                    assert not br
                 else:
                     assert not (br - expect).coeffs
 
@@ -347,3 +348,30 @@ def test_degree_cap_must_be_a_nonnegative_integer(cap):
     with pytest.raises(ValueError) as err:
         Ambient(["x"], [], degree_cap=cap)
     assert str(err.value) == "degree_cap must be a nonnegative integer, not %r" % (cap,)
+
+
+_PARSE_AMBIENT = Ambient(["x", "y"], ["th"])
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_field, "x $ @x", "cannot tokenize 'x $ @x' at 1"),
+        (parse_field, "2^3*@x", "misplaced '^' in '2^3*@x'"),
+        (parse_field, "x^y*@x", "'^' needs an integer exponent in 'x^y*@x'"),
+        (parse_field, "x^1/2*@x", "exponent must be an integer in 'x^1/2*@x'"),
+        (parse_field, "(x)*@x", "unsupported token '(' in '(x)*@x'"),
+        (parse_field, "@x*@y", "two directions in one term: '@x*@y'"),
+        (parse_field, "x + @y", "term without a direction in 'x + @y'"),
+        (parse_superfunction, "x*@y", "direction symbol in a superfunction: 'x*@y'"),
+        (lambda amb, text: parse_jet(JetContext(1), text), "xi*@x",
+         "direction symbol in a jet superfunction: 'xi*@x'"),
+    ],
+    ids=["tokenize", "misplaced-power", "symbolic-exponent", "fractional-exponent",
+         "parenthesis", "two-directions", "no-direction", "superfunction-direction",
+         "jet-direction"],
+)
+def test_parser_errors_name_the_expression(parse, text, message):
+    with pytest.raises(ValueError) as err:
+        parse(_PARSE_AMBIENT, text)
+    assert str(err.value) == message
