@@ -27,7 +27,7 @@ from functools import partial
 from itertools import combinations_with_replacement
 from math import lcm
 
-from .scalars import FIELD_Q, Scalar, _read_rational, as_scalar
+from .scalars import FIELD_Q, Scalar, _exact, _read_rational, as_scalar
 from .superspace import (
     EVEN,
     ODD,
@@ -35,6 +35,7 @@ from .superspace import (
     GradedSuperSpace,
     GrassmannPolynomial,
     parse_polynomial,
+    sort_with_sign,
 )
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate as validate_alg
 from .superfield import PolynomialField
@@ -73,8 +74,9 @@ def _odds_key(odd):
 class JetFunction(GrassmannPolynomial):
     """Element of the jet function ring.
 
-    terms: {(xexp tuple, lam Fraction, odd tuple of multi-indices): Scalar};
-    odd tuples are strictly increasing in (length, lex) order.
+    terms: {(xexp tuple, lam, odd tuple of multi-indices): Scalar}; the
+    exponent lam is an int when integral, else a Fraction, as for the parts
+    of a Scalar; odd tuples are strictly increasing in (length, lex) order.
     """
 
     __slots__ = ()
@@ -85,22 +87,26 @@ class JetFunction(GrassmannPolynomial):
     @staticmethod
     def constant(ctx, c):
         c = as_scalar(c)
-        key = ((0,) * ctx.p, Fraction(0), ())
+        key = ((0,) * ctx.p, 0, ())
         return JetFunction(ctx, {key: c} if c else {})
 
     @staticmethod
-    def x_power(ctx, k, i=0, lam=Fraction(0)):
+    def x_power(ctx, k, i=0, lam=0):
         exp = tuple(k if j == i else 0 for j in range(ctx.p))
         if lam and ctx.p != 1:
             raise ValueError("exponentials only for p = 1")
-        return JetFunction(ctx, {(exp, Fraction(lam), ()): Scalar(1)})
+        return JetFunction(ctx, {(exp, _exact(Fraction(lam)), ()): Scalar(1)})
 
     @staticmethod
     def odd_coord(ctx, I):
-        return JetFunction(ctx, {((0,) * ctx.p, Fraction(0), (tuple(I),)): Scalar(1)})
+        return JetFunction(ctx, {((0,) * ctx.p, 0, (tuple(I),)): Scalar(1)})
 
     def _mul_even(self, a, b):
-        return (tuple(p + q for p, q in zip(a[0], b[0])), a[1] + b[1])
+        lam = a[1] + b[1]
+        return (
+            tuple(p + q for p, q in zip(a[0], b[0])),
+            lam if type(lam) is int else _exact(lam),
+        )
 
     def _even_factors(self, key):
         out = super()._even_factors(key)
@@ -120,48 +126,66 @@ class JetFunction(GrassmannPolynomial):
         """d/dx^i; for p = 1 this also differentiates the exponential part."""
         out = super().diff_x(i)
         # a nonzero lambda only occurs for p = 1, where i = 0
-        exp_part = {key: v * Scalar(key[1]) for key, v in self.terms.items() if key[1]}
-        return out + JetFunction(self.ambient, exp_part) if exp_part else out
+        exp_part = {key: v * key[1] for key, v in self.terms.items() if key[1]}
+        return out + self._new(exp_part) if exp_part else out
 
     def total_derivative(self, i=0):
         """Full total derivative D_{x^i} (raises jet order by one)."""
-        out = self.diff_x(i)
-        seen = set()
-        for (_, _, odd) in self.terms:
-            for I in odd:
-                seen.add(I)
-        for I in sorted(seen, key=_odd_key):
-            dI = self.diff_odd(I)
-            if dI:
-                up = tuple(sorted(I + (i + 1,)))
-                out = out + JetFunction.odd_coord(self.ambient, up) * dI
-        return out
+        return self._total_derivative(i, None)
+
+    def first_order_total(self, i=0):
+        """D^(1)_{x^i} f = d_x f + xi_i d_xi f (for f of order <= 1)."""
+        return self._total_derivative(i, 1)
+
+    def _total_derivative(self, i, below):
+        """d/dx^i plus, for each odd factor xi_I with |I| < below (every
+        factor when below is None), that factor replaced in place by
+        xi_{I+e_i}.  D is an even derivation, so a replaced monomial carries
+        only the sign of re-sorting its odd tuple."""
+        out = {}
+        up = i + 1
+        for key, v in self.terms.items():
+            xe, lam, odd = key
+            new = []
+            e = xe[i]
+            if e:
+                new.append(((xe[:i] + (e - 1,) + xe[i + 1 :], lam, odd), v * e))
+            if lam:
+                new.append((key, v * lam))
+            for j, I in enumerate(odd):
+                if below is not None and len(I) >= below:
+                    break
+                raised, sign = sort_with_sign(
+                    odd[:j] + (tuple(sorted(I + (up,))),) + odd[j + 1 :],
+                    (EVEN,) * len(odd), _odd_key,
+                )
+                if sign:
+                    new.append(((xe, lam, raised), v if sign > 0 else -v))
+            for k, w in new:
+                s = out.get(k)
+                s = w if s is None else s + w
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return self._new(out)
 
     def truncate(self, order):
         """Drop terms containing a jet coordinate of order > order."""
-        return JetFunction(
-            self.ambient,
+        return self._new(
             {
                 key: v
                 for key, v in self.terms.items()
                 if all(len(I) <= order for I in key[2])
-            },
+            }
         )
-
-    def first_order_total(self, i=0):
-        """D^(1)_{x^i} f = d_x f + xi_i d_xi f (for f of order <= 1)."""
-        out = self.diff_x(i)
-        dxi = self.diff_odd(())
-        if dxi:
-            out = out + JetFunction.odd_coord(self.ambient, (i + 1,)) * dxi
-        return out
 
     def substitute_odd(self, I, g):
         """Replace the odd coordinate xi_I by the odd function g: with
         f = xi_I * d_{xi_I} f + (terms free of xi_I), that is
         g * d_{xi_I} f + (terms free of xi_I)."""
         keep = {key: v for key, v in self.terms.items() if I not in key[2]}
-        return g * self.diff_odd(I) + JetFunction(self.ambient, keep)
+        return g * self.diff_odd(I) + self._new(keep)
 
     def weighted_grading(self, order):
         """Grading of S_f induced by the symbol filtration: each monomial
@@ -286,13 +310,15 @@ def parse_jet(ctx, text):
 def _jet_coordinate(ctx, nm):
     if ctx.p == 1 and nm == "x":
         return JetFunction.x_power(ctx, 1)
-    if ctx.p > 1 and nm.startswith("x") and nm[1:].isdigit():
-        return JetFunction.x_power(ctx, 1, i=int(nm[1:]) - 1)
+    if ctx.p > 1 and nm[:1] == "x" and nm[1:].isdecimal():
+        if 1 <= int(nm[1:]) <= ctx.p:
+            return JetFunction.x_power(ctx, 1, i=int(nm[1:]) - 1)
     if nm == "xi":
         return JetFunction.odd_coord(ctx, ())
-    if nm.startswith("xi_"):
-        idx = tuple(sorted(int(ch) for ch in nm[3:]))
-        return JetFunction.odd_coord(ctx, idx)
+    # xi_<indices>: one digit in 1..p per differentiation
+    digits = "123456789"[: ctx.p]
+    if nm.startswith("xi_") and nm[3:] and all(ch in digits for ch in nm[3:]):
+        return JetFunction.odd_coord(ctx, sorted(int(ch) for ch in nm[3:]))
     if nm.startswith("xi") and nm[2:].isdigit():
         if ctx.p != 1:
             raise ValueError("xi%s needs p = 1; use xi_... indices" % nm[2:])
@@ -516,7 +542,7 @@ def determine_symmetries(spec):
             for (k, lam) in basis_fns:
                 f = JetFunction(
                     ctx,
-                    {((k,), lam, tuple(mono)): Scalar(1)},
+                    {((k,), _exact(lam), tuple(mono)): Scalar(1)},
                 )
                 ansatz.append(f)
         rows_by_key = {}

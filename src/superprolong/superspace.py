@@ -195,6 +195,10 @@ class GrassmannPolynomial:
     The ambient names the factors: ``ambient.direction_name(d)`` with
     d = ("x", i) for an even coordinate and any other tag for the odd symbol
     d[1].  Subclasses say how even parts multiply (``_mul_even``).
+
+    The public constructor coerces its values to ``Scalar`` and drops zeros;
+    ``_new`` trusts its dict to hold nonzero ``Scalar`` values already, and
+    every operation below builds its result through it.
     """
 
     __slots__ = ("ambient", "terms")
@@ -211,7 +215,10 @@ class GrassmannPolynomial:
                 self.terms[key] = val
 
     def _new(self, terms):
-        return type(self)(self.ambient, terms)
+        out = object.__new__(type(self))
+        out.ambient = self.ambient
+        out.terms = terms
+        return out
 
     def __bool__(self):
         return bool(self.terms)
@@ -269,7 +276,7 @@ class GrassmannPolynomial:
                     if sign == 0:
                         continue
                 key = self._mul_even(ka, kb) + (odd,)
-                s = out.get(key, Scalar(0)) + va * vb * Scalar(sign)
+                s = out.get(key, Scalar(0)) + va * vb * sign
                 if s:
                     out[key] = s
                 else:
@@ -284,7 +291,7 @@ class GrassmannPolynomial:
             e = key[0][i]
             if e:
                 xe = key[0][:i] + (e - 1,) + key[0][i + 1 :]
-                out[(xe,) + key[1:]] = v * Scalar(e)
+                out[(xe,) + key[1:]] = v * e
         return self._new(out)
 
     def diff_odd(self, s):

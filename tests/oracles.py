@@ -12,7 +12,10 @@ recursion that the prolongation's block kernel replaced.  ``koszul_sign``
 is the O(n^2) inversion count that the package's one sign routine,
 ``superspace.sort_with_sign``, is compared against, and
 ``differential_formula`` evaluates the Spencer differential from the
-formula in the ``spencer`` docstring with those signs.
+formula in the ``spencer`` docstring with those signs.  ``total_derivative``
+is the compositional jet total derivative, d/dx^i plus the products
+xi_{I+e_i} * d_{xi_I}, that the one-pass ``JetFunction.total_derivative``
+replaced.
 """
 
 from fractions import Fraction
@@ -571,6 +574,19 @@ def odd_coords(ctx, order):
                 nxt.append(I + (i,))
         out.extend(nxt)
         cur = nxt
+    return out
+
+
+def total_derivative(f, i=0):
+    """D_{x^i} f = d/dx^i f + sum over the odd coordinates xi_I of f of
+    xi_{I+e_i} * d_{xi_I} f, built from the ring's own products."""
+    from superprolong.oddode import JetFunction
+
+    out = f.diff_x(i)
+    symbols = {I for key in f.terms for I in key[2]}
+    for I in sorted(symbols, key=JetFunction.symbol_key):
+        up = tuple(sorted(I + (i + 1,)))
+        out = out + JetFunction.odd_coord(f.ambient, up) * f.diff_odd(I)
     return out
 
 

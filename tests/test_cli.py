@@ -724,6 +724,9 @@ _ODE_FILE = "ode.json"
            ("gl:3|0", "g0 element 2 is not parity-homogeneous"))]
     + [_input_error_case(["odesym", "--order", "3", "--rhs", "xi*@x"],
                          "direction symbol in a jet superfunction: 'xi*@x'")]
+    + [_input_error_case(["odesym", "--order", "3", "--rhs", name],
+                         "unknown jet coordinate %r" % name)
+       for name in ("xi_2", "xi_0", "xi_", "xi_a")]
     + [_input_error_case(["odesym", "--input", _ODE_FILE] + flags,
                          "--input excludes " + excluded)
        for flags, excluded in (

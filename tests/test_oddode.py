@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +265,24 @@ def test_json_round_trip():
     assert data["superdim"] == {"even": 2, "odd": 3}
     assert data["prolongation_bound"] == {"even": 4, "odd": 4}
     assert any(g["f"] == "exp(x)" for g in data["generators"])
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "odesym_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", _GOLDEN,
+    ids=["%(order)d:%(rhs)s" % c + "".join(
+        ":%s=%s" % (k, c[k]) for k in ("poly_degree", "exponentials") if k in c
+    ) for c in _GOLDEN],
+)
+def test_symmetry_results_match_the_golden_outputs(case):
+    spec = OdeSpec(
+        case["order"], case["rhs"], poly_degree=case.get("poly_degree", 4),
+        exponentials=case.get("exponentials", ()),
+    )
+    got = json.dumps(determine_symmetries(spec).to_json(), sort_keys=True)
+    assert got == json.dumps(case["result"], sort_keys=True)
 
 
 _NOT_RATIONAL = 'basis.exponentials[0]: number %r is neither an integer nor a "p/q" string'

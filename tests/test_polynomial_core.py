@@ -1,7 +1,9 @@
 """Properties of the Grassmann-polynomial core that superfunctions on
 R^{m|n} and jet functions share: products of monomials against the Koszul
 sign oracle, associativity, supercommutativity and the Leibniz rule of the odd
-derivative, and the contact-field bracket on jets with p = 2."""
+derivative, the contact-field bracket on jets with p = 2, the one-pass jet
+total derivative against its compositional oracle, and the invariants of the
+stored terms (nonzero Scalar values, an int exponent lambda when integral)."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +22,7 @@ from superprolong.scalars import Scalar
 from superprolong.superfield import Ambient, SuperPolynomial
 from superprolong.superspace import EVEN
 
-from oracles import koszul_sign, odd_coords
+from oracles import koszul_sign, odd_coords, total_derivative
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -71,12 +73,12 @@ RINGS = {
     ),
     "jet_p1": (
         JetFunction, JetContext(1),
-        [((k,), lam) for k in range(3) for lam in (Fraction(0), Fraction(1), Fraction(-2))],
+        [((k,), lam) for k in range(3) for lam in (0, 1, -2, Fraction(1, 2))],
         odd_coords(JetContext(1), 3), JetFunction.symbol_key,
     ),
     "jet_p2": (
         JetFunction, JetContext(2),
-        [((i, j), Fraction(0)) for i in range(2) for j in range(2)],
+        [((i, j), 0) for i in range(2) for j in range(2)],
         odd_coords(JetContext(2), 2), JetFunction.symbol_key,
     ),
 }
@@ -146,5 +148,91 @@ def test_contact_bracket_represents_lagrange_bracket_p2(f, g):
     assert not (left - right).coeffs
 
 
+JET_RINGS = ["jet_p1", "jet_p2"]
+
+
+def directions(ring):
+    amb = RINGS[ring][1]
+    return st.integers(0, (amb.p if ring in JET_RINGS else amb.m) - 1)
+
+
+@pytest.mark.parametrize("ring", JET_RINGS)
+@SETTINGS
+@given(data=st.data())
+def test_total_derivative_matches_oracle_and_leibniz(ring, data):
+    f, g = (data.draw(homogeneous(ring)) for _ in range(2))
+    i = data.draw(directions(ring))
+    assert f.total_derivative(i) == total_derivative(f, i)
+    # D is an even derivation
+    assert (f * g).total_derivative(i) == (
+        f.total_derivative(i) * g + f * g.total_derivative(i)
+    )
+
+
+@pytest.mark.parametrize("ring", JET_RINGS)
+@SETTINGS
+@given(data=st.data())
+def test_first_order_total_is_the_truncated_total_derivative(ring, data):
+    f = data.draw(homogeneous(ring)).truncate(1)
+    i = data.draw(directions(ring))
+    assert f.first_order_total(i) == f.total_derivative(i).truncate(1)
+
+
+def _assert_stored_terms(f):
+    """Values are nonzero Scalars; a jet key's exponent is an int when
+    integral."""
+    for key, v in f.terms.items():
+        assert type(v) is Scalar and v, (key, v)
+        if isinstance(f, JetFunction):
+            assert type(key[1]) is int or key[1].denominator != 1, key
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_results_hold_nonzero_scalars_and_exact_exponents(ring, data):
+    f, g = (data.draw(homogeneous(ring)) for _ in range(2))
+    i = data.draw(directions(ring))
+    s = data.draw(st.sampled_from(RINGS[ring][3]))
+    c = data.draw(st.sampled_from([Scalar(2), Scalar(Fraction(-1, 3)), Scalar(0, 1)]))
+    results = [f + g, f - g, -f, f.scale(c), f * g, f.diff_x(i), f.diff_odd(s)]
+    if ring in JET_RINGS:
+        h = data.draw(homogeneous(ring, parity=1))
+        results += [
+            f.total_derivative(i), f.first_order_total(i), f.truncate(1),
+            f.substitute_odd(s, h),
+        ]
+    for result in results:
+        _assert_stored_terms(result)
+
+
+def test_integral_exponents_are_stored_as_int():
+    ctx = JetContext(1)
+    half = JetFunction.x_power(ctx, 0, lam=Fraction(1, 2))
+    square = half * half
+    assert [type(key[1]) for key in square.terms] == [int]
+    assert list(square.terms) == [((0,), 1, ())]
+    assert square.to_str() == "exp(x)"
+    assert half.to_str() == "exp(1/2*x)"
+    assert JetFunction.x_power(ctx, 0, lam=Fraction(-2, 2)).to_str() == "exp(-1*x)"
+    assert JetFunction.x_power(ctx, 0, lam=-1).to_str() == "exp(-1*x)"
+    for f in (
+        JetFunction.constant(ctx, 3), JetFunction.x_power(ctx, 2, lam=Fraction(4, 2)),
+        JetFunction.odd_coord(ctx, (1,)), half.total_derivative() * half,
+    ):
+        _assert_stored_terms(f)
+        assert all(type(key[1]) is int for key in f.terms)
+
+
 def test_p2_jet_monomials_sort_by_order_then_lex():
     assert parse_jet(JetContext(2), "xi_11*xi_2").to_str() == "-xi_2*xi_11"
+
+
+def test_p2_jet_names_take_indices_in_1_to_p():
+    ctx = JetContext(2)
+    assert parse_jet(ctx, "xi_12").to_str() == "xi_12"
+    assert parse_jet(ctx, "xi_21") == parse_jet(ctx, "xi_12")
+    assert parse_jet(ctx, "x2*xi_1").to_str() == "x2*xi_1"
+    for name in ("xi_3", "xi_0", "xi_", "xi_1a", "x3", "x0"):
+        with pytest.raises(ValueError, match="unknown jet coordinate %r" % name):
+            parse_jet(ctx, name)
