@@ -12,29 +12,42 @@ Dense boundary.  ``ExactMatrix`` and the public ``rank``, ``kernel_basis``
 and ``solve`` take dense rows (an ExactMatrix or lists of scalars), convert
 them to sparse rows once and densify their answers once.
 
-One elimination.  Each row is scaled by the lcm of its denominators and
-stored as {col: (re, im)} with integer components, over Q and Q(i) alike.
-Rows are inserted in input order.  Each is reduced against the current
-pivot rows in increasing column order by cross-multiplication
-(row := p * row - f * pivot_row) and divided by the gcd of its components,
-so no division ever rounds; a row that is still nonzero becomes the pivot
-row at its lowest column, divided once by a gcd in Z[i] of its components
-so that no Gaussian common factor grows through later rows.  A row
-becomes a pivot exactly when it is independent of the rows before it, and
-``independent_rows`` reports which rows did.  ``pivot_columns``,
-``rank_rows``, ``independent_rows``, ``kernel_basis_rows`` and
-``SpanSolver`` all read this loop.  ``SpanSolver`` then back-substitutes
-once, in descending pivot order with the same reduction, so that no pivot
-row holds another pivot column; each solve reads its coefficients off
-those rows, one integer multiple per pivot the target holds, and
-eliminates nothing.
+One elimination, two pivot rules.  Each row is scaled by the lcm of its
+denominators and stored as {col: (re, im)} with integer components, over Q
+and Q(i) alike.  Rows are inserted in input order, each reduced against
+the current pivot rows; a row that is still nonzero becomes a pivot row.
+A row becomes a pivot exactly when it is independent of the rows before
+it, whatever column it pivots on, and ``independent_rows`` reports which
+rows did.
 
-The answers do not depend on the order of elimination.  The pivot columns
-of any echelon form are the lowest columns of the nonzero vectors of the
-row space, an invariant of it.  For each free column exactly one kernel
-vector has 1 there and 0 at the other free columns; back substitution
-finds it from any echelon form, and it is then scaled so that its lowest
-entry is 1.  So kernel bases are the same, entry for entry and in order,
+* Leftmost rule (``pivot_columns``, ``kernel_basis_rows``, ``SpanSolver``).
+  A row pivots on its lowest column, divided once by a gcd in Z[i] of its
+  components so that no Gaussian common factor grows through later rows.
+  A row is reduced in increasing pivot column order by
+  cross-multiplication (row := p * row - f * pivot_row) and divided by the
+  gcd of its components, so no division ever rounds.
+* Unit rule (``rank_rows``, ``independent_rows``, which need only a count
+  or a set of rows).  A row pivots on its first entry, in row order, that
+  is a unit (+-1, +-i), multiplied by the inverse unit so that this entry
+  is 1; a row with no unit entry falls back to the leftmost rule's pivot.
+  A row is reduced in the pivots' insertion order, by row -= f * pivot_row
+  at a pivot led by 1 (no rescaling, no gcd) and by cross-multiplication
+  at the others.  A pivot row holds no pivot column inserted before it, so
+  a step brings in only later pivot columns and the reduction ends; in
+  column order a column could come back.
+
+``_echelon`` and ``_reduce`` run both rules, told apart by a private
+argument.  ``SpanSolver`` then back-substitutes once, in descending pivot
+order with the leftmost rule's reduction, so that no pivot row holds
+another pivot column; each solve reads its coefficients off those rows,
+one integer multiple per pivot the target holds, and eliminates nothing.
+
+The leftmost rule's answers do not depend on the order of elimination.
+Its pivot columns are the lowest columns of the nonzero vectors of the row
+space, an invariant of it.  For each free column exactly one kernel vector
+has 1 there and 0 at the other free columns; back substitution finds it
+from any echelon form, and it is then scaled so that its lowest entry is
+1.  So kernel bases are the same, entry for entry and in order,
 across runs and platforms.
 """
 
@@ -71,20 +84,35 @@ def _int_row(items):
     }, den
 
 
-def _reduce(row, pivots):
-    """Reduce an integer row against pivots {col: pivot row led by col},
-    in increasing column order; returns a row holding no pivot column."""
-    todo = [j for j in row if j in pivots]
+def _reduce(row, pivots, order=None):
+    """Reduce an integer row against pivots {col: pivot row}; returns a row
+    holding no pivot column.
+
+    With order None (leftmost rule) each pivot row is led by its column and
+    the pivots are applied in increasing column order.  With order
+    {pivot col: (insertion index, col)} (unit rule) they are applied in
+    insertion order, and a pivot row whose lead is (1, 0) is subtracted
+    from the row in place, row -= f * pivot_row.  Any other step
+    cross-multiplies, row := p * row - f * pivot_row, and divides by the
+    gcd of the components.
+    """
+    todo = [j if order is None else order[j] for j in row if j in pivots]
     heapify(todo)
     while todo:
         c = heappop(todo)
+        if order is not None:
+            c = c[1]
         f = row.get(c)
         if f is None:
             continue
         piv_row = pivots[c]
         pa, pb = piv_row[c]
         fa, fb = f
-        out = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in row.items()}
+        if order is not None and pa == 1 and not pb:
+            out = row
+        else:
+            out = {j: (pa * a - pb * b, pa * b + pb * a)
+                   for j, (a, b) in row.items()}
         for j, (a, b) in piv_row.items():
             x = fa * a - fb * b
             y = fa * b + fb * a
@@ -92,7 +120,7 @@ def _reduce(row, pivots):
             if old is None:
                 out[j] = (-x, -y)
                 if j in pivots:
-                    heappush(todo, j)
+                    heappush(todo, j if order is None else order[j])
             else:
                 x = old[0] - x
                 y = old[1] - y
@@ -100,7 +128,7 @@ def _reduce(row, pivots):
                     out[j] = (x, y)
                 else:
                     del out[j]
-        row = _primitive(out)
+        row = out if out is row else _primitive(out)
     return row
 
 
@@ -146,14 +174,36 @@ def _pivot_row(row):
             for j, (a, b) in row.items()}
 
 
-def _echelon(rows, independent=None):
+def _echelon(rows, independent=None, units=False):
     """{pivot column: pivot row} of the rows, inserted in input order; the
-    indices of the rows that become pivots are appended to independent."""
+    indices of the rows that become pivots are appended to independent.
+
+    By default (leftmost rule) a row pivots on its lowest column.  With
+    units (unit rule) it pivots on its first unit entry in row order, the
+    row multiplied by the inverse unit so that this entry is (1, 0); a row
+    with no unit entry pivots on its lowest column as before.
+    """
     pivots = {}
+    order = {} if units else None
     for i, row in enumerate(rows):
-        row = _reduce(_int_row(row.items())[0], pivots)
+        row = _reduce(_int_row(row.items())[0], pivots, order)
         if row:
-            pivots[min(row)] = _pivot_row(row)
+            c = None
+            if units:
+                for j, (a, b) in row.items():
+                    if abs(a) + abs(b) == 1:
+                        c = j
+                        if b or a != 1:
+                            # times the inverse unit a - b i
+                            row = {k: (x * a + y * b, y * a - x * b)
+                                   for k, (x, y) in row.items()}
+                        break
+            if c is None:
+                c = min(row)
+                row = _pivot_row(row)
+            pivots[c] = row
+            if units:
+                order[c] = (len(order), c)
             if independent is not None:
                 independent.append(i)
     return pivots
@@ -170,14 +220,14 @@ def pivot_columns(rows):
 
 
 def rank_rows(rows):
-    return len(pivot_columns(rows))
+    return len(_echelon(rows, units=True))
 
 
 def independent_rows(rows):
     """Increasing indices of the rows independent of the rows before them:
     rows[:k] has rank the number of these indices below k."""
     independent = []
-    _echelon(rows, independent)
+    _echelon(rows, independent, units=True)
     return independent
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from math import lcm
 
 from .scalars import FIELD_Q, Scalar, _exact, _read_rational, as_scalar
@@ -471,6 +471,11 @@ class SymmetryResult:
         }
 
 
+# Adoptions the Lie closure allows when pr(symbol, scalings) does not
+# stabilize, so that no bound caps them.
+_ADOPTION_LIMIT = 32
+
+
 def determine_symmetries(spec):
     """All contact symmetries of xi^(n) = rhs with generating superfunctions
     in the ansatz span c(x) * {1, xi, xi', xi xi'}.
@@ -556,13 +561,25 @@ def determine_symmetries(spec):
                 f = f + ansatz[col].scale(s)
             generators.append(GeneratingFunction(f, order=n))
 
+    # the Tanaka bound dim sym <= dim pr(symbol, scalings): it certifies
+    # completeness and caps the Lie closure below
+    res = prolong(
+        SymbolAlgebra(odd_ode_symbol(n)), g0=odd_ode_scalings(n),
+        validate_result=False,
+    )
+    bound = res.total_superdim if res.status == "stabilized" else None
+
     # Lie closure: a bracket of symmetries is a symmetry; adopt any bracket
     # that escapes the current span (possible when the ansatz basis missed a
     # coefficient function), then scan again from the first pair.  Each
     # unordered pair is bracketed once; the scan that adopts nothing leaves
-    # every bracket's coordinates in coords.
+    # every bracket's coordinates in coords.  Each adoption adds a symmetry
+    # independent of the generators, so with a bound at most sum(bound) -
+    # len(generators) adoptions fit: one more would contradict the bound.
+    # Without a bound the closure stops after _ADOPTION_LIMIT adoptions.
+    limit = _ADOPTION_LIMIT if bound is None else sum(bound) - len(generators)
     brackets = {}
-    for adoptions in range(33):
+    for adoptions in count():
         coefficients = _span_coefficients(generators)
         coords = {}
         for a, b in combinations_with_replacement(range(len(generators)), 2):
@@ -575,14 +592,21 @@ def determine_symmetries(spec):
                 coords[a, b] = vec
         else:
             break
-        if adoptions == 32:
-            raise AssertionError(
-                "bracket [%s, %s] leaves the closed solution span"
-                % (generators[a].to_str(), generators[b].to_str())
-            )
         adopted = brackets[a, b]
         if defect(adopted):
             raise AssertionError("a bracket of symmetries failed tangency")
+        if adoptions >= limit:
+            pair = (generators[a].to_str(), generators[b].to_str())
+            if bound is None:
+                raise AssertionError(
+                    "bracket [%s, %s] leaves the closed solution span after "
+                    "%d adoptions" % (pair + (adoptions,))
+                )
+            raise AssertionError(
+                "bracket [%s, %s] leaves the closed solution span of %d "
+                "symmetries, past the bound dim pr(m, g0) = (%d|%d)"
+                % (pair + (len(generators),) + bound)
+            )
         generators.append(GeneratingFunction(adopted, order=n))
         warnings.append(
             "closure adopted a bracket outside the ansatz span: %s"
@@ -618,9 +642,4 @@ def determine_symmetries(spec):
         table[a][b] = br.to_str()
         odd_fields = generators[a].parity == generators[b].parity == EVEN
         table[b][a] = (br if odd_fields else -br).to_str()
-    res = prolong(
-        SymbolAlgebra(odd_ode_symbol(n)), g0=odd_ode_scalings(n),
-        validate_result=False,
-    )
-    bound = res.total_superdim if res.status == "stabilized" else None
     return SymmetryResult(spec, generators, algebra, table, bound, warnings)

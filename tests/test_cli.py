@@ -627,6 +627,16 @@ def test_odesym_text_report(capsys):
     assert "bracket table" in out
 
 
+def test_odesym_closure_runs_up_to_the_bound(capsys):
+    # the ansatz holds x^0..x^4 and order 40 needs x^5..x^39: the closure
+    # adopts those 35 generators, up to the bound (4|40)
+    code, out, _ = run_cli(["odesym", "--order", "40", "--rhs", "0"], capsys)
+    assert code == 0
+    assert "symmetry superdimension: (4|40)" in out
+    assert "prolongation bound: (4|40)  (completeness certified)" in out
+    assert out.count("note: closure adopted") == 35
+
+
 def test_odesym_bad_rhs_exit_two(capsys):
     code, _, err = run_cli(["odesym", "--order", "2", "--rhs", "x"], capsys)
     assert code == 2

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -382,9 +383,43 @@ def test_closure_errors(monkeypatch):
     with pytest.raises(AssertionError, match="failed tangency"):
         determine_symmetries(OdeSpec(2, "0", poly_degree=3))
     monkeypatch.undo()
-    # a span that never holds a nonzero bracket stops after 32 adoptions
+    # a span that never holds a nonzero bracket: the eight generators
+    # already reach the bound (4|4), so no adoption fits
     monkeypatch.setattr(
         oddode, "_span_coefficients", lambda gens: lambda f: None if f else {}
     )
     with pytest.raises(AssertionError, match="leaves the closed solution span"):
         determine_symmetries(OdeSpec(2, "0", poly_degree=3))
+    # without a stabilized bound it stops after _ADOPTION_LIMIT adoptions
+    monkeypatch.setattr(
+        oddode, "prolong",
+        lambda *args, **kw: SimpleNamespace(status="truncated"),
+    )
+    with pytest.raises(
+        AssertionError,
+        match=r"leaves the closed solution span after %d adoptions$"
+        % oddode._ADOPTION_LIMIT,
+    ):
+        determine_symmetries(OdeSpec(2, "0", poly_degree=3))
+
+
+def test_an_adoption_past_the_bound_names_the_pair(monkeypatch):
+    from superprolong import oddode
+
+    # poly_degree 1 finds 7 generators and the closure adopts
+    # [x, x*xi*xi1] = -x*xi+x^2*xi1 as the eighth; a bound of (4|3) leaves
+    # no room for it
+    prolong = oddode.prolong
+
+    def low_bound(*args, **kw):
+        res = prolong(*args, **kw)
+        assert (res.status, res.total_superdim) == ("stabilized", (4, 4))
+        return SimpleNamespace(status="stabilized", total_superdim=(4, 3))
+
+    monkeypatch.setattr(oddode, "prolong", low_bound)
+    with pytest.raises(AssertionError) as exc:
+        determine_symmetries(OdeSpec(2, "0", poly_degree=1))
+    assert str(exc.value) == (
+        "bracket [x, x*xi*xi1] leaves the closed solution span of 7 "
+        "symmetries, past the bound dim pr(m, g0) = (4|3)"
+    )

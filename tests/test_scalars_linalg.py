@@ -515,6 +515,92 @@ def test_pivot_columns_when_the_first_row_does_not_hold_the_leftmost_pivot():
     assert kernel_basis_rows(rows, 3) == [{1: one, 2: Scalar(-1)}]
 
 
+# entries for the unit rule: units, non-unit integers, fractions and
+# Gaussian integers that are not units
+UNITS = [Scalar(1), Scalar(-1), I, Scalar(0, -1)]
+NON_UNITS = [
+    Scalar(2), Scalar(-3), Scalar(0, 2),
+    Scalar(Fraction(1, 2)), Scalar(Fraction(-2, 3), 1), Scalar(0, Fraction(1, 3)),
+    Scalar(1, 1), Scalar(2, -1), Scalar(-3, 2),
+]
+
+
+@st.composite
+def unit_rule_matrices(draw):
+    """Sparse rows over Q(i), up to 7 x 6, each row's columns in a drawn
+    order so that its first unit is often not its leftmost entry; some rows
+    have no unit entry and some are combinations of earlier rows."""
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["mixed", "mixed", "no unit", "combination"]))
+        if kind == "combination" and rows:
+            a, b = (draw(st.sampled_from(UNITS + NON_UNITS)) for _ in "ab")
+            row = svec_axpy(svec_axpy({}, a, draw(st.sampled_from(rows))),
+                            b, draw(st.sampled_from(rows)))
+        else:
+            entries = NON_UNITS if kind == "no unit" else UNITS + NON_UNITS
+            cols = draw(st.permutations(range(ncols)))
+            row = {j: draw(st.sampled_from(entries))
+                   for j in cols[:draw(st.integers(0, ncols))]}
+        rows.append(row)
+    return rows, ncols
+
+
+def assert_insertion_order_echelon(pivots):
+    """Each pivot row of the unit rule holds no pivot column inserted before
+    it, and is led by (1, 0) at a unit pivot or else by its lowest column."""
+    for k, (c, row) in enumerate(pivots.items()):
+        assert not set(row) & set(list(pivots)[:k])
+        assert row[c] == (1, 0) or c == min(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_rule_matrices())
+def test_unit_rule_ranks_and_independent_rows_match_the_oracle(problem):
+    rows, ncols = problem
+    ranks = [naive_rank(dense(rows[:k], ncols)) if k else 0
+             for k in range(len(rows) + 1)]
+    assert rank_rows(rows) == ranks[-1]
+    assert independent_rows(rows) == [
+        k for k in range(len(rows)) if ranks[k + 1] > ranks[k]
+    ]
+    assert_insertion_order_echelon(_echelon(rows, units=True))
+    # the leftmost rule still gives the oracle's pivots and kernel
+    want, piv = rref_kernel(rows, ncols)
+    assert pivot_columns(rows) == piv
+    assert [list(v.items()) for v in kernel_basis_rows(rows, ncols)] == want
+
+
+def test_unit_rule_terminates_when_an_earlier_pivot_row_holds_a_later_pivot():
+    one, two = Scalar(1), Scalar(2)
+    rows = [
+        {0: two, 1: one, 3: one},   # first unit at column 1
+        {0: one, 2: one},           # pivots on column 0, which row 0 holds
+        {1: one, 2: Scalar(3)},     # reduces to {2: 5, 3: -1}
+        {0: Scalar(4), 1: one, 2: two, 3: one},   # row 0 + 2 row 1
+    ]
+    # row 2 meets column 1 (inserted first) and then column 0, which the
+    # subtraction of row 0 brought in; it then pivots on its first unit,
+    # -1 at column 3, not on its leftmost entry
+    pivots = _echelon(rows, units=True)
+    assert pivots == {
+        1: {0: (2, 0), 1: (1, 0), 3: (1, 0)},
+        0: {0: (1, 0), 2: (1, 0)},
+        3: {2: (-5, 0), 3: (1, 0)},
+    }
+    assert_insertion_order_echelon(pivots)
+    assert rank_rows(rows) == 3
+    assert independent_rows(rows) == [0, 1, 2]
+    # pivot_columns and kernel_basis_rows keep the leftmost pivots
+    assert pivot_columns(rows) == [0, 1, 2]
+    assert sorted(_echelon(rows)) == [0, 1, 2]
+    assert all(c == min(row) for c, row in _echelon(rows).items())
+    want, piv = rref_kernel(rows, 4)
+    assert piv == [0, 1, 2]
+    assert [list(v.items()) for v in kernel_basis_rows(rows, 4)] == want
+
+
 def test_span_solver_mixes_rational_and_gaussian_coefficients():
     one = Scalar(1)
     # rational vectors, Gaussian target: Gaussian coefficients

@@ -23,6 +23,7 @@ from superprolong.spencer import (
     CochainSlice,
     cochain_basis,
     cohomology_dims,
+    differential_rows,
     reduced_differential_check,
 )
 from superprolong.linalg import rank_rows
@@ -338,6 +339,26 @@ def test_reduced_injectivity_matches_kernel_projection(name):
     assert rep["degrees"]
     for d, entry in rep["degrees"].items():
         assert entry["p_injective_on_ker"] == reduced_p_injective(g, d), d
+
+
+@pytest.mark.parametrize("name", REDUCED_CASES)
+def test_reduced_check_leaves_out_only_zero_rows_of_the_c3_target(name):
+    # delta on the B monomials of C^{d,2} is zero at every 3-monomial whose
+    # arguments all have degree -1, so the p-injectivity rank may skip them
+    m, g = _reduced_case(name)
+    sp = g.space
+    degs = [b.degree for b in sp]
+    dropped = 0
+    for d in range(min(degs) + 2, max(degs) + 2 * max(-x for x in degs) + 1):
+        b_cols = [t for t in cochain_basis(g, d, 2)
+                  if all(sp[x].degree <= -2 for x in t[0])]
+        target = cochain_basis(g, d, 3)
+        rows = differential_rows(g, b_cols, target)
+        for (T, _, _), row in zip(target, rows):
+            if all(sp[x].degree == -1 for x in T):
+                assert row == {}, (d, T)
+                dropped += 1
+    assert dropped
 
 
 def test_cochain_basis_is_canonical_monomials_times_values():
