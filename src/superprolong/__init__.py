@@ -7,7 +7,6 @@ superalgebras of odd ODEs -- all over Q or Q(i), no floating point.
 """
 
 from .scalars import FIELD_Q, FIELD_QI, Scalar, parse_scalar
-from .linalg import ExactMatrix, kernel_basis, rank, solve
 from .superspace import (
     EVEN,
     ODD,

@@ -2,8 +2,9 @@
 
 Matrix families (gl, sl, osp, spo, the periplectic zoo) are produced from a
 single generic routine that solves the invariance equation of a bilinear
-form; their defining representation is attached to the result.  Nilpotent
-symbols (Heisenberg contact, SHC, odd-ODE) are entered by explicit structure
+form; their defining representation is attached to the result, one sparse
+action {src: {dst: Scalar}} per basis element.  Nilpotent symbols
+(Heisenberg contact, SHC, odd-ODE) are entered by explicit structure
 constants.  The supertranslation builder works over Q(i) with the Pauli
 realization of the three-dimensional Clifford module.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import ExactMatrix, SpanSolver, kernel_basis_rows, svec_axpy
+from .linalg import SpanSolver, _flatten_action, kernel_basis_rows, svec_axpy
 from .scalars import FIELD_Q, FIELD_QI, Scalar, _read_rational
 from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
 from .liesuper import LieSuperalgebra
@@ -32,47 +33,37 @@ def _entry_parity(p, i):
 
 
 def _matrix_family(p, q, members, names, field=FIELD_Q, weights=None):
-    """LieSuperalgebra from a list of (parity, matrix) pairs closed under the
-    supercommutator; structure constants are solved exactly in the span."""
-    n = p + q
-    sparse = [_sparse_matrix(M) for _, M in members]
-    flats = [_flatten(A, n) for A in sparse]
-    solver = SpanSolver(flats)
+    """LieSuperalgebra from a list of (parity, action) pairs closed under the
+    supercommutator, each action {src: {dst: Scalar}} a matrix on the basis
+    of R^{p|q}; structure constants are solved exactly in the span."""
+    solver = SpanSolver([_flatten_action(A) for _, A in members])
     basis = []
-    for k, (par, _) in enumerate(members):
+    for k, (par, A) in enumerate(members):
         deg = 0
         if weights is not None:
-            degs = {weights[i] - weights[j] for i, r in sparse[k].items() for j in r}
+            degs = {weights[i] - weights[j] for j, col in A.items() for i in col}
             if len(degs) > 1:
                 raise ValueError("member %d not weight-homogeneous" % k)
             deg = degs.pop() if degs else 0
         basis.append(BasisVector(name=names[k], degree=deg, parity=par))
     space = GradedSuperSpace(basis)
     brackets = {}
-    for a in range(len(members)):
-        pa, A = members[a][0], sparse[a]
+    for a, (pa, A) in enumerate(members):
         for b in range(a, len(members)):
-            pb, B = members[b][0], sparse[b]
+            pb, B = members[b]
             sign = Scalar(1) if (pa == ODD and pb == ODD) else Scalar(-1)
-            vec = svec_axpy(_flatten(_times(A, B), n), sign, _flatten(_times(B, A), n))
+            # AB + sign BA; an action is the transpose, so AB acts as _times(B, A)
+            vec = svec_axpy(
+                _flatten_action(_times(B, A)), sign, _flatten_action(_times(A, B))
+            )
             if not vec:
                 continue
             res = solver.solve(vec)
             if res is None:
                 raise ValueError("matrix family not closed under bracket")
             brackets[(a, b)] = res
-    rep = {k: M for k, (_, M) in enumerate(members)}
+    rep = {k: A for k, (_, A) in enumerate(members)}
     return LieSuperalgebra(space, brackets, field=field, rep=rep, rep_shape=(p, q))
-
-
-def _sparse_matrix(M):
-    """Nonzero rows {i: {j: Scalar}} of an ExactMatrix."""
-    out = {}
-    for i, row in enumerate(M.entries):
-        r = {j: e for j, e in enumerate(row) if e}
-        if r:
-            out[i] = r
-    return out
 
 
 def _times(A, B):
@@ -88,22 +79,11 @@ def _times(A, B):
     return out
 
 
-def _flatten(A, n):
-    """Sparse rows {i: {j: Scalar}} as one vector {i * n + j: Scalar}."""
-    return {i * n + j: e for i, row in A.items() for j, e in row.items()}
-
-
 def _unit_names(p, q):
     n = p + q
     if n <= 9:
         return {(i, j): "E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)}
     return {(i, j): "E%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)}
-
-
-def _matrix_unit(n, i, j, field=FIELD_Q):
-    M = [[Scalar(0)] * n for _ in range(n)]
-    M[i][j] = Scalar(1)
-    return ExactMatrix(M, field)
 
 
 def gl(p, q, field=FIELD_Q, weights=None):
@@ -114,7 +94,7 @@ def gl(p, q, field=FIELD_Q, weights=None):
     for i in range(n):
         for j in range(n):
             members.append(
-                ((_entry_parity(p, i) + _entry_parity(p, j)) % 2, _matrix_unit(n, i, j, field))
+                ((_entry_parity(p, i) + _entry_parity(p, j)) % 2, {j: {i: Scalar(1)}})
             )
             labels.append(names[(i, j)])
     return _matrix_family(p, q, members, labels, field=field, weights=weights)
@@ -129,25 +109,22 @@ def sl(p, q, field=FIELD_Q, weights=None):
         for j in range(n):
             if i != j:
                 members.append(
-                    ((_entry_parity(p, i) + _entry_parity(p, j)) % 2,
-                     _matrix_unit(n, i, j, field))
+                    ((_entry_parity(p, i) + _entry_parity(p, j)) % 2, {j: {i: Scalar(1)}})
                 )
                 labels.append(names[(i, j)])
     # supertrace-zero diagonal combinations
     str_signs = [1 if i < p else -1 for i in range(n)]
     diag = kernel_basis_rows([{i: Scalar(s) for i, s in enumerate(str_signs)}], n)
     for k, v in enumerate(diag):
-        M = [[Scalar(0)] * n for _ in range(n)]
-        for i, s in v.items():
-            M[i][i] = s
-        members.append((EVEN, ExactMatrix(M, field)))
+        members.append((EVEN, {i: {i: s} for i, s in v.items()}))
         labels.append("H%d" % (k + 1))
     return _matrix_family(p, q, members, labels, field=field, weights=weights)
 
 
 def form_preserving(p, q, P, field=FIELD_Q, extra_supertrace_zero=False,
                     extend_center=False, prefix="M"):
-    """Subalgebra of gl(p|q) preserving the bilinear form with matrix P:
+    """Subalgebra of gl(p|q) preserving the bilinear form P, a dict
+    {(i, j): Scalar} of its nonzero entries:
     P(Xu, v) + (-1)^{|X||u|} P(u, Xv) = 0 for all basis u, v."""
     n = p + q
     members, labels = [], []
@@ -166,12 +143,12 @@ def form_preserving(p, q, P, field=FIELD_Q, extra_supertrace_zero=False,
             for k in range(n):
                 row = {}
                 for i in range(n):
-                    if (i, j) in pos and P[(i, k)]:
+                    if (i, j) in pos and (x := P.get((i, k))):
                         col = pos[(i, j)]
-                        row[col] = row.get(col, Scalar(0)) + P[(i, k)]
-                    if (i, k) in pos and P[(j, i)]:
+                        row[col] = row.get(col, Scalar(0)) + x
+                    if (i, k) in pos and (x := P.get((j, i))):
                         col = pos[(i, k)]
-                        row[col] = row.get(col, Scalar(0)) + sgn * P[(j, i)]
+                        row[col] = row.get(col, Scalar(0)) + sgn * x
                 if row:
                     rows.append(row)
         if extra_supertrace_zero and parity == EVEN:
@@ -179,14 +156,14 @@ def form_preserving(p, q, P, field=FIELD_Q, extra_supertrace_zero=False,
                 {pos[(i, i)]: Scalar(1 if i < p else -1) for i in range(n) if (i, i) in pos}
             )
         for v in kernel_basis_rows(rows, len(slots)):
-            M = [[Scalar(0)] * n for _ in range(n)]
+            act = {}
             for k, s in v.items():
                 i, j = slots[k]
-                M[i][j] = s
-            members.append((parity, ExactMatrix(M, field)))
+                act.setdefault(j, {})[i] = s
+            members.append((parity, act))
             labels.append("%s%d" % (prefix, len(labels) + 1))
     if extend_center:
-        members.append((EVEN, ExactMatrix.identity(n, field)))
+        members.append((EVEN, {i: {i: Scalar(1)} for i in range(n)}))
         labels.append("Z")
     return _matrix_family(p, q, members, labels, field=field)
 
@@ -194,15 +171,12 @@ def form_preserving(p, q, P, field=FIELD_Q, extra_supertrace_zero=False,
 def _osp_form(m, two_n):
     if two_n % 2:
         raise ValueError("osp needs an even symplectic rank")
-    n = m + two_n
     h = two_n // 2
-    P = [[Scalar(0)] * n for _ in range(n)]
-    for i in range(m):
-        P[i][i] = Scalar(1)
+    P = {(i, i): Scalar(1) for i in range(m)}
     for i in range(h):
-        P[m + i][m + h + i] = Scalar(1)
-        P[m + h + i][m + i] = Scalar(-1)
-    return ExactMatrix(P)
+        P[(m + i, m + h + i)] = Scalar(1)
+        P[(m + h + i, m + i)] = Scalar(-1)
+    return P
 
 
 def osp(m, two_n, field=FIELD_Q):
@@ -213,15 +187,14 @@ def osp(m, two_n, field=FIELD_Q):
 def _spo_form(m, n):
     if m % 2:
         raise ValueError("spo needs an even symplectic rank on the even part")
-    tot = m + n
     h = m // 2
-    P = [[Scalar(0)] * tot for _ in range(tot)]
+    P = {}
     for i in range(h):
-        P[i][h + i] = Scalar(1)
-        P[h + i][i] = Scalar(-1)
+        P[(i, h + i)] = Scalar(1)
+        P[(h + i, i)] = Scalar(-1)
     for i in range(n):
-        P[m + i][m + i] = Scalar(1)
-    return ExactMatrix(P)
+        P[(m + i, m + i)] = Scalar(1)
+    return P
 
 
 def spo(m, n, field=FIELD_Q):
@@ -230,11 +203,11 @@ def spo(m, n, field=FIELD_Q):
 
 
 def _periplectic_form(n, skew):
-    P = [[Scalar(0)] * (2 * n) for _ in range(2 * n)]
+    P = {}
     for i in range(n):
-        P[i][n + i] = Scalar(1)
-        P[n + i][i] = Scalar(-1 if skew else 1)
-    return ExactMatrix(P)
+        P[(i, n + i)] = Scalar(1)
+        P[(n + i, i)] = Scalar(-1 if skew else 1)
+    return P
 
 
 def pe(n, skew=False, field=FIELD_Q):
@@ -278,11 +251,8 @@ def spe_ab(n, a, b, skew=False, field=FIELD_Q):
         (base.space[k].parity, base.rep[k]) for k in range(len(base.space))
     ]
     labels = [base.space[k].name for k in range(len(base.space))]
-    M = [[Scalar(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        M[i][i] = Scalar(a) + Scalar(b)
-        M[n + i][n + i] = Scalar(b) - Scalar(a)
-    members.append((EVEN, ExactMatrix(M, field)))
+    diag = [Scalar(a) + Scalar(b)] * n + [Scalar(b) - Scalar(a)] * n
+    members.append((EVEN, {i: {i: s} for i, s in enumerate(diag) if s}))
     labels.append("T")
     return _matrix_family(n, n, members, labels, field=field)
 
@@ -297,11 +267,12 @@ def abelian(p, q, degree=-1, field=FIELD_Q):
     return LieSuperalgebra(GradedSuperSpace(basis), {}, field=field)
 
 
-def heisenberg_contact(p, q, form=None, field=FIELD_Q):
-    """Contact symbol: g_{-1} = R^{p|q} with an even super-skew form w,
-    g_{-2} = <Z>, [u, v] = w(u, v) Z."""
-    if form is None:
-        form = _spo_form(p, q)
+def heisenberg_contact(p, q, field=FIELD_Q):
+    """Contact symbol: g_{-1} = R^{p|q} with the even super-skew form w of
+    spo(p|q), g_{-2} = <Z>, [u, v] = w(u, v) Z."""
+    if p % 2:
+        raise ValueError("heisenberg_contact needs an even p, got %d" % p)
+    form = _spo_form(p, q)
     basis = [BasisVector("x%d" % (i + 1), -1, EVEN) for i in range(p)]
     basis += [BasisVector("th%d" % (i + 1), -1, ODD) for i in range(q)]
     basis.append(BasisVector("Z", -2, EVEN))
@@ -309,7 +280,7 @@ def heisenberg_contact(p, q, form=None, field=FIELD_Q):
     brackets = {}
     for a in range(p + q):
         for b in range(a, p + q):
-            w = form[(a, b)]
+            w = form.get((a, b))
             if w:
                 brackets[(a, b)] = {z: w}
     return LieSuperalgebra(GradedSuperSpace(basis), brackets, field=field)
@@ -392,13 +363,12 @@ PAULI = (
 
 
 def default_admissible_form(N):
-    """eps (x) Id_N on (C^2)^N, eps = ((0,1),(-1,0))."""
-    size = 2 * N
-    B = [[Scalar(0)] * size for _ in range(size)]
+    """eps (x) Id_N on (C^2)^N, eps = ((0,1),(-1,0)), as {(i, j): Scalar}."""
+    B = {}
     for a in range(N):
-        B[2 * a][2 * a + 1] = Scalar(1)
-        B[2 * a + 1][2 * a] = Scalar(-1)
-    return ExactMatrix(B, FIELD_QI)
+        B[(2 * a, 2 * a + 1)] = Scalar(1)
+        B[(2 * a + 1, 2 * a)] = Scalar(-1)
+    return B
 
 
 def supertranslation(N, form=None):
@@ -411,8 +381,8 @@ def supertranslation(N, form=None):
         raise ValueError("N must be >= 1")
     if form is None:
         form = default_admissible_form(N)
-    if form.rows != 2 * N or form.cols != 2 * N:
-        raise ValueError("admissible form must be %dx%d" % (2 * N, 2 * N))
+    if any(i not in range(2 * N) or j not in range(2 * N) for i, j in form):
+        raise ValueError("admissible form has an index outside 0..%d" % (2 * N - 1))
     basis = [BasisVector("v%d" % (i + 1), -2, EVEN) for i in range(3)]
     for a in range(N):
         basis.append(BasisVector("s%d_1" % (a + 1), -1, ODD))
@@ -428,7 +398,7 @@ def supertranslation(N, form=None):
         tot = Scalar(0)
         for r, xr in x.items():
             for c, yc in y.items():
-                f = form[(r, c)]
+                f = form.get((r, c))
                 if f:
                     tot = tot + xr * f * yc
         return tot
@@ -539,6 +509,10 @@ def build_named(spec):
     if name not in _NAMED:
         raise ValueError("unknown catalog name %r" % name)
     form, build = _NAMED[name]
-    if len(args) != form.count(":"):
+    slots = form.split(":")[1:]
+    if len(args) != len(slots):
         raise ValueError("%r: expected the form %s" % (spec, form))
+    for slot, arg in zip(slots, args):
+        if slot in ("p|q", "n", "N") and min(map(int, arg.split("|"))) < 0:
+            raise ValueError("%r: dimensions must be >= 0" % spec)
     return build(*args)

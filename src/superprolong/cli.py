@@ -244,6 +244,11 @@ def _g0_for(args, m):
         raise InputError(str(e))
     if alg.rep is None:
         raise InputError("--g0 algebra has no matrix realization")
+    if sum(alg.rep_shape) != len(m.space):
+        raise InputError(
+            "--g0 %r acts on dimension %d, but m has dimension %d"
+            % (args.g0, sum(alg.rep_shape), len(m.space))
+        )
     return [(alg.space[k].parity, alg.rep[k]) for k in range(len(alg.space))]
 
 
@@ -288,7 +293,7 @@ def cmd_prolong(args):
         except ValueError as e:
             raise InputError(
                 "%s: %s, got degrees %s"
-                % (source, e, ", ".join(map(str, degs)))
+                % (source, e, ", ".join(map(str, degs)) or "none")
             )
         g0 = _g0_for(args, m)
     try:

@@ -36,8 +36,9 @@ class LieSuperalgebra:
 
     brackets maps basis-index pairs to sparse result vectors
     {target_index: Scalar}.  Any pair order may be supplied; storage is
-    canonicalized to a <= b.  A matrix realization (index -> ExactMatrix)
-    may be attached for matrix families; structure constants remain the
+    canonicalized to a <= b.  Matrix families carry a realization on
+    R^{p|q}, rep_shape = (p, q): rep maps each basis index to its action
+    {src: {dst: Scalar}}, the form g0 takes; structure constants remain the
     source of truth.
     """
 

@@ -1,16 +1,14 @@
 """Exact linear algebra: one fraction-free sparse elimination, rank, kernels.
 
-Sparse contract.  Inside the package a row or a vector is a dict
-{col: Scalar}; zero entries of input rows are ignored, and nothing this
-module returns stores a zero.  ``rank_rows``, ``pivot_columns`` and
-``independent_rows`` take a list of such rows, keyed by any mutually
-comparable hashables; ``kernel_basis_rows`` takes rows keyed by the columns
-0..ncols-1 and ncols, and returns such dicts.  ``SpanSolver`` is the one exact
-solver: it eliminates sparse vectors once and returns sparse coefficients.
-
-Dense boundary.  ``ExactMatrix`` and the public ``rank``, ``kernel_basis``
-and ``solve`` take dense rows (an ExactMatrix or lists of scalars), convert
-them to sparse rows once and densify their answers once.
+Sparse contract.  A row or a vector is a dict {col: Scalar}; zero entries
+of input rows are ignored, and nothing this module returns stores a zero.
+``rank_rows``, ``pivot_columns`` and ``independent_rows`` take a list of
+such rows, keyed by any mutually comparable hashables; ``kernel_basis_rows``
+takes rows keyed by the columns 0..ncols-1 and ncols, and returns such
+dicts.  ``SpanSolver`` is the one exact solver: it eliminates sparse vectors
+once and returns sparse coefficients.  A linear map is an action
+{src: {dst: Scalar}}, the transpose of its matrix rows, and
+``_flatten_action`` makes it one vector keyed by (src, dst).
 
 One elimination, two pivot rules.  Each row is scaled by the lcm of its
 denominators and stored as {col: (re, im)} with integer components, over Q
@@ -57,7 +55,7 @@ from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import FIELD_Q, FIELD_QI, Scalar, as_scalar
+from .scalars import Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -273,100 +271,6 @@ def kernel_basis_rows(rows, ncols):
     return basis
 
 
-# ---------------------------------------------------------------------------
-# dense matrix wrapper
-# ---------------------------------------------------------------------------
-
-class ExactMatrix:
-    """Dense matrix of Scalars with a field tag ("Q" or "Qi")."""
-
-    __slots__ = ("rows", "cols", "entries", "field")
-
-    def __init__(self, entries, field=FIELD_Q):
-        self.entries = [[as_scalar(e) for e in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-        if field not in (FIELD_Q, FIELD_QI):
-            raise ValueError("unknown field tag %r" % field)
-        if field == FIELD_Q:
-            for row in self.entries:
-                for e in row:
-                    if not e.is_rational:
-                        raise ValueError("Gaussian entry in a Q-tagged matrix")
-        self.field = field
-
-    @staticmethod
-    def zeros(rows, cols, field=FIELD_Q):
-        return ExactMatrix([[0] * cols for _ in range(rows)], field)
-
-    @staticmethod
-    def identity(n, field=FIELD_Q):
-        return ExactMatrix(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], field
-        )
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.entries == other.entries
-            and self.field == other.field
-        )
-
-
-def _sparse_rows(M):
-    """(sparse rows, ncols) of an ExactMatrix or a list of dense rows."""
-    if isinstance(M, ExactMatrix):
-        dense, ncols = M.entries, M.cols
-    else:
-        dense = [[as_scalar(e) for e in row] for row in M]
-        ncols = len(dense[0]) if dense else 0
-    return [{j: e for j, e in enumerate(row) if e} for row in dense], ncols
-
-
-def _densify(v, ncols):
-    return [v.get(c, Scalar(0)) for c in range(ncols)]
-
-
-def rank(M):
-    """Rank of M over its exact field."""
-    return rank_rows(_sparse_rows(M)[0])
-
-
-def kernel_basis(M):
-    """Basis of the right kernel as dense lists; see kernel_basis_rows for
-    the normalization."""
-    rows, ncols = _sparse_rows(M)
-    return [_densify(v, ncols) for v in kernel_basis_rows(rows, ncols)]
-
-
-def solve(M, rhs):
-    """One solution of M x = rhs, or None: the unique one supported on the
-    leftmost independent columns (free variables set to 0).  rhs holds one
-    entry per row of M; any other length raises ValueError."""
-    rows, ncols = _sparse_rows(M)
-    if len(rhs) != len(rows):
-        raise ValueError(
-            "right-hand side has %d entries for %d rows" % (len(rhs), len(rows))
-        )
-    columns = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, e in row.items():
-            columns[j][i] = e
-    target = {}
-    for i, b in enumerate(rhs):
-        b = as_scalar(b)
-        if b:
-            target[i] = b
-    x = SpanSolver(columns).solve(target)
-    return None if x is None else _densify(x, ncols)
-
-
 class SpanSolver:
     """Reusable exact solver for membership in the span of fixed sparse
     vectors: one elimination and one back substitution up front, then each
@@ -492,6 +396,11 @@ def svec_axpy(acc, s, v):
         else:
             acc.pop(i, None)
     return acc
+
+
+def _flatten_action(action):
+    """An action {b: {t: Scalar}} as one sparse vector keyed by (b, t)."""
+    return {(b, t): s for b, vec in action.items() for t, s in vec.items()}
 
 
 def svec_scale(v, s):

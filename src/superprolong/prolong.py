@@ -38,8 +38,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .linalg import (
-    ExactMatrix,
     SpanSolver,
+    _flatten_action,
     _int_row,
     independent_rows,
     rank_rows,
@@ -63,28 +63,23 @@ class ProlongationError(ValueError):
 
 
 def _normalize_g0(m, g0):
-    """Accept (parity, action-dict) pairs or (parity, ExactMatrix) pairs;
-    return [(parity, action)] with action = {src_index: {dst_index: Scalar}}."""
+    """Accept (parity, action) pairs, action = {src_index: {dst_index:
+    Scalar}} with every index a basis index of m; return them without zero
+    entries."""
     if g0 is None:
         return derivations_gr(m, 0).elements
+    span = range(len(m.space))
     out = []
-    n = len(m.space)
     for idx, (parity, act) in enumerate(g0):
-        if isinstance(act, ExactMatrix):
-            if (act.rows, act.cols) != (n, n):
-                raise ProlongationError(
-                    "g0 element %d is a %dx%d matrix, expected %dx%d (dim m)"
-                    % (idx, act.rows, act.cols, n, n)
-                )
-            action = {}
-            for j in range(n):
-                col = {i: act[(i, j)] for i in range(n) if act[(i, j)]}
-                if col:
-                    action[j] = col
-            out.append((parity, action))
-        else:
-            out.append((parity, {j: v for j, col in act.items()
-                                 if (v := {i: s for i, s in col.items() if s})}))
+        for j, col in act.items():
+            for i in (j, *col):
+                if i not in span:
+                    raise ProlongationError(
+                        "g0 element %d acts on basis index %r, outside 0..%d (dim m)"
+                        % (idx, i, len(span) - 1)
+                    )
+        out.append((parity, {j: v for j, col in act.items()
+                             if (v := {i: s for i, s in col.items() if s})}))
     return out
 
 
@@ -500,11 +495,6 @@ def _flip(entry, both_odd):
     if entry is None or both_odd:
         return entry
     return entry[0], -entry[1]
-
-
-def _flatten_action(action):
-    """An action {b: {t: Scalar}} as one sparse vector keyed by (b, t)."""
-    return {(b, t): s for b, vec in action.items() for t, s in vec.items()}
 
 
 def svec_axpy_action(acc, s, action):

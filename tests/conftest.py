@@ -23,7 +23,8 @@ def delta_squared_rows(g, d, k):
 
 
 def g0_of(alg):
-    """Structure algebra as prolongation input: its defining matrices."""
+    """Structure algebra as prolongation input: the actions of its defining
+    representation."""
     return [(alg.space[k].parity, alg.rep[k]) for k in range(len(alg.space))]
 
 

@@ -468,61 +468,52 @@ def jacobi_violations_all_triples(L):
 # ---------------------------------------------------------------------------
 # dense matrix products: the reference for matrix realizations and ranks
 # ---------------------------------------------------------------------------
+# A matrix here is a list of rows, each a list of Scalars.
+
+def dense(action, n):
+    """The n x n matrix of an action {src: {dst: Scalar}}: entry [i][j] is
+    the coefficient of basis vector i in the image of basis vector j."""
+    from superprolong.scalars import Scalar
+
+    out = [[Scalar(0)] * n for _ in range(n)]
+    for j, col in action.items():
+        for i, s in col.items():
+            out[i][j] = s
+    return out
+
 
 def mat_mul(A, other):
-    """A * other for an ExactMatrix A and an ExactMatrix or a scalar."""
-    from superprolong.linalg import ExactMatrix
-    from superprolong.scalars import FIELD_Q, FIELD_QI, Scalar, as_scalar
+    """A * other for a matrix A and a matrix or a scalar."""
+    from superprolong.scalars import Scalar, as_scalar
 
-    if isinstance(other, ExactMatrix):
-        if A.cols != other.rows:
+    if isinstance(other, list):
+        if any(len(row) != len(other) for row in A):
             raise ValueError("shape mismatch")
-        field = FIELD_QI if FIELD_QI in (A.field, other.field) else FIELD_Q
-        out = []
-        for i in range(A.rows):
-            row = []
-            for j in range(other.cols):
-                s = Scalar(0)
-                for k in range(A.cols):
-                    a = A.entries[i][k]
-                    if a:
-                        s = s + a * other.entries[k][j]
-                row.append(s)
-            out.append(row)
-        return ExactMatrix(out, field)
+        cols = range(len(other[0]) if other else 0)
+        return [
+            [sum((a * other[k][j] for k, a in enumerate(row) if a), Scalar(0))
+             for j in cols]
+            for row in A
+        ]
     s = as_scalar(other)
-    return ExactMatrix([[e * s for e in row] for row in A.entries], A.field)
+    return [[e * s for e in row] for row in A]
 
 
 def mat_add(A, B):
-    from superprolong.linalg import ExactMatrix
-    from superprolong.scalars import FIELD_Q, FIELD_QI
-
-    if A.rows != B.rows or A.cols != B.cols:
+    if len(A) != len(B) or any(len(r1) != len(r2) for r1, r2 in zip(A, B)):
         raise ValueError("shape mismatch")
-    field = FIELD_QI if FIELD_QI in (A.field, B.field) else FIELD_Q
-    return ExactMatrix(
-        [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(A.entries, B.entries)],
-        field,
-    )
+    return [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(A, B)]
 
 
 def mat_apply(A, vec):
     """Matrix-vector product; vec is a list of Scalars."""
     from superprolong.scalars import Scalar
 
-    out = []
-    for row in A.entries:
-        s = Scalar(0)
-        for a, v in zip(row, vec):
-            if a and v:
-                s = s + a * v
-        out.append(s)
-    return out
+    return [sum((a * v for a, v in zip(row, vec) if a and v), Scalar(0)) for row in A]
 
 
 def mat_is_zero(A):
-    return all(not e for row in A.entries for e in row)
+    return all(not e for row in A for e in row)
 
 
 def supertranspose(M, p):
@@ -530,20 +521,19 @@ def supertranspose(M, p):
     cuts out the periplectic algebras in their block form:
     (A B; C D)^st = (A^t -C^t; B^t D^t)."""
     from superprolong.catalog import _entry_parity
-    from superprolong.linalg import ExactMatrix
     from superprolong.scalars import Scalar
     from superprolong.superspace import EVEN, ODD
 
-    n = M.rows
+    n = len(M)
     out = [[Scalar(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            s = M[(i, j)]
+            s = M[i][j]
             if not s:
                 continue
             sign = -1 if (_entry_parity(p, i) == ODD and _entry_parity(p, j) == EVEN) else 1
             out[j][i] = s * Scalar(sign)
-    return ExactMatrix(out, M.field)
+    return out
 
 
 # ---------------------------------------------------------------------------

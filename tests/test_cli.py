@@ -726,12 +726,26 @@ _ODE_FILE = "ode.json"
      for spec, form in (("pe", "pe:n"), ("gl", "gl:p|q"),
                         ("spe_ab:2:1", "spe_ab:n:a:b"),
                         ("osp:2|2:5", "osp:p|q"))]
-    + [_input_error_case(["prolong", "--name", "abelian:2|1", "--g0", g0],
-                         "'abelian:2|1': " + message)
-       for g0, message in (
-           ("gl:2|2", "g0 element 0 is a 4x4 matrix, expected 3x3 (dim m)"),
-           ("gl:1|1", "g0 element 0 is a 2x2 matrix, expected 3x3 (dim m)"),
-           ("gl:3|0", "g0 element 2 is not parity-homogeneous"))]
+    + [_input_error_case(["prolong", "--name", name, "--g0", g0], message)
+       for name, g0, message in (
+           ("abelian:2|1", "gl:2|2",
+            "--g0 'gl:2|2' acts on dimension 4, but m has dimension 3"),
+           ("abelian:2|1", "gl:1|1",
+            "--g0 'gl:1|1' acts on dimension 2, but m has dimension 3"),
+           # a smaller realization would act on the first coordinates only
+           ("abelian:3|0", "gl:2|0",
+            "--g0 'gl:2|0' acts on dimension 2, but m has dimension 3"),
+           ("abelian:2|1", "gl:3|0",
+            "'abelian:2|1': g0 element 2 is not parity-homogeneous"))]
+    + [_input_error_case(["prolong", "--name", spec], message)
+       for spec, message in (
+           ("gl:-1|2", "'gl:-1|2': dimensions must be >= 0"),
+           ("pe:-2", "'pe:-2': dimensions must be >= 0"),
+           ("spe_ab:-1:1:2", "'spe_ab:-1:1:2': dimensions must be >= 0"),
+           ("heisenberg_contact:1|0",
+            "heisenberg_contact needs an even p, got 1"),
+           ("gl:0|0", "'gl:0|0': symbol algebra must live in negative "
+            "degrees, got degrees none"))]
     + [_input_error_case(["odesym", "--order", "3", "--rhs", "xi*@x"],
                          "direction symbol in a jet superfunction: 'xi*@x'")]
     + [_input_error_case(["odesym", "--order", "3", "--rhs", name],

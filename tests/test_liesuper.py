@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from oracles import (
+    dense,
     jacobi_violations_all_triples,
     mat_add,
     mat_is_zero,
@@ -82,29 +83,36 @@ def test_spe_ab_projective_normalization():
     assert a.to_json() == b.to_json()
 
 
+# one small instance of every matrix family in catalog._NAMED
+MATRIX_FAMILIES = [
+    "gl:1|1", "gl:2|1", "sl:2|1", "sl_graded:2|1", "osp:2|2", "spo:2|1",
+    "pe:2", "spe:2", "cpe:2", "cspe:2", "pe_sk:2", "spe_sk:2", "cpe_sk:2",
+    "cspe_sk:2", "spe_ab:2:1:2", "spe_ab:2:1:-1",
+]
+
+
 def test_matrix_bracket_is_supercommutator():
-    for alg in (gl(1, 1), sl(2, 1), osp(2, 2), pe(2)):
-        n = len(alg.space)
-        for a in range(n):
-            for b in range(a, n):
+    # the sparse actions against the dense supercommutator: the matrix of
+    # [x_a, x_b] is M_a M_b - (-1)^{|a||b|} M_b M_a
+    covered = {spec.split(":")[0] for spec in MATRIX_FAMILIES}
+    assert covered == set(catalog._NAMED) - {
+        "abelian", "heisenberg_contact", "shc_symbol", "odd_ode_symbol",
+        "supertranslation",
+    }
+    for spec in MATRIX_FAMILIES:
+        alg = build_named(spec)
+        n = sum(alg.rep_shape)
+        rep = [dense(alg.rep[k], n) for k in range(len(alg.space))]
+        for a in range(len(rep)):
+            for b in range(a, len(rep)):
                 pa = alg.space[a].parity
                 pb = alg.space[b].parity
-                Ma, Mb = alg.rep[a], alg.rep[b]
                 sgn = Scalar(1) if (pa and pb) else Scalar(-1)
-                C = mat_add(mat_mul(Ma, Mb), mat_mul(mat_mul(Mb, Ma), sgn))
-                expect = alg.bracket_indices(a, b)
-                got = ExactSum(alg, expect)
-                assert C == got, (alg.space[a].name, alg.space[b].name)
-
-
-def ExactSum(alg, vec):
-    n = alg.rep[0].rows
-    from superprolong.linalg import ExactMatrix
-
-    out = ExactMatrix.zeros(n, n, alg.field)
-    for c, s in vec.items():
-        out = mat_add(out, mat_mul(alg.rep[c], s))
-    return out
+                C = mat_add(mat_mul(rep[a], rep[b]), mat_mul(mat_mul(rep[b], rep[a]), sgn))
+                got = mat_mul(rep[a], Scalar(0))
+                for c, s in alg.bracket_indices(a, b).items():
+                    got = mat_add(got, mat_mul(rep[c], s))
+                assert C == got, (spec, alg.space[a].name, alg.space[b].name)
 
 
 def test_pe_supertranspose_membership():
@@ -112,9 +120,11 @@ def test_pe_supertranspose_membership():
     for n in (2, 3):
         for skew in (False, True):
             alg = pe(n, skew=skew)
-            P = _periplectic_form(n, skew)
+            form = _periplectic_form(n, skew)
+            P = [[form.get((i, j), Scalar(0)) for j in range(2 * n)]
+                 for i in range(2 * n)]
             for k in range(len(alg.space)):
-                X = alg.rep[k]
+                X = dense(alg.rep[k], 2 * n)
                 sgn = Scalar(-1) if alg.space[k].parity else Scalar(1)
                 M = mat_add(
                     mat_mul(supertranspose(X, n), P), mat_mul(mat_mul(P, X), sgn)
@@ -440,11 +450,13 @@ def test_supertranslation_brackets():
 
 
 def test_supertranslation_rejects_inadmissible_form():
-    from superprolong.linalg import ExactMatrix
-
-    bad = ExactMatrix.identity(2, FIELD_QI)  # symmetric: Gamma not symmetric
-    with pytest.raises(ValueError):
+    one = Scalar(1)
+    bad = {(0, 0): one, (1, 1): one}  # symmetric: Gamma not symmetric
+    with pytest.raises(ValueError, match="not admissible"):
         supertranslation(1, form=bad)
+    # eps with one entry moved outside the 2N = 2 spinor slots
+    with pytest.raises(ValueError, match="index outside 0..1"):
+        supertranslation(1, form={(0, 1): one, (2, 0): -one})
 
 
 def test_build_named_errors():

@@ -34,7 +34,9 @@ from superprolong.spencer import CochainSlice
 from superprolong.linalg import rank_rows
 
 from conftest import g0_of, g2_symbol
-from oracles import RecursiveBrackets, prolongation_step, truncation
+from oracles import RecursiveBrackets, dense, prolongation_step, truncation
+
+_ONE = Scalar(1)
 
 
 def test_odd_ode_scaling_prolongations():
@@ -374,11 +376,31 @@ def test_validate_checks_the_degree_of_an_assembled_entry():
 
 @pytest.mark.parametrize("g0, shape", [(gl(2, 2), "4x4"), (gl(1, 1), "2x2")])
 def test_g0_matrices_must_be_dim_m_square(g0, shape):
-    with pytest.raises(
-        ProlongationError,
-        match="g0 element 0 is a %s matrix, expected 3x3" % shape,
-    ):
+    # m = R^{2|1}: E14 of gl(2|2) reaches basis index 3; gl(1|1) stays inside
+    # 0..2, but its odd E12 maps the even x2 to the even x1
+    message = {
+        "4x4": "g0 element 3 acts on basis index 3, outside 0..2 (dim m)",
+        "2x2": "g0 element 1 is not parity-homogeneous",
+    }[shape]
+    with pytest.raises(ProlongationError) as exc:
         Prolongation(abelian(2, 1), g0=g0_of(g0))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "action, index",
+    [({-1: {-2: _ONE}}, -1), ({0: {-1: _ONE}}, -1), ({-2: {0: _ONE}}, -2),
+     ({0: {2: _ONE}}, 2), ({5: {0: _ONE}}, 5)],
+    ids=["negative-both", "negative-target", "negative-source",
+         "target-n", "source-past-n"],
+)
+def test_g0_index_outside_m_is_refused(action, index):
+    # m = R^{2|0}: basis indices 0 and 1; element 1 is at fault
+    with pytest.raises(ProlongationError) as exc:
+        Prolongation(abelian(2, 0), g0=[(EVEN, {0: {0: _ONE}}), (EVEN, action)])
+    assert str(exc.value) == (
+        "g0 element 1 acts on basis index %d, outside 0..1 (dim m)" % index
+    )
 
 
 def _unit(c=1):
@@ -493,10 +515,11 @@ def test_reducing_a_component_below_the_top_is_rejected():
 def _catalog_snapshot(alg):
     """Structure constants of a catalog algebra plus its defining matrices,
     each entry as a "p/q" string."""
+    n = sum(alg.rep_shape)
     return {
         "algebra": alg.to_json(),
         "rep": [
-            [[e.to_str() for e in row] for row in alg.rep[k].entries]
+            [[e.to_str() for e in row] for row in dense(alg.rep[k], n)]
             for k in range(len(alg.space))
         ],
     }
@@ -574,17 +597,10 @@ def test_spo_purely_odd_totals():
 
 
 def test_g0_must_be_derivations():
-    from superprolong.linalg import ExactMatrix
-
     m = SymbolAlgebra(odd_ode_symbol(2))
-    bad = ExactMatrix(
-        [[0, 0, 0], [0, 0, 0], [1, 0, 0]]  # X -> th2 has degree -1, not 0
-    )
+    bad = {0: {2: Scalar(1)}}  # X -> th2 has degree -1, not 0
     with pytest.raises(ProlongationError):
         Prolongation(m, g0=[(EVEN, bad)])
-
-
-_ONE = Scalar(1)
 
 
 @pytest.mark.parametrize(
