@@ -45,7 +45,7 @@ from .linalg import (
     rank_rows,
     svec_axpy,
 )
-from .scalars import Scalar
+from .scalars import Scalar, as_scalar
 from .superspace import BasisVector, GradedSuperSpace
 from .spencer import CochainSlice
 from .liesuper import (
@@ -64,8 +64,8 @@ class ProlongationError(ValueError):
 
 def _normalize_g0(m, g0):
     """Accept (parity, action) pairs, action = {src_index: {dst_index:
-    Scalar}} with every index a basis index of m; return them without zero
-    entries."""
+    Scalar, int or Fraction}} with every index a basis index of m; return
+    them with Scalar coefficients and without zero entries."""
     if g0 is None:
         return derivations_gr(m, 0).elements
     span = range(len(m.space))
@@ -78,8 +78,8 @@ def _normalize_g0(m, g0):
                         "g0 element %d acts on basis index %r, outside 0..%d (dim m)"
                         % (idx, i, len(span) - 1)
                     )
-        out.append((parity, {j: v for j, col in act.items()
-                             if (v := {i: s for i, s in col.items() if s})}))
+        out.append((parity, {j: v for j, col in act.items() if (v := {
+            i: t for i, s in col.items() if (t := as_scalar(s))})}))
     return out
 
 

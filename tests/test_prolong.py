@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -401,6 +402,19 @@ def test_g0_index_outside_m_is_refused(action, index):
     assert str(exc.value) == (
         "g0 element 1 acts on basis index %d, outside 0..1 (dim m)" % index
     )
+
+
+def test_g0_coefficients_may_be_ints_or_fractions():
+    # the grading derivation of R^{2|0}, its coefficients given three ways;
+    # a float is refused as everywhere else
+    m = SymbolAlgebra(abelian(2, 0))
+    results = [
+        prolong(m, g0=[(EVEN, {0: {0: one}, 1: {1: one}})]).to_json(include_algebra=True)
+        for one in (_ONE, 1, Fraction(1))
+    ]
+    assert results[1] == results[2] == results[0]
+    with pytest.raises(TypeError):
+        Prolongation(m, g0=[(EVEN, {0: {0: 1.0}})])
 
 
 def _unit(c=1):
