@@ -28,7 +28,6 @@ from superprolong.catalog import (
     osp,
     pe,
     shc_symbol,
-    sl,
     spe,
     spe_ab,
     spo,
