@@ -6,7 +6,9 @@ form; their defining representation is attached to the result, one sparse
 action {src: {dst: Scalar}} per basis element.  Nilpotent symbols
 (Heisenberg contact, SHC, odd-ODE) are entered by explicit structure
 constants.  The supertranslation builder works over Q(i) with the Pauli
-realization of the three-dimensional Clifford module.
+realization of the three-dimensional Clifford module; every other builder
+works over Q.  Builders that take a dimension p, q or n refuse a negative
+one through one shared check.
 
 Basis naming follows the sources these algebras come from: E11, E12, ... for
 matrix units; X, th1, th2, ... for odd-ODE symbols; e1, e2, th1p, th1pp,
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import SpanSolver, _flatten_action, kernel_basis_rows, svec_axpy
-from .scalars import FIELD_Q, FIELD_QI, Scalar, _read_rational
+from .scalars import FIELD_QI, Scalar, _read_rational
 from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
 from .liesuper import LieSuperalgebra
 
@@ -32,7 +34,12 @@ def _entry_parity(p, i):
     return EVEN if i < p else ODD
 
 
-def _matrix_family(p, q, members, names, field=FIELD_Q, weights=None):
+def _check_dims(*dims):
+    if min(dims) < 0:
+        raise ValueError("dimensions must be >= 0")
+
+
+def _matrix_family(p, q, members, names, weights=None):
     """LieSuperalgebra from a list of (parity, action) pairs closed under the
     supercommutator, each action {src: {dst: Scalar}} a matrix on the basis
     of R^{p|q}; structure constants are solved exactly in the span."""
@@ -63,7 +70,7 @@ def _matrix_family(p, q, members, names, field=FIELD_Q, weights=None):
                 raise ValueError("matrix family not closed under bracket")
             brackets[(a, b)] = res
     rep = {k: A for k, (_, A) in enumerate(members)}
-    return LieSuperalgebra(space, brackets, field=field, rep=rep, rep_shape=(p, q))
+    return LieSuperalgebra(space, brackets, rep=rep, rep_shape=(p, q))
 
 
 def _times(A, B):
@@ -79,53 +86,46 @@ def _times(A, B):
     return out
 
 
-def _unit_names(p, q):
+def _units(p, q, diagonal):
+    """The matrix units E_ij of gl(p|q) row by row, E_ii only if diagonal,
+    as (parity, action) members and their names."""
+    _check_dims(p, q)
     n = p + q
-    if n <= 9:
-        return {(i, j): "E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)}
-    return {(i, j): "E%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)}
+    fmt = "E%d%d" if n <= 9 else "E%d_%d"
+    members, labels = [], []
+    for i in range(n):
+        for j in range(n):
+            if diagonal or i != j:
+                parity = (_entry_parity(p, i) + _entry_parity(p, j)) % 2
+                members.append((parity, {j: {i: Scalar(1)}}))
+                labels.append(fmt % (i + 1, j + 1))
+    return members, labels
 
 
-def gl(p, q, field=FIELD_Q, weights=None):
+def gl(p, q):
     """gl(p|q): all matrix units E_ij."""
-    n = p + q
-    names = _unit_names(p, q)
-    members, labels = [], []
-    for i in range(n):
-        for j in range(n):
-            members.append(
-                ((_entry_parity(p, i) + _entry_parity(p, j)) % 2, {j: {i: Scalar(1)}})
-            )
-            labels.append(names[(i, j)])
-    return _matrix_family(p, q, members, labels, field=field, weights=weights)
+    return _matrix_family(p, q, *_units(p, q, diagonal=True))
 
 
-def sl(p, q, field=FIELD_Q, weights=None):
+def sl(p, q, weights=None):
     """sl(p|q): supertrace-zero matrices."""
+    members, labels = _units(p, q, diagonal=False)
     n = p + q
-    names = _unit_names(p, q)
-    members, labels = [], []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                members.append(
-                    ((_entry_parity(p, i) + _entry_parity(p, j)) % 2, {j: {i: Scalar(1)}})
-                )
-                labels.append(names[(i, j)])
     # supertrace-zero diagonal combinations
     str_signs = [1 if i < p else -1 for i in range(n)]
     diag = kernel_basis_rows([{i: Scalar(s) for i, s in enumerate(str_signs)}], n)
     for k, v in enumerate(diag):
         members.append((EVEN, {i: {i: s} for i, s in v.items()}))
         labels.append("H%d" % (k + 1))
-    return _matrix_family(p, q, members, labels, field=field, weights=weights)
+    return _matrix_family(p, q, members, labels, weights=weights)
 
 
-def form_preserving(p, q, P, field=FIELD_Q, extra_supertrace_zero=False,
-                    extend_center=False, prefix="M"):
+def form_preserving(p, q, P, extra_supertrace_zero=False, extend_center=False,
+                    prefix="M"):
     """Subalgebra of gl(p|q) preserving the bilinear form P, a dict
     {(i, j): Scalar} of its nonzero entries:
     P(Xu, v) + (-1)^{|X||u|} P(u, Xv) = 0 for all basis u, v."""
+    _check_dims(p, q)
     n = p + q
     members, labels = [], []
     for parity in (EVEN, ODD):
@@ -165,10 +165,11 @@ def form_preserving(p, q, P, field=FIELD_Q, extra_supertrace_zero=False,
     if extend_center:
         members.append((EVEN, {i: {i: Scalar(1)} for i in range(n)}))
         labels.append("Z")
-    return _matrix_family(p, q, members, labels, field=field)
+    return _matrix_family(p, q, members, labels)
 
 
 def _osp_form(m, two_n):
+    _check_dims(m, two_n)
     if two_n % 2:
         raise ValueError("osp needs an even symplectic rank")
     h = two_n // 2
@@ -179,12 +180,13 @@ def _osp_form(m, two_n):
     return P
 
 
-def osp(m, two_n, field=FIELD_Q):
+def osp(m, two_n):
     """osp(m|2n): even supersymmetric form (symmetric | symplectic)."""
-    return form_preserving(m, two_n, _osp_form(m, two_n), field=field, prefix="S")
+    return form_preserving(m, two_n, _osp_form(m, two_n), prefix="S")
 
 
 def _spo_form(m, n):
+    _check_dims(m, n)
     if m % 2:
         raise ValueError("spo needs an even symplectic rank on the even part")
     h = m // 2
@@ -197,12 +199,13 @@ def _spo_form(m, n):
     return P
 
 
-def spo(m, n, field=FIELD_Q):
+def spo(m, n):
     """spo(m|n): even super-skewsymmetric form (symplectic | symmetric)."""
-    return form_preserving(m, n, _spo_form(m, n), field=field, prefix="S")
+    return form_preserving(m, n, _spo_form(m, n), prefix="S")
 
 
 def _periplectic_form(n, skew):
+    _check_dims(n)
     P = {}
     for i in range(n):
         P[(i, n + i)] = Scalar(1)
@@ -210,43 +213,42 @@ def _periplectic_form(n, skew):
     return P
 
 
-def pe(n, skew=False, field=FIELD_Q):
+def pe(n, skew=False):
     """pe(n), or the skew-periplectic pe^sk(n) when skew=True."""
-    return form_preserving(n, n, _periplectic_form(n, skew), field=field, prefix="P")
+    return form_preserving(n, n, _periplectic_form(n, skew), prefix="P")
 
 
-def spe(n, skew=False, field=FIELD_Q):
+def spe(n, skew=False):
     return form_preserving(
-        n, n, _periplectic_form(n, skew), field=field,
-        extra_supertrace_zero=True, prefix="P",
+        n, n, _periplectic_form(n, skew), extra_supertrace_zero=True, prefix="P",
     )
 
 
-def cpe(n, skew=False, field=FIELD_Q):
+def cpe(n, skew=False):
     return form_preserving(
-        n, n, _periplectic_form(n, skew), field=field, extend_center=True, prefix="P",
+        n, n, _periplectic_form(n, skew), extend_center=True, prefix="P",
     )
 
 
-def cspe(n, skew=False, field=FIELD_Q):
+def cspe(n, skew=False):
     return form_preserving(
-        n, n, _periplectic_form(n, skew), field=field,
+        n, n, _periplectic_form(n, skew),
         extra_supertrace_zero=True, extend_center=True, prefix="P",
     )
 
 
-def spe_ab(n, a, b, skew=False, field=FIELD_Q):
+def spe_ab(n, a, b, skew=False):
     """spe_{a,b}(n) = <a*tau + b*z> x| spe(n); depends only on [a:b]."""
     a = Fraction(a)
     b = Fraction(b)
     if a == 0 and b == 0:
-        return spe(n, skew=skew, field=field)
+        return spe(n, skew=skew)
     if a != 0:
         b = b / a
         a = Fraction(1)
     else:
         b = Fraction(1)
-    base = spe(n, skew=skew, field=field)
+    base = spe(n, skew=skew)
     members = [
         (base.space[k].parity, base.rep[k]) for k in range(len(base.space))
     ]
@@ -254,22 +256,24 @@ def spe_ab(n, a, b, skew=False, field=FIELD_Q):
     diag = [Scalar(a) + Scalar(b)] * n + [Scalar(b) - Scalar(a)] * n
     members.append((EVEN, {i: {i: s} for i, s in enumerate(diag) if s}))
     labels.append("T")
-    return _matrix_family(n, n, members, labels, field=field)
+    return _matrix_family(n, n, members, labels)
 
 
 # ---------------------------------------------------------------------------
 # nilpotent symbols
 # ---------------------------------------------------------------------------
 
-def abelian(p, q, degree=-1, field=FIELD_Q):
-    basis = [BasisVector("x%d" % (i + 1), degree, EVEN) for i in range(p)]
-    basis += [BasisVector("th%d" % (i + 1), degree, ODD) for i in range(q)]
-    return LieSuperalgebra(GradedSuperSpace(basis), {}, field=field)
+def abelian(p, q):
+    _check_dims(p, q)
+    basis = [BasisVector("x%d" % (i + 1), -1, EVEN) for i in range(p)]
+    basis += [BasisVector("th%d" % (i + 1), -1, ODD) for i in range(q)]
+    return LieSuperalgebra(GradedSuperSpace(basis), {})
 
 
-def heisenberg_contact(p, q, field=FIELD_Q):
+def heisenberg_contact(p, q):
     """Contact symbol: g_{-1} = R^{p|q} with the even super-skew form w of
     spo(p|q), g_{-2} = <Z>, [u, v] = w(u, v) Z."""
+    _check_dims(p, q)
     if p % 2:
         raise ValueError("heisenberg_contact needs an even p, got %d" % p)
     form = _spo_form(p, q)
@@ -283,10 +287,10 @@ def heisenberg_contact(p, q, field=FIELD_Q):
             w = form.get((a, b))
             if w:
                 brackets[(a, b)] = {z: w}
-    return LieSuperalgebra(GradedSuperSpace(basis), brackets, field=field)
+    return LieSuperalgebra(GradedSuperSpace(basis), brackets)
 
 
-def shc_symbol(field=FIELD_Q):
+def shc_symbol():
     """Symbol of super Hilbert-Cartan type: growth vector (2|4, 1|2, 2|0)."""
     basis = [
         BasisVector("e1", -1, EVEN),
@@ -319,10 +323,10 @@ def shc_symbol(field=FIELD_Q):
         (ix("th2pp"), ix("rho1")): {ix("f2"): one},
         (ix("th2p"), ix("rho2")): {ix("f2"): -one},
     }
-    return LieSuperalgebra(space, brackets, field=field)
+    return LieSuperalgebra(space, brackets)
 
 
-def odd_ode_symbol(order, field=FIELD_Q):
+def odd_ode_symbol(order):
     """Contact symbol of an order-n odd ODE: <X|th1> + <th2> + ... + <thn>,
     [X, th_i] = th_{i+1}."""
     if order < 2:
@@ -336,7 +340,7 @@ def odd_ode_symbol(order, field=FIELD_Q):
         brackets[(0, space.index("th%d" % i))] = {
             space.index("th%d" % (i + 1)): Scalar(1)
         }
-    return LieSuperalgebra(space, brackets, field=field)
+    return LieSuperalgebra(space, brackets)
 
 
 def odd_ode_scalings(order):
@@ -376,7 +380,8 @@ def supertranslation(N, form=None):
 
     V = m_{-2} is even with orthonormal form; S = C^2 carries the Pauli
     Clifford action; the bracket on m_{-1} is (Gamma(s,t), v) = B(v.s, t)
-    for the admissible form B (default eps (x) Id_N)."""
+    for the form B (default eps (x) Id_N), which must be admissible:
+    Gamma(s, t) = Gamma(t, s) on every pair of spinor slots."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if form is None:
@@ -389,53 +394,30 @@ def supertranslation(N, form=None):
         basis.append(BasisVector("s%d_2" % (a + 1), -1, ODD))
     space = GradedSuperSpace(basis)
 
-    def clifford(i, spinor_idx):
-        # sigma_i applied to basis spinor e_{spinor_idx}: column of PAULI[i]
-        return (PAULI[i][0][spinor_idx], PAULI[i][1][spinor_idx])
-
-    def B(x, y):
-        # x, y are dicts spinor-slot -> Scalar over the 2N-dim odd space
-        tot = Scalar(0)
-        for r, xr in x.items():
-            for c, yc in y.items():
-                f = form.get((r, c))
+    def gamma(r, t):
+        # (Gamma(s_r, s_t), v_i) = B(sigma_i s_r, s_t); sigma_i s_r is column
+        # r % 2 of PAULI[i] on the two spinor slots of s_r's copy
+        base, col = r - r % 2, r % 2
+        vec = {}
+        for i in range(3):
+            c = Scalar(0)
+            for k in range(2):
+                f = form.get((base + k, t))
                 if f:
-                    tot = tot + xr * f * yc
-        return tot
+                    c = c + PAULI[i][k][col] * f
+            if c:
+                vec[i] = c
+        return vec
 
+    slots = range(2 * N)
+    gammas = {(r, t): gamma(r, t) for r in slots for t in slots}
     brackets = {}
-    for a in range(N):
-        for alpha in range(2):
-            ia = 3 + 2 * a + alpha
-            for b in range(N):
-                for beta in range(2):
-                    ib = 3 + 2 * b + beta
-                    if ib < ia:
-                        continue
-                    vec = {}
-                    for i in range(3):
-                        col = clifford(i, alpha)
-                        x = {2 * a: col[0], 2 * a + 1: col[1]}
-                        x = {k: v for k, v in x.items() if v}
-                        y = {2 * b + beta: Scalar(1)}
-                        coeff = B(x, y)
-                        if coeff:
-                            vec[i] = coeff
-                    sym = {}
-                    for i in range(3):
-                        col = clifford(i, beta)
-                        x = {2 * b: col[0], 2 * b + 1: col[1]}
-                        x = {k: v for k, v in x.items() if v}
-                        y = {2 * a + alpha: Scalar(1)}
-                        c2 = B(x, y)
-                        if c2:
-                            sym[i] = c2
-                    if vec != sym:
-                        raise ValueError(
-                            "form is not admissible: Gamma is not supersymmetric"
-                        )
-                    if vec:
-                        brackets[(ia, ib)] = vec
+    for r in slots:
+        for t in slots[r:]:
+            if gammas[r, t] != gammas[t, r]:
+                raise ValueError("form is not admissible: Gamma is not supersymmetric")
+            if gammas[r, t]:
+                brackets[(3 + r, 3 + t)] = gammas[r, t]
     return LieSuperalgebra(space, brackets, field=FIELD_QI)
 
 
@@ -501,7 +483,8 @@ def build_named(spec):
     "spe_ab:2:1:2", "odd_ode_symbol:3", "supertranslation:1", "shc_symbol",
     "sl_graded:2|1", "abelian:2|2", "heisenberg_contact:2|0"; "osp(2|2)"
     is read as "osp:2|2".  A wrong argument count raises ValueError naming
-    the expected form."""
+    the expected form, and a ValueError of the builder is raised again
+    with the spec in front."""
     parts = spec.replace("(", ":").replace(")", "").split(":")
     name = parts[0].strip()
     args = [a for a in parts[1:] if a != ""]
@@ -512,7 +495,7 @@ def build_named(spec):
     slots = form.split(":")[1:]
     if len(args) != len(slots):
         raise ValueError("%r: expected the form %s" % (spec, form))
-    for slot, arg in zip(slots, args):
-        if slot in ("p|q", "n", "N") and min(map(int, arg.split("|"))) < 0:
-            raise ValueError("%r: dimensions must be >= 0" % spec)
-    return build(*args)
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise ValueError("%r: %s" % (spec, e)) from None

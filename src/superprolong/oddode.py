@@ -216,13 +216,13 @@ class ContactField(PolynomialField):
 
 
 class GeneratingFunction:
-    """A generating superfunction on J^1 with its parity and (optional)
-    grading under the symbol filtration."""
+    """A generating superfunction on J^1 with its parity and its grading
+    under the symbol filtration of an order-`order` ODE, None if it has none."""
 
-    def __init__(self, fn, order=None):
+    def __init__(self, fn, order):
         self.fn = fn
         self.parity = fn.parity() if fn else EVEN
-        self.grading = fn.weighted_grading(order) if order else None
+        self.grading = fn.weighted_grading(order)
 
     def to_str(self):
         return self.fn.to_str()

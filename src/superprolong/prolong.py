@@ -63,14 +63,21 @@ class ProlongationError(ValueError):
 
 
 def _normalize_g0(m, g0):
-    """Accept (parity, action) pairs, action = {src_index: {dst_index:
-    Scalar, int or Fraction}} with every index a basis index of m; return
-    them with Scalar coefficients and without zero entries."""
+    """Accept (parity, action) pairs, parity the int 0 or 1 and action =
+    {src_index: {dst_index: Scalar, int or Fraction}} with every index a
+    basis index of m; return them with Scalar coefficients and without
+    zero entries."""
     if g0 is None:
         return derivations_gr(m, 0).elements
     span = range(len(m.space))
     out = []
     for idx, (parity, act) in enumerate(g0):
+        if type(parity) is not int or parity not in (0, 1):
+            raise ProlongationError(
+                "g0 element %d has parity %r, expected 0 or 1" % (idx, parity))
+        if not (isinstance(act, dict) and all(isinstance(c, dict) for c in act.values())):
+            raise ProlongationError(
+                "g0 element %d is not an action {src: {dst: coefficient}}" % idx)
         for j, col in act.items():
             for i in (j, *col):
                 if i not in span:

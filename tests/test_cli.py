@@ -218,9 +218,9 @@ def test_algebra_field_must_be_q_or_qi(tmp_path, capsys, field, message):
 @pytest.mark.parametrize(
     "argv, message",
     [(["prolong", "--name", "spe_ab:2:1/0:1"],
-      "spe_ab argument a '1/0' has a zero denominator"),
+      "'spe_ab:2:1/0:1': spe_ab argument a '1/0' has a zero denominator"),
      (["prolong", "--name", "spe_ab:2:1:0/0"],
-      "spe_ab argument b '0/0' has a zero denominator"),
+      "'spe_ab:2:1:0/0': spe_ab argument b '0/0' has a zero denominator"),
      (["odesym", "--order", "3", "--rhs", "1/0*xi"],
       "number '1/0' has a zero denominator")],
     ids=["spe_ab-a", "spe_ab-b", "odesym-rhs"],
@@ -742,8 +742,11 @@ _ODE_FILE = "ode.json"
            ("gl:-1|2", "'gl:-1|2': dimensions must be >= 0"),
            ("pe:-2", "'pe:-2': dimensions must be >= 0"),
            ("spe_ab:-1:1:2", "'spe_ab:-1:1:2': dimensions must be >= 0"),
+           ("abelian:0|-1", "'abelian:0|-1': dimensions must be >= 0"),
+           ("heisenberg_contact:-2|0",
+            "'heisenberg_contact:-2|0': dimensions must be >= 0"),
            ("heisenberg_contact:1|0",
-            "heisenberg_contact needs an even p, got 1"),
+            "'heisenberg_contact:1|0': heisenberg_contact needs an even p, got 1"),
            ("gl:0|0", "'gl:0|0': symbol algebra must live in negative "
             "degrees, got degrees none"))]
     + [_input_error_case(["odesym", "--order", "3", "--rhs", "xi*@x"],

@@ -465,6 +465,26 @@ def test_build_named_errors():
         build_named("osp:2|3")  # odd symplectic rank
 
 
+NEGATIVE_DIMENSIONS = [
+    ("gl", (-1, 2)), ("sl", (0, -1)), ("osp", (-1, 2)), ("osp", (2, -1)),
+    ("spo", (2, -1)), ("pe", (-2,)), ("spe", (-1,)), ("cpe", (-1,)),
+    ("cspe", (-1,)), ("spe_ab", (-1, 1, 2)), ("form_preserving", (0, -1, {})),
+    ("abelian", (0, -1)), ("heisenberg_contact", (-2, 0)),
+    ("heisenberg_contact", (-1, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args", NEGATIVE_DIMENSIONS,
+    ids=["%s%r" % case for case in NEGATIVE_DIMENSIONS],
+)
+def test_builders_refuse_negative_dimensions(name, args):
+    # checked before the parity of a symplectic rank: osp(2, -1) and
+    # heisenberg_contact(-1, 0) name the dimension, not the odd rank
+    with pytest.raises(ValueError, match="^dimensions must be >= 0$"):
+        getattr(catalog, name)(*args)
+
+
 @pytest.mark.parametrize(
     "spec, form",
     [("pe", "pe:n"), ("gl", "gl:p|q"), ("spe_ab:2:1", "spe_ab:n:a:b"),

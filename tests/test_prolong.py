@@ -404,6 +404,30 @@ def test_g0_index_outside_m_is_refused(action, index):
     )
 
 
+@pytest.mark.parametrize("parity", [2, -1, True, 1.0, "odd", None])
+def test_g0_parity_must_be_0_or_1(parity):
+    # a parity of 2 used to be read as odd: on m = R^{1|0}, g0 = the identity
+    # with parity 2 prolonged to (10|1), where parity 0 gives (11|0)
+    g0 = [(EVEN, {0: {0: _ONE}}), (parity, {1: {1: _ONE}})]
+    with pytest.raises(ProlongationError) as exc:
+        Prolongation(abelian(2, 0), g0=g0)
+    assert str(exc.value) == "g0 element 1 has parity %r, expected 0 or 1" % (parity,)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [[[1, 0], [0, 1]], {0: [1, 0]}, {0: {0: 1}, 1: None}, "E22"],
+    ids=["dense-matrix", "list-column", "none-column", "string"],
+)
+def test_g0_action_must_be_a_dict_of_dicts(action):
+    # a dense matrix used to end in AttributeError
+    with pytest.raises(ProlongationError) as exc:
+        Prolongation(abelian(2, 0), g0=[(EVEN, {0: {0: _ONE}}), (EVEN, action)])
+    assert str(exc.value) == (
+        "g0 element 1 is not an action {src: {dst: coefficient}}"
+    )
+
+
 def test_g0_coefficients_may_be_ints_or_fractions():
     # the grading derivation of R^{2|0}, its coefficients given three ways;
     # a float is refused as everywhere else
@@ -541,8 +565,10 @@ def _catalog_snapshot(alg):
 
 # Structure constants of assembled prolongations, recorded before the
 # coordinate solve was made sparse, and of the catalog matrix families,
-# recorded before their brackets moved to sparse matrix products; any change
-# in a kernel basis, a pivot order or a bracket coordinate shows up here.
+# recorded before their brackets moved to sparse matrix products, and of the
+# supertranslation symbols N = 1..3, recorded before each Gamma was computed
+# once; any change in a kernel basis, a pivot order or a bracket coordinate
+# shows up here.
 SNAPSHOTS = {
     "projective_gl_2_1": lambda: prolong(
         SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)),
@@ -572,6 +598,9 @@ SNAPSHOTS = {
     "catalog_cspe_sk_2": lambda: _catalog_snapshot(cspe(2, skew=True)),
     "catalog_spe_ab_2_1_2": lambda: _catalog_snapshot(spe_ab(2, 1, 2)),
     "catalog_spe_ab_sk_2_1_3": lambda: _catalog_snapshot(spe_ab(2, 1, 3, skew=True)),
+    "catalog_supertranslation": lambda: {
+        str(N): supertranslation(N).to_json() for N in (1, 2, 3)
+    },
 }
 
 
