@@ -18,10 +18,11 @@ for supertranslations.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .linalg import SpanSolver, _flatten_action, kernel_basis_rows, svec_axpy
-from .scalars import FIELD_QI, Scalar, _read_rational
+from .scalars import FIELD_QI, Scalar, _exact, _read_rational
 from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
 from .liesuper import LieSuperalgebra
 
@@ -37,6 +38,11 @@ def _entry_parity(p, i):
 def _check_dims(*dims):
     if min(dims) < 0:
         raise ValueError("dimensions must be >= 0")
+
+
+def _check_form(form, n, what):
+    if any(i not in range(n) or j not in range(n) for i, j in form):
+        raise ValueError("%s has an index outside 0..%d" % (what, n - 1))
 
 
 def _matrix_family(p, q, members, names, weights=None):
@@ -127,6 +133,7 @@ def form_preserving(p, q, P, extra_supertrace_zero=False, extend_center=False,
     P(Xu, v) + (-1)^{|X||u|} P(u, Xv) = 0 for all basis u, v."""
     _check_dims(p, q)
     n = p + q
+    _check_form(P, n, "form")
     members, labels = [], []
     for parity in (EVEN, ODD):
         slots = [
@@ -239,8 +246,7 @@ def cspe(n, skew=False):
 
 def spe_ab(n, a, b, skew=False):
     """spe_{a,b}(n) = <a*tau + b*z> x| spe(n); depends only on [a:b]."""
-    a = Fraction(a)
-    b = Fraction(b)
+    a, b = Fraction(_exact(a)), Fraction(_exact(b))
     if a == 0 and b == 0:
         return spe(n, skew=skew)
     if a != 0:
@@ -386,8 +392,7 @@ def supertranslation(N, form=None):
         raise ValueError("N must be >= 1")
     if form is None:
         form = default_admissible_form(N)
-    if any(i not in range(2 * N) or j not in range(2 * N) for i, j in form):
-        raise ValueError("admissible form has an index outside 0..%d" % (2 * N - 1))
+    _check_form(form, 2 * N, "admissible form")
     basis = [BasisVector("v%d" % (i + 1), -2, EVEN) for i in range(3)]
     for a in range(N):
         basis.append(BasisVector("s%d_1" % (a + 1), -1, ODD))
@@ -433,11 +438,18 @@ _ALIASES = {
 }
 
 
+def _int(arg):
+    """An integer field of a spec: an optional "-" and ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", arg):
+        raise ValueError("expected an integer, got %r" % arg)
+    return int(arg)
+
+
 def _parse_pq(arg):
     if "|" not in arg:
         raise ValueError("expected p|q, got %r" % arg)
     p, q = arg.split("|")
-    return int(p), int(q)
+    return _int(p), _int(q)
 
 
 def _graded_sl(pq):
@@ -452,18 +464,18 @@ _NAMED = {
     "sl_graded": ("sl_graded:p|q", _graded_sl),
     "osp": ("osp:p|q", lambda pq: osp(*_parse_pq(pq))),
     "spo": ("spo:p|q", lambda pq: spo(*_parse_pq(pq))),
-    "pe": ("pe:n", lambda n: pe(int(n))),
-    "spe": ("spe:n", lambda n: spe(int(n))),
-    "cpe": ("cpe:n", lambda n: cpe(int(n))),
-    "cspe": ("cspe:n", lambda n: cspe(int(n))),
-    "pe_sk": ("pe_sk:n", lambda n: pe(int(n), skew=True)),
-    "spe_sk": ("spe_sk:n", lambda n: spe(int(n), skew=True)),
-    "cpe_sk": ("cpe_sk:n", lambda n: cpe(int(n), skew=True)),
-    "cspe_sk": ("cspe_sk:n", lambda n: cspe(int(n), skew=True)),
+    "pe": ("pe:n", lambda n: pe(_int(n))),
+    "spe": ("spe:n", lambda n: spe(_int(n))),
+    "cpe": ("cpe:n", lambda n: cpe(_int(n))),
+    "cspe": ("cspe:n", lambda n: cspe(_int(n))),
+    "pe_sk": ("pe_sk:n", lambda n: pe(_int(n), skew=True)),
+    "spe_sk": ("spe_sk:n", lambda n: spe(_int(n), skew=True)),
+    "cpe_sk": ("cpe_sk:n", lambda n: cpe(_int(n), skew=True)),
+    "cspe_sk": ("cspe_sk:n", lambda n: cspe(_int(n), skew=True)),
     "spe_ab": (
         "spe_ab:n:a:b",
         lambda n, a, b: spe_ab(
-            int(n), _read_rational(a, "spe_ab argument a"),
+            _int(n), _read_rational(a, "spe_ab argument a"),
             _read_rational(b, "spe_ab argument b"),
         ),
     ),
@@ -473,8 +485,8 @@ _NAMED = {
         lambda pq: heisenberg_contact(*_parse_pq(pq)),
     ),
     "shc_symbol": ("shc_symbol", shc_symbol),
-    "odd_ode_symbol": ("odd_ode_symbol:n", lambda n: odd_ode_symbol(int(n))),
-    "supertranslation": ("supertranslation:N", lambda n: supertranslation(int(n))),
+    "odd_ode_symbol": ("odd_ode_symbol:n", lambda n: odd_ode_symbol(_int(n))),
+    "supertranslation": ("supertranslation:N", lambda n: supertranslation(_int(n))),
 }
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from .linalg import (
     SpanSolver,
+    _echelon,
+    _kernel_basis,
     kernel_basis_rows,
     rank_rows,
     svec_axpy,
@@ -28,7 +30,7 @@ from .superspace import (
     ODD,
     parity_to_str,
 )
-from .spencer import cochain_basis, differential_rows
+from .spencer import _differential_rows, cochain_basis
 
 
 class LieSuperalgebra:
@@ -380,15 +382,16 @@ def derivations_gr(m, d=0):
 def one_cocycles(g, d):
     """The 1-cocycles Z^{d,1}(m, g) of the negative part m of g, as
     (parity, action) pairs with action = {j: {i: Scalar}} (source j in m,
-    value index i in g): per parity, a kernel basis of
-    ``spencer.differential_rows`` on C^{d,1}(m, g), whose columns
-    (source j, image i) are ordered by j, then i."""
+    value index i in g): per parity, a kernel basis of the rows of
+    ``spencer.differential_rows`` on C^{d,1}(m, g), taken in Gaussian
+    integers, whose columns (source j, image i) are ordered by j, then i."""
     basis = cochain_basis(g, d, 1)
     target = cochain_basis(g, d, 2)
     elements = []
     for p in (EVEN, ODD):
         cols = [c for c in basis if c[2] == p]
-        for v in kernel_basis_rows(differential_rows(g, cols, target), len(cols)):
+        rows, _ = _differential_rows(g, cols, target)
+        for v in _kernel_basis(_echelon(rows), len(cols)):
             action = {}
             for col, s in v.items():
                 (j,), i, _ = cols[col]

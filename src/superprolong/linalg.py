@@ -35,7 +35,8 @@ rows did.
   column order a column could come back.
 
 ``_echelon`` and ``_reduce`` run both rules, told apart by a private
-argument.  ``SpanSolver`` then back-substitutes once, in descending pivot
+argument; ``_echelon`` takes integer rows, which the public names make with
+``_int_row``.  ``SpanSolver`` then back-substitutes once, in descending pivot
 order with the leftmost rule's reduction, so that no pivot row holds
 another pivot column; each solve reads its coefficients off those rows,
 one integer multiple per pivot the target holds, and eliminates nothing.
@@ -173,8 +174,9 @@ def _pivot_row(row):
 
 
 def _echelon(rows, independent=None, units=False):
-    """{pivot column: pivot row} of the rows, inserted in input order; the
-    indices of the rows that become pivots are appended to independent.
+    """{pivot column: pivot row} of the integer rows, inserted in input
+    order; the indices of the rows that become pivots are appended to
+    independent.  Each row is copied first: the unit rule reduces in place.
 
     By default (leftmost rule) a row pivots on its lowest column.  With
     units (unit rule) it pivots on its first unit entry in row order, the
@@ -184,7 +186,7 @@ def _echelon(rows, independent=None, units=False):
     pivots = {}
     order = {} if units else None
     for i, row in enumerate(rows):
-        row = _reduce(_int_row(row.items())[0], pivots, order)
+        row = _reduce(dict(row), pivots, order)
         if row:
             c = None
             if units:
@@ -211,21 +213,26 @@ def _echelon(rows, independent=None, units=False):
 # sparse API (rows: dicts col -> Scalar)
 # ---------------------------------------------------------------------------
 
+def _ints(rows):
+    """The rows as integer rows, each scaled by its lcm of denominators."""
+    return (_int_row(row.items())[0] for row in rows)
+
+
 def pivot_columns(rows):
     """Pivot columns of the row echelon form, increasing: the leftmost
     columns independent of the columns before them."""
-    return sorted(_echelon(rows))
+    return sorted(_echelon(_ints(rows)))
 
 
 def rank_rows(rows):
-    return len(_echelon(rows, units=True))
+    return len(_echelon(_ints(rows), units=True))
 
 
 def independent_rows(rows):
     """Increasing indices of the rows independent of the rows before them:
     rows[:k] has rank the number of these indices below k."""
     independent = []
-    _echelon(rows, independent, units=True)
+    _echelon(_ints(rows), independent, units=True)
     return independent
 
 
@@ -236,7 +243,11 @@ def kernel_basis_rows(rows, ncols):
     zeros stored and its lowest entry normalized to 1; the basis size equals
     ncols - rank.
     """
-    pivots = _echelon(rows)
+    return _kernel_basis(_echelon(_ints(rows)), ncols)
+
+
+def _kernel_basis(pivots, ncols):
+    """``kernel_basis_rows`` from the pivots of the leftmost rule."""
     piv = sorted(pivots)
     basis = []
     for fc in range(ncols):

@@ -29,7 +29,11 @@ m + g_0 + ... + g_{i-1}, an ordinary ``LieSuperalgebra`` without the
 brackets between the g_k, which 1-cochains of m never read); the engine
 checks a prescribed g_0 by applying its C^{0,1}(m, m) rows, and
 ``cohomology_dims`` and ``reduced_differential_check`` take ranks of its
-rows.
+rows.  The rows are built once per call as Gaussian-integer pairs (re, im),
+D times the Scalar rows, D the lcm of the denominators of the brackets they
+read.  Ranks, row independence and kernel bases do not change under one
+common scale, so these callers eliminate the integer rows as they are;
+``differential_rows`` and ``CochainSlice.matrix_rows`` divide them by D.
 
 Reduced differential.  C^{d,2} = A + B, where A is spanned by the monomials
 with an argument of degree -1 and B by those with both arguments of degree
@@ -45,16 +49,19 @@ columns alone, without a kernel basis.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
-from .linalg import independent_rows, rank_rows
-from .superspace import EVEN, ODD, exterior_power_basis, sort_with_sign
+from .linalg import _echelon, _int_row
+from .scalars import Scalar
+from .superspace import (EVEN, ODD, BasisVector, exterior_power_basis,
+                         sort_with_sign)
 
 
 class CochainSlice:
-    """The component C^{d,k}(m, g) with the sparse rows (``matrix_rows``) of
-    its differential d: C^{d,k} -> C^{d,k+1} in the canonical monomial
-    bases."""
+    """The component C^{d,k}(m, g) with the sparse rows of its differential
+    d: C^{d,k} -> C^{d,k+1} in the canonical monomial bases: ``_rows`` in
+    Gaussian integers, ``_den`` times ``matrix_rows``."""
 
     def __init__(self, g, d, k):
         self.g = g
@@ -62,7 +69,11 @@ class CochainSlice:
         self.k = k
         self.basis = cochain_basis(g, d, k)
         self.target = cochain_basis(g, d, k + 1)
-        self.matrix_rows = differential_rows(g, self.basis, self.target)
+        self._rows, self._den = _differential_rows(g, self.basis, self.target)
+
+    @cached_property
+    def matrix_rows(self):
+        return _scalar_rows(self._rows, self._den)
 
 
 def cochain_basis(g, d, k):
@@ -75,12 +86,23 @@ def cochain_basis(g, d, k):
     by_degree = {}
     for b, bv in enumerate(space):
         by_degree.setdefault(bv.degree, []).append((b, bv.parity))
+    # m usually leads g's basis, and then the cached tuples are g's own
+    leads = m_idx == list(range(len(m_idx)))
+    key = tuple((space[i].degree, space[i].parity) for i in m_idx)
     out = []
-    for mono in exterior_power_basis([space[i] for i in m_idx], k):
-        T = tuple(m_idx[i] for i in mono.indices)
-        for b, parity in by_degree.get(mono.degree + d, ()):
-            out.append((T, b, (mono.parity + parity) % 2))
+    for T, deg, par in _exterior_basis(key, k):
+        T = T if leads else tuple(m_idx[i] for i in T)
+        for b, parity in by_degree.get(deg + d, ()):
+            out.append((T, b, (par + parity) % 2))
     return out
+
+
+@lru_cache(maxsize=4)
+def _exterior_basis(m, k):
+    """(indices, degree, parity) of the ``exterior_power_basis`` monomials
+    of m's (degree, parity) pairs; four entries hold one m's k = 0..3."""
+    return tuple((mono.indices, mono.degree, mono.parity) for mono in
+                 exterior_power_basis([BasisVector("", *dp) for dp in m], k))
 
 
 @lru_cache(maxsize=None)
@@ -100,67 +122,85 @@ def _slot_signs(pars):
 def differential_rows(g, basis, target):
     """Sparse matrix rows (dicts col -> Scalar) of the differential w.r.t.
     monomial bases; rows are indexed by the target basis."""
-    space = g.space
-    pos = {(T, b): r for r, (T, b, _) in enumerate(target)}
+    return _scalar_rows(*_differential_rows(g, basis, target))
+
+
+def _scalar_rows(rows, den):
+    """The integer rows divided by den, as dicts col -> Scalar."""
+    return [{c: Scalar(a, b) / den for c, (a, b) in row.items()}
+            for row in rows]
+
+
+def _differential_rows(g, basis, target):
+    """(rows, D): D times the rows of ``differential_rows`` in Gaussian
+    integers, from [x_a, x_b] for a in m and b in m or a value index."""
+    rows_of = {}
+    for r, (T, b, _) in enumerate(target):
+        rows_of.setdefault(T, {})[b] = r
     cols_by_tuple = {}
-    col_parity = {}
     for c, (T0, b0, par) in enumerate(basis):
-        cols_by_tuple.setdefault(T0, []).append((c, b0))
-        col_parity[c] = par
-    rows = [dict() for _ in range(len(target))]
+        cols_by_tuple.setdefault(T0, []).append((c, b0, par))
+    m_used = {t for T in rows_of for t in T}
+    right = m_used | {b for _, b, _ in basis}
+    found = {(a, b): _int_row(vec.items()) for a in m_used for b in right
+             if (vec := g.bracket_indices(a, b))}
+    den = lcm(*(d for _, d in found.values()))
+    br = {key: [(c, x * (den // d), y * (den // d))
+                for c, (x, y) in row.items()]
+          for key, (row, d) in found.items()}
+    par = {t: g.space[t].parity for t in m_used}
+    rows = [{} for _ in range(len(target))]
 
-    def add(r, c, v):
-        row = rows[r]
-        old = row.get(c)
-        val = v if old is None else old + v
-        if val:
-            row[c] = val
+    def add(row, c, x, y):
+        if (old := row.get(c)) is not None:
+            x, y = x + old[0], y + old[1]
+        if x or y:
+            row[c] = (x, y)
         else:
-            row.pop(c, None)
+            del row[c]
 
-    out_tuples = sorted({T for T, _, _ in target})
-    k1 = len(out_tuples[0]) if out_tuples else 0
-    for T in out_tuples:
-        s1, s2 = _slot_signs(tuple(space[t].parity for t in T))
+    for T in sorted(rows_of):
+        pos = rows_of[T]
+        k1 = len(T)
+        s1, s2 = _slot_signs(tuple(par[t] for t in T))
         for i in range(k1):
-            rest = T[:i] + T[i + 1 :]
-            hits = cols_by_tuple.get(rest)
+            hits = cols_by_tuple.get(T[:i] + T[i + 1 :])
             if not hits:
                 continue
             s_i = s1[i]
             xi = T[i]
-            pxi = space[xi].parity
-            for c, b in hits:
-                br = g.bracket_indices(xi, b)
-                if not br:
+            pxi = par[xi]
+            for c, b, pc in hits:
+                vec = br.get((xi, b))
+                if vec is None:
                     continue
-                tw = -s_i if (pxi and col_parity[c]) else s_i
-                for tgt, s in br.items():
-                    r = pos.get((T, tgt))
+                tw = -s_i if (pxi and pc) else s_i
+                for tgt, x, y in vec:
+                    r = pos.get(tgt)
                     if r is None:
                         raise AssertionError("differential left the expected bidegree")
-                    add(r, c, s * tw)
+                    add(rows[r], c, x * tw, y * tw)
         for i in range(k1):
             for j in range(i + 1, k1):
-                br = g.bracket_indices(T[i], T[j])
-                if not br:
+                vec = br.get((T[i], T[j]))
+                if vec is None:
                     continue
                 s_ij = s2[(i, j)]
                 rest = tuple(t for p, t in enumerate(T) if p != i and p != j)
-                rest_pars = [space[t].parity for t in rest]
-                for cidx, s in br.items():
-                    args = (cidx,) + rest
+                rest_pars = [par[t] for t in rest]
+                for cidx, x, y in vec:
                     srt, sgn = sort_with_sign(
-                        args, [space[cidx].parity] + rest_pars
+                        (cidx,) + rest, [g.space[cidx].parity] + rest_pars
                     )
                     if sgn == 0:
                         continue
                     hits = cols_by_tuple.get(srt)
                     if not hits:
                         continue
-                    for c, b in hits:
-                        add(pos[(T, b)], c, s * -(s_ij * sgn))
-    return rows
+                    f = -(s_ij * sgn)
+                    for c, b, _ in hits:
+                        add(rows[pos[b]], c, x * f, y * f)
+    return rows, den
 
 
 def cohomology_dims(d, k, m, g=None):
@@ -177,10 +217,10 @@ def cohomology_dims(d, k, m, g=None):
     for parity in (EVEN, ODD):
         dim = sum(1 for _, _, p in here.basis if p == parity)
         for sl in slices:
-            dim -= rank_rows(
-                [row for row, (_, _, p) in zip(sl.matrix_rows, sl.target)
-                 if p == parity]
-            )
+            dim -= len(_echelon(
+                (row for row, (_, _, p) in zip(sl._rows, sl.target)
+                 if p == parity), units=True,
+            ))
         dims.append(dim)
     return tuple(dims)
 
@@ -212,9 +252,10 @@ def reduced_differential_check(m, g=None):
                 a_rows.append(r)
         # one elimination, A rows first: the pivots among them are the
         # rank of p o delta
-        independent = set(
-            independent_rows([c1.matrix_rows[r] for r in a_rows + b_rows])
-        )
+        independent = []
+        _echelon((c1._rows[r] for r in a_rows + b_rows), independent,
+                 units=True)
+        independent = set(independent)
         z_members = [r for i, r in enumerate(a_rows) if i not in independent]
         ncols = len(c1.basis)
         rk_full = len(independent)
@@ -233,9 +274,9 @@ def reduced_differential_check(m, g=None):
             t for t in cochain_basis(g, d, 3)
             if any(space[x].degree <= -2 for x in t[0])
         ]
-        entry["p_injective_on_ker"] = not b_cols or rank_rows(
-            differential_rows(g, b_cols, target)
-        ) == len(b_cols)
+        entry["p_injective_on_ker"] = not b_cols or len(_echelon(
+            _differential_rows(g, b_cols, target)[0], units=True
+        )) == len(b_cols)
         ok = entry["kernels_agree"] and entry["p_injective_on_ker"]
         if ok:
             # complement N = Z + B: the A monomials whose rows depend on the

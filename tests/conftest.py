@@ -1,6 +1,8 @@
 import sys
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 
@@ -40,3 +42,39 @@ def g2_symbol():
          BasisVector("z1", -3, EVEN), BasisVector("z2", -3, EVEN)]
     )
     return LieSuperalgebra(space, {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}})
+
+
+@st.composite
+def two_step_symbols(draw):
+    """Random 2-step nilpotent symbols: m_{-1} of superdimension at most
+    (2|2), m_{-2} at most (2|1), and [m_{-1}, m_{-1}] -> m_{-2} by random
+    super-antisymmetric constants (canonical pairs a <= b, a repeated index
+    only when odd); Jacobi holds because every double bracket has degree
+    -3."""
+    from superprolong.liesuper import LieSuperalgebra
+    from superprolong.superspace import EVEN, ODD, BasisVector, GradedSuperSpace
+
+    p1 = draw(st.integers(0, 2))
+    q1 = draw(st.integers(0 if p1 else 1, 2))
+    p2 = draw(st.integers(0, 2))
+    q2 = draw(st.integers(0 if p2 else 1, 1))
+    basis = [BasisVector("x%d" % k, -1, EVEN) for k in range(p1)]
+    basis += [BasisVector("th%d" % k, -1, ODD) for k in range(q1)]
+    basis += [BasisVector("y%d" % k, -2, EVEN) for k in range(p2)]
+    basis += [BasisVector("et%d" % k, -2, ODD) for k in range(q2)]
+    low, high = range(p1 + q1), range(p1 + q1, len(basis))
+    brackets = {}
+    for a in low:
+        for b in range(a, p1 + q1):
+            if a == b and basis[a].parity == EVEN:
+                continue
+            parity = (basis[a].parity + basis[b].parity) % 2
+            vec = {}
+            for c in high:
+                if basis[c].parity == parity:
+                    x = draw(st.integers(-2, 2))
+                    if x:
+                        vec[c] = x
+            if vec:
+                brackets[(a, b)] = vec
+    return LieSuperalgebra(GradedSuperSpace(basis), brackets)

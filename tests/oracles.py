@@ -12,8 +12,10 @@ recursion that the prolongation's block kernel replaced.  ``koszul_sign``
 is the O(n^2) inversion count that the package's one sign routine,
 ``superspace.sort_with_sign``, is compared against, and
 ``differential_formula`` evaluates the Spencer differential from the
-formula in the ``spencer`` docstring with those signs.  ``total_derivative``
-is the compositional jet total derivative, d/dx^i plus the products
+formula in the ``spencer`` docstring with those signs.
+``scalar_differential_rows`` is the ``Scalar`` loop that the package's
+Gaussian-integer Spencer rows replaced.  ``total_derivative`` is the
+compositional jet total derivative, d/dx^i plus the products
 xi_{I+e_i} * d_{xi_I}, that the one-pass ``JetFunction.total_derivative``
 replaced.
 """
@@ -181,6 +183,78 @@ def differential_formula(g, basis, target):
             if total:
                 out[(r, c)] = total
     return out
+
+
+def scalar_differential_rows(g, basis, target):
+    """The Spencer differential's sparse rows (dicts col -> Scalar) between
+    cochain bases, one per target monomial, built in ``Scalar`` arithmetic
+    from ``bracket_indices``: the loop that ``spencer.differential_rows``
+    ran before it built its rows in Gaussian integers over a common
+    denominator."""
+    from superprolong.spencer import _slot_signs
+    from superprolong.superspace import sort_with_sign
+
+    space = g.space
+    pos = {(T, b): r for r, (T, b, _) in enumerate(target)}
+    cols_by_tuple = {}
+    col_parity = {}
+    for c, (T0, b0, par) in enumerate(basis):
+        cols_by_tuple.setdefault(T0, []).append((c, b0))
+        col_parity[c] = par
+    rows = [dict() for _ in range(len(target))]
+
+    def add(r, c, v):
+        row = rows[r]
+        old = row.get(c)
+        val = v if old is None else old + v
+        if val:
+            row[c] = val
+        else:
+            row.pop(c, None)
+
+    out_tuples = sorted({T for T, _, _ in target})
+    k1 = len(out_tuples[0]) if out_tuples else 0
+    for T in out_tuples:
+        s1, s2 = _slot_signs(tuple(space[t].parity for t in T))
+        for i in range(k1):
+            rest = T[:i] + T[i + 1 :]
+            hits = cols_by_tuple.get(rest)
+            if not hits:
+                continue
+            s_i = s1[i]
+            xi = T[i]
+            pxi = space[xi].parity
+            for c, b in hits:
+                br = g.bracket_indices(xi, b)
+                if not br:
+                    continue
+                tw = -s_i if (pxi and col_parity[c]) else s_i
+                for tgt, s in br.items():
+                    r = pos.get((T, tgt))
+                    if r is None:
+                        raise AssertionError("differential left the expected bidegree")
+                    add(r, c, s * tw)
+        for i in range(k1):
+            for j in range(i + 1, k1):
+                br = g.bracket_indices(T[i], T[j])
+                if not br:
+                    continue
+                s_ij = s2[(i, j)]
+                rest = tuple(t for p, t in enumerate(T) if p != i and p != j)
+                rest_pars = [space[t].parity for t in rest]
+                for cidx, s in br.items():
+                    args = (cidx,) + rest
+                    srt, sgn = sort_with_sign(
+                        args, [space[cidx].parity] + rest_pars
+                    )
+                    if sgn == 0:
+                        continue
+                    hits = cols_by_tuple.get(srt)
+                    if not hits:
+                        continue
+                    for c, b in hits:
+                        add(pos[(T, b)], c, s * -(s_ij * sgn))
+    return rows
 
 
 def reduced_p_injective(g, d):

@@ -748,7 +748,13 @@ _ODE_FILE = "ode.json"
            ("heisenberg_contact:1|0",
             "'heisenberg_contact:1|0': heisenberg_contact needs an even p, got 1"),
            ("gl:0|0", "'gl:0|0': symbol algebra must live in negative "
-            "degrees, got degrees none"))]
+            "degrees, got degrees none"),
+           # an integer field is an optional "-" and ASCII digits, not what
+           # Python's int reads: 1_0 would be gl(10|0)
+           ("gl:1_0|0", "'gl:1_0|0': expected an integer, got '1_0'"),
+           ("gl: 1|0", "'gl: 1|0': expected an integer, got ' 1'"),
+           ("gl:+1|0", "'gl:+1|0': expected an integer, got '+1'"),
+           ("pe:2 ", "'pe:2 ': expected an integer, got '2 '"))]
     + [_input_error_case(["odesym", "--order", "3", "--rhs", "xi*@x"],
                          "direction symbol in a jet superfunction: 'xi*@x'")]
     + [_input_error_case(["odesym", "--order", "3", "--rhs", name],

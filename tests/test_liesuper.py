@@ -458,6 +458,21 @@ def test_supertranslation_rejects_inadmissible_form():
         supertranslation(1, form={(0, 1): one, (2, 0): -one})
 
 
+def test_spe_ab_refuses_a_float():
+    # a float is not read as its binary fraction, as in Scalar
+    for a, b in ((0.1, 1), (1, 0.5)):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            spe_ab(2, a, b)
+
+
+def test_form_preserving_refuses_a_form_index_outside_the_space():
+    # a form entry outside 0..p+q-1 is not dropped, which would leave gl(1)
+    with pytest.raises(ValueError, match="^form has an index outside 0..0$"):
+        catalog.form_preserving(1, 0, {(5, 5): 1})
+    with pytest.raises(ValueError, match="^form has an index outside 0..2$"):
+        catalog.form_preserving(2, 1, {(0, 1): 1, (1, -1): 1})
+
+
 def test_build_named_errors():
     with pytest.raises(ValueError):
         build_named("nonsense:3")

@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import event, example, given, settings
 
 from superprolong.scalars import Scalar
 from superprolong.superspace import EVEN, ODD, BasisVector, GradedSuperSpace
@@ -34,7 +34,7 @@ from superprolong.prolong import (
 from superprolong.spencer import CochainSlice
 from superprolong.linalg import rank_rows
 
-from conftest import g0_of, g2_symbol
+from conftest import g0_of, g2_symbol, two_step_symbols
 from oracles import RecursiveBrackets, dense, prolongation_step, truncation
 
 _ONE = Scalar(1)
@@ -151,39 +151,6 @@ def test_g2_from_the_235_symbol():
         2, 1, 2, 4, 2, 1, 2
     ]
     assert res.total_superdim == (14, 0)
-
-
-@st.composite
-def two_step_symbols(draw):
-    """Random 2-step nilpotent symbols: m_{-1} of superdimension at most
-    (2|2), m_{-2} at most (2|1), and [m_{-1}, m_{-1}] -> m_{-2} by random
-    super-antisymmetric constants (canonical pairs a <= b, a repeated index
-    only when odd); Jacobi holds because every double bracket has degree
-    -3."""
-    p1 = draw(st.integers(0, 2))
-    q1 = draw(st.integers(0 if p1 else 1, 2))
-    p2 = draw(st.integers(0, 2))
-    q2 = draw(st.integers(0 if p2 else 1, 1))
-    basis = [BasisVector("x%d" % k, -1, EVEN) for k in range(p1)]
-    basis += [BasisVector("th%d" % k, -1, ODD) for k in range(q1)]
-    basis += [BasisVector("y%d" % k, -2, EVEN) for k in range(p2)]
-    basis += [BasisVector("et%d" % k, -2, ODD) for k in range(q2)]
-    low, high = range(p1 + q1), range(p1 + q1, len(basis))
-    brackets = {}
-    for a in low:
-        for b in range(a, p1 + q1):
-            if a == b and basis[a].parity == EVEN:
-                continue
-            parity = (basis[a].parity + basis[b].parity) % 2
-            vec = {}
-            for c in high:
-                if basis[c].parity == parity:
-                    x = draw(st.integers(-2, 2))
-                    if x:
-                        vec[c] = x
-            if vec:
-                brackets[(a, b)] = vec
-    return LieSuperalgebra(GradedSuperSpace(basis), brackets)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,6 +11,7 @@ from superprolong.scalars import I, Scalar, as_scalar, parse_scalar
 from superprolong.linalg import (
     SpanSolver,
     _echelon,
+    _int_row,
     independent_rows,
     kernel_basis_rows,
     pivot_columns,
@@ -519,6 +520,12 @@ def unit_rule_matrices(draw):
     return rows, ncols
 
 
+def int_rows(rows):
+    """The rows as ``_echelon`` takes them: dicts {col: (re, im)} of
+    Gaussian integers, each row scaled by the lcm of its denominators."""
+    return [_int_row(row.items())[0] for row in rows]
+
+
 def assert_insertion_order_echelon(pivots):
     """Each pivot row of the unit rule holds no pivot column inserted before
     it, and is led by (1, 0) at a unit pivot or else by its lowest column."""
@@ -537,7 +544,7 @@ def test_unit_rule_ranks_and_independent_rows_match_the_oracle(problem):
     assert independent_rows(rows) == [
         k for k in range(len(rows)) if ranks[k + 1] > ranks[k]
     ]
-    assert_insertion_order_echelon(_echelon(rows, units=True))
+    assert_insertion_order_echelon(_echelon(int_rows(rows), units=True))
     # the leftmost rule still gives the oracle's pivots and kernel
     want, piv = rref_kernel(rows, ncols)
     assert pivot_columns(rows) == piv
@@ -555,7 +562,7 @@ def test_unit_rule_terminates_when_an_earlier_pivot_row_holds_a_later_pivot():
     # row 2 meets column 1 (inserted first) and then column 0, which the
     # subtraction of row 0 brought in; it then pivots on its first unit,
     # -1 at column 3, not on its leftmost entry
-    pivots = _echelon(rows, units=True)
+    pivots = _echelon(int_rows(rows), units=True)
     assert pivots == {
         1: {0: (2, 0), 1: (1, 0), 3: (1, 0)},
         0: {0: (1, 0), 2: (1, 0)},
@@ -566,8 +573,8 @@ def test_unit_rule_terminates_when_an_earlier_pivot_row_holds_a_later_pivot():
     assert independent_rows(rows) == [0, 1, 2]
     # pivot_columns and kernel_basis_rows keep the leftmost pivots
     assert pivot_columns(rows) == [0, 1, 2]
-    assert sorted(_echelon(rows)) == [0, 1, 2]
-    assert all(c == min(row) for c, row in _echelon(rows).items())
+    assert sorted(_echelon(int_rows(rows))) == [0, 1, 2]
+    assert all(c == min(row) for c, row in _echelon(int_rows(rows)).items())
     want, piv = rref_kernel(rows, 4)
     assert piv == [0, 1, 2]
     assert [list(v.items()) for v in kernel_basis_rows(rows, 4)] == want
@@ -635,7 +642,7 @@ def test_dense_gaussian_elimination_matches_the_oracle_with_primitive_pivots(pro
     assert [list(v.items()) for v in kernel_basis_rows(rows, ncols)] == want
     assert pivot_columns(rows) == piv
     # every stored pivot row has a unit as its Gaussian content
-    assert_gaussian_primitive(_echelon(rows))
+    assert_gaussian_primitive(_echelon(int_rows(rows)))
     assert_gaussian_primitive(SpanSolver(rows).pivots)
 
 
@@ -643,7 +650,7 @@ def test_a_gaussian_common_factor_is_removed_from_a_pivot_row():
     # (1 + i) * (1, 1 + i, 1 - 2i): the rational content is 1, the Gaussian
     # content 1 + i
     row = {0: Scalar(1, 1), 1: Scalar(0, 2), 2: Scalar(3, -1)}
-    (stored,) = _echelon([row]).values()
+    (stored,) = _echelon(int_rows([row])).values()
     assert gaussian_content_norm(stored.values()) == 1
     unit = Scalar(*stored[0])
     assert gaussian_content_norm([stored[0]]) == 1
@@ -671,4 +678,4 @@ def test_dense_random_gaussian_matrix_matches_the_oracle():
     want, piv = rref_kernel(rows, ncols)
     assert [list(v.items()) for v in kernel_basis_rows(rows, ncols)] == want
     assert rank_rows(rows) == len(piv)
-    assert_gaussian_primitive(_echelon(rows))
+    assert_gaussian_primitive(_echelon(int_rows(rows)))

@@ -5,6 +5,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from superprolong.scalars import Scalar
 from superprolong.superspace import EVEN, ODD, BasisVector, GradedSuperSpace
@@ -18,7 +19,7 @@ from superprolong.catalog import (
     supertranslation,
 )
 from superprolong.liesuper import LieSuperalgebra, SymbolAlgebra
-from superprolong.prolong import projective_trace_reduction, prolong
+from superprolong.prolong import Prolongation, projective_trace_reduction, prolong
 from superprolong.spencer import (
     CochainSlice,
     cochain_basis,
@@ -26,10 +27,15 @@ from superprolong.spencer import (
     differential_rows,
     reduced_differential_check,
 )
-from superprolong.linalg import rank_rows
+from superprolong.linalg import _echelon, rank_rows
 
-from conftest import delta_squared_rows, g0_of, g2_symbol
-from oracles import differential_formula, naive_rank, reduced_p_injective
+from conftest import delta_squared_rows, g0_of, g2_symbol, two_step_symbols
+from oracles import (
+    differential_formula,
+    naive_rank,
+    reduced_p_injective,
+    scalar_differential_rows,
+)
 
 
 def slice_dims(g, d, k):
@@ -381,3 +387,55 @@ def test_cochain_basis_is_canonical_monomials_times_values():
                 assert cochain_basis(g, d, k) == want, (d, k)
     with pytest.raises(ValueError):
         cochain_basis(shc_symbol(), 0, -1)
+
+
+def _assert_rows_match_the_scalar_loop(g):
+    """differential_rows and CochainSlice.matrix_rows against the Scalar
+    loop, entry for entry and in row order, on every slice with k = 0..3
+    that can be nonzero; the slice's public rows are read only after its
+    integer rows were ranked by both pivot rules.  Returns the largest
+    common denominator D met."""
+    degs = [b.degree for b in g.space]
+    mu = -min(degs)
+    dens = [1]
+    for k in range(4):
+        for d in range(min(degs) + k, max(degs) + (k + 1) * mu + 1):
+            sl = CochainSlice(g, d, k)
+            want = [list(row.items())
+                    for row in scalar_differential_rows(g, sl.basis, sl.target)]
+            got = differential_rows(g, sl.basis, sl.target)
+            assert [list(row.items()) for row in got] == want, (d, k)
+            _echelon(sl._rows, units=True)
+            _echelon(sl._rows)
+            assert [list(row.items()) for row in sl.matrix_rows] == want, (d, k)
+            dens.append(sl._den)
+    return max(dens)
+
+
+def test_integer_rows_match_the_scalar_loop_on_shc():
+    # SHC's prolongation has Fraction structure constants, so D > 1
+    g = prolong(SymbolAlgebra(shc_symbol())).algebra
+    assert _assert_rows_match_the_scalar_loop(g) > 1
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_integer_rows_match_the_scalar_loop_on_supertranslations(N):
+    g = prolong(SymbolAlgebra(supertranslation(N))).algebra
+    assert g.field == "Qi"
+    _assert_rows_match_the_scalar_loop(g)
+
+
+def test_integer_rows_match_the_scalar_loop_on_flat_gl21():
+    # the truncated algebra m + g_0 + g_1 + g_2 of pr(R^{2|1}, gl(2|1))
+    engine = Prolongation(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)))
+    engine.advance(1)
+    engine.advance(2)
+    _assert_rows_match_the_scalar_loop(engine._truncation()[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_step_symbols())
+def test_integer_rows_match_the_scalar_loop_on_random_symbols(alg):
+    # the symbol with its degree-0 derivations, m + g_0
+    engine = Prolongation(SymbolAlgebra(alg))
+    _assert_rows_match_the_scalar_loop(engine._truncation()[0])
