@@ -176,7 +176,9 @@ def _pivot_row(row):
 def _echelon(rows, independent=None, units=False):
     """{pivot column: pivot row} of the integer rows, inserted in input
     order; the indices of the rows that become pivots are appended to
-    independent.  Each row is copied first: the unit rule reduces in place.
+    independent.  Each row is copied first, as the unit rule reduces in
+    place, and divided by the gcd of its components, so that a row scaled
+    by a common denominator gets its unit entries back.
 
     By default (leftmost rule) a row pivots on its lowest column.  With
     units (unit rule) it pivots on its first unit entry in row order, the
@@ -186,7 +188,7 @@ def _echelon(rows, independent=None, units=False):
     pivots = {}
     order = {} if units else None
     for i, row in enumerate(rows):
-        row = _reduce(dict(row), pivots, order)
+        row = _reduce(_primitive(dict(row)), pivots, order)
         if row:
             c = None
             if units:

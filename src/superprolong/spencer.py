@@ -86,21 +86,19 @@ def cochain_basis(g, d, k):
     by_degree = {}
     for b, bv in enumerate(space):
         by_degree.setdefault(bv.degree, []).append((b, bv.parity))
-    # m usually leads g's basis, and then the cached tuples are g's own
-    leads = m_idx == list(range(len(m_idx)))
     key = tuple((space[i].degree, space[i].parity) for i in m_idx)
     out = []
     for T, deg, par in _exterior_basis(key, k):
-        T = T if leads else tuple(m_idx[i] for i in T)
+        T = tuple(m_idx[i] for i in T)
         for b, parity in by_degree.get(deg + d, ()):
             out.append((T, b, (par + parity) % 2))
     return out
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=None)
 def _exterior_basis(m, k):
     """(indices, degree, parity) of the ``exterior_power_basis`` monomials
-    of m's (degree, parity) pairs; four entries hold one m's k = 0..3."""
+    of m's (degree, parity) pairs."""
     return tuple((mono.indices, mono.degree, mono.parity) for mono in
                  exterior_power_basis([BasisVector("", *dp) for dp in m], k))
 
@@ -159,47 +157,35 @@ def _differential_rows(g, basis, target):
         else:
             del row[c]
 
-    for T in sorted(rows_of):
-        pos = rows_of[T]
-        k1 = len(T)
+    for T, pos in sorted(rows_of.items()):
         s1, s2 = _slot_signs(tuple(par[t] for t in T))
-        for i in range(k1):
-            hits = cols_by_tuple.get(T[:i] + T[i + 1 :])
-            if not hits:
-                continue
+        for i, xi in enumerate(T):
             s_i = s1[i]
-            xi = T[i]
-            pxi = par[xi]
-            for c, b, pc in hits:
+            for c, b, pc in cols_by_tuple.get(T[:i] + T[i + 1 :], ()):
                 vec = br.get((xi, b))
                 if vec is None:
                     continue
-                tw = -s_i if (pxi and pc) else s_i
+                tw = -s_i if (par[xi] and pc) else s_i
                 for tgt, x, y in vec:
                     r = pos.get(tgt)
                     if r is None:
                         raise AssertionError("differential left the expected bidegree")
                     add(rows[r], c, x * tw, y * tw)
-        for i in range(k1):
-            for j in range(i + 1, k1):
-                vec = br.get((T[i], T[j]))
-                if vec is None:
+        for (i, j), s_ij in s2.items():
+            vec = br.get((T[i], T[j]))
+            if vec is None:
+                continue
+            rest = tuple(t for p, t in enumerate(T) if p != i and p != j)
+            rest_pars = [par[t] for t in rest]
+            for cidx, x, y in vec:
+                srt, sgn = sort_with_sign(
+                    (cidx,) + rest, [g.space[cidx].parity] + rest_pars
+                )
+                if sgn == 0:
                     continue
-                s_ij = s2[(i, j)]
-                rest = tuple(t for p, t in enumerate(T) if p != i and p != j)
-                rest_pars = [par[t] for t in rest]
-                for cidx, x, y in vec:
-                    srt, sgn = sort_with_sign(
-                        (cidx,) + rest, [g.space[cidx].parity] + rest_pars
-                    )
-                    if sgn == 0:
-                        continue
-                    hits = cols_by_tuple.get(srt)
-                    if not hits:
-                        continue
-                    f = -(s_ij * sgn)
-                    for c, b, _ in hits:
-                        add(rows[pos[b]], c, x * f, y * f)
+                f = -(s_ij * sgn)
+                for c, b, _ in cols_by_tuple.get(srt, ()):
+                    add(rows[pos[b]], c, x * f, y * f)
     return rows, den
 
 

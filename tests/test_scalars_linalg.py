@@ -580,6 +580,17 @@ def test_unit_rule_terminates_when_an_earlier_pivot_row_holds_a_later_pivot():
     assert [list(v.items()) for v in kernel_basis_rows(rows, 4)] == want
 
 
+def test_unit_rule_finds_the_units_of_a_row_scaled_by_a_common_factor():
+    # 6 * (1 + 2i, -i, 3), as the Spencer rows come scaled by one common
+    # denominator: no entry is a unit until the content 6 is divided out,
+    # and then the row pivots on -i at column 1, times the inverse unit i
+    row = {0: (6, 12), 1: (0, -6), 2: (18, 0)}
+    assert _echelon([row], units=True) == {
+        1: {0: (-2, 1), 1: (1, 0), 2: (0, 3)}
+    }
+    assert row == {0: (6, 12), 1: (0, -6), 2: (18, 0)}
+
+
 def test_span_solver_mixes_rational_and_gaussian_coefficients():
     one = Scalar(1)
     # rational vectors, Gaussian target: Gaussian coefficients
