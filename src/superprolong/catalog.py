@@ -445,11 +445,19 @@ def _int(arg):
     return int(arg)
 
 
+def _rational(arg, what):
+    """A rational field of a spec: an integer field or p/q with q ASCII
+    digits; q = 0 is refused by ``_read_rational``."""
+    if not re.fullmatch("-?[0-9]+(/[0-9]+)?", arg):
+        raise ValueError('%s %r is neither an integer nor a "p/q" string' % (what, arg))
+    return _read_rational(arg, what)
+
+
 def _parse_pq(arg):
-    if "|" not in arg:
+    parts = arg.split("|")
+    if len(parts) != 2:
         raise ValueError("expected p|q, got %r" % arg)
-    p, q = arg.split("|")
-    return _int(p), _int(q)
+    return _int(parts[0]), _int(parts[1])
 
 
 def _graded_sl(pq):
@@ -475,8 +483,8 @@ _NAMED = {
     "spe_ab": (
         "spe_ab:n:a:b",
         lambda n, a, b: spe_ab(
-            _int(n), _read_rational(a, "spe_ab argument a"),
-            _read_rational(b, "spe_ab argument b"),
+            _int(n), _rational(a, "spe_ab argument a"),
+            _rational(b, "spe_ab argument b"),
         ),
     ),
     "abelian": ("abelian:p|q", lambda pq: abelian(*_parse_pq(pq))),

@@ -6,7 +6,8 @@ order is derived from super antisymmetry [x,y] = -(-1)^{|x||y|}[y,x].
 table (grading, parity, antisymmetry of the raw input, super Jacobi) and
 reports violations as data rather than raising.  Jacobi defects are reported
 on canonical triples x <= y <= z when grading and antisymmetry hold, and on
-all ordered triples otherwise.  ``LieSuperalgebra`` is the
+all ordered triples otherwise; the Jacobiator runs on Gaussian integers
+over one common denominator of the table.  ``LieSuperalgebra`` is the
 one type: a symbol (``SymbolAlgebra``) is one concentrated in negative
 degrees, and a prolongation's truncated algebra is an ordinary one over a
 canonical table (``_canonical``) that the engine grows by each new
@@ -15,10 +16,14 @@ component, without the brackets between nonnegative components.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .linalg import (
     SpanSolver,
     _echelon,
+    _int_row,
     _kernel_basis,
+    _pair_axpy,
     kernel_basis_rows,
     rank_rows,
     svec_axpy,
@@ -173,6 +178,11 @@ def validate(L):
     are then reported on the remaining canonical triples only.  Otherwise
     the argument does not apply, and they are reported on all n^3 ordered
     triples.
+
+    The Jacobiator is computed on Gaussian integers over one denominator:
+    every table entry is converted once and scaled to D, the lcm of all the
+    denominators, so D^2 J is compared with 0, and a defect entry (u, v) is
+    reported as the Scalar (u + v i) / D^2.
     """
     space = L.space
     out = []
@@ -231,19 +241,24 @@ def validate(L):
                 )
 
     # super Jacobi, J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]],
-    # read from both bracket orders stored once: br[a][b] = [x_a, x_b]
+    # in Gaussian integers: br[a][b] = D [x_a, x_b] as (c, re, im) triples
+    # for both orders of each stored pair, D the lcm of all denominators,
+    # so the two sides below are D^2 times the brackets
     n = len(space)
     par = [space[i].parity for i in range(n)]
     deg = [space[i].degree for i in range(n)]
+    ints = [(key, *_int_row(vec.items())) for key, vec in L.table.items()]
+    D = lcm(*(d for _, _, d in ints))
     br = [{} for _ in range(n)]
-    minus = Scalar(-1)
-    for (a, b), vec in L.table.items():
+    for (a, b), row, d in ints:
+        q = D // d
+        vec = [(c, x * q, y * q) for c, (x, y) in row.items()]
         br[a][b] = vec
         if a != b:
-            br[b][a] = vec if par[a] and par[b] else svec_scale(vec, minus)
+            br[b][a] = vec if par[a] and par[b] else [(c, -x, -y) for c, x, y in vec]
     canonical = not out
     degrees = set(deg)
-    empty = {}
+    empty = ()
     for x in range(n):
         bx = br[x]
         for y in range(x, n) if canonical else range(n):
@@ -262,28 +277,28 @@ def validate(L):
                 xz = bx.get(z, empty)
                 if not (xy or yz or xz):
                     continue
-                # lhs - rhs = J(x,y,z); the [y,[x,z]] term goes to the side
-                # where its sign is +
+                # lhs - rhs = D^2 J(x,y,z); the [y,[x,z]] term goes to the
+                # side where its sign is +
                 lhs = {}
                 rhs = {}
-                for c, s in yz.items():
-                    svec_axpy(lhs, s, bx.get(c, empty))
-                for c, s in xy.items():
-                    svec_axpy(rhs, s, br[c].get(z, empty))
+                for c, u, v in yz:
+                    _pair_axpy(lhs, u, v, bx.get(c, empty))
+                for c, u, v in xy:
+                    _pair_axpy(rhs, u, v, br[c].get(z, empty))
                 acc = lhs if odd_xy else rhs
-                for c, s in xz.items():
-                    svec_axpy(acc, s, by.get(c, empty))
+                for c, u, v in xz:
+                    _pair_axpy(acc, u, v, by.get(c, empty))
                 if lhs != rhs:
-                    defect = dict(lhs)
-                    svec_axpy(defect, minus, rhs)
+                    defect = _pair_axpy(
+                        dict(lhs), -1, 0, ((c, u, v) for c, (u, v) in rhs.items()))
                     out.append(
                         {
                             "kind": "jacobi",
                             "where": (name(x), name(y), name(z)),
                             "detail": "defect "
                             + ", ".join(
-                                "%s: %s" % (name(c), s.pretty())
-                                for c, s in sorted(defect.items())
+                                "%s: %s" % (name(c), (Scalar(u, v) / (D * D)).pretty())
+                                for c, (u, v) in sorted(defect.items())
                             ),
                         }
                     )
@@ -384,13 +399,15 @@ def one_cocycles(g, d):
     (parity, action) pairs with action = {j: {i: Scalar}} (source j in m,
     value index i in g): per parity, a kernel basis of the rows of
     ``spencer.differential_rows`` on C^{d,1}(m, g), taken in Gaussian
-    integers, whose columns (source j, image i) are ordered by j, then i."""
+    integers, whose columns (source j, image i) are ordered by j, then i.
+    delta is even, so the parity-p columns are read against the parity-p
+    part of C^{d,2} only; the rows of the other parity would be empty."""
     basis = cochain_basis(g, d, 1)
     target = cochain_basis(g, d, 2)
     elements = []
     for p in (EVEN, ODD):
         cols = [c for c in basis if c[2] == p]
-        rows, _ = _differential_rows(g, cols, target)
+        rows, _ = _differential_rows(g, cols, [t for t in target if t[2] == p])
         for v in _kernel_basis(_echelon(rows), len(cols)):
             action = {}
             for col, s in v.items():

@@ -39,7 +39,8 @@ argument; ``_echelon`` takes integer rows, which the public names make with
 ``_int_row``.  ``SpanSolver`` then back-substitutes once, in descending pivot
 order with the leftmost rule's reduction, so that no pivot row holds
 another pivot column; each solve reads its coefficients off those rows,
-one integer multiple per pivot the target holds, and eliminates nothing.
+one integer multiple per pivot the target holds, and eliminates nothing:
+the read-off uses up the integer target row, which becomes the residual.
 
 The leftmost rule's answers do not depend on the order of elimination.
 Its pivot columns are the lowest columns of the nonzero vectors of the row
@@ -303,7 +304,8 @@ class SpanSolver:
     integer row.  Multiplied by conj(lead) / gcd(lead.re, lead.im), a row
     has a positive rational integer lead; it is stored under its pivot key
     as (lead, w, comb), w its vector part off the pivot and comb its (1, i)
-    part, so that lead * e_key + w = sum of comb[i] * vector i.
+    part, both as (key, re, im) triples, so that
+    lead * e_key + w = sum of comb[i] * vector i.
     """
 
     def __init__(self, vectors):
@@ -320,12 +322,15 @@ class SpanSolver:
             self.pivots[c] = _pivot_row(_reduce(pivots[c], self.pivots))
         self._read = {}
         for c, row in self.pivots.items():
-            parts = ({}, {})
-            for (tag, j), x in row.items():
-                parts[tag][j] = x
-            a, b = parts[0].pop(c[1])
+            parts = ([], [])
+            for key, (x, y) in row.items():
+                if key != c:
+                    parts[key[0]].append((key[1], x, y))
+            a, b = row[c]
             g = gcd(a, b)
-            w, comb = (_pair_axpy({}, a // g, -b // g, p) for p in parts)
+            fa, fb = a // g, -b // g
+            w, comb = (tuple((j, fa * x - fb * y, fa * y + fb * x)
+                             for j, x, y in p) for p in parts)
             self._read[c[1]] = ((a * a + b * b) // g, w, comb)
 
     def solve(self, target):
@@ -357,29 +362,66 @@ class SpanSolver:
         """The read-off of ``solve`` on a target given as row / den, row a
         dict of Gaussian-integer pairs with no zeros and den > 0: (acc, d)
         with coefficients acc / d, acc a pair dict keyed by vector index and
-        d > 0, or None when the residual is nonzero."""
+        d > 0, or None when the residual is nonzero.
+
+        The row is used up: its pivot keys are popped and it becomes the
+        residual, so callers pass a dict of their own.  One scan collects
+        the pivot keys it holds and L, the lcm of their leads other than 1;
+        the row is scaled by L only when L != 1."""
         read = self._read
-        L = lcm(*(read[j][0] for j in row if j in read))
-        residual = {
-            j: (L * a, L * b) for j, (a, b) in row.items() if j not in read
-        }
-        acc = {}
-        for j, (a, b) in row.items():
+        hits = []
+        L = 1
+        for j, x in row.items():
             r = read.get(j)
             if r is not None:
-                lead, w, comb = r
-                q = L // lead
-                _pair_axpy(residual, -a * q, -b * q, w)
-                _pair_axpy(acc, a * q, b * q, comb)
-        if residual:
+                hits.append((j, x, r))
+                if r[0] != 1 and L % r[0]:
+                    L = lcm(L, r[0])
+        for j, _, _ in hits:
+            del row[j]
+        if L != 1:
+            for j, (a, b) in row.items():
+                row[j] = (L * a, L * b)
+        acc = {}
+        for _, (a, b), (lead, w, comb) in hits:
+            q = L // lead
+            fa, fb = a * q, b * q
+            # row -= f * w: w holds no pivot key, so none comes back
+            for j, x, y in w:
+                u = fa * x - fb * y
+                v = fa * y + fb * x
+                old = row.get(j)
+                if old is None:
+                    row[j] = (-u, -v)
+                else:
+                    u = old[0] - u
+                    v = old[1] - v
+                    if u or v:
+                        row[j] = (u, v)
+                    else:
+                        del row[j]
+            for i, x, y in comb:
+                u = fa * x - fb * y
+                v = fa * y + fb * x
+                old = acc.get(i)
+                if old is None:
+                    acc[i] = (u, v)
+                else:
+                    u += old[0]
+                    v += old[1]
+                    if u or v:
+                        acc[i] = (u, v)
+                    else:
+                        del acc[i]
+        if row:
             return None
         return acc, den * L
 
 
 def _pair_axpy(acc, fa, fb, v):
-    """acc += (fa + fb i) * v in place, for dicts of Gaussian-integer pairs
-    (re, im); zero entries are pruned."""
-    for j, (x, y) in v.items():
+    """acc += (fa + fb i) * v in place, acc a dict of Gaussian-integer pairs
+    (re, im) and v (key, re, im) triples; zero entries are pruned."""
+    for j, x, y in v:
         a = fa * x - fb * y
         b = fa * y + fb * x
         old = acc.get(j)

@@ -19,8 +19,9 @@ identity ad_{[u,v]} = [ad_u, ad_v] and solved back to coordinates;
 well-definedness relies on transitivity and is asserted at runtime.  They
 are computed by blocks, in increasing total degree: ``_block(k, l)`` makes
 every [e_{k,a}, e_{l,c}] in one loop over Gaussian-integer pairs and keeps
-each as integer coordinates over one denominator; ``bracket_elements`` is
-the one reader of a pair.  Each component is eliminated and
+each as integer coordinates over one denominator.  ``assemble`` reads the
+blocks row by row, in their canonical order, and ``bracket_elements``
+reads a single pair, in either order.  Each component is eliminated and
 back-substituted once, into a cached SpanSolver over its elements' actions
 flattened to sparse vectors keyed by (m-basis index, target coordinate);
 a block reads each bracket off it in integers, and a nonzero residual
@@ -132,14 +133,7 @@ class Prolongation:
         else:
             both_odd = self.comp[k].elements[ek][0] and self.comp[l].elements[el][0]
             entry = _flip(self._block(l, k)[el][ek], both_odd)
-        if entry is None:
-            return {}
-        coords, d = entry
-        if d == 1:
-            return {t: Scalar(a, b) for t, a, b in coords}
-        return {
-            t: Scalar(Fraction(a, d), Fraction(b, d)) for t, a, b in coords
-        }
+        return {} if entry is None else _scalars(entry)
 
     def _block(self, k, l):
         """Every bracket [e_{k,a}, e_{l,c}] for k <= l, with c >= a when
@@ -477,23 +471,33 @@ class Prolongation:
 
     def assemble(self, truncated=False):
         """Extended structure constants of m + g_0 + ... + g_top: a shallow
-        copy of the truncated algebra's table plus the block brackets, each
-        written at its canonical key."""
+        copy of the truncated algebra's table plus the block brackets, read
+        row by row off each block (k, l), k <= l, which is in the canonical
+        order, so each nonzero entry is written once at its key."""
         g, offsets = self._truncation()
         table = dict(g.table)
         for k in range(0, self.top + 1):
             for l in range(k, self.top + 1):
-                if k + l > self.top and truncated:
+                if k + l > self.top and truncated or not (
+                    self.comp[k].elements and self.comp[l].elements
+                ):
                     continue
-                for a in range(len(self.comp[k].elements)):
-                    for b in range(a if l == k else 0, len(self.comp[l].elements)):
-                        vec = self.bracket_elements(k, a, l, b)
-                        if vec:
-                            off = offsets[k + l]
-                            table[(offsets[k] + a, offsets[l] + b)] = {
-                                off + t: s for t, s in vec.items()
-                            }
+                for a, row in enumerate(self._block(k, l), offsets[k]):
+                    for c, entry in enumerate(row, offsets[l]):
+                        if entry is not None:
+                            table[(a, c)] = _scalars(entry, offsets[k + l])
         return LieSuperalgebra._canonical(g.space, table, self.m.field)
+
+
+def _scalars(entry, offset=0):
+    """A (coords, den) block entry as the bracket {offset + t: Scalar}, in
+    increasing t."""
+    coords, d = entry
+    if d == 1:
+        return {offset + t: Scalar(a, b) for t, a, b in coords}
+    return {
+        offset + t: Scalar(Fraction(a, d), Fraction(b, d)) for t, a, b in coords
+    }
 
 
 def _flip(entry, both_odd):

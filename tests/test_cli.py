@@ -754,7 +754,11 @@ _ODE_FILE = "ode.json"
            ("gl:1_0|0", "'gl:1_0|0': expected an integer, got '1_0'"),
            ("gl: 1|0", "'gl: 1|0': expected an integer, got ' 1'"),
            ("gl:+1|0", "'gl:+1|0': expected an integer, got '+1'"),
-           ("pe:2 ", "'pe:2 ': expected an integer, got '2 '"))]
+           ("pe:2 ", "'pe:2 ': expected an integer, got '2 '"),
+           # a p|q field holds one bar, and a rational field takes no spaces
+           ("osp:1|2|3", "'osp:1|2|3': expected p|q, got '1|2|3'"),
+           ("spe_ab:2: 1:2", "'spe_ab:2: 1:2': spe_ab argument a ' 1' is "
+            'neither an integer nor a "p/q" string'))]
     + [_input_error_case(["odesym", "--order", "3", "--rhs", "xi*@x"],
                          "direction symbol in a jet superfunction: 'xi*@x'")]
     + [_input_error_case(["odesym", "--order", "3", "--rhs", name],

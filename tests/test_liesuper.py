@@ -220,10 +220,11 @@ PERTURBED = [
 
 @st.composite
 def perturbed_tables(draw):
-    """A table of PERTURBED with one structure constant changed: on a pair
-    already in the table, on an odd repeated pair, or on any pair, and
-    mostly towards a target of the right degree and parity, so the grading
-    checks pass and the canonical triples are what is checked."""
+    """A table of PERTURBED with one structure constant changed, by a
+    rational or a Gaussian delta: on a pair already in the table, on an odd
+    repeated pair, or on any pair, and mostly towards a target of the right
+    degree and parity, so the grading checks pass and the canonical triples
+    are what is checked."""
     alg = draw(st.sampled_from(PERTURBED))
     space, n = alg.space, len(alg.space)
     odd = [a for a in range(n) if space[a].parity == ODD]
@@ -239,7 +240,12 @@ def perturbed_tables(draw):
     ]
     targets = graded if graded and draw(st.integers(0, 3)) else range(n)
     c = draw(st.sampled_from(list(targets)))
-    delta = Scalar(draw(st.sampled_from([-2, -1, Fraction(1, 2), 1, 3])))
+    # Gaussian and fractional deltas give the integer Jacobi loop a common
+    # denominator D > 1 and defects with an imaginary part
+    delta = draw(st.sampled_from(
+        [Scalar(x) for x in (-2, -1, Fraction(1, 2), 1, 3)]
+        + [Scalar(0, 1), Scalar(Fraction(1, 3), -1)]
+    ))
     table = {k: dict(v) for k, v in alg.table.items()}
     vec = table.setdefault((a, b), {})
     vec[c] = vec.get(c, Scalar(0)) + delta

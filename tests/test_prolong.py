@@ -247,6 +247,54 @@ def test_block_brackets_match_the_recursion(alg, g0, max_degree):
     _assert_blocks_match_the_recursion(res)
 
 
+def _assert_assembled_table_is_the_block_brackets(res):
+    # assemble reads the blocks row by row; bracket_elements reads one pair:
+    # the assembled table is the truncated algebra's table plus each
+    # nonzero canonical pair (k, a) <= (l, c), k + l <= top, at its keys
+    engine = res.engine
+    g, offsets = engine._truncation()
+    want = dict(g.table)
+    degrees = sorted(engine.comp)
+    for k in degrees:
+        for l in degrees[k:]:
+            if k + l > engine.top:
+                continue
+            for a in range(len(engine.comp[k].elements)):
+                for c in range(a if k == l else 0, len(engine.comp[l].elements)):
+                    vec = engine.bracket_elements(k, a, l, c)
+                    if vec:
+                        want[(offsets[k] + a, offsets[l] + c)] = {
+                            offsets[k + l] + t: s for t, s in vec.items()
+                        }
+    assert list(res.algebra.space) == list(g.space)
+    assert res.algebra.table == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_step_symbols())
+@example(STABILIZING_TWO_STEP)
+def test_assembled_table_matches_bracket_elements_on_random_symbols(alg):
+    try:
+        res = prolong(alg, max_degree=3, validate_result=False)
+    except ProlongationError as e:
+        assert "transitivity failure" in str(e)
+        return
+    event(res.status)
+    _assert_assembled_table_is_the_block_brackets(res)
+
+
+@pytest.mark.parametrize("reductions", [None, [(1, projective_trace_reduction)]],
+                         ids=["truncated-deg4", "projective"])
+def test_assembled_table_matches_bracket_elements(reductions):
+    # flat gl(2|1) does not stabilize, so its table to degree 4 skips the
+    # blocks with k + l > 4; the projective reduction stabilizes
+    res = prolong(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)),
+                  reductions=reductions, max_degree=4, validate_result=False)
+    assert res.status == ("truncated" if reductions is None else "stabilized")
+    assert len(res.algebra.table) > len(res.engine._truncation()[0].table)
+    _assert_assembled_table_is_the_block_brackets(res)
+
+
 def _assert_truncation_matches_the_rebuild(engine):
     # the engine's one growing algebra against a from-scratch rebuild:
     # basis names, degrees, parities, offsets and canonical table

@@ -606,6 +606,26 @@ def test_span_solver_mixes_rational_and_gaussian_coefficients():
     assert solver.solve({0: one, 1: Scalar(0, -1)}) == {0: Scalar(0, -1)}
 
 
+def test_span_solver_reads_off_pivots_led_by_2_and_3():
+    # the pivot rows keep their leads 2 and 3, so a target holding both
+    # pivot keys is read off at L = 6; the third coordinate is the residual
+    solver = SpanSolver([{0: Scalar(2), 2: Scalar(1)}, {1: Scalar(3), 2: Scalar(1)}])
+    assert [row[c] for c, row in solver.pivots.items()] == [(3, 0), (2, 0)]
+    target = {0: Scalar(1), 1: Scalar(1), 2: Scalar(Fraction(5, 6))}
+    kept = dict(target)
+    assert solver.solve(target) == {
+        0: Scalar(Fraction(1, 2)), 1: Scalar(Fraction(1, 3))
+    }
+    assert target == kept and list(target) == list(kept)
+    outside = {0: Scalar(1), 1: Scalar(1), 2: Scalar(1)}
+    assert solver.solve(outside) is None
+    assert outside == {0: Scalar(1), 1: Scalar(1), 2: Scalar(1)}
+    # a Gaussian target over the same leads
+    assert solver.solve({0: Scalar(0, 2), 1: Scalar(3), 2: Scalar(1, 1)}) == {
+        0: Scalar(0, 1), 1: Scalar(1)
+    }
+
+
 def test_span_solver_puts_coefficients_on_the_earliest_independent_vectors():
     one = Scalar(1)
     vectors = [
