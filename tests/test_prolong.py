@@ -231,6 +231,7 @@ def test_block_brackets_match_the_recursion_on_random_symbols(alg):
         assert "transitivity failure" in str(e)
         return
     _assert_blocks_match_the_recursion(res)
+    _assert_assembled_table_is_the_block_brackets(res)
 
 
 @pytest.mark.parametrize(
@@ -268,19 +269,6 @@ def _assert_assembled_table_is_the_block_brackets(res):
                         }
     assert list(res.algebra.space) == list(g.space)
     assert res.algebra.table == want
-
-
-@settings(max_examples=40, deadline=None)
-@given(two_step_symbols())
-@example(STABILIZING_TWO_STEP)
-def test_assembled_table_matches_bracket_elements_on_random_symbols(alg):
-    try:
-        res = prolong(alg, max_degree=3, validate_result=False)
-    except ProlongationError as e:
-        assert "transitivity failure" in str(e)
-        return
-    event(res.status)
-    _assert_assembled_table_is_the_block_brackets(res)
 
 
 @pytest.mark.parametrize("reductions", [None, [(1, projective_trace_reduction)]],
