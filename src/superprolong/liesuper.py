@@ -309,8 +309,11 @@ def check_fundamental_nondegenerate(m):
     """Fundamentality (generated by g_{-1}) and non-degeneracy of a symbol.
 
     Returns {"ok": bool, "fundamental": bool, "nondegenerate": bool,
-    "witnesses": [...]}; witnesses name offending basis vectors.
+    "witnesses": [...]}; witnesses name offending basis vectors.  A plain
+    ``LieSuperalgebra`` is wrapped in ``SymbolAlgebra`` first.
     """
+    if not isinstance(m, SymbolAlgebra):
+        m = SymbolAlgebra(m)
     space = m.space
     report = {"ok": True, "fundamental": True, "nondegenerate": True, "witnesses": []}
     deg1 = space.indices_of_degree(-1)
@@ -401,14 +404,17 @@ def one_cocycles(g, d):
     ``spencer.differential_rows`` on C^{d,1}(m, g), taken in Gaussian
     integers, whose columns (source j, image i) are ordered by j, then i.
     delta is even, so the parity-p columns are read against the parity-p
-    part of C^{d,2} only; the rows of the other parity would be empty."""
+    part of C^{d,2} only; the rows of the other parity would be empty.
+    The elimination stops at full column rank, where the kernel is zero,
+    and keeps the rows in target order: taking the shortest first was
+    measured slower on the large prolongations."""
     basis = cochain_basis(g, d, 1)
     target = cochain_basis(g, d, 2)
     elements = []
     for p in (EVEN, ODD):
         cols = [c for c in basis if c[2] == p]
         rows, _ = _differential_rows(g, cols, [t for t in target if t[2] == p])
-        for v in _kernel_basis(_echelon(rows), len(cols)):
+        for v in _kernel_basis(_echelon(rows, ncols=len(cols)), len(cols)):
             action = {}
             for col, s in v.items():
                 (j,), i, _ = cols[col]

@@ -42,6 +42,13 @@ another pivot column; each solve reads its coefficients off those rows,
 one integer multiple per pivot the target holds, and eliminates nothing:
 the read-off uses up the integer target row, which becomes the residual.
 
+Stop at full column rank.  Told by its argument ncols how many columns the
+rows can hold, ``_echelon`` stops once it has that many pivots: they span
+the whole column space, so every later row would reduce to zero, and the
+answers are those of the full loop.  The Spencer ranks and
+``one_cocycles`` pass it, as their differentials have many more rows than
+columns; the public names read every row.
+
 The leftmost rule's answers do not depend on the order of elimination.
 Its pivot columns are the lowest columns of the nonzero vectors of the row
 space, an invariant of it.  For each free column exactly one kernel vector
@@ -174,7 +181,7 @@ def _pivot_row(row):
             for j, (a, b) in row.items()}
 
 
-def _echelon(rows, independent=None, units=False):
+def _echelon(rows, independent=None, units=False, ncols=None):
     """{pivot column: pivot row} of the integer rows, inserted in input
     order; the indices of the rows that become pivots are appended to
     independent.  Each row is copied first, as the unit rule reduces in
@@ -185,6 +192,13 @@ def _echelon(rows, independent=None, units=False):
     units (unit rule) it pivots on its first unit entry in row order, the
     row multiplied by the inverse unit so that this entry is (1, 0); a row
     with no unit entry pivots on its lowest column as before.
+
+    With ncols given, the rows hold only columns from a set of that size,
+    and the loop stops, reading no further row, once it holds ncols
+    pivots.  The stop is exact: ncols independent rows span the whole
+    column space, so every later row would reduce to zero and become no
+    pivot.  The pivots, independent and any kernel read off them are those
+    of the full loop.
     """
     pivots = {}
     order = {} if units else None
@@ -209,6 +223,8 @@ def _echelon(rows, independent=None, units=False):
                 order[c] = (len(order), c)
             if independent is not None:
                 independent.append(i)
+            if len(pivots) == ncols:
+                break
     return pivots
 
 

@@ -194,7 +194,9 @@ def cohomology_dims(d, k, m, g=None):
 
     delta is even, so a row whose target has parity p has its entries in
     the parity-p columns only: delta on the parity-p cochains is those rows,
-    ranked as they stand, with no column remap.
+    ranked as they stand, with no column remap.  Only the rank is read, so
+    the rows go in shortest first, and the elimination stops once it has
+    as many pivots as the slice has parity-p columns.
     """
     g = m if g is None else g
     here = CochainSlice(g, d, k)
@@ -204,8 +206,10 @@ def cohomology_dims(d, k, m, g=None):
         dim = sum(1 for _, _, p in here.basis if p == parity)
         for sl in slices:
             dim -= len(_echelon(
-                (row for row, (_, _, p) in zip(sl._rows, sl.target)
-                 if p == parity), units=True,
+                sorted((row for row, (_, _, p) in zip(sl._rows, sl.target)
+                        if p == parity), key=len),
+                units=True,
+                ncols=sum(1 for _, _, p in sl.basis if p == parity),
             ))
         dims.append(dim)
     return tuple(dims)
@@ -216,6 +220,13 @@ def reduced_differential_check(m, g=None):
     ker(delta | C^{d,2}) for every degree d with nonzero C^{d,2}; emit a
     complement N = Z + B per degree on success.  A, B, p and the ranks that
     decide both halves are as in the module docstring.
+
+    Both eliminations stop at full column rank, where every later row is
+    dependent.  The A-then-B one keeps its order, because Z depends on it:
+    an A row left after the stop counts as dependent, as its reduction
+    would have shown.  The injectivity half reads only a rank, but its rows
+    stay in target order as well: the stop comes sooner there than with
+    the shortest rows first.
     """
     g = m if g is None else g
     space = g.space
@@ -238,12 +249,12 @@ def reduced_differential_check(m, g=None):
                 a_rows.append(r)
         # one elimination, A rows first: the pivots among them are the
         # rank of p o delta
+        ncols = len(c1.basis)
         independent = []
         _echelon((c1._rows[r] for r in a_rows + b_rows), independent,
-                 units=True)
+                 units=True, ncols=ncols)
         independent = set(independent)
         z_members = [r for i, r in enumerate(a_rows) if i not in independent]
-        ncols = len(c1.basis)
         rk_full = len(independent)
         rk_part = len(a_rows) - len(z_members)
         entry = {
@@ -261,7 +272,8 @@ def reduced_differential_check(m, g=None):
             if any(space[x].degree <= -2 for x in t[0])
         ]
         entry["p_injective_on_ker"] = not b_cols or len(_echelon(
-            _differential_rows(g, b_cols, target)[0], units=True
+            _differential_rows(g, b_cols, target)[0], units=True,
+            ncols=len(b_cols),
         )) == len(b_cols)
         ok = entry["kernels_agree"] and entry["p_injective_on_ker"]
         if ok:

@@ -313,6 +313,8 @@ def test_abelian_validates_and_fundamentality_witness():
     # of m inside g_{-1}, so m is degenerate as well
     assert not rep["nondegenerate"]
     assert "central element of m inside g_{-1}: a" in rep["witnesses"]
+    # the unwrapped algebra is wrapped as prolong wraps it, to the same report
+    assert check_fundamental_nondegenerate(LieSuperalgebra(space, {})) == rep
 
 
 def test_fundamental_pass_cases():

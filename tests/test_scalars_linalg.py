@@ -12,6 +12,7 @@ from superprolong.linalg import (
     SpanSolver,
     _echelon,
     _int_row,
+    _kernel_basis,
     independent_rows,
     kernel_basis_rows,
     pivot_columns,
@@ -549,6 +550,15 @@ def test_unit_rule_ranks_and_independent_rows_match_the_oracle(problem):
     want, piv = rref_kernel(rows, ncols)
     assert pivot_columns(rows) == piv
     assert [list(v.items()) for v in kernel_basis_rows(rows, ncols)] == want
+    # stopped at full column rank, both rules give the full loop's pivots,
+    # in insertion order, its independent rows and its kernel
+    for units in (False, True):
+        full, stopped = [], []
+        whole = _echelon(int_rows(rows), full, units=units)
+        got = _echelon(int_rows(rows), stopped, units=units, ncols=ncols)
+        assert list(got.items()) == list(whole.items())
+        assert stopped == full
+        assert _kernel_basis(got, ncols) == _kernel_basis(whole, ncols)
 
 
 def test_unit_rule_terminates_when_an_earlier_pivot_row_holds_a_later_pivot():
@@ -578,6 +588,22 @@ def test_unit_rule_terminates_when_an_earlier_pivot_row_holds_a_later_pivot():
     want, piv = rref_kernel(rows, 4)
     assert piv == [0, 1, 2]
     assert [list(v.items()) for v in kernel_basis_rows(rows, 4)] == want
+
+
+def test_echelon_stops_before_the_next_row_at_full_column_rank():
+    # four rows on two columns, of rank 2 after the first two: the loop
+    # stops before the third row and leaves the last two unread
+    rows = [{0: (1, 0)}, {0: (1, 0), 1: (2, 0)}, {1: (3, 0)},
+            {0: (5, 0), 1: (0, 1)}]
+    for units in (False, True):
+        full, stopped = [], []
+        want = _echelon(rows, full, units=units)
+        left = iter(rows)
+        got = _echelon(left, stopped, units=units, ncols=2)
+        assert list(left) == rows[2:]
+        assert list(got.items()) == list(want.items())
+        assert stopped == full == [0, 1]
+        assert _kernel_basis(got, 2) == _kernel_basis(want, 2) == []
 
 
 def test_unit_rule_finds_the_units_of_a_row_scaled_by_a_common_factor():

@@ -405,6 +405,10 @@ def _assert_rows_match_the_scalar_loop(g):
                     for row in scalar_differential_rows(g, sl.basis, sl.target)]
             got = differential_rows(g, sl.basis, sl.target)
             assert [list(row.items()) for row in got] == want, (d, k)
+            # delta is even: a row of target parity p holds only columns of
+            # basis parity p, which the per-parity ranks rely on
+            for row, (_, _, p) in zip(sl._rows, sl.target):
+                assert all(sl.basis[c][2] == p for c in row), (d, k)
             _echelon(sl._rows, units=True)
             _echelon(sl._rows)
             assert [list(row.items()) for row in sl.matrix_rows] == want, (d, k)
