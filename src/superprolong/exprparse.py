@@ -41,6 +41,8 @@ def tokenize(text):
             out.append(("dir", m.group("dirname")))
         elif m.group("name"):
             out.append(("name", m.group("name")))
+        elif m.group("op") in "()":
+            raise ValueError("unsupported token %r in %r" % (m.group("op"), text))
         else:
             out.append(("op", m.group("op")))
         pos = m.end()
@@ -49,62 +51,49 @@ def tokenize(text):
 
 def parse_terms(text):
     """Parse into [(sign, factors)] with factors from tokenize; no
-    parenthesized subexpressions (the inputs here never need them)."""
+    parenthesized subexpressions (the inputs here never need them).  Text
+    outside the grammar is a ValueError naming it: a sign or '*' where a
+    factor belongs, two factors with no operator between them, or a second
+    '^' on one name.  Blank text has no terms."""
     toks = tokenize(text)
     terms = []
-    sign = 1
-    cur = []
-    started = False
-
-    def flush():
-        nonlocal cur, sign, started
-        if started:
-            terms.append((sign, cur))
-        cur = []
-        sign = 1
-        started = False
-
     i = 0
-    expect_factor = True
-    while i < len(toks):
-        kind, val = toks[i]
-        if kind == "op" and val in "+-":
-            if expect_factor:
-                if val == "-":
-                    sign = -sign
+    sign = 1
+    if toks and toks[0] in (("op", "+"), ("op", "-")):
+        sign = -1 if toks[0][1] == "-" else 1
+        i = 1
+    while toks:
+        factors = []
+        while True:
+            if i == len(toks):
+                raise ValueError("missing factor at the end of %r" % text)
+            kind, val = toks[i]
+            i += 1
+            if kind == "op":
+                raise ValueError("missing factor before %r in %r" % (val, text))
+            if kind != "name":
+                factors.append((kind, val))
+            elif toks[i : i + 1] != [("op", "^")]:
+                factors.append(("name", val, 1))
             else:
-                flush()
-                sign = 1 if val == "+" else -1
-                started = False
-                expect_factor = True
+                if i + 1 == len(toks) or toks[i + 1][0] != "num":
+                    raise ValueError("'^' needs an integer exponent in %r" % text)
+                exp = toks[i + 1][1]
+                if exp.denominator != 1:
+                    raise ValueError("exponent must be an integer in %r" % text)
+                factors.append(("name", val, int(exp)))
+                i += 2
+            if toks[i : i + 1] != [("op", "*")]:
+                break
             i += 1
-            continue
-        if kind == "op" and val == "*":
-            i += 1
-            expect_factor = True
-            continue
-        if kind == "op" and val == "^":
-            if not cur or cur[-1][0] != "name":
-                raise ValueError("misplaced '^' in %r" % text)
-            if i + 1 >= len(toks) or toks[i + 1][0] != "num":
-                raise ValueError("'^' needs an integer exponent in %r" % text)
-            exp = toks[i + 1][1]
-            if exp.denominator != 1:
-                raise ValueError("exponent must be an integer in %r" % text)
-            cur[-1] = ("name", cur[-1][1], int(exp))
-            i += 2
-            expect_factor = False
-            continue
-        if kind == "op":
-            raise ValueError("unsupported token %r in %r" % (val, text))
-        if kind == "name":
-            cur.append(("name", val, 1))
-        elif kind == "num":
-            cur.append(("num", val))
-        else:
-            cur.append(("dir", val))
-        started = True
-        expect_factor = False
+        terms.append((sign, factors))
+        if i == len(toks):
+            break
+        kind, val = toks[i]
         i += 1
-    flush()
+        if kind != "op":
+            raise ValueError("missing operator between factors in %r" % text)
+        if val == "^":
+            raise ValueError("misplaced '^' in %r" % text)
+        sign = -1 if val == "-" else 1
     return terms

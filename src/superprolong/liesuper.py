@@ -22,10 +22,10 @@ from .linalg import (
     SpanSolver,
     _echelon,
     _int_row,
+    _ints,
     _kernel_basis,
     _pair_axpy,
     kernel_basis_rows,
-    rank_rows,
     svec_axpy,
     svec_scale,
 )
@@ -305,6 +305,29 @@ def validate(L):
     return out
 
 
+def _ungenerated(m):
+    """For each degree -2 >= -d >= -mu of m, in turn, that g_{-1} does not
+    generate, its first basis vector outside; each degree's generated part
+    is bracketed on by a basis of it, and a depth-1 m brackets nothing."""
+    space = m.space
+    deg1 = space.indices_of_degree(-1)
+    current = [{i: Scalar(1)} for i in deg1]
+    for depth in range(2, m.mu + 1):
+        nxt = []
+        for b in deg1:
+            for u in current:
+                w = m.bracket_vec({b: Scalar(1)}, u)
+                if w:
+                    nxt.append(w)
+        slice_idx = space.indices_of_degree(-depth)
+        basis = []
+        _echelon(_ints(nxt), basis, units=True, ncols=len(slice_idx))
+        if len(basis) < len(slice_idx):
+            solver = SpanSolver(nxt)
+            yield next(i for i in slice_idx if solver.solve({i: Scalar(1)}) is None)
+        current = [nxt[k] for k in basis]
+
+
 def check_fundamental_nondegenerate(m):
     """Fundamentality (generated by g_{-1}) and non-degeneracy of a symbol.
 
@@ -316,33 +339,14 @@ def check_fundamental_nondegenerate(m):
         m = SymbolAlgebra(m)
     space = m.space
     report = {"ok": True, "fundamental": True, "nondegenerate": True, "witnesses": []}
+    for i in _ungenerated(m):
+        report["ok"] = False
+        report["fundamental"] = False
+        report["witnesses"].append("not generated from degree -1: %s" % space[i].name)
     deg1 = space.indices_of_degree(-1)
-    current = [{i: Scalar(1)} for i in deg1]
-    n = len(space)
-    for depth in range(2, m.mu + 1):
-        nxt = []
-        for b in deg1:
-            for u in current:
-                w = m.bracket_vec({b: Scalar(1)}, u)
-                if w:
-                    nxt.append(w)
-        slice_idx = space.indices_of_degree(-depth)
-        want = len(slice_idx)
-        got = rank_rows(nxt)
-        if got < want:
-            report["ok"] = False
-            report["fundamental"] = False
-            solver = SpanSolver(nxt)
-            for i in slice_idx:
-                if solver.solve({i: Scalar(1)}) is None:
-                    report["witnesses"].append(
-                        "not generated from degree -1: %s" % space[i].name
-                    )
-                    break
-        current = nxt
     if m.mu > 1 and deg1:
         rows = []
-        for b in range(n):
+        for b in range(len(space)):
             targets = {}
             for col, a in enumerate(deg1):
                 res = m.bracket_indices(a, b)

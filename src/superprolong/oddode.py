@@ -185,7 +185,7 @@ class JetFunction(GrassmannPolynomial):
         f = xi_I * d_{xi_I} f + (terms free of xi_I), that is
         g * d_{xi_I} f + (terms free of xi_I)."""
         keep = {key: v for key, v in self.terms.items() if I not in key[2]}
-        return g * self.diff_odd(I) + self._new(keep)
+        return self._new(g._mac(keep, self.diff_odd(I), False))
 
     def weighted_grading(self, order):
         """Grading of S_f induced by the symbol filtration: each monomial
@@ -238,19 +238,17 @@ def contact_vf(f):
         return ContactField(ctx, ODD, {})
     sgn = Scalar(-1) if pf else Scalar(1)
     coeffs = {}
-    xi_coeff = JetFunction(ctx) + f
+    xi_terms = dict(f.terms)
     for i in range(ctx.p):
         dfi = f.diff_odd((i + 1,))
         if dfi:
             coeffs[("x", i)] = dfi.scale(sgn)
-            xi_coeff = xi_coeff + (
-                dfi * JetFunction.odd_coord(ctx, (i + 1,))
-            ).scale(sgn)
+            dfi._mac(xi_terms, JetFunction.odd_coord(ctx, (i + 1,)), pf)
         dtot = f.first_order_total(i)
         if dtot:
             coeffs[("xi", (i + 1,))] = dtot
-    if xi_coeff:
-        coeffs[("xi", ())] = xi_coeff
+    if xi_terms:
+        coeffs[("xi", ())] = f._new(xi_terms)
     return ContactField(ctx, (pf + 1) % 2, coeffs)
 
 
@@ -282,17 +280,18 @@ def prolong_field(f, r):
 
 
 def lagrange_bracket(f, g):
-    """[f, g] with S_{[f,g]} = [S_f, S_g]."""
+    """[f, g] with S_{[f,g]} = [S_f, S_g], summed in one term dict; the
+    terms signed (-1)^{|f|} are subtracted when f is odd."""
     ctx = f.ambient
     pf = f.parity()
     if pf is None:
         return JetFunction(ctx)
-    sgn = Scalar(-1) if pf else Scalar(1)
-    out = f * g.diff_odd(()) + (f.diff_odd(()) * g).scale(sgn)
+    out = f._mac({}, g.diff_odd(()), False)
+    f.diff_odd(())._mac(out, g, pf)
     for i in range(ctx.p):
-        out = out + f.first_order_total(i) * g.diff_odd((i + 1,))
-        out = out + (f.diff_odd((i + 1,)) * g.first_order_total(i)).scale(sgn)
-    return out
+        f.first_order_total(i)._mac(out, g.diff_odd((i + 1,)), False)
+        f.diff_odd((i + 1,))._mac(out, g.first_order_total(i), pf)
+    return f._new(out)
 
 
 # ---------------------------------------------------------------------------

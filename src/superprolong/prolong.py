@@ -53,6 +53,7 @@ from .liesuper import (
     LieSuperalgebra,
     ProlongationComponent,
     SymbolAlgebra,
+    _ungenerated,
     derivations_gr,
     one_cocycles,
     validate,
@@ -578,10 +579,14 @@ def prolong(m, g0=None, reductions=None, max_degree=None, validate_result=True):
 
     reductions: list of (degree, reduction) where reduction is a callable
     engine -> subspace in reduce_component's format, called right after that
-    degree is computed.
+    degree is computed.  A symbol that g_{-1} does not generate is refused
+    before the first step, naming the first basis vector outside.
     """
     engine = Prolongation(m, g0=g0)
     m = engine.m
+    for i in _ungenerated(m):
+        raise ProlongationError("m is not fundamental: %s is not generated "
+                                "from degree -1" % m.space[i].name)
     if max_degree is None:
         max_degree = m.mu + 8
     red = {}

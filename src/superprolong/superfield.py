@@ -164,11 +164,15 @@ class PolynomialField:
 
     def apply(self, f):
         """X(f) for a superfunction f."""
-        out = self.polynomial(self.ambient)
+        return f._new(self._apply_into({}, f, False))
+
+    def _apply_into(self, out, f, neg):
+        """Add X(f) = sum_d X_d * (d f), or -X(f) when neg, into the term
+        dict out; return out."""
         for d, c in self.coeffs.items():
             df = f.diff_x(d[1]) if d[0] == "x" else f.diff_odd(d[1])
             if df:
-                out = out + c * df
+                c._mac(out, df, neg)
         return out
 
     def bracket(self, other):
@@ -207,14 +211,17 @@ class PolynomialField:
 
 
 def bracket_fields(X, Y):
-    """[X, Y] = XY - (-1)^{|X||Y|} YX as a derivation."""
+    """[X, Y] = XY - (-1)^{|X||Y|} YX as a derivation: its coefficient
+    X(Y_d) - (-1)^{|X||Y|} Y(X_d) along each d sums in one term dict."""
+    neg = not (X.parity and Y.parity)
     out = {}
     for d in set(X.coeffs) | set(Y.coeffs):
-        a = X.apply(Y.coefficient(d))
-        b = Y.apply(X.coefficient(d))
-        c = a + b if X.parity and Y.parity else a - b
-        if c:
-            out[d] = c
+        xd, yd = X.coeffs.get(d), Y.coeffs.get(d)
+        terms = {} if yd is None else X._apply_into({}, yd, False)
+        if xd is not None:
+            Y._apply_into(terms, xd, neg)
+        if terms:
+            out[d] = (xd or yd)._new(terms)
     return X._like((X.parity + Y.parity) % 2, out)
 
 

@@ -265,10 +265,14 @@ class GrassmannPolynomial:
     def __mul__(self, other):
         if not isinstance(other, GrassmannPolynomial):
             return self.scale(other)
+        return self._new(self._mac({}, other, False))
+
+    def _mac(self, out, other, neg):
+        """Add self * other, or -self * other when neg, into the term dict
+        out, dropping keys that cancel; return out.  The one product loop."""
         key_of = self.symbol_key
-        out = {}
         for ka, va in self.terms.items():
-            oa = ka[-1]
+            oa, va = ka[-1], -va if neg else va
             for kb, vb in other.terms.items():
                 odd, sign = oa + kb[-1], 1
                 if oa and kb[-1]:
@@ -276,12 +280,14 @@ class GrassmannPolynomial:
                     if sign == 0:
                         continue
                 key = self._mul_even(ka, kb) + (odd,)
-                s = out.get(key, Scalar(0)) + va * vb * sign
+                v = va * vb if sign > 0 else -(va * vb)
+                s = out.get(key)
+                s = v if s is None else s + v
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
-        return self._new(out)
+                    del out[key]
+        return out
 
     def diff_x(self, i):
         """Derivative along the even coordinate x^i of the polynomial part:

@@ -17,7 +17,10 @@ formula in the ``spencer`` docstring with those signs.
 Gaussian-integer Spencer rows replaced.  ``total_derivative`` is the
 compositional jet total derivative, d/dx^i plus the products
 xi_{I+e_i} * d_{xi_I}, that the one-pass ``JetFunction.total_derivative``
-replaced.
+replaced.  ``apply_field`` and ``lagrange_bracket`` build a field's value on
+a function and the bracket of generating functions from whole products and
+sums, as the package did before its one multiply-accumulate
+(``GrassmannPolynomial._mac``) took their place.
 """
 
 from fractions import Fraction
@@ -651,6 +654,33 @@ def total_derivative(f, i=0):
     for I in sorted(symbols, key=JetFunction.symbol_key):
         up = tuple(sorted(I + (i + 1,)))
         out = out + JetFunction.odd_coord(f.ambient, up) * f.diff_odd(I)
+    return out
+
+
+def apply_field(X, f):
+    """X(f) as the sum over the directions d of X_d * (d f), one whole
+    polynomial product and one sum at a time."""
+    out = X.polynomial(X.ambient)
+    for d, c in X.coeffs.items():
+        df = f.diff_x(d[1]) if d[0] == "x" else f.diff_odd(d[1])
+        if df:
+            out = out + c * df
+    return out
+
+
+def lagrange_bracket(f, g):
+    """[f, g] of generating superfunctions, term by term from the formula in
+    the ``oddode`` docstring, each term a whole product."""
+    from superprolong.oddode import JetFunction
+
+    pf = f.parity()
+    if pf is None:
+        return JetFunction(f.ambient)
+    sgn = -1 if pf else 1
+    out = f * g.diff_odd(()) + (f.diff_odd(()) * g).scale(sgn)
+    for i in range(f.ambient.p):
+        out = out + f.first_order_total(i) * g.diff_odd((i + 1,))
+        out = out + (f.diff_odd((i + 1,)) * g.first_order_total(i)).scale(sgn)
     return out
 
 

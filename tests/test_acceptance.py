@@ -147,6 +147,22 @@ def test_criterion_6_super_poincare():
     ok("criterion 6: supertranslation N=1 -> (10|4), N=2 -> (11|8)")
 
 
+@pytest.mark.parametrize("N", [3, 4])
+def test_supertranslation_prolongs_to_osp_n_4(N):
+    # pr(supertranslation(N)) is osp(N|4), the 3D N-extended superconformal
+    # algebra (Nahm 1978; Altomani and Santi 2014): (10 + N(N-1)/2 | 4N),
+    # with g_0 = (4 + N(N-1)/2 | 0), g_{+-1} = (0 | 2N), g_{+-2} = (3 | 0)
+    res = prolong(SymbolAlgebra(supertranslation(N)))
+    so = N * (N - 1) // 2
+    assert res.status == "stabilized"
+    assert res.total_superdim == (10 + so, 4 * N)
+    assert res.per_degree() == {
+        -2: (3, 0), -1: (0, 2 * N), 0: (4 + so, 0), 1: (0, 2 * N), 2: (3, 0),
+        3: (0, 0),
+    }
+    ok("supertranslation N=%d -> (%d|%d), osp(%d|4)" % ((N,) + res.total_superdim + (N,)))
+
+
 def test_criterion_7_regularity_diagnosis():
     from superprolong.papersuite import nonregular_hc_extension
 

@@ -413,7 +413,7 @@ def test_prolong_of_an_algebra_with_a_nonnegative_degree_exit_two(tmp_path, caps
 
 def test_prolongation_error_names_the_input_file(tmp_path, capsys):
     # an abelian symbol in degrees -1, -1, -2 is not generated by its
-    # degree -1 part, so its prolongation fails transitivity
+    # degree -1 part, so prolong refuses it before the first step
     basis = [{"name": n, "degree": d, "parity": "even"}
              for n, d in (("a", -1), ("b", -1), ("c", -2))]
     path = tmp_path / "abelian.json"
@@ -421,8 +421,8 @@ def test_prolongation_error_names_the_input_file(tmp_path, capsys):
     code, out, err = run_cli(["prolong", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == (
-        "input error: %s: transitivity failure at degree 1: ad restricted to "
-        "g_{-1} is not injective\n" % path
+        "input error: %s: m is not fundamental: c is not generated from "
+        "degree -1\n" % path
     )
 
 
@@ -759,8 +759,15 @@ _ODE_FILE = "ode.json"
            ("osp:1|2|3", "'osp:1|2|3': expected p|q, got '1|2|3'"),
            ("spe_ab:2: 1:2", "'spe_ab:2: 1:2': spe_ab argument a ' 1' is "
             'neither an integer nor a "p/q" string'))]
+    + [_input_error_case(["prolong", "--name", "heisenberg_contact:0|0"],
+                         "'heisenberg_contact:0|0': m is not fundamental: Z is "
+                         "not generated from degree -1")]
     + [_input_error_case(["odesym", "--order", "3", "--rhs", "xi*@x"],
                          "direction symbol in a jet superfunction: 'xi*@x'")]
+    + [_input_error_case(["odesym", "--order", "3", "--rhs", rhs], message)
+       for rhs, message in (
+           ("xi2 +", "missing factor at the end of 'xi2 +'"),
+           ("x^2^3*xi", "misplaced '^' in 'x^2^3*xi'"))]
     + [_input_error_case(["odesym", "--order", "3", "--rhs", name],
                          "unknown jet coordinate %r" % name)
        for name in ("xi_2", "xi_0", "xi_", "xi_a")]

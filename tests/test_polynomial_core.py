@@ -1,9 +1,11 @@
 """Properties of the Grassmann-polynomial core that superfunctions on
 R^{m|n} and jet functions share: products of monomials against the Koszul
 sign oracle, associativity, supercommutativity and the Leibniz rule of the odd
-derivative, the contact-field bracket on jets with p = 2, the one-pass jet
-total derivative against its compositional oracle, and the invariants of the
-stored terms (nonzero Scalar values, an int exponent lambda when integral)."""
+derivative, the multiply-accumulate behind products, field application and
+brackets against whole products and sums, the contact-field bracket on jets
+with p = 2, the one-pass jet total derivative against its compositional
+oracle, and the invariants of the stored terms (nonzero Scalar values, an int
+exponent lambda when integral)."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -22,6 +24,7 @@ from superprolong.scalars import Scalar
 from superprolong.superfield import Ambient, SuperPolynomial
 from superprolong.superspace import EVEN
 
+import oracles
 from oracles import koszul_sign, odd_coords, total_derivative
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -100,6 +103,9 @@ def homogeneous(draw, ring, parity=None):
     return cls(amb, terms)
 
 
+JET_RINGS = ["jet_p1", "jet_p2"]
+
+
 def sign_of(f, g):
     return -1 if f.parity() and g.parity() else 1
 
@@ -124,6 +130,36 @@ def test_odd_derivative_leibniz(ring, data):
     assert (f * g).diff_odd(s) == f.diff_odd(s) * g + (f * g.diff_odd(s)).scale(twist)
 
 
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@SETTINGS
+@given(data=st.data(), neg=st.booleans())
+def test_multiply_accumulate_adds_the_signed_product(ring, data, neg):
+    f, g, h = (data.draw(homogeneous(ring)) for _ in range(3))
+    out = dict(h.terms)
+    assert f._mac(out, g, neg) is out
+    assert h._new(out) == (h - f * g if neg else h + f * g)
+    _assert_stored_terms(h._new(out))
+
+
+@pytest.mark.parametrize("ring", JET_RINGS)
+@SETTINGS
+@given(data=st.data())
+def test_lagrange_bracket_matches_compositional_oracle(ring, data):
+    # generating superfunctions live on J^1
+    f, g = (data.draw(homogeneous(ring)).truncate(1) for _ in range(2))
+    assert lagrange_bracket(f, g) == oracles.lagrange_bracket(f, g)
+
+
+@pytest.mark.parametrize("ring", JET_RINGS)
+@SETTINGS
+@given(data=st.data())
+def test_contact_field_application_matches_compositional_oracle(ring, data):
+    f = data.draw(homogeneous(ring)).truncate(1)
+    h = data.draw(homogeneous(ring))
+    S = contact_vf(f)
+    assert S.apply(h) == oracles.apply_field(S, h)
+
+
 @st.composite
 def generating_p2(draw):
     # generating superfunctions live on J^1: symbols xi, xi_1, xi_2
@@ -146,9 +182,6 @@ def test_contact_bracket_represents_lagrange_bracket_p2(f, g):
     left = contact_vf(f).bracket(contact_vf(g))
     right = contact_vf(lagrange_bracket(f, g))
     assert not (left - right).coeffs
-
-
-JET_RINGS = ["jet_p1", "jet_p2"]
 
 
 def directions(ring):

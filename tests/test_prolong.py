@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,12 @@ from superprolong.catalog import (
     spo,
     supertranslation,
 )
-from superprolong.liesuper import LieSuperalgebra, SymbolAlgebra, validate
+from superprolong.liesuper import (
+    LieSuperalgebra,
+    SymbolAlgebra,
+    check_fundamental_nondegenerate,
+    validate,
+)
 from superprolong.prolong import (
     Prolongation,
     ProlongationError,
@@ -181,10 +187,45 @@ STABILIZING_TWO_STEP = LieSuperalgebra(
 )
 
 
+def _symbol(names_degrees, brackets):
+    return LieSuperalgebra(
+        GradedSuperSpace([BasisVector(n, d, EVEN) for n, d in names_degrees]),
+        brackets,
+    )
+
+
+def test_prolong_refuses_a_symbol_not_generated_from_degree_minus_one():
+    # y in degree -2 with no bracket reaching it: refused before the first
+    # step, with the witness check_fundamental_nondegenerate names
+    m = _symbol([("x", -1), ("y", -2)], {})
+    with pytest.raises(ProlongationError) as err:
+        prolong(m)
+    assert str(err.value) == "m is not fundamental: y is not generated from degree -1"
+    report = check_fundamental_nondegenerate(m)
+    assert report["witnesses"][0] == "not generated from degree -1: y"
+
+
+def test_prolong_allows_a_fundamental_degenerate_symbol():
+    # Heisenberg [x1, x2] = y plus z central in g_{-1}: fundamental but
+    # degenerate, so it prolongs, here without stabilizing by degree 3
+    m = _symbol([("x1", -1), ("x2", -1), ("z", -1), ("y", -2)], {(0, 1): {3: 1}})
+    report = check_fundamental_nondegenerate(m)
+    assert (report["fundamental"], report["nondegenerate"]) == (True, False)
+    res = prolong(m, max_degree=3)
+    assert (res.status, res.total_superdim) == ("truncated", (80, 0))
+
+
 def test_two_step_example_stabilizes_with_nonzero_g1():
     res = prolong(STABILIZING_TWO_STEP)
     assert res.per_degree() == {-2: (1, 1), -1: (1, 2), 0: (2, 1), 1: (1, 1),
                                 2: (0, 0)}
+
+
+# the two refusals a random two-step symbol may meet
+_REFUSED = re.compile(
+    r"m is not fundamental: \S+ is not generated from degree -1$"
+    r"|transitivity failure at degree"
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,9 +235,10 @@ def test_stabilized_prolongation_validates(alg):
     try:
         res = prolong(alg, max_degree=3, validate_result=False)
     except ProlongationError as e:
-        # a random symbol need not be fundamental
-        assert "transitivity failure" in str(e)
-        event("transitivity failure")
+        # a random symbol need not be fundamental, and a fundamental one
+        # need not be transitive
+        assert _REFUSED.match(str(e)), str(e)
+        event(str(e).split(":")[0])
         return
     event(res.status)
     if res.status == "stabilized":
@@ -228,7 +270,7 @@ def test_block_brackets_match_the_recursion_on_random_symbols(alg):
     try:
         res = prolong(alg, max_degree=3, validate_result=False)
     except ProlongationError as e:
-        assert "transitivity failure" in str(e)
+        assert _REFUSED.match(str(e)), str(e)
         return
     _assert_blocks_match_the_recursion(res)
     _assert_assembled_table_is_the_block_brackets(res)

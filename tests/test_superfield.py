@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superprolong.scalars import Scalar
 from superprolong.superspace import EVEN, ODD
@@ -26,6 +27,8 @@ from superprolong.superfield import (
 )
 from superprolong.cli import _read_field
 from superprolong.oddode import JetContext, parse_jet
+
+import oracles
 
 
 def field_from_json(amb, data):
@@ -95,6 +98,48 @@ def test_super_jacobi_randomized():
         r2 = bracket_fields(Y, bracket_fields(X, Z))
         rhs = r1 + (r2 if sgn == 1 else -r2)
         assert not (lhs - rhs).coeffs
+
+
+# a small chart for the property tests of field application and brackets
+SMALL = Ambient(["x", "y"], ["s", "t", "u"], degree_cap=12)
+
+
+@st.composite
+def superfunctions(draw, parity=None):
+    """A superfunction on SMALL of even degree <= 2 per variable; of the
+    given parity, or of mixed parity when parity is None."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        xe = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        th = tuple(sorted(draw(st.sets(st.integers(0, 2), max_size=3))))
+        if parity is None or len(th) % 2 == parity:
+            terms[(xe, th)] = Scalar(draw(st.integers(-2, 2)))
+    return SuperPolynomial(SMALL, terms)
+
+
+@st.composite
+def vector_fields(draw):
+    parity = draw(st.integers(0, 1))
+    coeffs = {
+        d: draw(superfunctions((parity + SMALL.direction_parity(d)) % 2))
+        for d in SMALL.directions()
+    }
+    return SuperVectorField(SMALL, parity, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_fields(), superfunctions())
+def test_field_application_matches_compositional_oracle(X, f):
+    assert X.apply(f) == oracles.apply_field(X, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_fields(), vector_fields(), superfunctions())
+def test_bracket_acts_as_the_supercommutator(X, Y, f):
+    # [X, Y](f) = X(Y(f)) - (-1)^{|X||Y|} Y(X(f)) on every test function
+    YXf = Y.apply(X.apply(f))
+    twisted = -YXf if X.parity and Y.parity else YXf
+    assert bracket_fields(X, Y).apply(f) == X.apply(Y.apply(f)) - twisted
 
 
 def test_even_self_bracket_vanishes():
@@ -366,10 +411,27 @@ _PARSE_AMBIENT = Ambient(["x", "y"], ["th"])
         (parse_superfunction, "x*@y", "direction symbol in a superfunction: 'x*@y'"),
         (lambda amb, text: parse_jet(JetContext(1), text), "xi*@x",
          "direction symbol in a jet superfunction: 'xi*@x'"),
+    ] + [
+        (lambda amb, text: parse_jet(JetContext(1), text), text, message % text)
+        for text, message in (
+            ("xi2 +", "missing factor at the end of %r"),
+            ("xi2 -", "missing factor at the end of %r"),
+            ("xi2 *", "missing factor at the end of %r"),
+            ("*xi2", "missing factor before '*' in %r"),
+            ("xi2 * * xi", "missing factor before '*' in %r"),
+            ("--xi", "missing factor before '-' in %r"),
+            ("xi + -xi2", "missing factor before '-' in %r"),
+            ("2 3", "missing operator between factors in %r"),
+            ("xi2 xi", "missing operator between factors in %r"),
+            ("x^2^3", "misplaced '^' in %r"),
+            ("x^2^3*xi", "misplaced '^' in %r"),
+        )
     ],
     ids=["tokenize", "misplaced-power", "symbolic-exponent", "fractional-exponent",
          "parenthesis", "two-directions", "no-direction", "superfunction-direction",
-         "jet-direction"],
+         "jet-direction", "trailing-plus", "trailing-minus", "trailing-times",
+         "leading-times", "double-times", "double-sign", "sign-after-plus",
+         "adjacent-numbers", "adjacent-names", "double-power", "double-power-term"],
 )
 def test_parser_errors_name_the_expression(parse, text, message):
     with pytest.raises(ValueError) as err:
