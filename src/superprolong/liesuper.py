@@ -6,8 +6,8 @@ order is derived from super antisymmetry [x,y] = -(-1)^{|x||y|}[y,x].
 table (grading, parity, antisymmetry of the raw input, super Jacobi) and
 reports violations as data rather than raising.  Jacobi defects are reported
 on canonical triples x <= y <= z when grading and antisymmetry hold, and on
-all ordered triples otherwise; the Jacobiator runs on Gaussian integers
-over one common denominator of the table.  ``LieSuperalgebra`` is the
+all ordered triples otherwise; the Jacobiator runs on the table's one
+Gaussian-integer copy, as the Spencer rows do.  ``LieSuperalgebra`` is the
 one type: a symbol (``SymbolAlgebra``) is one concentrated in negative
 degrees, and a prolongation's truncated algebra is an ordinary one over a
 canonical table (``_canonical``) that the engine grows by each new
@@ -47,17 +47,27 @@ class LieSuperalgebra:
     R^{p|q}, rep_shape = (p, q): rep maps each basis index to its action
     {src: {dst: Scalar}}, the form g0 takes; structure constants remain the
     source of truth.
+
+    The Spencer differentials read the table through its Gaussian-integer
+    copy ``_int_table``, made at their first use or at the last ``validate``
+    (which always rebuilds it); an in-place edit of ``table`` must drop it.
     """
+    _int = None  # (D, br) of ``_int_table``, once made
 
     def __init__(self, space, brackets, field=FIELD_Q, rep=None, rep_shape=None):
         self.space = space
         self.field = field
         self.rep = rep
         self.rep_shape = rep_shape  # (p, q) of the defining representation
-        self.raw = [
-            (key, {c: t for c, s in res.items() if (t := as_scalar(s))})
-            for key, res in brackets.items()
-        ]
+        n = len(space)
+        self.raw = []
+        for key, res in brackets.items():
+            if not (type(key) is tuple and len(key) == 2 and all(
+                    type(i) is int and 0 <= i < n for i in (*key, *res))):
+                raise ValueError("bracket %r: every index must be an int in "
+                                 "0..%d" % (key, n - 1))
+            self.raw.append(
+                (key, {c: t for c, s in res.items() if (t := as_scalar(s))}))
         self.table = {}
         for key, vec in self.raw:
             if key[0] <= key[1] and vec:
@@ -80,6 +90,22 @@ class LieSuperalgebra:
         alg.space, alg.table, alg.field, alg.raw = space, table, field, table.items()
         alg.rep = alg.rep_shape = None
         return alg
+
+    def _int_table(self):
+        """(D, br), stored on the algebra: D the lcm of the table's denominators,
+        br[a][b] = D [x_a, x_b] as (c, re, im) triples for both orders."""
+        par = [v.parity for v in self.space]
+        ints = [(key, *_int_row(vec.items())) for key, vec in self.table.items()]
+        D = lcm(*(d for _, _, d in ints))
+        br = [{} for _ in par]
+        for (a, b), row, d in ints:
+            q = D // d
+            vec = [(c, x * q, y * q) for c, (x, y) in row.items()]
+            br[a][b] = vec
+            if a != b:
+                br[b][a] = vec if par[a] and par[b] else [(c, -x, -y) for c, x, y in vec]
+        self._int = D, br
+        return self._int
 
     # -- bracket evaluation ------------------------------------------------
 
@@ -179,9 +205,10 @@ def validate(L):
     the argument does not apply, and they are reported on all n^3 ordered
     triples.
 
-    The Jacobiator is computed on Gaussian integers over one denominator:
-    every table entry is converted once and scaled to D, the lcm of all the
-    denominators, so D^2 J is compared with 0, and a defect entry (u, v) is
+    The Jacobiator is computed on Gaussian integers over D, the one
+    table-wide lcm of the denominators: the algebra's ``_int_table``, rebuilt
+    from ``table`` on every call, so an edited table is read, and stored for
+    the Spencer rows.  D^2 J is compared with 0, and a defect entry (u, v) is
     reported as the Scalar (u + v i) / D^2.
     """
     space = L.space
@@ -241,21 +268,12 @@ def validate(L):
                 )
 
     # super Jacobi, J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]],
-    # in Gaussian integers: br[a][b] = D [x_a, x_b] as (c, re, im) triples
-    # for both orders of each stored pair, D the lcm of all denominators,
-    # so the two sides below are D^2 times the brackets
+    # on the integer table rebuilt from the table as it stands, so the two
+    # sides below are D^2 times the brackets
     n = len(space)
     par = [space[i].parity for i in range(n)]
     deg = [space[i].degree for i in range(n)]
-    ints = [(key, *_int_row(vec.items())) for key, vec in L.table.items()]
-    D = lcm(*(d for _, _, d in ints))
-    br = [{} for _ in range(n)]
-    for (a, b), row, d in ints:
-        q = D // d
-        vec = [(c, x * q, y * q) for c, (x, y) in row.items()]
-        br[a][b] = vec
-        if a != b:
-            br[b][a] = vec if par[a] and par[b] else [(c, -x, -y) for c, x, y in vec]
+    D, br = L._int_table()
     canonical = not out
     degrees = set(deg)
     empty = ()

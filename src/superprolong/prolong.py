@@ -436,9 +436,9 @@ class Prolongation:
 
         It is one algebra, grown by each new component: from the first g_k
         that is not, by identity, the one it was grown by, its basis vectors
-        and brackets are dropped and grown again.  The basis is that of m,
-        then the g%d_%d names; [x_b, e] = -(-1)^{|b||e|} [e, x_b] is written
-        at the canonical key (b, e)."""
+        and brackets are dropped and grown again, and so is its integer copy.
+        The basis is that of m, then the g%d_%d names; [x_b, e] =
+        -(-1)^{|b||e|} [e, x_b] is written at the canonical key (b, e)."""
         g, grown = self._g, self._grown
         k = 0
         while k < len(grown) and k <= self.top and grown[k][0] is self.comp[k]:
@@ -467,7 +467,7 @@ class Prolongation:
                         g.table[(b, start + idx)] = {
                             off + t: s if odd else -s for t, s in vec.items()
                         }
-        g.space = GradedSuperSpace(basis)
+        g.space, g._int = GradedSuperSpace(basis), None
         return g, {k: off for k, (_, off) in enumerate(grown)}
 
     def assemble(self, truncated=False):

@@ -29,11 +29,11 @@ m + g_0 + ... + g_{i-1}, an ordinary ``LieSuperalgebra`` without the
 brackets between the g_k, which 1-cochains of m never read); the engine
 checks a prescribed g_0 by applying its C^{0,1}(m, m) rows, and
 ``cohomology_dims`` and ``reduced_differential_check`` take ranks of its
-rows.  The rows are built once per call as Gaussian-integer pairs (re, im),
-D times the Scalar rows, D the lcm of the denominators of the brackets they
-read.  Ranks, row independence and kernel bases do not change under one
-common scale, so these callers eliminate the integer rows as they are;
-``differential_rows`` and ``CochainSlice.matrix_rows`` divide them by D.
+rows.  The rows are built once per call as Gaussian-integer pairs (re, im)
+off g's ``_int_table``: D times the Scalar rows, D the one table-wide lcm of
+the denominators.  Ranks, row independence and kernel bases do not change
+under one common scale, so these callers eliminate the integer rows as they
+are; ``differential_rows`` and ``CochainSlice.matrix_rows`` divide them by D.
 
 Reduced differential.  C^{d,2} = A + B, where A is spanned by the monomials
 with an argument of degree -1 and B by those with both arguments of degree
@@ -50,9 +50,8 @@ columns alone, without a kernel basis.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import lcm
 
-from .linalg import _echelon, _int_row
+from .linalg import _echelon
 from .scalars import Scalar
 from .superspace import (EVEN, ODD, BasisVector, exterior_power_basis,
                          sort_with_sign)
@@ -61,7 +60,7 @@ from .superspace import (EVEN, ODD, BasisVector, exterior_power_basis,
 class CochainSlice:
     """The component C^{d,k}(m, g) with the sparse rows of its differential
     d: C^{d,k} -> C^{d,k+1} in the canonical monomial bases: ``_rows`` in
-    Gaussian integers, ``_den`` times ``matrix_rows``."""
+    Gaussian integers, ``_den`` (g's table-wide D) times ``matrix_rows``."""
 
     def __init__(self, g, d, k):
         self.g = g
@@ -131,22 +130,15 @@ def _scalar_rows(rows, den):
 
 def _differential_rows(g, basis, target):
     """(rows, D): D times the rows of ``differential_rows`` in Gaussian
-    integers, from [x_a, x_b] for a in m and b in m or a value index."""
+    integers, read off g's integer table (``_int_table``) over its D."""
     rows_of = {}
     for r, (T, b, _) in enumerate(target):
         rows_of.setdefault(T, {})[b] = r
     cols_by_tuple = {}
     for c, (T0, b0, par) in enumerate(basis):
         cols_by_tuple.setdefault(T0, []).append((c, b0, par))
-    m_used = {t for T in rows_of for t in T}
-    right = m_used | {b for _, b, _ in basis}
-    found = {(a, b): _int_row(vec.items()) for a in m_used for b in right
-             if (vec := g.bracket_indices(a, b))}
-    den = lcm(*(d for _, d in found.values()))
-    br = {key: [(c, x * (den // d), y * (den // d))
-                for c, (x, y) in row.items()]
-          for key, (row, d) in found.items()}
-    par = {t: g.space[t].parity for t in m_used}
+    den, br = g._int or g._int_table()
+    par = [v.parity for v in g.space]
     rows = [{} for _ in range(len(target))]
 
     def add(row, c, x, y):
@@ -162,7 +154,7 @@ def _differential_rows(g, basis, target):
         for i, xi in enumerate(T):
             s_i = s1[i]
             for c, b, pc in cols_by_tuple.get(T[:i] + T[i + 1 :], ()):
-                vec = br.get((xi, b))
+                vec = br[xi].get(b)
                 if vec is None:
                     continue
                 tw = -s_i if (par[xi] and pc) else s_i
@@ -172,14 +164,14 @@ def _differential_rows(g, basis, target):
                         raise AssertionError("differential left the expected bidegree")
                     add(rows[r], c, x * tw, y * tw)
         for (i, j), s_ij in s2.items():
-            vec = br.get((T[i], T[j]))
+            vec = br[T[i]].get(T[j])
             if vec is None:
                 continue
             rest = tuple(t for p, t in enumerate(T) if p != i and p != j)
             rest_pars = [par[t] for t in rest]
             for cidx, x, y in vec:
                 srt, sgn = sort_with_sign(
-                    (cidx,) + rest, [g.space[cidx].parity] + rest_pars
+                    (cidx,) + rest, [par[cidx]] + rest_pars
                 )
                 if sgn == 0:
                     continue

@@ -297,6 +297,30 @@ def test_nonnegative_degrees_are_refused(build):
         build(gl(2, 1))
 
 
+@pytest.mark.parametrize("brackets", [
+    {(-1, 0): {1: 1}},  # Python's index -1 would be y: [y, x]
+    {(0, 5): {1: 1}},
+    {(0, 1): {7: 1}},
+    {(0, 1): {-2: 1}},
+    {(0.5, 0): {1: 1}},
+    {(0, 1): {0.5: 1}},
+    {(True, 0): {1: 1}},
+    {(0, 1): {False: 1}},
+    {(0, 1, 1): {1: 1}},
+    {0: {1: 1}},
+])
+def test_bracket_indices_must_be_ints_inside_the_space(brackets):
+    from superprolong.superspace import BasisVector, GradedSuperSpace
+
+    space = GradedSuperSpace([BasisVector("x", -1, ODD), BasisVector("y", -2, EVEN)])
+    key = next(iter(brackets))
+    with pytest.raises(ValueError, match=r"^bracket %s: every index must be an "
+                       r"int in 0\.\.1$" % re.escape(repr(key))):
+        LieSuperalgebra(space, brackets)
+    # the same entry inside the space is taken
+    assert LieSuperalgebra(space, {(0, 0): {1: 1}}).table == {(0, 0): {1: Scalar(1)}}
+
+
 def test_abelian_validates_and_fundamentality_witness():
     assert validate(abelian(3, 2)) == []
     # abelian with a degree -2 slice is not fundamental

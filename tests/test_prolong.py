@@ -415,9 +415,16 @@ def test_validate_checks_the_degree_of_an_assembled_entry():
         and v.parity == (space[a].parity + space[b].parity) % 2
     )
     alg.table[(a, b)] = {c: Scalar(1)}
-    kinds = [(r["kind"], r["where"]) for r in validate(alg)]
+    report = validate(alg)
+    kinds = [(r["kind"], r["where"]) for r in report]
     assert ("degree", (space[a].name, space[b].name, space[c].name)) in kinds
     assert "parity" not in {kind for kind, _ in kinds}
+    # the integer table stored by the first validate is stale now, so the
+    # Jacobi check must read the edited table, as a fresh algebra over it does
+    jacobi = [r for r in report if r["kind"] == "jacobi"]
+    fresh = LieSuperalgebra._canonical(space, dict(alg.table), alg.field)
+    assert jacobi == [r for r in validate(fresh) if r["kind"] == "jacobi"]
+    assert len(jacobi) == 78
 
 
 @pytest.mark.parametrize("g0, shape", [(gl(2, 2), "4x4"), (gl(1, 1), "2x2")])
