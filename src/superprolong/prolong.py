@@ -19,15 +19,20 @@ identity ad_{[u,v]} = [ad_u, ad_v] and solved back to coordinates;
 well-definedness relies on transitivity and is asserted at runtime.  They
 are computed by blocks, in increasing total degree: ``_block(k, l)`` makes
 every [e_{k,a}, e_{l,c}] in one loop over Gaussian-integer pairs and keeps
-each as integer coordinates over one denominator.  ``assemble`` reads the
-blocks row by row, in their canonical order, and ``bracket_elements``
-reads a single pair, in either order.  Each component is eliminated and
-back-substituted once, into a cached SpanSolver over its elements' actions
-flattened to sparse vectors keyed by (m-basis index, target coordinate);
-a block reads each bracket off it in integers, and a nonzero residual
-certifies that the bracket lies outside the component, which raises
+each as integer coordinates over one denominator.  Each element's action
+is read once per component as a flat tuple of (b, t, re, im) terms over
+its one denominator, and the sign of the second term of a pair is folded
+into that denominator.  The pair's value on all of m is one sparse vector
+keyed by the int t * n + b (b an m-basis index, t a target coordinate,
+n = dim m).  ``assemble`` reads the blocks row by row, in their canonical
+order, and ``bracket_elements`` reads a single pair, in either order.
+Each component is eliminated and back-substituted once, into a cached
+SpanSolver over its elements' actions under the same int keys; a block
+reads each bracket off it in integers, and a nonzero residual certifies
+that the bracket lies outside the component, which raises
 ProlongationError.  Reductions express g_0 matrices and prescribed
-subspaces through the same cached solvers.
+subspaces through the same cached solvers, after checking every index,
+since an m index outside 0..n-1 would alias another key.
 
 Reductions replace a computed component by a prescribed subspace; codomains
 of all later steps are restricted cumulatively (recorded in metadata).
@@ -64,32 +69,46 @@ class ProlongationError(ValueError):
     pass
 
 
-def _normalize_g0(m, g0):
+def _normalize_actions(elements, what, n, targets=None):
     """Accept (parity, action) pairs, parity the int 0 or 1 and action =
-    {src_index: {dst_index: Scalar, int or Fraction}} with every index a
-    basis index of m; return them with Scalar coefficients and without
-    zero entries."""
-    if g0 is None:
-        return derivations_gr(m, 0).elements
-    span = range(len(m.space))
+    {src_index: {dst_index: Scalar, int or Fraction}}; return them with
+    Scalar coefficients and without zero entries.  Every src index must be
+    an int in 0..n-1 (n = dim m), and so must every dst index when targets
+    is None; otherwise targets(src) gives (the valid dst indices, the name
+    of their component).  ``what % idx`` names element idx in errors."""
     out = []
-    for idx, (parity, act) in enumerate(g0):
+    for idx, (parity, act) in enumerate(elements):
+        name = what % idx
         if type(parity) is not int or parity not in (0, 1):
             raise ProlongationError(
-                "g0 element %d has parity %r, expected 0 or 1" % (idx, parity))
+                "%s has parity %r, expected 0 or 1" % (name, parity))
         if not (isinstance(act, dict) and all(isinstance(c, dict) for c in act.values())):
             raise ProlongationError(
-                "g0 element %d is not an action {src: {dst: coefficient}}" % idx)
+                "%s is not an action {src: {dst: coefficient}}" % name)
         for j, col in act.items():
-            for i in (j, *col):
-                if i not in span:
+            for i in (j,) if targets else (j, *col):
+                if type(i) is not int or not 0 <= i < n:
                     raise ProlongationError(
-                        "g0 element %d acts on basis index %r, outside 0..%d (dim m)"
-                        % (idx, i, len(span) - 1)
-                    )
+                        "%s acts on basis index %r, outside 0..%d (dim m)"
+                        % (name, i, n - 1))
+            if targets:
+                span, where = targets(j)
+                for i in col:
+                    if type(i) is not int or i not in span:
+                        raise ProlongationError(
+                            "%s sends basis index %d to %r, not an index of %s"
+                            % (name, j, i, where))
         out.append((parity, {j: v for j, col in act.items() if (v := {
             i: t for i, s in col.items() if (t := as_scalar(s))})}))
     return out
+
+
+def _first_dependent(rows):
+    """The index of the first row in the span of the rows before it (a zero
+    row lies in the span of none), or None when the rows are independent."""
+    found = independent_rows(rows) + [None]
+    idx = next(i for i, j in enumerate(found) if i != j)
+    return idx if idx < len(rows) else None
 
 
 class Prolongation:
@@ -102,12 +121,12 @@ class Prolongation:
         self.space = m.space
         self.n = len(m.space)
         self._degs = [b.degree for b in m.space]
-        elements = _normalize_g0(m, g0)
+        elements = (derivations_gr(m, 0).elements if g0 is None
+                    else _normalize_actions(g0, "g0 element %d", self.n))
         self._check_derivations(elements)
-        if g0 is not None:  # refuse the first element in the span of those before it
-            rows = independent_rows([_flatten_action(a) for _, a in elements]) + [None]
-            idx = next(i for i, j in enumerate(rows) if i != j)
-            if idx < len(elements):
+        if g0 is not None:
+            idx = _first_dependent([_flatten_action(a) for _, a in elements])
+            if idx is not None:
                 raise ProlongationError(
                     "g0 element %d lies in the span of the elements before it" % idx)
         self.comp = {0: ProlongationComponent(0, elements)}
@@ -128,7 +147,17 @@ class Prolongation:
         comp[k+l], in increasing t; zero when k+l exceeds the stabilized
         range.  It is read off the block of the canonical order
         (k, ek) <= (l, el); the other order is its sign flip by
-        super-antisymmetry."""
+        super-antisymmetry.  A degree outside 0..top or an element index
+        that is not an int in 0..dim g_k - 1 raises ProlongationError."""
+        for deg, idx in ((k, ek), (l, el)):
+            if type(deg) is not int or not 0 <= deg <= self.top:
+                why = "degree outside 0..%d" % self.top
+            elif type(idx) is not int or not 0 <= idx < len(self.comp[deg].elements):
+                why = "g_%d has %d elements" % (deg, len(self.comp[deg].elements))
+            else:
+                continue
+            raise ProlongationError(
+                "no element %r of degree %r: %s" % (idx, deg, why))
         if (k, ek) <= (l, el):
             entry = self._block(k, l)[ek][el]
         else:
@@ -141,69 +170,72 @@ class Prolongation:
         k == l, as rows [a][c] of (coords, den) or None for a zero bracket
         (and below the diagonal of a k == l block).  coords are the
         coordinates over comp[k+l] as Gaussian-integer triples (t, re, im)
-        in increasing t, divided with den > 0 by their gcd, so the bracket is
-        coords / den.  A block is cached once it is complete.
+        in increasing t, divided with den > 0 by their gcd (a read-off over
+        den 1 is kept as it is), so the bracket is coords / den.  A block is
+        cached once it is complete.
 
         With s = -(-1)^{|e_a||e_c|}, z(b) = [e_a, e_c(b)] + s [e_c, e_a(b)]
         for each m-basis vector b; the inner brackets are read from the
         rows of the lower blocks (k, l + deg b) and (l, k + deg b), which
         are ensured first, so blocks are made in increasing total degree.
-        z is accumulated in integer pairs over one running denominator,
-        keyed (b, t), and read off the solver of g_{k+l}; a nonzero residual
-        raises ProlongationError, which names the pair in ``elements``."""
+        The two terms run over the flat (b, t, re, im) terms of e_c and of
+        e_a (see ``_int_actions``), each over its element's denominator,
+        with s folded into the second one's.  z is accumulated in integer
+        pairs over one running denominator, keyed by the int u * n + b for
+        target coordinate u, and read off the solver of g_{k+l}, which is
+        built over the same keys; a nonzero residual raises
+        ProlongationError, which names the pair in ``elements``."""
         block = self._blocks.get((k, l))
         if block is not None:
             return block
-        degs = self._degs
-        ints_k, ints_l = self._int_actions(k), self._int_actions(l)
+        degs, n = self._degs, self.n
+        flat_k, flat_l = self._int_actions(k)[1], self._int_actions(l)[1]
         par_k = [p for p, _ in self.comp[k].elements]
         par_l = [p for p, _ in self.comp[l].elements]
         lower_x = {d: self._rows(k, l + d) for d in set(degs)}
         lower_y = {d: self._rows(l, k + d) for d in set(degs)}
         xs = [lower_x[d] for d in degs]
-        ys_of = [[lower_y[d][c] for d in degs] for c in range(len(ints_l))]
+        ys_of = [[lower_y[d][c] for d in degs] for c in range(len(flat_l))]
         degree = k + l
         solver = self._solver(degree) if degree <= self.top else None
         block = []
-        for a, act_a in enumerate(ints_k):
+        for a, (terms_a, den_a) in enumerate(flat_k):
             xs_of_a = [x[a] for x in xs]
-            row = [None] * len(ints_l)
-            for c in range(a if k == l else 0, len(ints_l)):
-                s = 1 if par_k[a] and par_l[c] else -1
+            row = [None] * len(flat_l)
+            for c in range(a if k == l else 0, len(flat_l)):
+                terms_c, den_c = flat_l[c]
                 z = {}
                 D = 1
-                for act, lower, f in ((ints_l[c], xs_of_a, 1), (act_a, ys_of[c], s)):
-                    for b, img in enumerate(act):
-                        if img is None:
+                for terms, den, lower in (
+                    (terms_c, den_c, xs_of_a),
+                    (terms_a, den_a if par_k[a] and par_l[c] else -den_a, ys_of[c]),
+                ):
+                    for b, t, vr, vi in terms:
+                        br = lower[b][t]
+                        if br is None:
                             continue
-                        vec, den = img
-                        rows_b = lower[b]
-                        for t, vr, vi in vec:
-                            br = rows_b[t]
-                            if br is None:
-                                continue
-                            coords, q = br
-                            q *= den * f
-                            if q != D:
-                                if D % q:
-                                    m = lcm(D, q) // D
-                                    for key, (x, y) in z.items():
-                                        z[key] = (x * m, y * m)
-                                    D *= m
-                                m = D // q
-                                vr, vi = vr * m, vi * m
-                            for u, cr, ci in coords:
-                                key = (b, u)
-                                x = vr * cr - vi * ci
-                                y = vr * ci + vi * cr
-                                old = z.get(key)
-                                if old is not None:
-                                    x += old[0]
-                                    y += old[1]
-                                    if not (x or y):
-                                        del z[key]
-                                        continue
-                                z[key] = (x, y)
+                        coords, q = br
+                        q *= den
+                        if q != D:
+                            if D % q:
+                                m = lcm(D, q) // D
+                                for key, (x, y) in z.items():
+                                    z[key] = (x * m, y * m)
+                                D *= m
+                            m = D // q
+                            vr, vi = vr * m, vi * m
+                        for u, cr, ci in coords:
+                            key = u * n + b
+                            x = vr * cr - vi * ci
+                            y = vr * ci + vi * cr
+                            old = z.get(key)
+                            if old is not None:
+                                x += old[0]
+                                y += old[1]
+                                if not (x or y):
+                                    del z[key]
+                                    continue
+                            z[key] = (x, y)
                 if not z:
                     continue
                 if solver is None:
@@ -220,16 +252,17 @@ class Prolongation:
                     err.elements = (a, c)
                     raise err
                 acc, d = found
-                if acc:
-                    g = d
-                    for x, y in acc.values():
-                        if g == 1:
-                            break
-                        g = gcd(g, x, y)
-                    coords = tuple(
-                        (t, x // g, y // g) for t, (x, y) in sorted(acc.items())
-                    )
-                    row[c] = (coords, d // g)
+                if not acc:
+                    continue
+                if d == 1:
+                    row[c] = tuple([(t, x, y) for t, (x, y) in sorted(acc.items())]), 1
+                    continue
+                g = d
+                for x, y in acc.values():
+                    if g == 1:
+                        break
+                    g = gcd(g, x, y)
+                row[c] = tuple([(t, x // g, y // g) for t, (x, y) in sorted(acc.items())]), d // g
             block.append(row)
         self._blocks[(k, l)] = block
         return block
@@ -240,7 +273,7 @@ class Prolongation:
         action; for d >= 0, x_t = e_{d,t}, read from the block of (k, d) or
         (d, k) with the super-antisymmetry sign folded into den."""
         if d < 0:
-            return self._int_actions(k)
+            return self._int_actions(k)[0]
         if k < d:
             return self._block(k, d)
         block = self._block(d, k)
@@ -256,35 +289,44 @@ class Prolongation:
 
     def _int_actions(self, k):
         """The actions of g_k's elements in Gaussian-integer form, made once
-        per component: for each element a list over the m basis of
-        (coords, den) or None, coords (t, re, im) triples of its image and
-        den the element's one denominator."""
+        per component, as the pair (imgs, flat).  imgs[a] is a list over
+        the m basis of (coords, den) or None, coords (t, re, im) triples of
+        the image and den the element's one denominator; flat[a] is
+        (terms, den), terms the same entries as one tuple of (b, t, re, im)."""
         ints = self._ints.get(k)
         if ints is None:
-            ints = []
+            ints = imgs, flat = [], []
             for _, action in self.comp[k].elements:
                 row, den = _int_row(_flatten_action(action).items())
-                imgs = [[] for _ in range(self.n)]
+                by_b = [[] for _ in range(self.n)]
                 for (b, t), (x, y) in row.items():
-                    imgs[b].append((t, x, y))
-                ints.append([(tuple(v), den) if v else None for v in imgs])
+                    by_b[b].append((t, x, y))
+                imgs.append([(tuple(v), den) if v else None for v in by_b])
+                flat.append((tuple((b, t, x, y) for (b, t), (x, y) in row.items()), den))
             self._ints[k] = ints
         return ints
 
+    def _keyed(self, action):
+        """An action {b: {t: s}} as one sparse vector keyed by the int
+        t * n + b, n = dim m: the key form of the component solvers and of
+        ``_block``'s z."""
+        n = self.n
+        return {t * n + b: s for b, vec in action.items() for t, s in vec.items()}
+
     def _solver(self, degree):
-        """The cached SpanSolver over g_degree's flattened actions."""
+        """The cached SpanSolver over g_degree's keyed actions."""
         solver = self._solvers.get(degree)
         if solver is None:
-            solver = SpanSolver(
-                [_flatten_action(a) for _, a in self.comp[degree].elements]
-            )
+            solver = SpanSolver([self._keyed(a) for _, a in self.comp[degree].elements])
             self._solvers[degree] = solver
         return solver
 
     def _solve_in_component(self, degree, action):
         """Sparse coordinates {element index: Scalar} of an action over the
-        computed component g_degree, or None when it lies outside."""
-        return self._solver(degree).solve(_flatten_action(action))
+        computed component g_degree, or None when it lies outside.  The
+        action's indices are not checked: an m index outside 0..n-1 would
+        alias another key."""
+        return self._solver(degree).solve(self._keyed(action))
 
     # -- validation of inputs ----------------------------------------------
 
@@ -399,17 +441,32 @@ class Prolongation:
                 "component can be reduced" % (degree, self.top)
             )
         old = self.comp[degree]
-        new_elements = []
-        for parity, action in subspace:
+
+        def targets(b):
+            d = degree + self._degs[b]
+            return (self.space.indices_of_degree(d) if d < 0
+                    else range(len(self.comp[d].elements))), "g_%d" % d
+
+        subspace = _normalize_actions(subspace, "reduction element %d", self.n, targets)
+        new_elements, coeff_rows = [], []
+        for idx, (parity, action) in enumerate(subspace):
             coeffs = self._solve_in_component(degree, action)
             if coeffs is None:
                 raise ProlongationError(
-                    "reduction subspace is not inside the computed g_%d" % degree
+                    "reduction element %d is not inside the computed g_%d" % (idx, degree)
                 )
+            if any(old.elements[t][0] != parity for t in coeffs):
+                raise ProlongationError(
+                    "reduction element %d does not have parity %d" % (idx, parity))
             reduced = {}
             for t, s in coeffs.items():
                 svec_axpy_action(reduced, s, old.elements[t][1])
             new_elements.append((parity, reduced))
+            coeff_rows.append(coeffs)
+        idx = _first_dependent(coeff_rows)
+        if idx is not None:
+            raise ProlongationError(
+                "reduction element %d lies in the span of the elements before it" % idx)
         self.comp[degree] = ProlongationComponent(degree, new_elements)
         # invalidate the blocks, integer actions and solver touching it
         self._blocks = {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -582,10 +583,100 @@ def test_reduction_outside_component_rejected():
     engine.advance(1)
     inside = list(engine.comp[1].elements)
     outside = (EVEN, {0: {1: Scalar(1)}})
-    with pytest.raises(ProlongationError, match="not inside the computed g_1"):
+    with pytest.raises(ProlongationError,
+                       match="^reduction element 6 is not inside the computed g_1$"):
         engine.reduce_component(1, inside + [outside])
     engine.reduce_component(1, inside)
     assert engine.comp[1].elements == inside
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [((1, 5, 1, 6), "no element 6 of degree 1: g_1 has 6 elements"),
+     ((1, -1, 1, 0), "no element -1 of degree 1: g_1 has 6 elements"),
+     ((1, True, 1, 0), "no element True of degree 1: g_1 has 6 elements"),
+     ((1, 0, 1, 99), "no element 99 of degree 1: g_1 has 6 elements"),
+     ((1, 0.5, 1, 0), "no element 0.5 of degree 1: g_1 has 6 elements"),
+     ((7, 0, 0, 0), "no element 0 of degree 7: degree outside 0..4"),
+     ((0, 0, -1, 0), "no element 0 of degree -1: degree outside 0..4"),
+     ((True, 0, 0, 0), "no element 0 of degree True: degree outside 0..4"),
+     ((4, 0, 0, 0), "no element 0 of degree 4: g_4 has 0 elements")],
+    ids=["index-dim", "index-negative", "index-bool", "index-past-dim",
+         "index-float", "degree-past-top", "degree-negative", "degree-bool",
+         "empty-component"],
+)
+def test_bracket_elements_refuses_bad_indices(args, message):
+    # SHC has g_0..g_4 of dims 9, 6, 3, 2, 0; -1 used to wrap to element 5
+    # and read below the diagonal of block (1, 1), True was read as 1
+    engine = prolong(SymbolAlgebra(shc_symbol())).engine
+    assert engine.bracket_elements(1, 5, 1, 0) == {2: Scalar(-1)}
+    with pytest.raises(ProlongationError) as exc:
+        engine.bracket_elements(*args)
+    assert str(exc.value) == message
+
+
+def _gl_engine(p, q, degree):
+    engine = Prolongation(SymbolAlgebra(abelian(p, q)), g0=g0_of(gl(p, q)))
+    for i in range(1, degree + 1):
+        engine.advance(i)
+    return engine
+
+
+def test_reduction_coefficients_may_be_ints_or_fractions():
+    # the projective V* inside g_1 = S^2 V* (x) V of flat gl(2), its
+    # integral coefficients given three ways
+    engine = _gl_engine(2, 0, 1)
+    trace = projective_trace_reduction(engine)
+    got = []
+    for conv in (lambda s: s, lambda s: int(s.re), lambda s: Fraction(s.re)):
+        engine = _gl_engine(2, 0, 1)
+        engine.reduce_component(1, [
+            (p, {b: {t: conv(s) for t, s in col.items()} for b, col in act.items()})
+            for p, act in trace
+        ])
+        got.append(engine.comp[1].elements)
+    assert got == [trace] * 3
+
+
+@pytest.mark.parametrize(
+    "p, q, degree, subspace, message",
+    [(2, 0, 1, [(5, {0: {0: _ONE}})], "reduction element 0 has parity 5, expected 0 or 1"),
+     (2, 0, 1, [(EVEN, {0: {0: _ONE}}), (True, {0: {0: _ONE}})],
+      "reduction element 1 has parity True, expected 0 or 1"),
+     (2, 0, 1, [(EVEN, [[1, 0]])],
+      "reduction element 0 is not an action {src: {dst: coefficient}}"),
+     (2, 0, 1, [(ODD, {0: {0: _ONE}})], "reduction element 0 does not have parity 1"),
+     (2, 1, 1, [(EVEN, {0: {0: _ONE, 6: _ONE}})],
+      "reduction element 0 does not have parity 0"),
+     (2, 0, 1, [(EVEN, {2: {0: _ONE}})],
+      "reduction element 0 acts on basis index 2, outside 0..1 (dim m)"),
+     (2, 1, 1, [(EVEN, {3: {2: _ONE}})],
+      "reduction element 0 acts on basis index 3, outside 0..2 (dim m)"),
+     (2, 0, 1, [(EVEN, {-1: {0: _ONE}})],
+      "reduction element 0 acts on basis index -1, outside 0..1 (dim m)"),
+     (2, 0, 1, [(EVEN, {0: {4: _ONE}})],
+      "reduction element 0 sends basis index 0 to 4, not an index of g_0"),
+     (2, 0, 1, [(EVEN, {0: {True: _ONE}})],
+      "reduction element 0 sends basis index 0 to True, not an index of g_0"),
+     (2, 0, 0, [(EVEN, {0: {2: _ONE}})],
+      "reduction element 0 sends basis index 0 to 2, not an index of g_-1"),
+     (2, 0, 1, [(EVEN, {0: {0: _ONE}}), (EVEN, {0: {0: Scalar(2)}})],
+      "reduction element 1 lies in the span of the elements before it"),
+     (2, 0, 1, [(EVEN, {})], "reduction element 0 lies in the span of the elements before it")],
+    ids=["parity-5", "parity-bool", "not-an-action", "odd-label-even-action",
+         "mixed-parity-action", "source-n", "source-aliases-a-key", "source-negative",
+         "target-past-g0", "target-bool", "target-outside-m", "repeated", "zero"],
+)
+def test_reduction_subspace_is_checked(p, q, degree, subspace, message):
+    # these used to crash, be read as another element, or be reported as a
+    # violated reduction compatibility; on flat gl(2|1), elements 0 and 8 of
+    # g_1 are even and odd, and the source index 3 aliases a key of g_1
+    engine = _gl_engine(p, q, degree)
+    before = list(engine.comp[degree].elements)
+    with pytest.raises(ProlongationError) as exc:
+        engine.reduce_component(degree, subspace)
+    assert str(exc.value) == message
+    assert engine.comp[degree].elements == before
 
 
 def test_reducing_a_component_below_the_top_is_rejected():
@@ -662,6 +753,23 @@ def test_assembled_structure_constants_unchanged(name):
     want = json.loads(path.read_text())
     got = json.loads(json.dumps(SNAPSHOTS[name]()))
     assert got == want
+
+
+# sha256 of the sorted JSON of the flat W(p|q) tables truncated at degree 9,
+# 13,705 and 2,455 brackets: every block bracket of degree up to 9 is in them,
+# so a sign or a coordinate key of the block kernel that goes wrong shows here
+FLAT_GL_TABLES = {
+    (2, 1): "7e9b000b68e720303ca13408bb9e3f3314014e321e5b8fcc5317459cca76b345",
+    (1, 2): "c150973a36f106a238776ecc00536a836ea025bf4344c83fc58869e33b266106",
+}
+
+
+@pytest.mark.parametrize("p, q", sorted(FLAT_GL_TABLES), ids=["gl21", "gl12"])
+def test_flat_gl_tables_to_degree_9_are_pinned(p, q):
+    res = prolong(SymbolAlgebra(abelian(p, q)), g0=g0_of(gl(p, q)))
+    assert (res.status, res.max_degree) == ("truncated", 9)
+    text = json.dumps(res.algebra.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FLAT_GL_TABLES[(p, q)]
 
 
 def test_spencer_prolong_cross_check_odd_ode():
