@@ -2,13 +2,13 @@
 
 Matrix families (gl, sl, osp, spo, the periplectic zoo) are produced from a
 single generic routine that solves the invariance equation of a bilinear
-form; their defining representation is attached to the result, one sparse
-action {src: {dst: Scalar}} per basis element.  Nilpotent symbols
-(Heisenberg contact, SHC, odd-ODE) are entered by explicit structure
-constants.  The supertranslation builder works over Q(i) with the Pauli
-realization of the three-dimensional Clifford module; every other builder
-works over Q.  Builders that take a dimension p, q or n refuse a negative
-one through one shared check.
+form and reads the brackets off the prolongation engine's g_0 block; their
+defining representation is attached, one action {src: {dst: Scalar}} each.
+Nilpotent symbols (Heisenberg contact, SHC, odd-ODE) are entered by
+explicit structure constants.  The supertranslation builder works over Q(i)
+with the Pauli realization of the three-dimensional Clifford module; every
+other builder works over Q.  Builders that take a dimension p, q or n
+refuse a negative one through one shared check.
 
 Basis naming follows the sources these algebras come from: E11, E12, ... for
 matrix units; X, th1, th2, ... for odd-ODE symbols; e1, e2, th1p, th1pp,
@@ -21,10 +21,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .linalg import SpanSolver, _flatten_action, kernel_basis_rows, svec_axpy
+from .linalg import kernel_basis_rows
 from .scalars import FIELD_QI, Scalar, _exact, _read_rational
 from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
 from .liesuper import LieSuperalgebra
+from .prolong import Prolongation
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +49,9 @@ def _check_form(form, n, what):
 def _matrix_family(p, q, members, names, weights=None):
     """LieSuperalgebra from a list of (parity, action) pairs closed under the
     supercommutator, each action {src: {dst: Scalar}} a matrix on the basis
-    of R^{p|q}; structure constants are solved exactly in the span."""
-    solver = SpanSolver([_flatten_action(A) for _, A in members])
+    of R^{p|q}.  The structure constants are the members' brackets as g_0 of
+    ``Prolongation`` over R^{p|q}, whose ValueError names a member that is
+    not parity-homogeneous, dependent, or bracketed outside the span."""
     basis = []
     for k, (par, A) in enumerate(members):
         deg = 0
@@ -59,37 +61,16 @@ def _matrix_family(p, q, members, names, weights=None):
                 raise ValueError("member %d not weight-homogeneous" % k)
             deg = degs.pop() if degs else 0
         basis.append(BasisVector(name=names[k], degree=deg, parity=par))
-    space = GradedSuperSpace(basis)
     brackets = {}
-    for a, (pa, A) in enumerate(members):
-        for b in range(a, len(members)):
-            pb, B = members[b]
-            sign = Scalar(1) if (pa == ODD and pb == ODD) else Scalar(-1)
-            # AB + sign BA; an action is the transpose, so AB acts as _times(B, A)
-            vec = svec_axpy(
-                _flatten_action(_times(B, A)), sign, _flatten_action(_times(A, B))
-            )
-            if not vec:
-                continue
-            res = solver.solve(vec)
-            if res is None:
-                raise ValueError("matrix family not closed under bracket")
-            brackets[(a, b)] = res
+    if p + q:
+        engine = Prolongation(abelian(p, q), g0=members)
+        for a in range(len(members)):
+            for b in range(a, len(members)):
+                vec = engine.bracket_elements(0, a, 0, b)
+                if vec:
+                    brackets[(a, b)] = vec
     rep = {k: A for k, (_, A) in enumerate(members)}
-    return LieSuperalgebra(space, brackets, rep=rep, rep_shape=(p, q))
-
-
-def _times(A, B):
-    """Product of sparse matrices given as rows {i: {j: Scalar}}."""
-    out = {}
-    for i, row in A.items():
-        acc = {}
-        for k, a in row.items():
-            if k in B:
-                svec_axpy(acc, a, B[k])
-        if acc:
-            out[i] = acc
-    return out
+    return LieSuperalgebra(GradedSuperSpace(basis), brackets, rep=rep, rep_shape=(p, q))
 
 
 def _units(p, q, diagonal):
@@ -502,18 +483,18 @@ def build_named(spec):
     """Build a catalog algebra from a spec string like "pe:2", "osp:2|2",
     "spe_ab:2:1:2", "odd_ode_symbol:3", "supertranslation:1", "shc_symbol",
     "sl_graded:2|1", "abelian:2|2", "heisenberg_contact:2|0"; "osp(2|2)"
-    is read as "osp:2|2".  A wrong argument count raises ValueError naming
-    the expected form, and a ValueError of the builder is raised again
-    with the spec in front."""
+    is read as "osp:2|2".  A wrong argument count or an empty field raises
+    ValueError naming the expected form, and a ValueError of the builder is
+    raised again with the spec in front."""
     parts = spec.replace("(", ":").replace(")", "").split(":")
     name = parts[0].strip()
-    args = [a for a in parts[1:] if a != ""]
+    args = parts[1:]
     name = _ALIASES.get(name, name)
     if name not in _NAMED:
         raise ValueError("unknown catalog name %r" % name)
     form, build = _NAMED[name]
     slots = form.split(":")[1:]
-    if len(args) != len(slots):
+    if len(args) != len(slots) or "" in args:
         raise ValueError("%r: expected the form %s" % (spec, form))
     try:
         return build(*args)

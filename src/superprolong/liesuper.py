@@ -412,8 +412,11 @@ def derivations_gr(m, d=0):
     """All degree-d superderivations D of m, D[x,y] = [Dx,y] + (-1)^{|D||x|}[x,Dy].
 
     They are the 1-cocycles Z^{d,1}(m, m) of the Spencer differential with
-    coefficients m (see ``one_cocycles``); m must live in negative degrees.
+    coefficients m (see ``one_cocycles``); m must live in negative degrees,
+    and d must be an int.
     """
+    if type(d) is not int:
+        raise ValueError("d must be an int, got %r" % (d,))
     if not isinstance(m, SymbolAlgebra):
         m = SymbolAlgebra(m)
     return ProlongationComponent(d, one_cocycles(m, d))

@@ -6,9 +6,7 @@ of input rows are ignored, and nothing this module returns stores a zero.
 such rows, keyed by any mutually comparable hashables; ``kernel_basis_rows``
 takes rows keyed by the columns 0..ncols-1 and ncols, and returns such
 dicts.  ``SpanSolver`` is the one exact solver: it eliminates sparse vectors
-once and returns sparse coefficients.  A linear map is an action
-{src: {dst: Scalar}}, the transpose of its matrix rows, and
-``_flatten_action`` makes it one vector keyed by (src, dst).
+once and returns sparse coefficients.
 
 One elimination, two pivot rules.  Each row is scaled by the lcm of its
 denominators and stored as {col: (re, im)} with integer components, over Q
@@ -467,11 +465,6 @@ def svec_axpy(acc, s, v):
         else:
             acc.pop(i, None)
     return acc
-
-
-def _flatten_action(action):
-    """An action {b: {t: Scalar}} as one sparse vector keyed by (b, t)."""
-    return {(b, t): s for b, vec in action.items() for t, s in vec.items()}
 
 
 def svec_scale(v, s):

@@ -45,7 +45,6 @@ from math import gcd, lcm
 
 from .linalg import (
     SpanSolver,
-    _flatten_action,
     _int_row,
     independent_rows,
     rank_rows,
@@ -101,6 +100,11 @@ def _normalize_actions(elements, what, n, targets=None):
         out.append((parity, {j: v for j, col in act.items() if (v := {
             i: t for i, s in col.items() if (t := as_scalar(s))})}))
     return out
+
+
+def _flatten_action(action):
+    """An action {b: {t: Scalar}} as one sparse vector keyed by (b, t)."""
+    return {(b, t): s for b, vec in action.items() for t, s in vec.items()}
 
 
 def _first_dependent(rows):
@@ -637,8 +641,15 @@ def prolong(m, g0=None, reductions=None, max_degree=None, validate_result=True):
     reductions: list of (degree, reduction) where reduction is a callable
     engine -> subspace in reduce_component's format, called right after that
     degree is computed.  A symbol that g_{-1} does not generate is refused
-    before the first step, naming the first basis vector outside.
+    before the first step, naming the first basis vector outside, and so is
+    a max_degree that is not an int >= 0 and a reduction that is not a pair
+    of an int degree in 0..max_degree and a callable, naming its index.  A
+    reduction past the stabilization never runs; metadata lists its degree
+    under "unreached_reductions".
     """
+    if max_degree is not None and (type(max_degree) is not int or max_degree < 0):
+        raise ProlongationError(
+            "max_degree must be an int >= 0, got %r" % (max_degree,))
     engine = Prolongation(m, g0=g0)
     m = engine.m
     for i in _ungenerated(m):
@@ -647,7 +658,17 @@ def prolong(m, g0=None, reductions=None, max_degree=None, validate_result=True):
     if max_degree is None:
         max_degree = m.mu + 8
     red = {}
-    for degree, reduction in reductions or []:
+    for idx, pair in enumerate(reductions or []):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ProlongationError(
+                "reduction %d is not a (degree, callable) pair" % idx)
+        degree, reduction = pair
+        if type(degree) is not int or not 0 <= degree <= max_degree:
+            raise ProlongationError(
+                "reduction %d has degree %r, not an int in 0..%d (max_degree)"
+                % (idx, degree, max_degree))
+        if not callable(reduction):
+            raise ProlongationError("reduction %d is not callable" % idx)
         red.setdefault(degree, []).append(reduction)
     for reduction in red.get(0, []):
         engine.reduce_component(0, reduction(engine))
@@ -669,6 +690,9 @@ def prolong(m, g0=None, reductions=None, max_degree=None, validate_result=True):
     }
     if status == "truncated":
         metadata["note"] = "not stabilized by max_degree %d" % max_degree
+    unreached = [d for d in sorted(red) if d > i for _ in red[d]]
+    if unreached:
+        metadata["unreached_reductions"] = unreached
     algebra = engine.assemble(truncated=(status == "truncated"))
     if validate_result and status == "stabilized":
         report = validate(algebra)

@@ -188,8 +188,13 @@ def cohomology_dims(d, k, m, g=None):
     the parity-p columns only: delta on the parity-p cochains is those rows,
     ranked as they stand, with no column remap.  Only the rank is read, so
     the rows go in shortest first, and the elimination stops once it has
-    as many pivots as the slice has parity-p columns.
+    as many pivots as the slice has parity-p columns.  d must be an int and
+    k an int >= 0.
     """
+    if type(d) is not int:
+        raise ValueError("d must be an int, got %r" % (d,))
+    if type(k) is not int or k < 0:
+        raise ValueError("k must be an int >= 0, got %r" % (k,))
     g = m if g is None else g
     here = CochainSlice(g, d, k)
     slices = [here, CochainSlice(g, d, k - 1)] if k >= 1 else [here]

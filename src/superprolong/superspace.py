@@ -143,9 +143,9 @@ class ExteriorBasisMonomial:
 
 
 def exterior_power_basis(space, k):
-    """All canonical k-monomials on the given space."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    """All canonical k-monomials on the given space; k must be an int >= 0."""
+    if type(k) is not int or k < 0:
+        raise ValueError("k must be an int >= 0, got %r" % (k,))
     n = len(space)
     out = []
 

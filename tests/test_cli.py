@@ -725,7 +725,17 @@ _ODE_FILE = "ode.json"
                        "%r: expected the form %s" % (spec, form))
      for spec, form in (("pe", "pe:n"), ("gl", "gl:p|q"),
                         ("spe_ab:2:1", "spe_ab:n:a:b"),
-                        ("osp:2|2:5", "osp:p|q"))]
+                        ("osp:2|2:5", "osp:p|q"),
+                        # an empty field is refused, not dropped
+                        ("shc_symbol:", "shc_symbol"),
+                        ("shc_symbol()", "shc_symbol"), ("pe:2:", "pe:n"))]
+    + [_input_error_case(["prolong", "--name", name] + flags, message)
+       for name, flags, message in (
+           ("shc_symbol", ["--max-degree", "-1"],
+            "'shc_symbol': max_degree must be an int >= 0, got -1"),
+           ("gl:2|1", ["--reduce", "12:zero"],
+            "'gl:2|1': reduction 0 has degree 12, not an int in 0..9 "
+            "(max_degree)"))]
     + [_input_error_case(["prolong", "--name", name, "--g0", g0], message)
        for name, g0, message in (
            ("abelian:2|1", "gl:2|2",

@@ -69,6 +69,11 @@ def test_known_dimensions():
     assert cpe(2).superdim() == (5, 4)
     assert spe_ab(2, 1, 2).superdim() == (4, 4)
     assert pe(2, skew=True).superdim() == (4, 4)
+    # on R^{0|0} only the central Z and the T of spe_ab remain
+    for spec, dims in (("gl:0|0", (0, 0)), ("pe:0", (0, 0)), ("cpe:0", (1, 0)),
+                       ("spe_ab:0:1:2", (1, 0))):
+        alg = build_named(spec)
+        assert (alg.superdim(), alg.rep_shape, alg.table) == (dims, (0, 0), {})
     # growth vector of the SHC symbol
     shc = shc_symbol()
     assert [shc.space.superdim(d) for d in (-1, -2, -3)] == [
@@ -112,6 +117,17 @@ def test_matrix_bracket_is_supercommutator():
                 for c, s in alg.bracket_indices(a, b).items():
                     got = mat_add(got, mat_mul(rep[c], s))
                 assert C == got, (spec, alg.space[a].name, alg.space[b].name)
+
+
+def test_matrix_family_refusals_name_the_member():
+    # the brackets come from the prolongation engine's g_0 block: without
+    # the diagonal, [E12, E21] leaves the span, and a multiple of a member
+    # used to build silently as a second basis vector with an empty table
+    E12 = (EVEN, {1: {0: Scalar(1)}})
+    with pytest.raises(ValueError, match="g0 elements 0 and 1 does not lie in g0$"):
+        catalog._matrix_family(2, 0, [E12, (EVEN, {0: {1: Scalar(1)}})], ["a", "b"])
+    with pytest.raises(ValueError, match="^g0 element 1 lies in the span"):
+        catalog._matrix_family(2, 0, [E12, (EVEN, {1: {0: Scalar(2)}})], ["a", "b"])
 
 
 def test_pe_supertranspose_membership():
@@ -535,7 +551,10 @@ def test_builders_refuse_negative_dimensions(name, args):
 @pytest.mark.parametrize(
     "spec, form",
     [("pe", "pe:n"), ("gl", "gl:p|q"), ("spe_ab:2:1", "spe_ab:n:a:b"),
-     ("osp:2|2:5", "osp:p|q"), ("shc_symbol:3", "shc_symbol")],
+     ("osp:2|2:5", "osp:p|q"), ("shc_symbol:3", "shc_symbol"),
+     # an empty field is refused, not dropped
+     ("shc_symbol:", "shc_symbol"), ("shc_symbol()", "shc_symbol"),
+     ("pe:2:", "pe:n"), ("spe_ab:2::2", "spe_ab:n:a:b")],
 )
 def test_build_named_checks_the_argument_count(spec, form):
     with pytest.raises(ValueError, match="expected the form %s$" % re.escape(form)):

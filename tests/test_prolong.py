@@ -5,10 +5,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import event, example, given, settings, strategies as st
 
 from superprolong.scalars import Scalar
-from superprolong.superspace import EVEN, ODD, BasisVector, GradedSuperSpace
+from superprolong.superspace import (
+    EVEN, ODD, BasisVector, GradedSuperSpace, exterior_power_basis,
+)
 from superprolong.catalog import (
     abelian,
     cpe,
@@ -30,6 +32,7 @@ from superprolong.liesuper import (
     LieSuperalgebra,
     SymbolAlgebra,
     check_fundamental_nondegenerate,
+    derivations_gr,
     validate,
 )
 from superprolong.prolong import (
@@ -38,7 +41,7 @@ from superprolong.prolong import (
     projective_trace_reduction,
     prolong,
 )
-from superprolong.spencer import CochainSlice
+from superprolong.spencer import CochainSlice, cohomology_dims
 from superprolong.linalg import rank_rows
 
 from conftest import g0_of, g2_symbol, two_step_symbols
@@ -828,3 +831,93 @@ def test_g0_check_names_element_and_pair(bad, message):
     with pytest.raises(ProlongationError) as exc:
         Prolongation(m, g0=[euler, bad])
     assert str(exc.value) == message
+
+
+def _zero(engine):
+    return []
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_degree": -1}, "max_degree must be an int >= 0, got -1"),
+    ({"max_degree": 2.5}, "max_degree must be an int >= 0, got 2.5"),
+    ({"max_degree": True}, "max_degree must be an int >= 0, got True"),
+    ({"max_degree": "3"}, "max_degree must be an int >= 0, got '3'"),
+    ({"reductions": [(1.0, _zero)]},
+     "reduction 0 has degree 1.0, not an int in 0..3 (max_degree)"),
+    ({"reductions": [(1, _zero), (12, _zero)]},
+     "reduction 1 has degree 12, not an int in 0..3 (max_degree)"),
+    ({"reductions": [(-3, _zero)]},
+     "reduction 0 has degree -3, not an int in 0..3 (max_degree)"),
+    ({"reductions": [(True, _zero)]},
+     "reduction 0 has degree True, not an int in 0..3 (max_degree)"),
+    ({"reductions": [1]}, "reduction 0 is not a (degree, callable) pair"),
+    ({"reductions": [(1, None)]}, "reduction 0 is not callable"),
+], ids=["deg-1", "deg2.5", "degTrue", "deg'3'", "red1.0", "red12", "red-3",
+        "redTrue", "red[1]", "red(1,None)"])
+def test_prolong_refuses_bad_run_arguments(kwargs, message):
+    # refused before the first step; 1.0 used to run as degree 1, 12 and
+    # -3 were dropped silently, and '3', [1] and (1, None) raised TypeError
+    kwargs.setdefault("max_degree", 3)
+    with pytest.raises(ProlongationError) as exc:
+        prolong(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)), **kwargs)
+    assert str(exc.value) == message
+
+
+def test_a_reduction_past_the_stabilization_is_listed_unreached():
+    # SHC stabilizes at degree 4, so a reduction at 6 never runs
+    m = SymbolAlgebra(shc_symbol())
+    base = prolong(m)
+    assert "unreached_reductions" not in base.metadata
+    res = prolong(m, reductions=[(6, _zero), (4, _zero), (6, _zero)])
+    assert res.stabilized_at == base.stabilized_at == 4
+    assert res.metadata["reductions"] == [4]
+    assert res.metadata.pop("unreached_reductions") == [6, 6]
+    assert res.to_json(include_algebra=True) == dict(
+        base.to_json(include_algebra=True),
+        metadata=dict(base.metadata, reductions=[4]))
+
+
+def _line():
+    return SymbolAlgebra(abelian(1, 0))
+
+
+def _never(value):
+    return False
+
+
+# (the argument, a call with it, the start of its refusal, the drawn values
+# that are valid there); m = R^{1|0}, so no call computes much
+_CHECKED_ARGUMENTS = [
+    ("max_degree", lambda v: prolong(_line(), max_degree=v), "max_degree ",
+     lambda v: v is None),
+    ("reduction", lambda v: prolong(_line(), reductions=[v], max_degree=2),
+     "reduction 0 ", _never),
+    ("reduction-degree",
+     lambda v: prolong(_line(), reductions=[(v, _zero)], max_degree=2),
+     "reduction 0 ", _never),
+    ("cohomology_dims-d", lambda v: cohomology_dims(v, 1, _line()), "d ",
+     lambda v: type(v) is int),
+    ("cohomology_dims-k", lambda v: cohomology_dims(0, v, _line()), "k ", _never),
+    ("derivations_gr-d", lambda v: derivations_gr(_line(), v), "d ",
+     lambda v: type(v) is int),
+    ("exterior_power_basis-k", lambda v: exterior_power_basis(_line().space, v),
+     "k ", _never),
+]
+
+
+@pytest.mark.parametrize("what, call, name, valid", _CHECKED_ARGUMENTS,
+                         ids=[case[0] for case in _CHECKED_ARGUMENTS])
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_degree_like_arguments_are_refused_by_name(what, call, name, valid, data):
+    # a bool, float, str, None or negative int; a RecursionError,
+    # IndexError, KeyError, AttributeError or ZeroDivisionError propagates
+    # and fails the test
+    value = data.draw(st.one_of(
+        st.booleans(), st.floats(), st.text(max_size=3), st.none(),
+        st.integers(max_value=-1),
+    ).filter(lambda v: not valid(v)))
+    event(type(value).__name__)
+    with pytest.raises((ValueError, TypeError)) as exc:
+        call(value)
+    assert str(exc.value).startswith(name), (what, value, str(exc.value))
