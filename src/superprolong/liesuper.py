@@ -33,9 +33,10 @@ from .scalars import FIELD_Q, Scalar, as_scalar
 from .superspace import (
     EVEN,
     ODD,
+    _check_degree,
     parity_to_str,
 )
-from .spencer import _differential_rows, cochain_basis
+from .spencer import _stream_rows, cochain_basis
 
 
 class LieSuperalgebra:
@@ -415,8 +416,7 @@ def derivations_gr(m, d=0):
     coefficients m (see ``one_cocycles``); m must live in negative degrees,
     and d must be an int.
     """
-    if type(d) is not int:
-        raise ValueError("d must be an int, got %r" % (d,))
+    _check_degree("d", d)
     if not isinstance(m, SymbolAlgebra):
         m = SymbolAlgebra(m)
     return ProlongationComponent(d, one_cocycles(m, d))
@@ -430,15 +430,16 @@ def one_cocycles(g, d):
     integers, whose columns (source j, image i) are ordered by j, then i.
     delta is even, so the parity-p columns are read against the parity-p
     part of C^{d,2} only; the rows of the other parity would be empty.
-    The elimination stops at full column rank, where the kernel is zero,
-    and keeps the rows in target order: taking the shortest first was
-    measured slower on the large prolongations."""
+    The rows are streamed into the elimination in target order (taking
+    the shortest first was measured slower on the large prolongations),
+    and it stops at full column rank, where the kernel is zero, so the
+    rows past the stop are never built."""
     basis = cochain_basis(g, d, 1)
     target = cochain_basis(g, d, 2)
     elements = []
     for p in (EVEN, ODD):
         cols = [c for c in basis if c[2] == p]
-        rows, _ = _differential_rows(g, cols, [t for t in target if t[2] == p])
+        rows = _stream_rows(g, cols, (t for t in target if t[2] == p))
         for v in _kernel_basis(_echelon(rows, ncols=len(cols)), len(cols)):
             action = {}
             for col, s in v.items():

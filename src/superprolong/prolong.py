@@ -51,7 +51,7 @@ from .linalg import (
     svec_axpy,
 )
 from .scalars import Scalar, as_scalar
-from .superspace import BasisVector, GradedSuperSpace
+from .superspace import BasisVector, GradedSuperSpace, _check_degree
 from .spencer import CochainSlice
 from .liesuper import (
     LieSuperalgebra,
@@ -647,9 +647,8 @@ def prolong(m, g0=None, reductions=None, max_degree=None, validate_result=True):
     reduction past the stabilization never runs; metadata lists its degree
     under "unreached_reductions".
     """
-    if max_degree is not None and (type(max_degree) is not int or max_degree < 0):
-        raise ProlongationError(
-            "max_degree must be an int >= 0, got %r" % (max_degree,))
+    if max_degree is not None:
+        _check_degree("max_degree", max_degree, 0, ProlongationError)
     engine = Prolongation(m, g0=g0)
     m = engine.m
     for i in _ungenerated(m):

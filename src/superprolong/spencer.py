@@ -29,45 +29,54 @@ m + g_0 + ... + g_{i-1}, an ordinary ``LieSuperalgebra`` without the
 brackets between the g_k, which 1-cochains of m never read); the engine
 checks a prescribed g_0 by applying its C^{0,1}(m, m) rows, and
 ``cohomology_dims`` and ``reduced_differential_check`` take ranks of its
-rows.  The rows are built once per call as Gaussian-integer pairs (re, im)
-off g's ``_int_table``: D times the Scalar rows, D the one table-wide lcm of
-the denominators.  Ranks, row independence and kernel bases do not change
-under one common scale, so these callers eliminate the integer rows as they
-are; ``differential_rows`` and ``CochainSlice.matrix_rows`` divide them by D.
+rows.  The rows are streamed: ``_stream_rows`` yields them in target order
+as Gaussian-integer pairs (re, im) off g's ``_int_table``, D times the
+Scalar rows with D the one table-wide lcm of the denominators, the rows of
+one argument tuple as soon as that tuple is done.  Ranks, row independence
+and kernel bases do not change under one common scale, so the callers
+eliminate the integer rows as they are.  ``one_cocycles`` and both halves
+of the reduced check feed the stream straight into an elimination that
+stops at full column rank, so the rows past the stop are never built;
+``differential_rows`` and ``CochainSlice`` read it as a list, and
+``differential_rows`` and ``CochainSlice.matrix_rows`` divide it by D.
 
 Reduced differential.  C^{d,2} = A + B, where A is spanned by the monomials
 with an argument of degree -1 and B by those with both arguments of degree
 <= -2; p projects onto A along B.  The check eliminates the rows of
-delta: C^{d,1} -> C^{d,2} once, A rows first.  A row becomes a pivot iff it
-is independent of the rows before it, so rank(p o delta) is the number of
-pivots among the A rows, rank(delta) the number of all pivots, and the A
-monomials whose rows reduce to zero span a complement Z of Im(p o delta)
-in A.  Since ker p = B, p is injective on ker(delta | C^{d,2}) exactly when
-delta restricted to the B monomials has rank |B|, computed from the B
-columns alone, without a kernel basis.
+delta: C^{d,1} -> C^{d,2} once, streamed A rows first; A or B is decided by
+the argument tuple, so each tuple's rows stay together.  A row becomes a
+pivot iff it is independent of the rows before it, so rank(p o delta) is
+the number of pivots among the A rows, rank(delta) the number of all
+pivots, and the A monomials whose rows reduce to zero span a complement Z
+of Im(p o delta) in A.  Since ker p = B, p is injective on
+ker(delta | C^{d,2}) exactly when delta restricted to the B monomials has
+rank |B|, computed from the B columns alone, without a kernel basis.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 from .linalg import _echelon
 from .scalars import Scalar
-from .superspace import (EVEN, ODD, BasisVector, exterior_power_basis,
-                         sort_with_sign)
+from .superspace import (EVEN, ODD, BasisVector, _check_degree,
+                         exterior_power_basis, sort_with_sign)
 
 
 class CochainSlice:
     """The component C^{d,k}(m, g) with the sparse rows of its differential
     d: C^{d,k} -> C^{d,k+1} in the canonical monomial bases: ``_rows`` in
-    Gaussian integers, ``_den`` (g's table-wide D) times ``matrix_rows``."""
+    Gaussian integers, ``_den`` (g's table-wide D) times ``matrix_rows``.
+    target, if given, is C^{d,k+1} as ``cochain_basis`` built it."""
 
-    def __init__(self, g, d, k):
+    def __init__(self, g, d, k, target=None):
         self.g = g
         self.d = d
         self.k = k
         self.basis = cochain_basis(g, d, k)
-        self.target = cochain_basis(g, d, k + 1)
+        self.target = cochain_basis(g, d, k + 1) if target is None else target
         self._rows, self._den = _differential_rows(g, self.basis, self.target)
 
     @cached_property
@@ -79,19 +88,29 @@ def cochain_basis(g, d, k):
     """Basis of C^{d,k}: triples (tuple, value_index, parity), one for each
     canonical k-monomial of m (``exterior_power_basis`` of the negative part
     of g, indices mapped back into g) and each basis vector of g whose degree
-    exceeds the monomial's by d."""
+    exceeds the monomial's by d.  d must be an int and k an int >= 0."""
+    _check_degree("d", d)
+    _check_degree("k", k, 0)
+    return list(_cochains(g, d, k))
+
+
+def _cochains(g, d, k, keep=None):
+    """The ``cochain_basis`` triples, in order and drawn lazily; with keep,
+    only those of the argument tuples T with keep(T)."""
     space = g.space
     m_idx = [i for i, b in enumerate(space) if b.degree < 0]
     by_degree = {}
     for b, bv in enumerate(space):
         by_degree.setdefault(bv.degree, []).append((b, bv.parity))
     key = tuple((space[i].degree, space[i].parity) for i in m_idx)
-    out = []
     for T, deg, par in _exterior_basis(key, k):
+        values = by_degree.get(deg + d)
+        if values is None:
+            continue
         T = tuple(m_idx[i] for i in T)
-        for b, parity in by_degree.get(deg + d, ()):
-            out.append((T, b, (par + parity) % 2))
-    return out
+        if keep is None or keep(T):
+            for b, parity in values:
+                yield T, b, (par + parity) % 2
 
 
 @lru_cache(maxsize=None)
@@ -129,17 +148,23 @@ def _scalar_rows(rows, den):
 
 
 def _differential_rows(g, basis, target):
-    """(rows, D): D times the rows of ``differential_rows`` in Gaussian
-    integers, read off g's integer table (``_int_table``) over its D."""
-    rows_of = {}
-    for r, (T, b, _) in enumerate(target):
-        rows_of.setdefault(T, {})[b] = r
+    """(rows, D): the ``_stream_rows`` as a list, and g's D."""
+    den = (g._int or g._int_table())[0]
+    return list(_stream_rows(g, basis, target)), den
+
+
+def _stream_rows(g, basis, target):
+    """D times the rows of ``differential_rows`` in Gaussian integers, read
+    off g's integer table (``_int_table``) over its D, yielded in target
+    order.  target may be any iterable that keeps the monomials of each
+    argument tuple T together; the rows of T are written only while T is
+    processed and yielded as soon as it is done, so a reader that stops
+    early leaves the later rows unbuilt."""
     cols_by_tuple = {}
     for c, (T0, b0, par) in enumerate(basis):
         cols_by_tuple.setdefault(T0, []).append((c, b0, par))
-    den, br = g._int or g._int_table()
+    br = (g._int or g._int_table())[1]
     par = [v.parity for v in g.space]
-    rows = [{} for _ in range(len(target))]
 
     def add(row, c, x, y):
         if (old := row.get(c)) is not None:
@@ -149,7 +174,10 @@ def _differential_rows(g, basis, target):
         else:
             del row[c]
 
-    for T, pos in sorted(rows_of.items()):
+    for T, group in groupby(target, itemgetter(0)):
+        bs = [b for _, b, _ in group]
+        pos = {b: r for r, b in enumerate(bs)}
+        rows = [{} for _ in bs]
         s1, s2 = _slot_signs(tuple(par[t] for t in T))
         for i, xi in enumerate(T):
             s_i = s1[i]
@@ -178,7 +206,7 @@ def _differential_rows(g, basis, target):
                 f = -(s_ij * sgn)
                 for c, b, _ in cols_by_tuple.get(srt, ()):
                     add(rows[pos[b]], c, x * f, y * f)
-    return rows, den
+        yield from rows
 
 
 def cohomology_dims(d, k, m, g=None):
@@ -188,16 +216,17 @@ def cohomology_dims(d, k, m, g=None):
     the parity-p columns only: delta on the parity-p cochains is those rows,
     ranked as they stand, with no column remap.  Only the rank is read, so
     the rows go in shortest first, and the elimination stops once it has
-    as many pivots as the slice has parity-p columns.  d must be an int and
-    k an int >= 0.
+    as many pivots as the slice has parity-p columns.  C^{d,k} is built
+    once, as the basis of one slice and the target of the other.  d must
+    be an int and k an int >= 0.
     """
-    if type(d) is not int:
-        raise ValueError("d must be an int, got %r" % (d,))
-    if type(k) is not int or k < 0:
-        raise ValueError("k must be an int >= 0, got %r" % (k,))
+    _check_degree("d", d)
+    _check_degree("k", k, 0)
     g = m if g is None else g
     here = CochainSlice(g, d, k)
-    slices = [here, CochainSlice(g, d, k - 1)] if k >= 1 else [here]
+    slices = [here]
+    if k >= 1:
+        slices.append(CochainSlice(g, d, k - 1, target=here.basis))
     dims = []
     for parity in (EVEN, ODD):
         dim = sum(1 for _, _, p in here.basis if p == parity)
@@ -218,68 +247,60 @@ def reduced_differential_check(m, g=None):
     complement N = Z + B per degree on success.  A, B, p and the ranks that
     decide both halves are as in the module docstring.
 
-    Both eliminations stop at full column rank, where every later row is
-    dependent.  The A-then-B one keeps its order, because Z depends on it:
-    an A row left after the stop counts as dependent, as its reduction
-    would have shown.  The injectivity half reads only a rank, but its rows
-    stay in target order as well: the stop comes sooner there than with
-    the shortest rows first.
+    Both eliminations read the rows as ``_stream_rows`` yields them and
+    stop at full column rank, where every later row is dependent, so the
+    rows past the stop are never built.  The A-then-B one keeps its order,
+    because Z depends on it: an A row left after the stop counts as
+    dependent, as its reduction would have shown.  The injectivity half
+    reads only a rank, but its rows stay in target order as well: the stop
+    comes sooner there than with the shortest rows first, and its C^{d,3}
+    target is drawn monomial by monomial as the stream asks for it.
     """
     g = m if g is None else g
-    space = g.space
-    degs = [b.degree for b in space]
+    degs = [b.degree for b in g.space]
     mdegs = [abs(d) for d in degs if d < 0]
     if not mdegs:
         raise ValueError("coefficients have no negative part")
+    deep = {i for i, x in enumerate(degs) if x <= -2}
     d_min = min(degs) + 2 * 1
     d_max = max(degs) + 2 * max(mdegs)
     report = {"ok": True, "degrees": {}}
     for d in range(d_min, d_max + 1):
-        c1 = CochainSlice(g, d, 1)
-        if not c1.target:
+        a_mons, b_mons = [], []
+        for t in cochain_basis(g, d, 2):
+            (b_mons if deep.issuperset(t[0]) else a_mons).append(t)
+        if not a_mons and not b_mons:
             continue
-        a_rows, b_rows = [], []
-        for r, (T, _, _) in enumerate(c1.target):
-            if all(space[t].degree <= -2 for t in T):
-                b_rows.append(r)
-            else:
-                a_rows.append(r)
         # one elimination, A rows first: the pivots among them are the
         # rank of p o delta
-        ncols = len(c1.basis)
+        basis = cochain_basis(g, d, 1)
+        ncols = len(basis)
         independent = []
-        _echelon((c1._rows[r] for r in a_rows + b_rows), independent,
+        _echelon(_stream_rows(g, basis, a_mons + b_mons), independent,
                  units=True, ncols=ncols)
         independent = set(independent)
-        z_members = [r for i, r in enumerate(a_rows) if i not in independent]
+        z_members = [t for i, t in enumerate(a_mons) if i not in independent]
         rk_full = len(independent)
-        rk_part = len(a_rows) - len(z_members)
+        rk_part = len(a_mons) - len(z_members)
         entry = {
             "ker_delta": ncols - rk_full,
             "ker_partial": ncols - rk_part,
             "kernels_agree": rk_full == rk_part,
         }
-        b_cols = [c1.target[r] for r in b_rows]
         # on a cochain w supported on B, a 3-monomial whose arguments all
         # have degree -1 gets zero from both terms of delta: w vanishes on
         # the pairs of its arguments and on ([x_i, x_j], x_k), which holds
         # x_k of degree -1; so those rows are left out of the target
-        target = [
-            t for t in cochain_basis(g, d, 3)
-            if any(space[x].degree <= -2 for x in t[0])
-        ]
-        entry["p_injective_on_ker"] = not b_cols or len(_echelon(
-            _differential_rows(g, b_cols, target)[0], units=True,
-            ncols=len(b_cols),
-        )) == len(b_cols)
+        target = _cochains(g, d, 3, keep=lambda T: not deep.isdisjoint(T))
+        entry["p_injective_on_ker"] = not b_mons or len(_echelon(
+            _stream_rows(g, b_mons, target), units=True, ncols=len(b_mons),
+        )) == len(b_mons)
         ok = entry["kernels_agree"] and entry["p_injective_on_ker"]
         if ok:
             # complement N = Z + B: the A monomials whose rows depend on the
             # A rows before them extend Im(p o delta) to all of A
-            entry["complement_Z"] = [
-                _monomial_label(g, c1.target[r]) for r in z_members
-            ]
-            entry["complement_B_dim"] = len(b_rows)
+            entry["complement_Z"] = [_monomial_label(g, t) for t in z_members]
+            entry["complement_B_dim"] = len(b_mons)
         else:
             report["ok"] = False
         report["degrees"][d] = entry

@@ -44,6 +44,14 @@ def parity_to_str(p):
     return "even" if p == EVEN else "odd"
 
 
+def _check_degree(name, value, low=None, error=ValueError):
+    """Refuse a degree-like argument: value must be an int, not a bool, and
+    at least low when low is given; the error names the argument."""
+    if type(value) is not int or (low is not None and value < low):
+        raise error("%s must be an int%s, got %r" % (
+            name, "" if low is None else " >= %d" % low, value))
+
+
 @dataclass(frozen=True)
 class BasisVector:
     name: str
@@ -144,8 +152,7 @@ class ExteriorBasisMonomial:
 
 def exterior_power_basis(space, k):
     """All canonical k-monomials on the given space; k must be an int >= 0."""
-    if type(k) is not int or k < 0:
-        raise ValueError("k must be an int >= 0, got %r" % (k,))
+    _check_degree("k", k, 0)
     n = len(space)
     out = []
 

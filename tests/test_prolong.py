@@ -33,6 +33,7 @@ from superprolong.liesuper import (
     SymbolAlgebra,
     check_fundamental_nondegenerate,
     derivations_gr,
+    one_cocycles,
     validate,
 )
 from superprolong.prolong import (
@@ -41,7 +42,7 @@ from superprolong.prolong import (
     projective_trace_reduction,
     prolong,
 )
-from superprolong.spencer import CochainSlice, cohomology_dims
+from superprolong.spencer import CochainSlice, cochain_basis, cohomology_dims
 from superprolong.linalg import rank_rows
 
 from conftest import g0_of, g2_symbol, two_step_symbols
@@ -902,6 +903,11 @@ _CHECKED_ARGUMENTS = [
      lambda v: type(v) is int),
     ("exterior_power_basis-k", lambda v: exterior_power_basis(_line().space, v),
      "k ", _never),
+    ("CochainSlice-k", lambda v: CochainSlice(_line(), 0, v), "k ", _never),
+    ("cochain_basis-d", lambda v: cochain_basis(_line(), v, 1), "d ",
+     lambda v: type(v) is int),
+    ("one_cocycles-d", lambda v: one_cocycles(_line(), v), "d ",
+     lambda v: type(v) is int),
 ]
 
 

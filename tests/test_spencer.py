@@ -22,6 +22,8 @@ from superprolong.liesuper import LieSuperalgebra, SymbolAlgebra
 from superprolong.prolong import Prolongation, projective_trace_reduction, prolong
 from superprolong.spencer import (
     CochainSlice,
+    _cochains,
+    _stream_rows,
     cochain_basis,
     cohomology_dims,
     differential_rows,
@@ -367,6 +369,73 @@ def test_reduced_check_leaves_out_only_zero_rows_of_the_c3_target(name):
     assert dropped
 
 
+def _reduced_slices(g):
+    """Per degree d of the reduced check: d, C^{d,1}, C^{d,2}, its B
+    monomials and the test "an argument of degree <= -2" on tuples."""
+    sp = g.space
+    degs = [b.degree for b in sp]
+
+    def deep(T):
+        return any(sp[x].degree <= -2 for x in T)
+
+    for d in range(min(degs) + 2, max(degs) + 2 * max(-x for x in degs) + 1):
+        c2 = cochain_basis(g, d, 2)
+        b_mons = [t for t in c2 if all(sp[x].degree <= -2 for x in t[0])]
+        yield d, cochain_basis(g, d, 1), c2, b_mons, deep
+
+
+@pytest.mark.parametrize("name", ["odd_ode_3", "shc", "supertranslation_2"])
+def test_streamed_rows_are_the_scalar_rows_times_d(name):
+    # a fully read _stream_rows is D times the Scalar loop's rows, entry
+    # for entry and in order: C^{d,1} -> C^{d,2} in target order and with
+    # the A monomials first, and the B monomials -> the lazily filtered
+    # C^{d,3}
+    _, g = _reduced_case(name)
+    den = Scalar(g._int_table()[0])
+    checked = 0
+    for d, c1, c2, b_mons, deep in _reduced_slices(g):
+        b_set = set(b_mons)
+        a_then_b = [t for t in c2 if t not in b_set] + b_mons
+        c3 = [t for t in cochain_basis(g, d, 3) if deep(t[0])]
+        assert list(_cochains(g, d, 3, keep=deep)) == c3, d
+        for basis, target, stream in [
+            (c1, c2, c2), (c1, a_then_b, iter(a_then_b)),
+            (b_mons, c3, _cochains(g, d, 3, keep=deep)),
+        ]:
+            want = [[(c, v * den) for c, v in row.items()]
+                    for row in scalar_differential_rows(g, basis, target)]
+            got = [[(c, Scalar(*v)) for c, v in row.items()]
+                   for row in _stream_rows(g, basis, stream)]
+            assert got == want, d
+            checked += sum(map(len, got))
+    assert checked
+
+
+def test_the_injectivity_stream_stops_early_on_shc():
+    # fed a counting C^{d,3} target, the reduced check's injectivity
+    # elimination draws fewer monomials than C^{d,3} holds, even filtered:
+    # the rows past the stop at full column rank are never built
+    _, g = _reduced_case("shc")
+    drawn = filtered = full = 0
+
+    def counted(target):
+        nonlocal drawn
+        for t in target:
+            drawn += 1
+            yield t
+
+    for d, _, _, b_mons, deep in _reduced_slices(g):
+        if not b_mons:
+            continue
+        target = counted(_cochains(g, d, 3, keep=deep))
+        assert len(_echelon(_stream_rows(g, b_mons, target), units=True,
+                            ncols=len(b_mons))) == len(b_mons), d
+        c3 = cochain_basis(g, d, 3)
+        full += len(c3)
+        filtered += sum(1 for t in c3 if deep(t[0]))
+    assert drawn < filtered < full, (drawn, filtered, full)
+
+
 def test_cochain_basis_is_canonical_monomials_times_values():
     # weakly increasing m-index tuples, strict on even indices, in
     # lexicographic order, each times every g basis vector of degree d above
@@ -387,6 +456,12 @@ def test_cochain_basis_is_canonical_monomials_times_values():
                 assert cochain_basis(g, d, k) == want, (d, k)
     with pytest.raises(ValueError):
         cochain_basis(shc_symbol(), 0, -1)
+    # True and 1 are one key of the cached exterior basis, which k = 1 has
+    # just filled; the slice must still refuse True, and a float degree
+    with pytest.raises(ValueError, match="^k must be an int >= 0, got True"):
+        CochainSlice(shc_symbol(), 0, True)
+    with pytest.raises(ValueError, match="^d must be an int, got 0.5"):
+        CochainSlice(shc_symbol(), 0.5, 1)
 
 
 def _assert_rows_match_the_scalar_loop(g):
