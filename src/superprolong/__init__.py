@@ -4,6 +4,9 @@ Capabilities: Tanaka-Weisfeiler prolongation pr(m, g0) with higher-order
 reductions, generalized Spencer cohomology H^{d,k}(m, g), weak derived flags
 and symbols of polynomial superdistributions, and contact-symmetry
 superalgebras of odd ODEs -- all over Q or Q(i), no floating point.
+
+The package attribute ``prolong`` is the function, which shadows the module
+of that name; reach it by ``importlib.import_module("superprolong.prolong")``.
 """
 
 from .scalars import FIELD_Q, FIELD_QI, Scalar, parse_scalar

@@ -37,6 +37,8 @@ def _entry_parity(p, i):
 
 
 def _check_dims(*dims):
+    if any(type(d) is not int for d in dims):
+        raise ValueError("dimensions must be ints, got %r" % (dims,))
     if min(dims) < 0:
         raise ValueError("dimensions must be >= 0")
 

@@ -16,6 +16,7 @@ component, without the brackets between nonnegative components.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
 
 from .linalg import (
@@ -52,6 +53,9 @@ class LieSuperalgebra:
     The Spencer differentials read the table through its Gaussian-integer
     copy ``_int_table``, made at their first use or at the last ``validate``
     (which always rebuilds it); an in-place edit of ``table`` must drop it.
+    An assembled prolongation's table is built on the first read of
+    ``table`` or ``raw`` (see ``_canonical``), and the engine's truncated
+    algebra grows its ``_int`` with each new component.
     """
     _int = None  # (D, br) of ``_int_table``, once made
 
@@ -85,20 +89,37 @@ class LieSuperalgebra:
     @classmethod
     def _canonical(cls, space, table, field):
         """An algebra over a table that is already canonical (a <= b) with
-        zero-free Scalar coefficients, taken by reference; ``raw`` is a live
-        view of the table's own items."""
+        zero-free Scalar coefficients, taken by reference, or over a thunk
+        that returns one, called when ``table`` or ``raw`` is first read;
+        ``raw`` is a live view of the table's own items."""
         alg = cls.__new__(cls)
-        alg.space, alg.table, alg.field, alg.raw = space, table, field, table.items()
+        alg.space, alg.field = space, field
         alg.rep = alg.rep_shape = None
+        if callable(table):
+            alg._thunk = table
+        else:
+            alg.table = table
         return alg
 
-    def _int_table(self):
+    @cached_property
+    def table(self):
+        return self.__dict__.pop("_thunk")()
+
+    raw = cached_property(lambda self: self.table.items())
+
+    def _int_table(self, keys=None):
         """(D, br), stored on the algebra: D the lcm of the table's denominators,
-        br[a][b] = D [x_a, x_b] as (c, re, im) triples for both orders."""
+        br[a][b] = D [x_a, x_b] as (c, re, im) triples for both orders.  Given
+        keys added since, it grows the stored copy, or drops it (None) if a
+        new denominator does not divide D."""
         par = [v.parity for v in self.space]
-        ints = [(key, *_int_row(vec.items())) for key, vec in self.table.items()]
-        D = lcm(*(d for _, _, d in ints))
-        br = [{} for _ in par]
+        ints = [(key, *_int_row(self.table[key].items()))
+                for key in (self.table if keys is None else keys)]
+        D, br = (lcm(*(d for _, _, d in ints)), []) if keys is None else self._int
+        if any(D % d for _, _, d in ints):
+            self._int = None
+            return None
+        br += ({} for _ in par[len(br):])
         for (a, b), row, d in ints:
             q = D // d
             vec = [(c, x * q, y * q) for c, (x, y) in row.items()]

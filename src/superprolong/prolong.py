@@ -10,7 +10,7 @@ that is, g_i = Z^{i,1}(m, m + g_0 + ... + g_{i-1}).  They are read off the
 package's one Chevalley-Eilenberg differential, ``spencer.differential_rows``:
 the truncated algebra m + g_0 + ... + g_{i-1} is one ``LieSuperalgebra``
 that the engine grows by each new component, never rebuilds, and whose
-table ``assemble`` copies once to add the block brackets; each step is its
+table ``assemble`` snapshots with the blocks (see there); each step is its
 ``liesuper.one_cocycles`` in degree i, the same per-parity kernel that
 ``derivations_gr`` uses for the default g_0 = Z^{0,1}(m, m).
 
@@ -497,7 +497,8 @@ class Prolongation:
 
         It is one algebra, grown by each new component: from the first g_k
         that is not, by identity, the one it was grown by, its basis vectors
-        and brackets are dropped and grown again, and so is its integer copy.
+        and brackets are dropped and grown again.  Its integer copy is
+        dropped there too (and on a new denominator), else grown in place.
         The basis is that of m, then the g%d_%d names; [x_b, e] =
         -(-1)^{|b||e|} [e, x_b] is written at the canonical key (b, e)."""
         g, grown = self._g, self._grown
@@ -510,6 +511,7 @@ class Prolongation:
             del grown[k:], basis[cut:]
             for key in [key for key in g.table if key[1] >= cut]:
                 del g.table[key]
+            g._int = None
         names = {b.name for b in basis}
         for k in range(len(grown), self.top + 1):
             start = len(basis)
@@ -528,27 +530,33 @@ class Prolongation:
                         g.table[(b, start + idx)] = {
                             off + t: s if odd else -s for t, s in vec.items()
                         }
-        g.space, g._int = GradedSuperSpace(basis), None
+        g.space = GradedSuperSpace(basis)
+        if g._int:  # the new keys (b, e) are those past its rows
+            g._int_table([key for key in g.table if key[1] >= len(g._int[1])])
         return g, {k: off for k, (_, off) in enumerate(grown)}
 
     def assemble(self, truncated=False):
         """Extended structure constants of m + g_0 + ... + g_top: a shallow
         copy of the truncated algebra's table plus the block brackets, read
         row by row off each block (k, l), k <= l, which is in the canonical
-        order, so each nonzero entry is written once at its key."""
+        order, so each nonzero entry is written once at its key.  The copy
+        and the blocks are taken here, and the Scalar entries are written on
+        the first read of ``table`` or ``raw``, whatever the engine did since."""
         g, offsets = self._truncation()
-        table = dict(g.table)
-        for k in range(0, self.top + 1):
-            for l in range(k, self.top + 1):
-                if k + l > self.top and truncated or not (
-                    self.comp[k].elements and self.comp[l].elements
-                ):
-                    continue
-                for a, row in enumerate(self._block(k, l), offsets[k]):
-                    for c, entry in enumerate(row, offsets[l]):
-                        if entry is not None:
-                            table[(a, c)] = _scalars(entry, offsets[k + l])
-        return LieSuperalgebra._canonical(g.space, table, self.m.field)
+        # a result keeps its engine, so the grown copy is not kept past here
+        g._int, table = None, dict(g.table)
+        blocks = [(offsets[k], offsets[l], offsets.get(k + l), self._block(k, l))
+                  for k in range(self.top + 1) for l in range(k, self.top + 1)
+                  if self.comp[k].elements and self.comp[l].elements
+                  and not (truncated and k + l > self.top)]
+
+        def build():
+            table.update(((a, c), _scalars(entry, off))
+                         for off_k, off_l, off, block in blocks
+                         for a, row in enumerate(block, off_k)
+                         for c, entry in enumerate(row, off_l) if entry is not None)
+            return table
+        return LieSuperalgebra._canonical(g.space, build, self.m.field)
 
 
 def _scalars(entry, offset=0):

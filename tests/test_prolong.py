@@ -391,6 +391,103 @@ def test_assembled_table_is_not_changed_by_later_steps():
     assert (alg.table, alg.space) == before
 
 
+def _flat_gl21(max_degree):
+    return prolong(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)),
+                   max_degree=max_degree, validate_result=False)
+
+
+def test_assembled_table_is_built_on_first_read_from_a_snapshot():
+    # two snapshots: at degree 4, and after g_4 is replaced by its elements
+    # in reverse order (which drops its blocks and cuts the truncation)
+    res = _flat_gl21(4)
+    engine = res.engine
+    engine.reduce_component(4, engine.comp[4].elements[::-1])
+    late = engine.assemble(truncated=True)
+    for alg in (res.algebra, late):
+        assert not {"table", "raw"} & set(vars(alg))
+    engine.advance(5)
+    engine.reduce_component(5, engine.comp[5].elements[::-1])
+    # the eager copies: fresh engines, their tables read at once
+    eager = _flat_gl21(4)
+    first = eager.algebra.table
+    eager.engine.reduce_component(4, eager.engine.comp[4].elements[::-1])
+    for alg, want in ((res.algebra, first),
+                      (late, eager.engine.assemble(truncated=True).table)):
+        assert list(alg.table.items()) == list(want.items())
+        assert alg.raw == alg.table.items() and "_thunk" not in vars(alg)
+    # a symbol over a thunk shares the table it builds, and its raw view
+    shc = shc_symbol()
+    lazy = LieSuperalgebra._canonical(shc.space, lambda: dict(shc.table), shc.field)
+    m = SymbolAlgebra(lazy)
+    assert m.table is lazy.table and m.raw is lazy.raw and m.table == shc.table
+
+
+def _assert_int_is_the_rebuild(engine):
+    # the grown Gaussian-integer copy against _int_table of a fresh algebra
+    # over the same table, entry for entry
+    g = engine._g
+    assert g._int is not None
+    D, br = LieSuperalgebra._canonical(g.space, dict(g.table), g.field)._int_table()
+    assert g._int[0] == D and len(g._int[1]) == len(br)
+    for a, row in enumerate(br):
+        assert g._int[1][a].keys() == row.keys()
+        for b in row:
+            assert g._int[1][a][b] == row[b], (a, b)
+
+
+def _counting_int_tables(monkeypatch, engine):
+    # the _int_table calls on the engine's truncated algebra, by outcome
+    calls = {"rebuilt": 0, "grown": 0, "dropped": 0}
+    original = LieSuperalgebra._int_table
+
+    def counted(self, keys=None):
+        out = original(self, keys)
+        if self is engine._g:
+            calls["rebuilt" if keys is None else "grown" if out else "dropped"] += 1
+        return out
+    monkeypatch.setattr(LieSuperalgebra, "_int_table", counted)
+    return calls
+
+
+def test_grown_int_table_matches_the_rebuild(monkeypatch):
+    # flat gl(2|1): built once at the first step, grown at every later one
+    engine = Prolongation(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)))
+    calls = _counting_int_tables(monkeypatch, engine)
+    for i in range(1, 5):
+        engine.advance(i)
+        _assert_int_is_the_rebuild(engine)
+    assert calls == {"rebuilt": 1, "grown": 3, "dropped": 0}
+
+
+def test_grown_int_table_is_dropped_on_a_cut(monkeypatch):
+    # step(2) grows the copy by the unreduced g_1; the projective reduction
+    # of g_1 then cuts the truncation there, and the next step rebuilds it
+    engine = Prolongation(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)))
+    calls = _counting_int_tables(monkeypatch, engine)
+    engine.advance(1)
+    engine.step(2)
+    _assert_int_is_the_rebuild(engine)
+    engine.reduce_component(1, projective_trace_reduction(engine))
+    engine.advance(2)
+    _assert_int_is_the_rebuild(engine)
+    assert calls == {"rebuilt": 2, "grown": 1, "dropped": 0}
+
+
+def test_grown_int_table_is_rebuilt_after_a_new_denominator(monkeypatch):
+    # the g_1 of the SHC symbol has a denominator that does not divide the
+    # D = 2 of m + g_0 (D is 6 after it), so growing by it drops the copy
+    # and the step rebuilds it; g_2 and g_3 are grown in
+    engine = Prolongation(SymbolAlgebra(shc_symbol()))
+    calls = _counting_int_tables(monkeypatch, engine)
+    i = 0
+    while not i or engine.comp[i].elements:
+        i += 1
+        engine.advance(i)
+        _assert_int_is_the_rebuild(engine)
+    assert engine._g._int[0] == 6 and i == 4
+    assert calls == {"rebuilt": 2, "grown": 2, "dropped": 1}
+
+
 def test_zero_coefficients_of_a_g0_action_are_no_entries():
     # as in the matrix form, an explicit zero is no entry: it neither breaks
     # parity-homogeneity (X -> th1) nor reaches the structure constants
@@ -908,6 +1005,9 @@ _CHECKED_ARGUMENTS = [
      lambda v: type(v) is int),
     ("one_cocycles-d", lambda v: one_cocycles(_line(), v), "d ",
      lambda v: type(v) is int),
+    ("gl-p", lambda v: gl(v, 0), "dimensions must be", _never),
+    ("pe-n", lambda v: pe(v), "dimensions must be", _never),
+    ("abelian-q", lambda v: abelian(0, v), "dimensions must be", _never),
 ]
 
 
@@ -927,3 +1027,13 @@ def test_degree_like_arguments_are_refused_by_name(what, call, name, valid, data
     with pytest.raises((ValueError, TypeError)) as exc:
         call(value)
     assert str(exc.value).startswith(name), (what, value, str(exc.value))
+
+
+def test_the_package_attribute_prolong_is_the_function():
+    # the re-exported function shadows the submodule, which is reached by
+    # its full name
+    import importlib
+    import superprolong
+    module = importlib.import_module("superprolong.prolong")
+    assert superprolong.prolong is prolong is module.prolong
+    assert module.Prolongation is Prolongation
