@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .linalg import kernel_basis_rows
 from .scalars import FIELD_QI, Scalar, _exact, _read_rational
-from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace
+from .superspace import EVEN, ODD, BasisVector, GradedSuperSpace, _check_degree
 from .liesuper import LieSuperalgebra
 from .prolong import Prolongation
 
@@ -41,6 +41,12 @@ def _check_dims(*dims):
         raise ValueError("dimensions must be ints, got %r" % (dims,))
     if min(dims) < 0:
         raise ValueError("dimensions must be >= 0")
+
+
+def _check_order(order):
+    _check_degree("order", order)
+    if order < 2:
+        raise ValueError("order must be >= 2")
 
 
 def _check_form(form, n, what):
@@ -318,8 +324,7 @@ def shc_symbol():
 def odd_ode_symbol(order):
     """Contact symbol of an order-n odd ODE: <X|th1> + <th2> + ... + <thn>,
     [X, th_i] = th_{i+1}."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    _check_order(order)
     basis = [BasisVector("X", -1, EVEN), BasisVector("th1", -1, ODD)]
     for i in range(2, order + 1):
         basis.append(BasisVector("th%d" % i, -i, ODD))
@@ -336,6 +341,7 @@ def odd_ode_scalings(order):
     """The two scaling derivations of odd_ode_symbol(order) fixing the two
     distinguished lines: diag(1,0,1,2,...,n-1) and diag(0,1,1,...,1) in the
     basis (X, th1, ..., thn).  Returned as (parity, action) pairs."""
+    _check_order(order)
     t1 = {0: {0: Scalar(1)}}
     t2 = {1: {1: Scalar(1)}}
     for i in range(2, order + 1):
@@ -371,6 +377,7 @@ def supertranslation(N, form=None):
     Clifford action; the bracket on m_{-1} is (Gamma(s,t), v) = B(v.s, t)
     for the form B (default eps (x) Id_N), which must be admissible:
     Gamma(s, t) = Gamma(t, s) on every pair of spinor slots."""
+    _check_degree("N", N)
     if N < 1:
         raise ValueError("N must be >= 1")
     if form is None:

@@ -239,55 +239,32 @@ def validate(L):
     def name(i):
         return space[i].name
 
+    def report(kind, where, detail):
+        out.append({"kind": kind, "where": tuple(map(name, where)), "detail": detail})
+
     for (a, b), vec in L.raw:
         for c, s in vec.items():
             if not s:
                 continue
             if space[c].degree != space[a].degree + space[b].degree:
-                out.append(
-                    {
-                        "kind": "degree",
-                        "where": (name(a), name(b), name(c)),
-                        "detail": "deg %d != %d + %d"
-                        % (space[c].degree, space[a].degree, space[b].degree),
-                    }
-                )
+                report("degree", (a, b, c), "deg %d != %d + %d"
+                       % (space[c].degree, space[a].degree, space[b].degree))
             if space[c].parity != (space[a].parity + space[b].parity) % 2:
-                out.append(
-                    {
-                        "kind": "parity",
-                        "where": (name(a), name(b), name(c)),
-                        "detail": "parity mismatch",
-                    }
-                )
+                report("parity", (a, b, c), "parity mismatch")
 
     # antisymmetry on the raw input: both orders present must be consistent,
     # and [x,x] = 0 for even x
     raw_map = dict(L.raw)
     for (a, b), vec in raw_map.items():
-        if a == b and space[a].parity == EVEN:
-            if vec:
-                out.append(
-                    {
-                        "kind": "antisymmetry",
-                        "where": (name(a), name(a)),
-                        "detail": "[x,x] != 0 for even x",
-                    }
-                )
+        if a == b and space[a].parity == EVEN and vec:
+            report("antisymmetry", (a, a), "[x,x] != 0 for even x")
         if a < b and (b, a) in raw_map:
             other = raw_map[(b, a)]
             sign = Scalar(1) if (
                 space[a].parity == ODD and space[b].parity == ODD
             ) else Scalar(-1)
-            expect = svec_scale(other, sign)
-            if expect != vec:
-                out.append(
-                    {
-                        "kind": "antisymmetry",
-                        "where": (name(a), name(b)),
-                        "detail": "[x,y] != -(-1)^{|x||y|}[y,x]",
-                    }
-                )
+            if svec_scale(other, sign) != vec:
+                report("antisymmetry", (a, b), "[x,y] != -(-1)^{|x||y|}[y,x]")
 
     # super Jacobi, J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]],
     # on the integer table rebuilt from the table as it stands, so the two
@@ -331,17 +308,9 @@ def validate(L):
                 if lhs != rhs:
                     defect = _pair_axpy(
                         dict(lhs), -1, 0, ((c, u, v) for c, (u, v) in rhs.items()))
-                    out.append(
-                        {
-                            "kind": "jacobi",
-                            "where": (name(x), name(y), name(z)),
-                            "detail": "defect "
-                            + ", ".join(
-                                "%s: %s" % (name(c), (Scalar(u, v) / (D * D)).pretty())
-                                for c, (u, v) in sorted(defect.items())
-                            ),
-                        }
-                    )
+                    report("jacobi", (x, y, z), "defect " + ", ".join(
+                        "%s: %s" % (name(c), (Scalar(u, v) / (D * D)).pretty())
+                        for c, (u, v) in sorted(defect.items())))
     return out
 
 
@@ -446,15 +415,15 @@ def derivations_gr(m, d=0):
 def one_cocycles(g, d):
     """The 1-cocycles Z^{d,1}(m, g) of the negative part m of g, as
     (parity, action) pairs with action = {j: {i: Scalar}} (source j in m,
-    value index i in g): per parity, a kernel basis of the rows of
-    ``spencer.differential_rows`` on C^{d,1}(m, g), taken in Gaussian
-    integers, whose columns (source j, image i) are ordered by j, then i.
-    delta is even, so the parity-p columns are read against the parity-p
-    part of C^{d,2} only; the rows of the other parity would be empty.
-    The rows are streamed into the elimination in target order (taking
-    the shortest first was measured slower on the large prolongations),
-    and it stops at full column rank, where the kernel is zero, so the
-    rows past the stop are never built."""
+    value index i in g): per parity, a kernel basis of the Spencer rows
+    ``spencer._stream_rows`` on C^{d,1}(m, g), in Gaussian integers, whose
+    columns (source j, image i) are ordered by j, then i.  delta is even,
+    so the parity-p columns are read against the parity-p part of C^{d,2}
+    only; the rows of the other parity would be empty.  The rows are
+    streamed into the elimination in target order (taking the shortest
+    first was measured slower on the large prolongations), and it stops
+    at full column rank, where the kernel is zero, so the rows past the
+    stop are never built."""
     basis = cochain_basis(g, d, 1)
     target = cochain_basis(g, d, 2)
     elements = []

@@ -34,13 +34,14 @@ from .superspace import (
     BasisVector,
     GradedSuperSpace,
     GrassmannPolynomial,
+    _check_degree,
     parse_polynomial,
     sort_with_sign,
 )
 from .liesuper import LieSuperalgebra, SymbolAlgebra, validate as validate_alg
 from .superfield import PolynomialField
 from .linalg import SpanSolver, kernel_basis_rows
-from .catalog import odd_ode_scalings, odd_ode_symbol
+from .catalog import _check_order, odd_ode_scalings, odd_ode_symbol
 from .prolong import prolong
 
 
@@ -257,6 +258,7 @@ def prolong_field(f, r):
     D_{x^{j_1}}...D_{x^{j_k}} f truncated to jet order k."""
     ctx = f.ambient
     base = contact_vf(f)
+    _check_degree("prolongation order", r)
     if r < 1:
         raise ValueError("prolongation order must be >= 1")
     coeffs = dict(base.coeffs)
@@ -331,8 +333,8 @@ def _jet_coordinate(ctx, nm):
 
 class OdeSpec:
     def __init__(self, order, rhs, poly_degree=4, exponentials=()):
-        if order < 2:
-            raise ValueError("order must be >= 2")
+        _check_order(order)
+        _check_degree("poly_degree", poly_degree)
         if poly_degree < 0:
             raise ValueError("poly_degree must be >= 0")
         self.ctx = JetContext(1)

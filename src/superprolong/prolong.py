@@ -7,7 +7,7 @@ vector in the component g_{i-j}, and the defining equations are
     u([v,w]) = [u(v), w] - (-1)^{|v||w|} [u(w), v]     for all v, w in m,
 
 that is, g_i = Z^{i,1}(m, m + g_0 + ... + g_{i-1}).  They are read off the
-package's one Chevalley-Eilenberg differential, ``spencer.differential_rows``:
+package's one Chevalley-Eilenberg differential, in ``spencer``:
 the truncated algebra m + g_0 + ... + g_{i-1} is one ``LieSuperalgebra``
 that the engine grows by each new component, never rebuilds, and whose
 table ``assemble`` snapshots with the blocks (see there); each step is its
@@ -102,11 +102,6 @@ def _normalize_actions(elements, what, n, targets=None):
     return out
 
 
-def _flatten_action(action):
-    """An action {b: {t: Scalar}} as one sparse vector keyed by (b, t)."""
-    return {(b, t): s for b, vec in action.items() for t, s in vec.items()}
-
-
 def _first_dependent(rows):
     """The index of the first row in the span of the rows before it (a zero
     row lies in the span of none), or None when the rows are independent."""
@@ -129,7 +124,7 @@ class Prolongation:
                     else _normalize_actions(g0, "g0 element %d", self.n))
         self._check_derivations(elements)
         if g0 is not None:
-            idx = _first_dependent([_flatten_action(a) for _, a in elements])
+            idx = _first_dependent([self._keyed(a) for _, a in elements])
             if idx is not None:
                 raise ProlongationError(
                     "g0 element %d lies in the span of the elements before it" % idx)
@@ -296,24 +291,29 @@ class Prolongation:
         per component, as the pair (imgs, flat).  imgs[a] is a list over
         the m basis of (coords, den) or None, coords (t, re, im) triples of
         the image and den the element's one denominator; flat[a] is
-        (terms, den), terms the same entries as one tuple of (b, t, re, im)."""
+        (terms, den), terms the same entries as one tuple of (b, t, re, im),
+        in the order of the element's ``_keyed`` action."""
         ints = self._ints.get(k)
         if ints is None:
             ints = imgs, flat = [], []
+            n = self.n
             for _, action in self.comp[k].elements:
-                row, den = _int_row(_flatten_action(action).items())
-                by_b = [[] for _ in range(self.n)]
-                for (b, t), (x, y) in row.items():
+                row, den = _int_row(self._keyed(action).items())
+                by_b = [[] for _ in range(n)]
+                terms = []
+                for key, (x, y) in row.items():
+                    t, b = divmod(key, n)
                     by_b[b].append((t, x, y))
+                    terms.append((b, t, x, y))
                 imgs.append([(tuple(v), den) if v else None for v in by_b])
-                flat.append((tuple((b, t, x, y) for (b, t), (x, y) in row.items()), den))
+                flat.append((tuple(terms), den))
             self._ints[k] = ints
         return ints
 
     def _keyed(self, action):
         """An action {b: {t: s}} as one sparse vector keyed by the int
-        t * n + b, n = dim m: the key form of the component solvers and of
-        ``_block``'s z."""
+        t * n + b, n = dim m: the engine's one key form, read by the component
+        solvers, ``_block``'s z, ``_int_actions`` and the rank checks."""
         n = self.n
         return {t * n + b: s for b, vec in action.items() for t, s in vec.items()}
 
@@ -349,18 +349,19 @@ class Prolongation:
                         )
         # (d w)(a, b) = [w a, b] + (-1)^{|w||a|}[a, w b] - w[a, b]: each
         # element must be a cocycle of C^{0,1}(m, m), and a nonzero target
-        # row names the canonical pair a <= b at fault
+        # row names the canonical pair a <= b at fault; the slice's integer
+        # rows are D times its Scalar rows, so they vanish on the same w
         sl = CochainSlice(m, 0, 1)
         col = {(T[0], i): c for c, (T, i, _) in enumerate(sl.basis)}
         for idx, (p, action) in enumerate(elements):
             w = {
                 col[(b, i)]: s for b, img in action.items() for i, s in img.items()
             }
-            for r, row in enumerate(sl.matrix_rows):
+            for r, row in enumerate(sl._rows):
                 val = 0
                 for c, x in row.items():
                     if c in w:
-                        val = val + x * w[c]
+                        val = val + Scalar(*x) * w[c]
                 if val:
                     a, b = sl.target[r][0]
                     raise ProlongationError(
@@ -416,11 +417,9 @@ class Prolongation:
         if not comp.elements:
             return
         deg1 = self.space.indices_of_degree(-1)
-        flats = [
-            {(b, t): s for b in deg1 for t, s in action.get(b, {}).items()}
-            for _, action in comp.elements
-        ]
-        if rank_rows(flats) != len(comp.elements):
+        rows = [self._keyed({b: action[b] for b in deg1 if b in action})
+                for _, action in comp.elements]
+        if rank_rows(rows) != len(comp.elements):
             raise ProlongationError(
                 "transitivity failure at degree %d: ad restricted to g_{-1} "
                 "is not injective" % i
@@ -464,7 +463,11 @@ class Prolongation:
                     "reduction element %d does not have parity %d" % (idx, parity))
             reduced = {}
             for t, s in coeffs.items():
-                svec_axpy_action(reduced, s, old.elements[t][1])
+                for b, vec in old.elements[t][1].items():
+                    tgt = reduced.setdefault(b, {})
+                    svec_axpy(tgt, s, vec)
+                    if not tgt:
+                        del reduced[b]
             new_elements.append((parity, reduced))
             coeff_rows.append(coeffs)
         idx = _first_dependent(coeff_rows)
@@ -535,11 +538,13 @@ class Prolongation:
             g._int_table([key for key in g.table if key[1] >= len(g._int[1])])
         return g, {k: off for k, (_, off) in enumerate(grown)}
 
-    def assemble(self, truncated=False):
+    def assemble(self):
         """Extended structure constants of m + g_0 + ... + g_top: a shallow
         copy of the truncated algebra's table plus the block brackets, read
         row by row off each block (k, l), k <= l, which is in the canonical
-        order, so each nonzero entry is written once at its key.  The copy
+        order, so each nonzero entry is written once at its key.  The engine
+        decides the truncation: while g_top is nonzero, the blocks past top
+        are left out; once it is zero, all are made and so checked.  The copy
         and the blocks are taken here, and the Scalar entries are written on
         the first read of ``table`` or ``raw``, whatever the engine did since."""
         g, offsets = self._truncation()
@@ -548,7 +553,7 @@ class Prolongation:
         blocks = [(offsets[k], offsets[l], offsets.get(k + l), self._block(k, l))
                   for k in range(self.top + 1) for l in range(k, self.top + 1)
                   if self.comp[k].elements and self.comp[l].elements
-                  and not (truncated and k + l > self.top)]
+                  and (k + l <= self.top or not self.comp[self.top].elements)]
 
         def build():
             table.update(((a, c), _scalars(entry, off))
@@ -576,15 +581,6 @@ def _flip(entry, both_odd):
     if entry is None or both_odd:
         return entry
     return entry[0], -entry[1]
-
-
-def svec_axpy_action(acc, s, action):
-    for b, vec in action.items():
-        tgt = acc.setdefault(b, {})
-        svec_axpy(tgt, s, vec)
-        if not tgt:
-            acc.pop(b)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +696,7 @@ def prolong(m, g0=None, reductions=None, max_degree=None, validate_result=True):
     unreached = [d for d in sorted(red) if d > i for _ in red[d]]
     if unreached:
         metadata["unreached_reductions"] = unreached
-    algebra = engine.assemble(truncated=(status == "truncated"))
+    algebra = engine.assemble()
     if validate_result and status == "stabilized":
         report = validate(algebra)
         if report:

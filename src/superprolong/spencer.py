@@ -37,8 +37,8 @@ and kernel bases do not change under one common scale, so the callers
 eliminate the integer rows as they are.  ``one_cocycles`` and both halves
 of the reduced check feed the stream straight into an elimination that
 stops at full column rank, so the rows past the stop are never built;
-``differential_rows`` and ``CochainSlice`` read it as a list, and
-``differential_rows`` and ``CochainSlice.matrix_rows`` divide it by D.
+``CochainSlice`` is the one view that keeps them, as a list, and divides
+them by D in ``matrix_rows``.
 
 Reduced differential.  C^{d,2} = A + B, where A is spanned by the monomials
 with an argument of degree -1 and B by those with both arguments of degree
@@ -67,9 +67,10 @@ from .superspace import (EVEN, ODD, BasisVector, _check_degree,
 
 class CochainSlice:
     """The component C^{d,k}(m, g) with the sparse rows of its differential
-    d: C^{d,k} -> C^{d,k+1} in the canonical monomial bases: ``_rows`` in
-    Gaussian integers, ``_den`` (g's table-wide D) times ``matrix_rows``.
-    target, if given, is C^{d,k+1} as ``cochain_basis`` built it."""
+    d: C^{d,k} -> C^{d,k+1} in the canonical monomial bases: ``_rows``, the
+    ``_stream_rows`` in Gaussian integers, and ``matrix_rows``, the same
+    divided by ``_den`` (g's table-wide D).  target, if given, is C^{d,k+1}
+    as ``cochain_basis`` built it."""
 
     def __init__(self, g, d, k, target=None):
         self.g = g
@@ -77,11 +78,13 @@ class CochainSlice:
         self.k = k
         self.basis = cochain_basis(g, d, k)
         self.target = cochain_basis(g, d, k + 1) if target is None else target
-        self._rows, self._den = _differential_rows(g, self.basis, self.target)
+        self._rows = list(_stream_rows(g, self.basis, self.target))
+        self._den = g._int[0]
 
     @cached_property
     def matrix_rows(self):
-        return _scalar_rows(self._rows, self._den)
+        return [{c: Scalar(a, b) / self._den for c, (a, b) in row.items()}
+                for row in self._rows]
 
 
 def cochain_basis(g, d, k):
@@ -135,29 +138,12 @@ def _slot_signs(pars):
             {(i, j): sign((i, j)) for i in slots for j in slots if i < j})
 
 
-def differential_rows(g, basis, target):
-    """Sparse matrix rows (dicts col -> Scalar) of the differential w.r.t.
-    monomial bases; rows are indexed by the target basis."""
-    return _scalar_rows(*_differential_rows(g, basis, target))
-
-
-def _scalar_rows(rows, den):
-    """The integer rows divided by den, as dicts col -> Scalar."""
-    return [{c: Scalar(a, b) / den for c, (a, b) in row.items()}
-            for row in rows]
-
-
-def _differential_rows(g, basis, target):
-    """(rows, D): the ``_stream_rows`` as a list, and g's D."""
-    den = (g._int or g._int_table())[0]
-    return list(_stream_rows(g, basis, target)), den
-
-
 def _stream_rows(g, basis, target):
-    """D times the rows of ``differential_rows`` in Gaussian integers, read
-    off g's integer table (``_int_table``) over its D, yielded in target
-    order.  target may be any iterable that keeps the monomials of each
-    argument tuple T together; the rows of T are written only while T is
+    """D times the differential's rows on the basis monomials, one dict
+    col -> (re, im) per target monomial, in Gaussian integers read off g's
+    integer table (``_int_table``) over its D, yielded in target order.
+    target may be any iterable that keeps the monomials of each argument
+    tuple T together; the rows of T are written only while T is
     processed and yielded as soon as it is done, so a reader that stops
     early leaves the later rows unbuilt."""
     cols_by_tuple = {}
@@ -218,10 +204,8 @@ def cohomology_dims(d, k, m, g=None):
     the rows go in shortest first, and the elimination stops once it has
     as many pivots as the slice has parity-p columns.  C^{d,k} is built
     once, as the basis of one slice and the target of the other.  d must
-    be an int and k an int >= 0.
+    be an int and k an int >= 0 (``cochain_basis`` checks both).
     """
-    _check_degree("d", d)
-    _check_degree("k", k, 0)
     g = m if g is None else g
     here = CochainSlice(g, d, k)
     slices = [here]

@@ -191,9 +191,10 @@ def differential_formula(g, basis, target):
 def scalar_differential_rows(g, basis, target):
     """The Spencer differential's sparse rows (dicts col -> Scalar) between
     cochain bases, one per target monomial, built in ``Scalar`` arithmetic
-    from ``bracket_indices``: the loop that ``spencer.differential_rows``
-    ran before it built its rows in Gaussian integers over a common
-    denominator."""
+    from ``bracket_indices``: the loop that the package's Spencer rows ran
+    before they were built in Gaussian integers over a common denominator
+    (``spencer._stream_rows``, and ``CochainSlice.matrix_rows`` divides
+    them by it)."""
     from superprolong.spencer import _slot_signs
     from superprolong.superspace import sort_with_sign
 
@@ -282,8 +283,8 @@ def reduced_p_injective(g, d):
 
 def prolongation_step(engine, i):
     """The degree-i prolongation step of a Prolongation engine, with its
-    equations written out pair by pair rather than read off
-    spencer.differential_rows.
+    equations written out pair by pair rather than read off the Spencer
+    rows of spencer._stream_rows.
 
     An element u of g_i is unknown through its values u(b) for every m-basis
     index b: unknowns (b, t) run over the coordinates t of the component of

@@ -215,6 +215,46 @@ def test_validator_reports_jacobi_on_all_triples_after_a_grading_error():
     assert any(v["where"] == ("th2p", "th1p", "e1") for v in jacobi)
 
 
+def test_validate_reports_are_pinned_entry_by_entry():
+    # the whole report, in order, for SHC without [th1p, rho1] (the CI
+    # input shc_broken.json), for a raw table whose two orders of [x, y]
+    # disagree and whose even [x, x] is nonzero, and for a table with a
+    # parity and a degree defect, whose Jacobi defects are then reported
+    # on all ordered triples
+    from superprolong.superspace import BasisVector, GradedSuperSpace
+
+    data = shc_symbol().to_json()
+    data["brackets"] = [b for b in data["brackets"]
+                        if (b["left"], b["right"]) != ("th1p", "rho1")]
+    assert validate(read_algebra(data)) == [
+        {"kind": "jacobi", "where": ("e1", "th1p", "th2p"), "detail": "defect f1: 1"},
+        {"kind": "jacobi", "where": ("e2", "th1p", "th1pp"), "detail": "defect f1: 1"},
+    ]
+    one = Scalar(1)
+    space = GradedSuperSpace([BasisVector("x", -1, EVEN), BasisVector("y", -1, EVEN),
+                              BasisVector("z", -2, EVEN)])
+    raw = {(0, 1): {2: one}, (1, 0): {2: one}, (0, 0): {2: one}}
+    assert validate(LieSuperalgebra(space, raw)) == [
+        {"kind": "antisymmetry", "where": ("x", "y"),
+         "detail": "[x,y] != -(-1)^{|x||y|}[y,x]"},
+        {"kind": "antisymmetry", "where": ("x", "x"), "detail": "[x,x] != 0 for even x"},
+    ]
+    space = GradedSuperSpace([BasisVector("x", -1, ODD), BasisVector("y", -2, EVEN),
+                              BasisVector("w", -3, ODD), BasisVector("u", -3, EVEN)])
+    raw = {(0, 0): {1: one}, (0, 1): {2: one, 3: one}, (0, 2): {1: one}}
+    assert validate(LieSuperalgebra(space, raw)) == [
+        {"kind": "parity", "where": ("x", "y", "u"), "detail": "parity mismatch"},
+        {"kind": "degree", "where": ("x", "w", "y"), "detail": "deg -2 != -1 + -3"},
+        {"kind": "jacobi", "where": ("x", "x", "x"), "detail": "defect w: 3, u: 3"},
+        {"kind": "jacobi", "where": ("x", "x", "y"), "detail": "defect y: 2"},
+        {"kind": "jacobi", "where": ("x", "x", "w"), "detail": "defect w: 2, u: 2"},
+        {"kind": "jacobi", "where": ("x", "y", "x"), "detail": "defect y: -2"},
+        {"kind": "jacobi", "where": ("x", "w", "x"), "detail": "defect w: 2, u: 2"},
+        {"kind": "jacobi", "where": ("y", "x", "x"), "detail": "defect y: 2"},
+        {"kind": "jacobi", "where": ("w", "x", "x"), "detail": "defect w: 2, u: 2"},
+    ]
+
+
 def _small_prolongation():
     from superprolong.prolong import prolong
 
@@ -562,8 +602,9 @@ def test_build_named_checks_the_argument_count(spec, form):
 
 
 # derivations_gr(m, d).elements for d = -2..1, recorded before derivations
-# became the 1-cocycles of spencer.differential_rows; any change in the
-# kernel basis (its column order, normalization or span) shows up here.
+# became the 1-cocycles of the Spencer rows (spencer._stream_rows); any
+# change in the kernel basis (its column order, normalization or span)
+# shows up here.
 DERIVATION_CASES = {
     "shc": shc_symbol,
     "supertranslation_2": lambda: supertranslation(2),

@@ -43,6 +43,7 @@ from superprolong.prolong import (
     prolong,
 )
 from superprolong.spencer import CochainSlice, cochain_basis, cohomology_dims
+from superprolong.oddode import JetContext, OdeSpec, parse_jet, prolong_field
 from superprolong.linalg import rank_rows
 
 from conftest import g0_of, g2_symbol, two_step_symbols
@@ -402,7 +403,7 @@ def test_assembled_table_is_built_on_first_read_from_a_snapshot():
     res = _flat_gl21(4)
     engine = res.engine
     engine.reduce_component(4, engine.comp[4].elements[::-1])
-    late = engine.assemble(truncated=True)
+    late = engine.assemble()
     for alg in (res.algebra, late):
         assert not {"table", "raw"} & set(vars(alg))
     engine.advance(5)
@@ -412,7 +413,7 @@ def test_assembled_table_is_built_on_first_read_from_a_snapshot():
     first = eager.algebra.table
     eager.engine.reduce_component(4, eager.engine.comp[4].elements[::-1])
     for alg, want in ((res.algebra, first),
-                      (late, eager.engine.assemble(truncated=True).table)):
+                      (late, eager.engine.assemble().table)):
         assert list(alg.table.items()) == list(want.items())
         assert alg.raw == alg.table.items() and "_thunk" not in vars(alg)
     # a symbol over a thunk shares the table it builds, and its raw view
@@ -420,6 +421,30 @@ def test_assembled_table_is_built_on_first_read_from_a_snapshot():
     lazy = LieSuperalgebra._canonical(shc.space, lambda: dict(shc.table), shc.field)
     m = SymbolAlgebra(lazy)
     assert m.table is lazy.table and m.raw is lazy.raw and m.table == shc.table
+
+
+def test_assemble_leaves_out_the_blocks_past_an_unstabilized_top():
+    # an engine advanced by hand to degree 4 has a nonzero g_4, so its
+    # algebra is the truncated one that prolong returns at max_degree 4
+    engine = Prolongation(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)))
+    for i in range(1, 5):
+        engine.advance(i)
+    assert engine.comp[4].elements
+    assert engine.assemble().table == _flat_gl21(4).algebra.table
+
+
+def test_assemble_of_a_stabilized_engine_makes_every_block():
+    # g_top = 0, so no block is left out: each block past top is made,
+    # and so checked to vanish, and the table is prolong's
+    res = prolong(SymbolAlgebra(shc_symbol()))
+    engine = res.engine
+    assert res.status == "stabilized" and not engine.comp[engine.top].elements
+    engine._blocks.clear()
+    alg = engine.assemble()
+    nonzero = [k for k in engine.comp if engine.comp[k].elements]
+    assert set(engine._blocks) == {(k, l) for k in nonzero for l in nonzero if k <= l}
+    assert any(k + l > engine.top for k, l in engine._blocks)
+    assert alg.table == res.algebra.table
 
 
 def _assert_int_is_the_rebuild(engine):
@@ -791,7 +816,7 @@ def test_reducing_a_component_below_the_top_is_rejected():
         engine.reduce_component(1, projective_trace_reduction(engine))
     assert engine.comp[1].elements == g1
     # m + gl(2) + S^2 V* (x) V + S^3 V* (x) V
-    assert len(engine.assemble(truncated=True).space) == 2 + 4 + 6 + 8
+    assert len(engine.assemble().space) == 2 + 4 + 6 + 8
 
 
 def _catalog_snapshot(alg):
@@ -1008,6 +1033,15 @@ _CHECKED_ARGUMENTS = [
     ("gl-p", lambda v: gl(v, 0), "dimensions must be", _never),
     ("pe-n", lambda v: pe(v), "dimensions must be", _never),
     ("abelian-q", lambda v: abelian(0, v), "dimensions must be", _never),
+    ("odd_ode_symbol-order", lambda v: odd_ode_symbol(v), "order ", _never),
+    ("odd_ode_scalings-order", lambda v: odd_ode_scalings(v), "order ", _never),
+    ("supertranslation-N", lambda v: supertranslation(v), "N ", _never),
+    ("prolong_field-r",
+     lambda v: prolong_field(parse_jet(JetContext(1), "xi"), v),
+     "prolongation order ", _never),
+    ("OdeSpec-order", lambda v: OdeSpec(v, "xi"), "order ", _never),
+    ("OdeSpec-poly_degree", lambda v: OdeSpec(3, "xi2", poly_degree=v),
+     "poly_degree ", _never),
 ]
 
 
