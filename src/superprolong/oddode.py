@@ -23,7 +23,7 @@ with [S_f, S_g] = S_{[f,g]}.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, count
 from math import lcm
 
@@ -477,6 +477,15 @@ class SymmetryResult:
 _ADOPTION_LIMIT = 32
 
 
+@lru_cache(maxsize=None)
+def _tanaka_bound(order):
+    """Total superdim of pr(odd_ode_symbol(order), scalings), or None when it
+    does not stabilize: computed once per order."""
+    res = prolong(SymbolAlgebra(odd_ode_symbol(order)),
+                  g0=odd_ode_scalings(order), validate_result=False)
+    return res.total_superdim if res.status == "stabilized" else None
+
+
 def determine_symmetries(spec):
     """All contact symmetries of xi^(n) = rhs with generating superfunctions
     in the ansatz span c(x) * {1, xi, xi', xi xi'}.
@@ -484,6 +493,7 @@ def determine_symmetries(spec):
     The solver finds every symmetry whose coefficients lie in the ansatz
     span; it cannot certify there are no others, but when its dimensions
     reach the Tanaka bound pr(symbol, scalings) the result is complete.
+    That bound depends on n alone and is kept per order (``_tanaka_bound``).
     """
     ctx = spec.ctx
     n = spec.order
@@ -564,11 +574,7 @@ def determine_symmetries(spec):
 
     # the Tanaka bound dim sym <= dim pr(symbol, scalings): it certifies
     # completeness and caps the Lie closure below
-    res = prolong(
-        SymbolAlgebra(odd_ode_symbol(n)), g0=odd_ode_scalings(n),
-        validate_result=False,
-    )
-    bound = res.total_superdim if res.status == "stabilized" else None
+    bound = _tanaka_bound(n)
 
     # Lie closure: a bracket of symmetries is a symmetry; adopt any bracket
     # that escapes the current span (possible when the ansatz basis missed a

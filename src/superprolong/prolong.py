@@ -392,6 +392,7 @@ class Prolongation:
         g_i is Z^{i,1}(m, m + g_0 + ... + g_{i-1}): the ``one_cocycles`` of
         the truncated algebra in degree i, with each value index mapped back
         to its component-local coordinate."""
+        _check_degree("i", i, error=ProlongationError)
         if i != self.top + 1:
             raise ProlongationError("steps must be computed in order")
         g, offsets = self._truncation()

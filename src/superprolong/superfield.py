@@ -28,6 +28,7 @@ from .superspace import (
     BasisVector,
     GradedSuperSpace,
     GrassmannPolynomial,
+    _check_degree,
     parse_polynomial,
     parse_polynomial_terms,
     scaled_name,
@@ -45,10 +46,7 @@ class Ambient:
         self.odd = list(odd_names)
         self.m = len(self.even)
         self.n = len(self.odd)
-        if type(degree_cap) is not int or degree_cap < 0:
-            raise ValueError(
-                "degree_cap must be a nonnegative integer, not %r" % (degree_cap,)
-            )
+        _check_degree("degree_cap", degree_cap, 0)
         self.degree_cap = degree_cap
         if len(set(self.even) | set(self.odd)) != self.m + self.n:
             raise ValueError("coordinate names must be distinct")
@@ -360,12 +358,17 @@ class FrameField:
 
 
 class DerivedFlag:
-    def __init__(self, frames, residuals, depth, levels_rank, bracket_generating):
+    """``brackets`` maps (X, Y), two frame fields as objects, to [X, Y] for
+    each such bracket computed, for ``check_strong_regularity`` to reuse."""
+
+    def __init__(self, frames, residuals, depth, levels_rank, bracket_generating,
+                 brackets):
         self.frames = frames          # list of FrameField, frame order
         self.residuals = residuals    # list of (level, field)
         self.depth = depth
         self.levels_rank = levels_rank  # level -> (even, odd) eval rank at x0
         self.bracket_generating = bracket_generating
+        self.brackets = brackets
 
 
 def _is_scalar_multiple(F, G):
@@ -427,14 +430,27 @@ def _expand_in_frame(field, frames):
     return coeffs, R, den
 
 
+def _bracket(table, X, Y):
+    """[X, Y] through table, keyed by the field objects: the stored [X, Y],
+    the flip of a stored [Y, X], exact since [X, Y] = -(-1)^{|X||Y|} [Y, X]
+    term by term, or bracket_fields(X, Y), which is stored."""
+    if (X, Y) not in table:
+        if (Y, X) in table:
+            return table[Y, X] if X.parity and Y.parity else -table[Y, X]
+        table[X, Y] = bracket_fields(X, Y)
+    return table[X, Y]
+
+
 def derived_flag(dist):
     """Weak derived flag D = D^1 in D^2 in ... up to depth m + n + 1; per
     level a reduced generating set (frame members with unit pivots plus
-    non-framable residual generators)."""
+    non-framable residual generators).  Each bracket is computed once
+    (``_bracket``); those of two frame fields are kept as ``brackets``."""
     amb = dist.ambient
     point = dist.basepoint
     frames = []
     residuals = []
+    table = {}
 
     def try_add(field, level, label):
         R = _expand_in_frame(field, frames)[1]
@@ -460,7 +476,7 @@ def derived_flag(dist):
         current += [(r, "res") for lv, r in residuals if lv == level]
         for g in dist.generators:
             for h, hl in current:
-                br = bracket_fields(g, h)
+                br = _bracket(table, g, h)
                 if br:
                     lbl = "[%s,%s]" % (g.name or "?", hl)
                     if try_add(br, level + 1, lbl):
@@ -470,7 +486,9 @@ def derived_flag(dist):
         level += 1
         levels_rank[level] = _eval_rank(frames, residuals, level, point)
     bracket_generating = levels_rank[level] == (amb.m, amb.n)
-    return DerivedFlag(frames, residuals, level, levels_rank, bracket_generating)
+    framed = {f.field for f in frames}
+    return DerivedFlag(frames, residuals, level, levels_rank, bracket_generating,
+                       {k: v for k, v in table.items() if framed.issuperset(k)})
 
 
 def _eval_rank(frames, residuals, level, point):
@@ -502,7 +520,7 @@ def check_strong_regularity(flag, seed=None):
     constants.  The verdict is local at x0: the frame of ``derived_flag`` is
     independent there by construction (see the module docstring), so no
     other point is examined.  ``seed`` is accepted for old callers and
-    ignored.
+    ignored.  Brackets are read from, and added to, ``flag.brackets``.
 
     Returns {"ok", "witnesses", "constants"}; constants maps
     (level_i_index, level_j_index) -> {frame_index: Scalar} on PASS.
@@ -522,7 +540,7 @@ def check_strong_regularity(flag, seed=None):
             if b < a:
                 continue
             lv = fa.level + fb.level
-            br = bracket_fields(fa.field, fb.field)
+            br = _bracket(flag.brackets, fa.field, fb.field)
             if not br and lv > flag.depth:
                 continue
             coeffs, R, den = _expand_in_frame(br, flag.frames)

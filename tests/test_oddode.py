@@ -2,7 +2,6 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -375,6 +374,25 @@ def test_each_unordered_pair_is_bracketed_once(order, rhs, degree, monkeypatch):
     assert len(calls) == n * (n + 1) // 2
 
 
+def test_the_tanaka_bound_is_prolonged_once_per_order(monkeypatch):
+    from superprolong import oddode
+    from superprolong.prolong import prolong
+
+    specs = [OdeSpec(3, "0", poly_degree=3), OdeSpec(3, "xi2", poly_degree=2),
+             OdeSpec(3, "xi*xi1*xi2", poly_degree=2)]
+    # uncached: every solve prolongs the symbol again
+    monkeypatch.setattr(oddode, "_tanaka_bound", oddode._tanaka_bound.__wrapped__)
+    want = [determine_symmetries(spec).to_json() for spec in specs]
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(
+        oddode, "prolong", lambda *a, **kw: calls.append(a) or prolong(*a, **kw)
+    )
+    oddode._tanaka_bound.cache_clear()
+    assert [determine_symmetries(spec).to_json() for spec in specs] == want
+    assert len(calls) == 1
+
+
 def test_closure_errors(monkeypatch):
     from superprolong import oddode
 
@@ -391,10 +409,7 @@ def test_closure_errors(monkeypatch):
     with pytest.raises(AssertionError, match="leaves the closed solution span"):
         determine_symmetries(OdeSpec(2, "0", poly_degree=3))
     # without a stabilized bound it stops after _ADOPTION_LIMIT adoptions
-    monkeypatch.setattr(
-        oddode, "prolong",
-        lambda *args, **kw: SimpleNamespace(status="truncated"),
-    )
+    monkeypatch.setattr(oddode, "_tanaka_bound", lambda n: None)
     with pytest.raises(
         AssertionError,
         match=r"leaves the closed solution span after %d adoptions$"
@@ -409,14 +424,13 @@ def test_an_adoption_past_the_bound_names_the_pair(monkeypatch):
     # poly_degree 1 finds 7 generators and the closure adopts
     # [x, x*xi*xi1] = -x*xi+x^2*xi1 as the eighth; a bound of (4|3) leaves
     # no room for it
-    prolong = oddode.prolong
+    tanaka_bound = oddode._tanaka_bound
 
-    def low_bound(*args, **kw):
-        res = prolong(*args, **kw)
-        assert (res.status, res.total_superdim) == ("stabilized", (4, 4))
-        return SimpleNamespace(status="stabilized", total_superdim=(4, 3))
+    def low_bound(n):
+        assert tanaka_bound(n) == (4, 4)
+        return (4, 3)
 
-    monkeypatch.setattr(oddode, "prolong", low_bound)
+    monkeypatch.setattr(oddode, "_tanaka_bound", low_bound)
     with pytest.raises(AssertionError) as exc:
         determine_symmetries(OdeSpec(2, "0", poly_degree=1))
     assert str(exc.value) == (

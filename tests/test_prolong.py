@@ -45,6 +45,7 @@ from superprolong.prolong import (
 from superprolong.spencer import CochainSlice, cochain_basis, cohomology_dims
 from superprolong.oddode import JetContext, OdeSpec, parse_jet, prolong_field
 from superprolong.linalg import rank_rows
+from superprolong.superfield import Ambient
 
 from conftest import g0_of, g2_symbol, two_step_symbols
 from oracles import RecursiveBrackets, dense, prolongation_step, truncation
@@ -1042,6 +1043,12 @@ _CHECKED_ARGUMENTS = [
     ("OdeSpec-order", lambda v: OdeSpec(v, "xi"), "order ", _never),
     ("OdeSpec-poly_degree", lambda v: OdeSpec(3, "xi2", poly_degree=v),
      "poly_degree ", _never),
+    ("Prolongation.step-i", lambda v: Prolongation(_line()).step(v), "i ",
+     lambda v: type(v) is int),
+    ("Prolongation.advance-i", lambda v: Prolongation(_line()).advance(v), "i ",
+     lambda v: type(v) is int),
+    ("Ambient-degree_cap", lambda v: Ambient(["x"], [], degree_cap=v),
+     "degree_cap ", _never),
 ]
 
 

@@ -15,6 +15,7 @@ from superprolong.superfield import (
     DistributionSpec,
     SuperPolynomial,
     SuperVectorField,
+    _bracket,
     bracket_fields,
     check_strong_regularity,
     derived_flag,
@@ -26,6 +27,7 @@ from superprolong.superfield import (
     symbols_isomorphic_on_the_nose,
 )
 from superprolong.cli import _read_field
+from superprolong.papersuite import nonregular_hc_extension
 from superprolong.oddode import JetContext, parse_jet
 
 import oracles
@@ -140,6 +142,16 @@ def test_bracket_acts_as_the_supercommutator(X, Y, f):
     YXf = Y.apply(X.apply(f))
     twisted = -YXf if X.parity and Y.parity else YXf
     assert bracket_fields(X, Y).apply(f) == X.apply(Y.apply(f)) - twisted
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_fields(), vector_fields())
+def test_a_stored_bracket_answers_the_other_order(X, Y):
+    # [X, Y] = -(-1)^{|X||Y|} [Y, X]: the flip of the stored entry, with
+    # nothing computed or stored
+    table = {(Y, X): bracket_fields(Y, X)}
+    assert not (_bracket(table, X, Y) - bracket_fields(X, Y)).coeffs
+    assert list(table) == [(Y, X)]
 
 
 def test_even_self_bracket_vanishes():
@@ -277,6 +289,56 @@ def test_regularity_report_ignores_the_seed(dist):
     assert all(r == reports[0] for r in reports)
 
 
+def _left_invariant(name):
+    return lambda: left_invariant_distribution(SymbolAlgebra(build_named(name)))
+
+
+# every flag the tests and the benchmark workloads build
+_FLAGS = {
+    **{name: _left_invariant(name) for name in (
+        "shc_symbol", "odd_ode_symbol:5", "odd_ode_symbol:7",
+        "heisenberg_contact:2|2", "heisenberg_contact:4|2",
+        "heisenberg_contact:2|4",
+    )},
+    "example_35": example_35,
+    "nonregular_hc": nonregular_hc_extension,
+}
+
+
+@pytest.mark.parametrize("name", list(_FLAGS))
+def test_stored_brackets_give_what_recomputing_them_gives(name):
+    flag = derived_flag(_FLAGS[name]())
+    framed = {f.field for f in flag.frames}
+    assert flag.brackets and all(framed.issuperset(k) for k in flag.brackets)
+    for (X, Y), br in flag.brackets.items():
+        assert not (br - bracket_fields(X, Y)).coeffs
+    stored = check_strong_regularity(flag)
+    symbol = extract_symbol(flag).to_json() if stored["ok"] else None
+    flag.brackets = {}
+    assert check_strong_regularity(flag) == stored
+    if stored["ok"]:
+        flag.brackets = {}
+        assert extract_symbol(flag).to_json() == symbol
+
+
+def test_the_flag_and_its_regularity_check_bracket_each_pair_once(monkeypatch):
+    from superprolong import superfield
+
+    dist = left_invariant_distribution(SymbolAlgebra(shc_symbol()))
+    pairs = []
+    monkeypatch.setattr(
+        superfield, "bracket_fields",
+        lambda X, Y: pairs.append((X, Y)) or bracket_fields(X, Y),
+    )
+    flag = derived_flag(dist)
+    assert check_strong_regularity(flag)["ok"]
+    unordered = {frozenset(p) for p in pairs}
+    assert len(pairs) == len(unordered)
+    frames = [f.field for f in flag.frames]
+    assert all(frozenset((X, Y)) in unordered
+               for a, X in enumerate(frames) for Y in frames[a:])
+
+
 def rand_term(amb, rng, parity):
     """A random +-1, +-2 multiple of a low-degree monomial of the given parity."""
     even = [SuperPolynomial.constant(amb, 1)]
@@ -392,7 +454,7 @@ def test_basepoint_coordinates_must_be_exact_rationals(basepoint):
 def test_degree_cap_must_be_a_nonnegative_integer(cap):
     with pytest.raises(ValueError) as err:
         Ambient(["x"], [], degree_cap=cap)
-    assert str(err.value) == "degree_cap must be a nonnegative integer, not %r" % (cap,)
+    assert str(err.value) == "degree_cap must be an int >= 0, got %r" % (cap,)
 
 
 _PARSE_AMBIENT = Ambient(["x", "y"], ["th"])
