@@ -18,6 +18,13 @@ bracket of generating superfunctions is
           + (D^(1)_j f)(d_{xi_j} g) + (-1)^{|f|} (d_{xi_j} f)(D^(1)_j g),
 
 with [S_f, S_g] = S_{[f,g]}.
+
+Each generating function is prolonged once per process: ``prolong_field``
+keeps, per function, its contact field, the untruncated top level of total
+derivatives built so far and the truncated coefficients of every order up
+to it, and extends that chain when a higher order is asked for.  The kept
+polynomials are shared with the fields returned, so no code mutates a
+polynomial's ``terms`` in place.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, count
 from math import lcm
+from types import SimpleNamespace
 
 from .scalars import FIELD_Q, Scalar, _exact, _read_rational, as_scalar
 from .superspace import (
@@ -49,6 +57,7 @@ class JetContext:
     """p independent even variables, one odd dependent variable."""
 
     def __init__(self, p=1):
+        _check_degree("p", p, 1)
         self.p = p
 
     def direction_name(self, d):
@@ -253,32 +262,50 @@ def contact_vf(f):
     return ContactField(ctx, (pf + 1) % 2, coeffs)
 
 
+@lru_cache(maxsize=None)
+def _jet_chain(p, terms):
+    """The prolongation, as built so far, of the function f with these terms
+    on the J^1 of p variables, kept for the process: its contact field, the
+    untruncated total derivatives {I: D_I f} of the top order built and the
+    truncated coefficients added at each order 1, 2, ...; contact_vf's
+    check raises before any entry is made."""
+    f = JetFunction(JetContext(p), dict(terms))
+    return SimpleNamespace(field=contact_vf(f), top={(): f}, levels=[])
+
+
 def prolong_field(f, r):
     """Prolongation of S_f to J^r: the d_{xi_I} coefficient for |I| = k is
-    D_{x^{j_1}}...D_{x^{j_k}} f truncated to jet order k."""
+    D_{x^{j_1}}...D_{x^{j_k}} f truncated to jet order k, which does not
+    depend on r.  The levels come from f's chain (``_jet_chain``), built
+    once per function and extended when r exceeds its order; the field
+    returned has a coeffs dict of its own, but its coefficient polynomials
+    are shared with the chain, so callers must not mutate their ``terms``."""
     ctx = f.ambient
-    base = contact_vf(f)
+    chain = _jet_chain(ctx.p, frozenset(f.terms.items()))
     _check_degree("prolongation order", r)
     if r < 1:
         raise ValueError("prolongation order must be >= 1")
-    coeffs = dict(base.coeffs)
-    level = {(): f}
-    for k in range(1, r + 1):
+    for k in range(len(chain.levels) + 1, r + 1):
         nxt = {}
-        for I, g in level.items():
+        for I, g in chain.top.items():
             lo = I[-1] if I else 1
             for i in range(lo, ctx.p + 1):
                 J = I + (i,)
                 if J in nxt:
                     continue
                 nxt[J] = g.total_derivative(i - 1)
-        level = nxt
+        level = []
         if k >= 2:
-            for J, g in level.items():
+            for J, g in nxt.items():
                 t = g.truncate(k)
                 if t:
-                    coeffs[("xi", J)] = t
-    return ContactField(ctx, base.parity, coeffs)
+                    level.append((("xi", J), t))
+        chain.top = nxt
+        chain.levels.append(level)
+    coeffs = dict(chain.field.coeffs)
+    for level in chain.levels[:r]:
+        coeffs.update(level)
+    return ContactField(ctx, chain.field.parity, coeffs)
 
 
 def lagrange_bracket(f, g):
@@ -463,7 +490,7 @@ class SymmetryResult:
                 for g in self.generators
             ],
             "bracket_table": self.bracket_table,
-            "prolongation_bound": {
+            "prolongation_bound": None if self.bound is None else {
                 "even": self.bound[0], "odd": self.bound[1],
             },
             "certified_complete": self.certified_complete,

@@ -20,7 +20,10 @@ xi_{I+e_i} * d_{xi_I}, that the one-pass ``JetFunction.total_derivative``
 replaced.  ``apply_field`` and ``lagrange_bracket`` build a field's value on
 a function and the bracket of generating functions from whole products and
 sums, as the package did before its one multiply-accumulate
-(``GrassmannPolynomial._mac``) took their place.
+(``GrassmannPolynomial._mac``) took their place.  ``prolong_field_direct``
+is the prolongation loop that rebuilds every level of total derivatives
+from f on each call, as the package did before ``oddode.prolong_field``
+kept one chain per generating function.
 """
 
 from fractions import Fraction
@@ -683,6 +686,38 @@ def lagrange_bracket(f, g):
         out = out + f.first_order_total(i) * g.diff_odd((i + 1,))
         out = out + (f.diff_odd((i + 1,)) * g.first_order_total(i)).scale(sgn)
     return out
+
+
+def prolong_field_direct(f, r):
+    """Prolongation of S_f to J^r, every level recomputed: the d_{xi_I}
+    coefficient for |I| = k is D_{x^{j_1}}...D_{x^{j_k}} f truncated to jet
+    order k."""
+    from superprolong.oddode import ContactField, contact_vf
+    from superprolong.superspace import _check_degree
+
+    ctx = f.ambient
+    base = contact_vf(f)
+    _check_degree("prolongation order", r)
+    if r < 1:
+        raise ValueError("prolongation order must be >= 1")
+    coeffs = dict(base.coeffs)
+    level = {(): f}
+    for k in range(1, r + 1):
+        nxt = {}
+        for I, g in level.items():
+            lo = I[-1] if I else 1
+            for i in range(lo, ctx.p + 1):
+                J = I + (i,)
+                if J in nxt:
+                    continue
+                nxt[J] = g.total_derivative(i - 1)
+        level = nxt
+        if k >= 2:
+            for J, g in level.items():
+                t = g.truncate(k)
+                if t:
+                    coeffs[("xi", J)] = t
+    return ContactField(ctx, base.parity, coeffs)
 
 
 def restrict(S, order):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superprolong.scalars import Scalar
 from superprolong.superspace import EVEN, ODD
@@ -22,7 +23,7 @@ from superprolong.oddode import (
     prolong_field,
 )
 
-from oracles import contact_form_preserved, iota_sigma, restrict
+from oracles import contact_form_preserved, iota_sigma, prolong_field_direct, restrict
 
 CTX = JetContext(1)
 
@@ -61,15 +62,91 @@ def test_prolongation_table_rows():
     assert prolong_field(jf("1"), 5).to_str() == "@xi"
 
 
+_SAMPLES = ["x*xi", "xi*xi1", "x^2*xi1", "x", "1", "x*xi*xi1", "xi1"]
+
+
+def assert_same_field(got, want):
+    assert got.parity == want.parity
+    assert got.coeffs == want.coeffs
+    assert got.to_str() == want.to_str()
+
+
 def test_prolongation_restriction_consistency():
-    rng = random.Random(8)
-    samples = ["x*xi", "xi*xi1", "x^2*xi1", "x", "1", "x*xi*xi1", "xi1"]
-    for text in samples:
+    for text in _SAMPLES:
         f = jf(text)
         for r in (2, 3, 4):
             full = prolong_field(f, r)
             down = prolong_field(f, r - 1)
             assert not (restrict(full, r - 1) - down).coeffs, (text, r)
+            assert_same_field(full, prolong_field_direct(f, r))
+            assert_same_field(down, prolong_field_direct(f, r - 1))
+
+
+# the ansatz monomials c(x) * {1, xi, xi', xi xi'} with exponentials, the
+# samples above and one function on the jet space of two variables
+_POOL = [
+    JetFunction(CTX, {((k,), lam, mono): Scalar(1)})
+    for mono in [(), ((),), ((1,),), ((), (1,))]
+    for k in (0, 2)
+    for lam in (0, 1, Fraction(-1, 2))
+] + [jf(text) for text in _SAMPLES] + [parse_jet(JetContext(2), "x1*xi*xi_2 + x2^2")]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(calls=st.lists(
+    st.tuples(st.integers(0, len(_POOL) - 1), st.integers(1, 6)),
+    min_size=1, max_size=10,
+))
+def test_the_jet_chain_memo_matches_the_direct_prolongation(calls):
+    # whatever order the memo is filled in, each field is the one the
+    # direct loop builds from scratch
+    from superprolong import oddode
+
+    oddode._jet_chain.cache_clear()
+    for index, r in calls:
+        f = _POOL[index]
+        assert_same_field(prolong_field(f, r), prolong_field_direct(f, r))
+
+
+def test_a_refused_generating_function_leaves_no_chain():
+    from superprolong import oddode
+
+    oddode._jet_chain.cache_clear()
+    with pytest.raises(ValueError, match="generating superfunctions live on J"):
+        prolong_field(jf("xi2"), 3)
+    assert oddode._jet_chain.cache_info().currsize == 0
+
+
+_SUITE_SPECS = [(2, "0", 3), (3, "0", 3), (3, "xi2", 2), (3, "xi*xi1*xi2", 2)]
+
+
+def test_a_second_round_of_solves_reuses_every_chain(monkeypatch):
+    # the four odd-ODE solves of the paper suite, with one chain per
+    # generating function against the direct prolongation of every call
+    from superprolong import oddode
+
+    def solve_all():
+        return [
+            determine_symmetries(OdeSpec(n, rhs, poly_degree=d)).to_json()
+            for n, rhs, d in _SUITE_SPECS
+        ]
+
+    monkeypatch.setattr(oddode, "_jet_chain", oddode._jet_chain.__wrapped__)
+    want = solve_all()
+    monkeypatch.undo()
+    full = []
+    total_derivative = JetFunction._total_derivative
+    monkeypatch.setattr(
+        JetFunction, "_total_derivative",
+        lambda g, i, below: (below is None and full.append(i))
+        or total_derivative(g, i, below),
+    )
+    oddode._jet_chain.cache_clear()
+    assert solve_all() == want
+    assert full
+    del full[:]
+    assert solve_all() == want
+    assert not full
 
 
 def test_lagrange_bracket_table_entries():
@@ -391,6 +468,24 @@ def test_the_tanaka_bound_is_prolonged_once_per_order(monkeypatch):
     oddode._tanaka_bound.cache_clear()
     assert [determine_symmetries(spec).to_json() for spec in specs] == want
     assert len(calls) == 1
+
+
+def test_a_result_without_a_bound_writes_a_null_bound(monkeypatch, capsys):
+    from superprolong import cli, oddode
+
+    # pr(symbol, scalings) did not stabilize: no bound, nothing certified
+    monkeypatch.setattr(oddode, "_tanaka_bound", lambda n: None)
+    res = determine_symmetries(OdeSpec(2, "0", poly_degree=3))
+    assert res.bound is None
+    assert res.certified_complete is False
+    data = json.loads(json.dumps(res.to_json()))
+    assert data["prolongation_bound"] is None
+    assert data["certified_complete"] is False
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["odesym", "--order", "2", "--rhs", "0", "--poly-degree", "3",
+                  "--format", "json"])
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["prolongation_bound"] is None
 
 
 def test_closure_errors(monkeypatch):

@@ -1037,6 +1037,7 @@ _CHECKED_ARGUMENTS = [
     ("odd_ode_symbol-order", lambda v: odd_ode_symbol(v), "order ", _never),
     ("odd_ode_scalings-order", lambda v: odd_ode_scalings(v), "order ", _never),
     ("supertranslation-N", lambda v: supertranslation(v), "N ", _never),
+    ("JetContext-p", lambda v: JetContext(v), "p ", _never),
     ("prolong_field-r",
      lambda v: prolong_field(parse_jet(JetContext(1), "xi"), v),
      "prolongation order ", _never),
