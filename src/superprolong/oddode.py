@@ -19,12 +19,11 @@ bracket of generating superfunctions is
 
 with [S_f, S_g] = S_{[f,g]}.
 
-Each generating function is prolonged once per process: ``prolong_field``
-keeps, per function, its contact field, the untruncated top level of total
-derivatives built so far and the truncated coefficients of every order up
-to it, and extends that chain when a higher order is asked for.  The kept
-polynomials are shared with the fields returned, so no code mutates a
-polynomial's ``terms`` in place.
+A generating function prolonged more than once in a process keeps its
+prolonged field, up to jet order 6, for later calls (``prolong_field``);
+one solve prolongs each function once, so a process that makes one solve
+keeps none.  The kept polynomials are shared with the fields returned, so
+no code mutates a polynomial's ``terms`` in place.
 """
 
 from __future__ import annotations
@@ -262,32 +261,41 @@ def contact_vf(f):
     return ContactField(ctx, (pf + 1) % 2, coeffs)
 
 
-@lru_cache(maxsize=None)
-def _jet_chain(p, terms):
-    """The prolongation, as built so far, of the function f with these terms
-    on the J^1 of p variables, kept for the process: its contact field, the
-    untruncated total derivatives {I: D_I f} of the top order built and the
-    truncated coefficients added at each order 1, 2, ...; contact_vf's
-    check raises before any entry is made."""
-    f = JetFunction(JetContext(p), dict(terms))
-    return SimpleNamespace(field=contact_vf(f), top={(): f}, levels=[])
+# The prolongation memo, least recently used first: (p, terms) of each of
+# the last _KEPT_CHAINS generating functions met, to None after its first
+# prolongation and to its chain after the second.  A chain keeps the levels
+# up to _KEPT_ORDER, since its terms grow as the cube of its order.
+_KEPT_ORDER = 6
+_KEPT_CHAINS = 128
+_jet_chains = {}
 
 
 def prolong_field(f, r):
     """Prolongation of S_f to J^r: the d_{xi_I} coefficient for |I| = k is
     D_{x^{j_1}}...D_{x^{j_k}} f truncated to jet order k, which does not
-    depend on r.  The levels come from f's chain (``_jet_chain``), built
-    once per function and extended when r exceeds its order; the field
+    depend on r.  From its second prolongation on, f keeps a chain in
+    ``_jet_chains``: its contact field, the untruncated total derivatives
+    {I: D_I f} of the top order kept and the truncated coefficients of each
+    order up to _KEPT_ORDER, extended when r exceeds its order.  The field
     returned has a coeffs dict of its own, but its coefficient polynomials
     are shared with the chain, so callers must not mutate their ``terms``."""
     ctx = f.ambient
-    chain = _jet_chain(ctx.p, frozenset(f.terms.items()))
+    key = (ctx.p, frozenset(f.terms.items()))
+    chain = _jet_chains.get(key)
+    if chain is None:
+        chain = SimpleNamespace(field=contact_vf(f), top={(): f}, levels=[])
     _check_degree("prolongation order", r)
     if r < 1:
         raise ValueError("prolongation order must be >= 1")
-    for k in range(len(chain.levels) + 1, r + 1):
+    met = key in _jet_chains
+    _jet_chains.pop(key, None)
+    _jet_chains[key] = chain if met else None
+    if len(_jet_chains) > _KEPT_CHAINS:
+        del _jet_chains[next(iter(_jet_chains))]
+    top, levels = chain.top, chain.levels[:r]
+    for k in range(len(levels) + 1, r + 1):
         nxt = {}
-        for I, g in chain.top.items():
+        for I, g in top.items():
             lo = I[-1] if I else 1
             for i in range(lo, ctx.p + 1):
                 J = I + (i,)
@@ -300,10 +308,13 @@ def prolong_field(f, r):
                 t = g.truncate(k)
                 if t:
                     level.append((("xi", J), t))
-        chain.top = nxt
-        chain.levels.append(level)
+        top = nxt
+        levels.append(level)
+        if k <= _KEPT_ORDER:
+            chain.top = top
+            chain.levels.append(level)
     coeffs = dict(chain.field.coeffs)
-    for level in chain.levels[:r]:
+    for level in levels:
         coeffs.update(level)
     return ContactField(ctx, chain.field.parity, coeffs)
 

@@ -94,7 +94,7 @@ _POOL = [
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(calls=st.lists(
-    st.tuples(st.integers(0, len(_POOL) - 1), st.integers(1, 6)),
+    st.tuples(st.integers(0, len(_POOL) - 1), st.integers(1, 8)),
     min_size=1, max_size=10,
 ))
 def test_the_jet_chain_memo_matches_the_direct_prolongation(calls):
@@ -102,27 +102,67 @@ def test_the_jet_chain_memo_matches_the_direct_prolongation(calls):
     # direct loop builds from scratch
     from superprolong import oddode
 
-    oddode._jet_chain.cache_clear()
+    oddode._jet_chains.clear()
     for index, r in calls:
         f = _POOL[index]
         assert_same_field(prolong_field(f, r), prolong_field_direct(f, r))
 
 
-def test_a_refused_generating_function_leaves_no_chain():
+def test_a_chain_is_kept_from_the_second_prolongation_up_to_the_kept_order():
     from superprolong import oddode
 
-    oddode._jet_chain.cache_clear()
+    top = oddode._KEPT_ORDER
+    f = JetFunction(CTX, {((3,), 1, ((), (1,))): Scalar(1)})  # x^3 e^x xi xi1
+    key = (1, frozenset(f.terms.items()))
+    oddode._jet_chains.clear()
+    for r in (top + 3, top + 1, top - 2, top + 2):
+        assert_same_field(prolong_field(f, r), prolong_field_direct(f, r))
+        if r == top + 3:
+            assert oddode._jet_chains == {key: None}
+    chain = oddode._jet_chains[key]
+    assert len(chain.levels) == top
+    assert {len(I) for I in chain.top} == {top}
+
+
+def test_one_solve_keeps_no_chain_and_the_memo_stays_bounded(monkeypatch):
+    # a single solve prolongs each ansatz function once; past _KEPT_CHAINS
+    # functions the least recently used are dropped
+    from superprolong import oddode
+
+    spec = OdeSpec(oddode._KEPT_ORDER + 2, "0", poly_degree=40)
+    monkeypatch.setattr(oddode, "prolong_field", prolong_field_direct)
+    want = determine_symmetries(spec).to_json()
+    monkeypatch.undo()
+    oddode._jet_chains.clear()
+    assert determine_symmetries(spec).to_json() == want
+    assert len(oddode._jet_chains) == oddode._KEPT_CHAINS
+    assert set(oddode._jet_chains.values()) == {None}
+    small = OdeSpec(3, "0", poly_degree=3)
+    oddode._jet_chains.clear()
+    determine_symmetries(small)
+    assert set(oddode._jet_chains.values()) == {None}
+    determine_symmetries(small)
+    assert None not in oddode._jet_chains.values()
+
+
+def test_a_refused_call_leaves_no_memo_entry():
+    from superprolong import oddode
+
+    oddode._jet_chains.clear()
     with pytest.raises(ValueError, match="generating superfunctions live on J"):
         prolong_field(jf("xi2"), 3)
-    assert oddode._jet_chain.cache_info().currsize == 0
+    with pytest.raises(ValueError, match="prolongation order must be >= 1"):
+        prolong_field(jf("xi"), 0)
+    assert not oddode._jet_chains
 
 
 _SUITE_SPECS = [(2, "0", 3), (3, "0", 3), (3, "xi2", 2), (3, "xi*xi1*xi2", 2)]
 
 
-def test_a_second_round_of_solves_reuses_every_chain(monkeypatch):
-    # the four odd-ODE solves of the paper suite, with one chain per
-    # generating function against the direct prolongation of every call
+def test_a_third_round_of_solves_reuses_every_chain(monkeypatch):
+    # the four odd-ODE solves of the paper suite against the direct
+    # prolongation of every call: the second round keeps a chain for each
+    # generating function, which the third reads
     from superprolong import oddode
 
     def solve_all():
@@ -131,7 +171,7 @@ def test_a_second_round_of_solves_reuses_every_chain(monkeypatch):
             for n, rhs, d in _SUITE_SPECS
         ]
 
-    monkeypatch.setattr(oddode, "_jet_chain", oddode._jet_chain.__wrapped__)
+    monkeypatch.setattr(oddode, "prolong_field", prolong_field_direct)
     want = solve_all()
     monkeypatch.undo()
     full = []
@@ -141,9 +181,12 @@ def test_a_second_round_of_solves_reuses_every_chain(monkeypatch):
         lambda g, i, below: (below is None and full.append(i))
         or total_derivative(g, i, below),
     )
-    oddode._jet_chain.cache_clear()
-    assert solve_all() == want
-    assert full
+    oddode._jet_chains.clear()
+    for _ in range(2):
+        del full[:]
+        assert solve_all() == want
+        assert full
+    assert None not in oddode._jet_chains.values()
     del full[:]
     assert solve_all() == want
     assert not full
