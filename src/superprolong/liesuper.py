@@ -52,12 +52,14 @@ class LieSuperalgebra:
 
     The Spencer differentials read the table through its Gaussian-integer
     copy ``_int_table``, made at their first use or at the last ``validate``
-    (which always rebuilds it); an in-place edit of ``table`` must drop it.
+    (which always rebuilds it); an in-place edit of ``table`` must drop it,
+    and with it the Spencer ranks kept in ``_ranks``.
     An assembled prolongation's table is built on the first read of
     ``table`` or ``raw`` (see ``_canonical``), and the engine's truncated
     algebra grows its ``_int`` with each new component.
     """
     _int = None  # (D, br) of ``_int_table``, once made
+    _ranks = None  # (the _int they were taken on, {(d, k, parity): rank})
 
     def __init__(self, space, brackets, field=FIELD_Q, rep=None, rep_shape=None):
         self.space = space

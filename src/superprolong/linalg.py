@@ -40,12 +40,12 @@ another pivot column; each solve reads its coefficients off those rows,
 one integer multiple per pivot the target holds, and eliminates nothing:
 the read-off uses up the integer target row, which becomes the residual.
 
-Stop at full column rank.  Told by its argument ncols how many columns the
-rows can hold, ``_echelon`` stops once it has that many pivots: they span
-the whole column space, so every later row would reduce to zero, and the
-answers are those of the full loop.  The Spencer ranks and
-``one_cocycles`` pass it, as their differentials have many more rows than
-columns; the public names read every row.
+Stop at full rank.  Told by its argument ncols how many columns the rows
+can hold, or any smaller bound on their rank, ``_echelon`` stops once it
+has that many pivots: they span the rows, so every later row would reduce
+to zero, and the answers are those of the full loop.  The Spencer ranks
+and ``one_cocycles`` pass it, as their differentials have many more rows
+than columns; the public names read every row.
 
 The leftmost rule's answers do not depend on the order of elimination.
 Its pivot columns are the lowest columns of the nonzero vectors of the row
@@ -191,15 +191,18 @@ def _echelon(rows, independent=None, units=False, ncols=None):
     row multiplied by the inverse unit so that this entry is (1, 0); a row
     with no unit entry pivots on its lowest column as before.
 
-    With ncols given, the rows hold only columns from a set of that size,
-    and the loop stops, reading no further row, once it holds ncols
-    pivots.  The stop is exact: ncols independent rows span the whole
-    column space, so every later row would reduce to zero and become no
-    pivot.  The pivots, independent and any kernel read off them are those
-    of the full loop.
+    With ncols given, any upper bound on the rank of the rows (the size of
+    their column set, or the Spencer bound from delta o delta = 0), the
+    loop stops, reading no further row, once it holds ncols pivots, and
+    reads no row if ncols is 0.  The stop is exact: pivots as many as the
+    rank span the rows, so every later row would reduce to zero and become
+    no pivot.  The pivots, independent and any kernel read off them are
+    those of the full loop.
     """
     pivots = {}
     order = {} if units else None
+    if ncols == 0:
+        return pivots
     for i, row in enumerate(rows):
         row = _reduce(_primitive(dict(row)), pivots, order)
         if row:

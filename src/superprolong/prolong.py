@@ -600,6 +600,7 @@ class ProlongationResult:
         self.metadata = metadata
 
     def component_superdim(self, k):
+        _check_degree("k", k, error=TypeError)
         if k < 0:
             return self.m.space.superdim(k)
         if k in self.engine.comp:

@@ -40,6 +40,14 @@ stops at full column rank, so the rows past the stop are never built;
 ``CochainSlice`` is the one view that keeps them, as a list, and divides
 them by D in ``matrix_rows``.
 
+Bounded ranks.  When g is an m-module, as a Lie superalgebra is, delta o
+delta = 0 (Chevalley-Eilenberg), so im delta^{d,k-1} lies in ker
+delta^{d,k} and rank delta^{d,k} <= dim C^{d,k} - rank delta^{d,k-1}, with
+equality exactly where H^{d,k} = 0.  ``cohomology_dims`` ranks delta^{d,0},
+..., delta^{d,k} bottom-up with this bound as each elimination's stop, per
+parity, and keeps the ranks on g; the reduced check bounds its one
+elimination by rank delta^{d,0} and keeps nothing.
+
 Reduced differential.  C^{d,2} = A + B, where A is spanned by the monomials
 with an argument of degree -1 and B by those with both arguments of degree
 <= -2; p projects onto A along B.  The check eliminates the rows of
@@ -195,34 +203,50 @@ def _stream_rows(g, basis, target):
         yield from rows
 
 
+def _coefficients(m, g):
+    """g, or m if g is None; m and g must be ``LieSuperalgebra``s."""
+    from .liesuper import LieSuperalgebra  # liesuper imports this module
+    for name, alg in (("m", m), ("g", m if g is None else g)):
+        if not isinstance(alg, LieSuperalgebra):
+            raise TypeError("%s must be a LieSuperalgebra, got %r" % (name, alg))
+    return alg
+
+
 def cohomology_dims(d, k, m, g=None):
     """Superdimension (even|odd) of H^{d,k}(m, g).
 
-    delta is even, so a row whose target has parity p has its entries in
-    the parity-p columns only: delta on the parity-p cochains is those rows,
-    ranked as they stand, with no column remap.  Only the rank is read, so
-    the rows go in shortest first, and the elimination stops once it has
-    as many pivots as the slice has parity-p columns.  C^{d,k} is built
-    once, as the basis of one slice and the target of the other.  d must
-    be an int and k an int >= 0 (``cochain_basis`` checks both).
+    delta is even, so its rows of target parity p hold only parity-p
+    columns and are ranked as they stand, shortest first.  The ranks of
+    delta^{d,0}, ..., delta^{d,k} are taken bottom-up under the bound of the
+    module docstring and kept in g's ``_ranks`` while g's ``_int`` is the
+    tuple they were taken on (``validate``, a grown truncation and the drop
+    that an in-place edit of ``table`` needs each make a new one).  m and
+    g must be ``LieSuperalgebra``s, d an int and k an int >= 0.
     """
-    g = m if g is None else g
-    here = CochainSlice(g, d, k)
-    slices = [here]
-    if k >= 1:
-        slices.append(CochainSlice(g, d, k - 1, target=here.basis))
-    dims = []
-    for parity in (EVEN, ODD):
-        dim = sum(1 for _, _, p in here.basis if p == parity)
-        for sl in slices:
-            dim -= len(_echelon(
+    g = _coefficients(m, g)
+    _check_degree("d", d)
+    _check_degree("k", k, 0)
+    ints = g._int or g._int_table()
+    if g._ranks is None or g._ranks[0] is not ints:
+        g._ranks = ints, {}
+    ranks = g._ranks[1]
+    lo = next((j for j in range(k + 1) if (d, j, EVEN) not in ranks), k + 1)
+    slices = [CochainSlice(g, d, k)] if lo <= k else []
+    for j in range(k - 1, lo - 1, -1):
+        slices.append(CochainSlice(g, d, j, target=slices[-1].basis))
+    for sl in reversed(slices):
+        for parity in (EVEN, ODD):
+            bound = sum(1 for _, _, p in sl.basis if p == parity)
+            bound -= ranks.get((d, sl.k - 1, parity), 0)
+            ranks[d, sl.k, parity] = len(_echelon(
                 sorted((row for row, (_, _, p) in zip(sl._rows, sl.target)
                         if p == parity), key=len),
-                units=True,
-                ncols=sum(1 for _, _, p in sl.basis if p == parity),
+                units=True, ncols=bound,
             ))
-        dims.append(dim)
-    return tuple(dims)
+    here = slices[0].basis if slices else cochain_basis(g, d, k)
+    return tuple(sum(1 for _, _, p in here if p == parity)
+                 - ranks[d, k, parity] - ranks.get((d, k - 1, parity), 0)
+                 for parity in (EVEN, ODD))
 
 
 def reduced_differential_check(m, g=None):
@@ -232,15 +256,18 @@ def reduced_differential_check(m, g=None):
     decide both halves are as in the module docstring.
 
     Both eliminations read the rows as ``_stream_rows`` yields them and
-    stop at full column rank, where every later row is dependent, so the
-    rows past the stop are never built.  The A-then-B one keeps its order,
-    because Z depends on it: an A row left after the stop counts as
-    dependent, as its reduction would have shown.  The injectivity half
-    reads only a rank, but its rows stay in target order as well: the stop
-    comes sooner there than with the shortest rows first, and its C^{d,3}
-    target is drawn monomial by monomial as the stream asks for it.
+    stop once every later row is dependent (the A-then-B one at the module
+    docstring's bound dim C^{d,1} - rank delta^{d,0}, the other at full
+    column rank), so the rows past the stop are never built.  The A-then-B
+    one keeps its order, because Z depends on it: an A row left after the
+    stop counts as dependent, as its reduction would have shown.  The
+    injectivity half reads only a rank, but its rows stay in target order
+    as well: the stop comes sooner there than with the shortest rows
+    first, and its C^{d,3} target is drawn monomial by monomial as the
+    stream asks for it.  g's ``_ranks`` are left alone.  m and g must be
+    ``LieSuperalgebra``s.
     """
-    g = m if g is None else g
+    g = _coefficients(m, g)
     degs = [b.degree for b in g.space]
     mdegs = [abs(d) for d in degs if d < 0]
     if not mdegs:
@@ -256,12 +283,15 @@ def reduced_differential_check(m, g=None):
         if not a_mons and not b_mons:
             continue
         # one elimination, A rows first: the pivots among them are the
-        # rank of p o delta
-        basis = cochain_basis(g, d, 1)
+        # rank of p o delta; delta o delta = 0 bounds rank(delta) by
+        # dim C^{d,1} - rank(delta^{d,0})
+        basis, below = cochain_basis(g, d, 1), cochain_basis(g, d, 0)
         ncols = len(basis)
+        bound = ncols - len(_echelon(_stream_rows(g, below, basis),
+                                     units=True, ncols=len(below)))
         independent = []
         _echelon(_stream_rows(g, basis, a_mons + b_mons), independent,
-                 units=True, ncols=ncols)
+                 units=True, ncols=bound)
         independent = set(independent)
         z_members = [t for i, t in enumerate(a_mons) if i not in independent]
         rk_full = len(independent)

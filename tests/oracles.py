@@ -13,6 +13,9 @@ is the O(n^2) inversion count that the package's one sign routine,
 ``superspace.sort_with_sign``, is compared against, and
 ``differential_formula`` evaluates the Spencer differential from the
 formula in the ``spencer`` docstring with those signs.
+``cohomology_dims_unbounded`` is the per-parity rank loop of
+``spencer.cohomology_dims`` before the delta o delta = 0 bound and the
+kept ranks: each rank taken on its own, stopped only at full column rank.
 ``scalar_differential_rows`` is the ``Scalar`` loop that the package's
 Gaussian-integer Spencer rows replaced.  ``total_derivative`` is the
 compositional jet total derivative, d/dx^i plus the products
@@ -262,6 +265,32 @@ def scalar_differential_rows(g, basis, target):
                     for c, b in hits:
                         add(pos[(T, b)], c, s * -(s_ij * sgn))
     return rows
+
+
+def cohomology_dims_unbounded(d, k, m, g=None):
+    """Superdimension (even|odd) of H^{d,k}(m, g), each rank taken on its
+    own with the elimination stopped only at full column rank."""
+    from superprolong.linalg import _echelon
+    from superprolong.spencer import CochainSlice
+    from superprolong.superspace import EVEN, ODD
+
+    g = m if g is None else g
+    here = CochainSlice(g, d, k)
+    slices = [here]
+    if k >= 1:
+        slices.append(CochainSlice(g, d, k - 1, target=here.basis))
+    dims = []
+    for parity in (EVEN, ODD):
+        dim = sum(1 for _, _, p in here.basis if p == parity)
+        for sl in slices:
+            dim -= len(_echelon(
+                sorted((row for row, (_, _, p) in zip(sl._rows, sl.target)
+                        if p == parity), key=len),
+                units=True,
+                ncols=sum(1 for _, _, p in sl.basis if p == parity),
+            ))
+        dims.append(dim)
+    return tuple(dims)
 
 
 def reduced_p_injective(g, d):

@@ -1050,6 +1050,9 @@ _CHECKED_ARGUMENTS = [
      lambda v: type(v) is int),
     ("Ambient-degree_cap", lambda v: Ambient(["x"], [], degree_cap=v),
      "degree_cap ", _never),
+    ("ProlongationResult.component_superdim-k",
+     lambda v: prolong(_line(), max_degree=1).component_superdim(v), "k ",
+     lambda v: type(v) is int),
 ]
 
 

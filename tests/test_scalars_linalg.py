@@ -606,6 +606,16 @@ def test_echelon_stops_before_the_next_row_at_full_column_rank():
         assert _kernel_basis(got, 2) == _kernel_basis(want, 2) == []
 
 
+def test_echelon_reads_no_row_under_a_bound_of_zero():
+    # a rank bound of 0 (a Spencer differential whose source is spanned by
+    # the image below it) skips the elimination: no row is read, none pivots
+    rows = [{}, {0: (1, 0)}]
+    for units in (False, True):
+        left, independent = iter(rows), []
+        assert _echelon(left, independent, units=units, ncols=0) == {}
+        assert list(left) == rows and independent == []
+
+
 def test_unit_rule_finds_the_units_of_a_row_scaled_by_a_common_factor():
     # 6 * (1 + 2i, -i, 3), as the Spencer rows come scaled by one common
     # denominator: no entry is a unit until the content 6 is divided out,

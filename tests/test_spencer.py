@@ -18,7 +18,8 @@ from superprolong.catalog import (
     shc_symbol,
     supertranslation,
 )
-from superprolong.liesuper import LieSuperalgebra, SymbolAlgebra
+from superprolong import spencer
+from superprolong.liesuper import LieSuperalgebra, SymbolAlgebra, validate
 from superprolong.prolong import Prolongation, projective_trace_reduction, prolong
 from superprolong.spencer import (
     CochainSlice,
@@ -32,6 +33,7 @@ from superprolong.linalg import _echelon, rank_rows
 
 from conftest import delta_squared_rows, g0_of, g2_symbol, two_step_symbols
 from oracles import (
+    cohomology_dims_unbounded,
     differential_formula,
     naive_rank,
     reduced_p_injective,
@@ -170,6 +172,114 @@ def test_k1_kernel_equals_prolongation_equations():
         sl = CochainSlice(g, i, 1)
         ker = len(sl.basis) - rank_rows(sl.matrix_rows)
         assert ker == sum(res.component_superdim(i))
+
+
+def _assert_bounded_ranks_match_the_unbounded_loop(g):
+    """cohomology_dims(d, k, g) against the oracle loop for k = 0..3 and
+    every d where C^{d,k} can be nonzero; k = 2 goes first, so that k = 0
+    and 1 read ranks it kept and k = 3 extends them."""
+    degs = [b.degree for b in g.space]
+    mu = -min(degs)
+    for k in (2, 0, 3, 1):
+        for d in range(min(degs) + k, max(degs) + k * mu + 1):
+            assert cohomology_dims(d, k, g) == cohomology_dims_unbounded(d, k, g), (d, k)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [lambda: prolong(SymbolAlgebra(supertranslation(1))).algebra,
+     lambda: prolong(SymbolAlgebra(supertranslation(2))).algebra,
+     lambda: prolong(SymbolAlgebra(supertranslation(3))).algebra,
+     lambda: prolong(SymbolAlgebra(shc_symbol())).algebra,
+     lambda: prolong(SymbolAlgebra(g2_symbol())).algebra,
+     lambda: _projective(2, 0), lambda: _projective(3, 0),
+     lambda: _projective(4, 0), lambda: _projective(2, 1),
+     lambda: build_named("sl_graded:2|1")],
+    ids=["supertranslation_1", "supertranslation_2", "supertranslation_3",
+         "shc", "g2", "projective_2", "projective_3", "projective_4",
+         "projective_2_1", "sl_graded_2_1"],
+)
+def test_bounded_ranks_match_the_unbounded_loop(g):
+    # each rank stopped at dim C^{d,j}_p - rank delta^{d,j-1}_p, and kept
+    # across calls, gives the H of the ranks taken one by one
+    _assert_bounded_ranks_match_the_unbounded_loop(g())
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_step_symbols())
+def test_bounded_ranks_match_the_unbounded_loop_on_random_symbols(alg):
+    # the symbol with its degree-0 derivations, m + g_0, an m-module
+    engine = Prolongation(SymbolAlgebra(alg))
+    _assert_bounded_ranks_match_the_unbounded_loop(engine._truncation()[0])
+
+
+def _plane_and_center(brackets):
+    # x, y in degree -1 and z in degree -2, all even
+    return LieSuperalgebra(GradedSuperSpace(
+        [BasisVector("x", -1, EVEN), BasisVector("y", -1, EVEN),
+         BasisVector("z", -2, EVEN)]), brackets)
+
+
+def test_kept_ranks_last_as_long_as_the_integer_table():
+    g = _plane_and_center({})  # abelian
+    bidegrees = [(d, k) for k in range(4) for d in range(k - 2, 2 * k)]
+    before = {dk: cohomology_dims(*dk, g) for dk in bidegrees}
+    # the Heisenberg algebra [x, y] = z, written into the table in place;
+    # the edit drops the integer table, as the LieSuperalgebra docstring asks
+    g.table[(0, 1)] = {2: Scalar(1)}
+    g._int = None
+    heisenberg = _plane_and_center({(0, 1): {2: 1}})
+    want = {dk: cohomology_dims(*dk, heisenberg) for dk in bidegrees}
+    assert want != before
+    assert all(want[d, k] == _naive_cohomology(heisenberg, d, k)
+               for d, k in bidegrees if k)
+    assert {dk: cohomology_dims(*dk, g) for dk in bidegrees} == want
+    # validate rebuilds the integer table from the table as it stands, so
+    # the ranks kept before it are dropped, even after an edit that kept
+    # the integer table
+    del g.table[(0, 1)]
+    assert validate(g) == []
+    assert {dk: cohomology_dims(*dk, g) for dk in bidegrees} == before
+
+
+def test_each_differential_is_ranked_once_per_algebra(monkeypatch):
+    # H^{1,1} ranks delta^{1,0} and delta^{1,1}; H^{1,2} then builds only
+    # the slice of delta^{1,2}, and H^{1,0} and H^{1,1} build none; the
+    # reduced check leaves the kept ranks alone; validate drops them
+    built = []
+
+    class Counted(CochainSlice):
+        def __init__(self, g, d, k, target=None):
+            built.append((d, k))
+            super().__init__(g, d, k, target)
+
+    monkeypatch.setattr(spencer, "CochainSlice", Counted)
+    m, g = _reduced_case("supertranslation_2")
+    h = [cohomology_dims(1, k, m, g) for k in (1, 2, 0, 1)]
+    assert built == [(1, 1), (1, 0), (1, 2)]
+    kept = g._ranks
+    reduced_differential_check(m, g)
+    assert g._ranks is kept and len(built) == 3
+    validate(g)
+    assert cohomology_dims(1, 1, m, g) == h[0]
+    assert built[3:] == [(1, 1), (1, 0)] and g._ranks is not kept
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda: cohomology_dims(0, 1, 5), "m"),
+     (lambda: cohomology_dims(0, 1, _abelian_two_step(), 5), "g"),
+     (lambda: reduced_differential_check(5), "m"),
+     (lambda: reduced_differential_check(_abelian_two_step(), 5), "g")],
+    ids=["cohomology_dims-m", "cohomology_dims-g",
+         "reduced_differential_check-m", "reduced_differential_check-g"],
+)
+def test_a_non_algebra_is_refused_by_name(call, name):
+    # these used to die in AttributeError: 'int' object has no attribute
+    # 'space'
+    with pytest.raises(TypeError,
+                       match="^%s must be a LieSuperalgebra, got 5$" % name):
+        call()
 
 
 def test_sl21_first_cohomology_vanishes():
