@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import lcm
+from types import MappingProxyType
 
 from .linalg import (
     SpanSolver,
@@ -50,16 +51,14 @@ class LieSuperalgebra:
     {src: {dst: Scalar}}, the form g0 takes; structure constants remain the
     source of truth.
 
-    The Spencer differentials read the table through its Gaussian-integer
-    copy ``_int_table``, made at their first use or at the last ``validate``
-    (which always rebuilds it); an in-place edit of ``table`` must drop it,
-    and with it the Spencer ranks kept in ``_ranks``.
-    An assembled prolongation's table is built on the first read of
-    ``table`` or ``raw`` (see ``_canonical``), and the engine's truncated
-    algebra grows its ``_int`` with each new component.
+    ``table`` is a read-only view.  ``validate`` and the Spencer
+    differentials read it through its Gaussian-integer copy ``_int``, made
+    by ``_int_table`` at the first read, which also holds the Spencer ranks
+    taken on it.  An assembled prolongation's table is built on the first
+    read of ``table`` or ``raw`` (see ``_canonical``), and only the engine,
+    which writes its truncated algebra's table, grows or drops its ``_int``.
     """
-    _int = None  # (D, br) of ``_int_table``, once made
-    _ranks = None  # (the _int they were taken on, {(d, k, parity): rank})
+    _int = None  # (D, br, {(d, k, parity): rank}) of ``_int_table``, once made
 
     def __init__(self, space, brackets, field=FIELD_Q, rep=None, rep_shape=None):
         self.space = space
@@ -75,49 +74,51 @@ class LieSuperalgebra:
                                  "0..%d" % (key, n - 1))
             self.raw.append(
                 (key, {c: t for c, s in res.items() if (t := as_scalar(s))}))
-        self.table = {}
+        table = {}
         for key, vec in self.raw:
             if key[0] <= key[1] and vec:
-                self.table[key] = dict(vec)
+                table[key] = dict(vec)
         for (a, b), vec in self.raw:
-            if a > b and (b, a) not in self.table:
+            if a > b and (b, a) not in table:
                 sign = Scalar(-1) if not (
                     space[a].parity == ODD and space[b].parity == ODD
                 ) else Scalar(1)
                 flipped = svec_scale(vec, sign)
                 if flipped:
-                    self.table[(b, a)] = flipped
+                    table[(b, a)] = flipped
+        self.table = MappingProxyType(table)
 
     @classmethod
     def _canonical(cls, space, table, field):
         """An algebra over a table that is already canonical (a <= b) with
-        zero-free Scalar coefficients, taken by reference, or over a thunk
-        that returns one, called when ``table`` or ``raw`` is first read;
-        ``raw`` is a live view of the table's own items."""
+        zero-free Scalar coefficients, viewed read-only by reference, or over
+        a thunk that returns one, called when ``table`` or ``raw`` is first
+        read; ``raw`` is a live view of the table's own items."""
         alg = cls.__new__(cls)
         alg.space, alg.field = space, field
         alg.rep = alg.rep_shape = None
         if callable(table):
             alg._thunk = table
         else:
-            alg.table = table
+            alg.table = MappingProxyType(table)
         return alg
 
     @cached_property
     def table(self):
-        return self.__dict__.pop("_thunk")()
+        return MappingProxyType(self.__dict__.pop("_thunk")())
 
     raw = cached_property(lambda self: self.table.items())
 
     def _int_table(self, keys=None):
-        """(D, br), stored on the algebra: D the lcm of the table's denominators,
-        br[a][b] = D [x_a, x_b] as (c, re, im) triples for both orders.  Given
-        keys added since, it grows the stored copy, or drops it (None) if a
-        new denominator does not divide D."""
+        """(D, br, ranks), stored on the algebra: D the lcm of the table's
+        denominators, br[a][b] = D [x_a, x_b] as (c, re, im) triples for both
+        orders, and ranks an empty dict for ``cohomology_dims``.  Given keys
+        added since, it grows the stored copy, with new empty ranks, or drops
+        it (None) if a new denominator does not divide D."""
         par = [v.parity for v in self.space]
         ints = [(key, *_int_row(self.table[key].items()))
                 for key in (self.table if keys is None else keys)]
-        D, br = (lcm(*(d for _, _, d in ints)), []) if keys is None else self._int
+        D, br = (lcm(*(d for _, _, d in ints)), []) if keys is None else self._int[:2]
         if any(D % d for _, _, d in ints):
             self._int = None
             return None
@@ -128,7 +129,7 @@ class LieSuperalgebra:
             br[a][b] = vec
             if a != b:
                 br[b][a] = vec if par[a] and par[b] else [(c, -x, -y) for c, x, y in vec]
-        self._int = D, br
+        self._int = D, br, {}
         return self._int
 
     # -- bracket evaluation ------------------------------------------------
@@ -230,10 +231,9 @@ def validate(L):
     triples.
 
     The Jacobiator is computed on Gaussian integers over D, the one
-    table-wide lcm of the denominators: the algebra's ``_int_table``, rebuilt
-    from ``table`` on every call, so an edited table is read, and stored for
-    the Spencer rows.  D^2 J is compared with 0, and a defect entry (u, v) is
-    reported as the Scalar (u + v i) / D^2.
+    table-wide lcm of the denominators: the algebra's ``_int``, the copy
+    the Spencer rows read.  D^2 J is compared with 0, and a defect entry
+    (u, v) is reported as the Scalar (u + v i) / D^2.
     """
     space = L.space
     out = []
@@ -269,12 +269,11 @@ def validate(L):
                 report("antisymmetry", (a, b), "[x,y] != -(-1)^{|x||y|}[y,x]")
 
     # super Jacobi, J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]],
-    # on the integer table rebuilt from the table as it stands, so the two
-    # sides below are D^2 times the brackets
+    # on the integer table, so the two sides below are D^2 times the brackets
     n = len(space)
     par = [space[i].parity for i in range(n)]
     deg = [space[i].degree for i in range(n)]
-    D, br = L._int_table()
+    D, br, _ = L._int or L._int_table()
     canonical = not out
     degrees = set(deg)
     empty = ()

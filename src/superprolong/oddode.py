@@ -133,10 +133,7 @@ class JetFunction(GrassmannPolynomial):
 
     def diff_x(self, i=0):
         """d/dx^i; for p = 1 this also differentiates the exponential part."""
-        out = super().diff_x(i)
-        # a nonzero lambda only occurs for p = 1, where i = 0
-        exp_part = {key: v * key[1] for key, v in self.terms.items() if key[1]}
-        return out + self._new(exp_part) if exp_part else out
+        return self._total_derivative(i, 0)
 
     def total_derivative(self, i=0):
         """Full total derivative D_{x^i} (raises jet order by one)."""

@@ -133,8 +133,9 @@ class Prolongation:
         self._blocks = {}  # (k, l), k <= l -> rows of brackets, see _block
         self._ints = {}  # k -> integer actions of g_k, see _int_actions
         self._solvers = {}
-        self._g = LieSuperalgebra._canonical(m.space, dict(m.table), m.field)
-        self._grown = []  # (component, offset) pairs _g was grown by
+        self._table = dict(m.table)  # _g's table, which only the engine writes
+        self._g = LieSuperalgebra._canonical(m.space, self._table, m.field)
+        self._grown = []  # the offset in _g of each component it was grown by
         self.reduced_at = []
         if g0 is not None:
             self._check_g0_closed()
@@ -437,6 +438,7 @@ class Prolongation:
         reduced: the actions of the components above it are written in its
         coordinates.
         """
+        _check_degree("degree", degree, 0, ProlongationError)
         if degree not in self.comp or degree > self.top:
             raise ProlongationError("component %d not computed yet" % degree)
         if degree < self.top:
@@ -476,12 +478,20 @@ class Prolongation:
             raise ProlongationError(
                 "reduction element %d lies in the span of the elements before it" % idx)
         self.comp[degree] = ProlongationComponent(degree, new_elements)
-        # invalidate the blocks, integer actions and solver touching it
+        # drop what the old component made: the blocks, integer actions and
+        # solver touching it, and the part of _g grown from it, with _g's
+        # integer copy
         self._blocks = {
             key: val for key, val in self._blocks.items() if key[0] + key[1] < degree
         }
         self._ints.pop(degree, None)
         self._solvers.pop(degree, None)
+        if degree < len(self._grown):
+            cut = self._grown.pop()
+            for key in [key for key in self._table if key[1] >= cut]:
+                del self._table[key]
+            self._g.space = GradedSuperSpace(self._g.space.basis[:cut])
+            self._g._int = None
         self.reduced_at.append(degree)
         self._check_reduction_compat(degree)
 
@@ -499,27 +509,17 @@ class Prolongation:
         between the g_k (``assemble`` adds them; 1-cochains of m never read
         them), and the global index of the first element of each g_k.
 
-        It is one algebra, grown by each new component: from the first g_k
-        that is not, by identity, the one it was grown by, its basis vectors
-        and brackets are dropped and grown again.  Its integer copy is
-        dropped there too (and on a new denominator), else grown in place.
-        The basis is that of m, then the g%d_%d names; [x_b, e] =
-        -(-1)^{|b||e|} [e, x_b] is written at the canonical key (b, e)."""
-        g, grown = self._g, self._grown
-        k = 0
-        while k < len(grown) and k <= self.top and grown[k][0] is self.comp[k]:
-            k += 1
+        It is one algebra, grown by each new component, with its integer
+        copy (dropped on a new denominator); ``reduce_component`` cuts off
+        the part grown from a replaced component.  The basis is that of m,
+        then the g%d_%d names; [x_b, e] = -(-1)^{|b||e|} [e, x_b] is written
+        at the canonical key (b, e)."""
+        g, grown, table = self._g, self._grown, self._table
         basis = list(g.space)
-        if k < len(grown):
-            cut = grown[k][1]
-            del grown[k:], basis[cut:]
-            for key in [key for key in g.table if key[1] >= cut]:
-                del g.table[key]
-            g._int = None
         names = {b.name for b in basis}
         for k in range(len(grown), self.top + 1):
             start = len(basis)
-            grown.append((self.comp[k], start))
+            grown.append(start)
             for idx, (par, action) in enumerate(self.comp[k].elements):
                 nm = "g%d_%d" % (k, idx + 1)
                 while nm in names:
@@ -529,15 +529,16 @@ class Prolongation:
                 for b, vec in action.items():
                     if vec:
                         d = k + self._degs[b]
-                        off = grown[d][1] if d >= 0 else 0
+                        off = grown[d] if d >= 0 else 0
                         odd = par and self.space[b].parity
-                        g.table[(b, start + idx)] = {
+                        table[(b, start + idx)] = {
                             off + t: s if odd else -s for t, s in vec.items()
                         }
-        g.space = GradedSuperSpace(basis)
-        if g._int:  # the new keys (b, e) are those past its rows
-            g._int_table([key for key in g.table if key[1] >= len(g._int[1])])
-        return g, {k: off for k, (_, off) in enumerate(grown)}
+        if len(basis) > len(g.space):
+            g.space = GradedSuperSpace(basis)
+            if g._int:  # the new keys (b, e) are those past its rows
+                g._int_table([key for key in table if key[1] >= len(g._int[1])])
+        return g, dict(enumerate(grown))
 
     def assemble(self):
         """Extended structure constants of m + g_0 + ... + g_top: a shallow
@@ -550,7 +551,7 @@ class Prolongation:
         the first read of ``table`` or ``raw``, whatever the engine did since."""
         g, offsets = self._truncation()
         # a result keeps its engine, so the grown copy is not kept past here
-        g._int, table = None, dict(g.table)
+        g._int, table = None, dict(self._table)
         blocks = [(offsets[k], offsets[l], offsets.get(k + l), self._block(k, l))
                   for k in range(self.top + 1) for l in range(k, self.top + 1)
                   if self.comp[k].elements and self.comp[l].elements

@@ -45,8 +45,8 @@ delta = 0 (Chevalley-Eilenberg), so im delta^{d,k-1} lies in ker
 delta^{d,k} and rank delta^{d,k} <= dim C^{d,k} - rank delta^{d,k-1}, with
 equality exactly where H^{d,k} = 0.  ``cohomology_dims`` ranks delta^{d,0},
 ..., delta^{d,k} bottom-up with this bound as each elimination's stop, per
-parity, and keeps the ranks on g; the reduced check bounds its one
-elimination by rank delta^{d,0} and keeps nothing.
+parity, and keeps the ranks in g's integer copy; the reduced check bounds
+its one elimination by rank delta^{d,0} and keeps nothing.
 
 Reduced differential.  C^{d,2} = A + B, where A is spanned by the monomials
 with an argument of degree -1 and B by those with both arguments of degree
@@ -218,18 +218,13 @@ def cohomology_dims(d, k, m, g=None):
     delta is even, so its rows of target parity p hold only parity-p
     columns and are ranked as they stand, shortest first.  The ranks of
     delta^{d,0}, ..., delta^{d,k} are taken bottom-up under the bound of the
-    module docstring and kept in g's ``_ranks`` while g's ``_int`` is the
-    tuple they were taken on (``validate``, a grown truncation and the drop
-    that an in-place edit of ``table`` needs each make a new one).  m and
-    g must be ``LieSuperalgebra``s, d an int and k an int >= 0.
+    module docstring and kept in the ranks of g's ``_int``.  m and g must be
+    ``LieSuperalgebra``s, d an int and k an int >= 0.
     """
     g = _coefficients(m, g)
     _check_degree("d", d)
     _check_degree("k", k, 0)
-    ints = g._int or g._int_table()
-    if g._ranks is None or g._ranks[0] is not ints:
-        g._ranks = ints, {}
-    ranks = g._ranks[1]
+    ranks = (g._int or g._int_table())[2]
     lo = next((j for j in range(k + 1) if (d, j, EVEN) not in ranks), k + 1)
     slices = [CochainSlice(g, d, k)] if lo <= k else []
     for j in range(k - 1, lo - 1, -1):
@@ -264,8 +259,8 @@ def reduced_differential_check(m, g=None):
     injectivity half reads only a rank, but its rows stay in target order
     as well: the stop comes sooner there than with the shortest rows
     first, and its C^{d,3} target is drawn monomial by monomial as the
-    stream asks for it.  g's ``_ranks`` are left alone.  m and g must be
-    ``LieSuperalgebra``s.
+    stream asks for it.  The ranks in g's ``_int`` are left alone.  m and
+    g must be ``LieSuperalgebra``s.
     """
     g = _coefficients(m, g)
     degs = [b.degree for b in g.space]

@@ -46,6 +46,7 @@ from superprolong.spencer import CochainSlice, cochain_basis, cohomology_dims
 from superprolong.oddode import JetContext, OdeSpec, parse_jet, prolong_field
 from superprolong.linalg import rank_rows
 from superprolong.superfield import Ambient
+from superprolong.cli import read_algebra
 
 from conftest import g0_of, g2_symbol, two_step_symbols
 from oracles import RecursiveBrackets, dense, prolongation_step, truncation
@@ -453,7 +454,7 @@ def _assert_int_is_the_rebuild(engine):
     # over the same table, entry for entry
     g = engine._g
     assert g._int is not None
-    D, br = LieSuperalgebra._canonical(g.space, dict(g.table), g.field)._int_table()
+    D, br, _ = LieSuperalgebra._canonical(g.space, dict(g.table), g.field)._int_table()
     assert g._int[0] == D and len(g._int[1]) == len(br)
     for a, row in enumerate(br):
         assert g._int[1][a].keys() == row.keys()
@@ -514,6 +515,80 @@ def test_grown_int_table_is_rebuilt_after_a_new_denominator(monkeypatch):
     assert calls == {"rebuilt": 2, "grown": 2, "dropped": 1}
 
 
+def test_growing_or_cutting_the_truncation_leaves_new_empty_ranks():
+    # the Spencer ranks live in the integer copy: a step that grows nothing
+    # keeps them, a growth or a cut leaves an empty dict in a new copy
+    engine = Prolongation(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)))
+    engine.advance(1)
+    g = engine._truncation()[0]
+    cohomology_dims(0, 1, g)
+    kept = g._int
+    assert kept[2]
+    engine.step(2)
+    assert g._int is kept
+    engine.advance(2)
+    assert engine._truncation()[0] is g
+    assert g._int is not kept and g._int[2] == {}
+    # a cut: the projective g_1 after step(2) grew the copy by the full g_1
+    engine = Prolongation(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)))
+    engine.advance(1)
+    engine.step(2)
+    g = engine._g
+    cohomology_dims(0, 1, g)
+    assert g._int[2]
+    engine.reduce_component(1, projective_trace_reduction(engine))
+    assert g._int is None and len(g.space) == 3 + 9
+    engine.advance(2)
+    assert g._int[2] == {} and len(g.space) == 3 + 9 + 3
+    _assert_int_is_the_rebuild(engine)
+
+
+def _read_only_tables():
+    # (name, algebra whose table is read) for each way an algebra is made
+    res = prolong(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)),
+                  reductions=[(1, projective_trace_reduction)],
+                  validate_result=False)
+    unread = res.engine.assemble()
+    assert "_thunk" in vars(unread)
+    yield "assembled-unread", unread
+    yield "assembled-read", res.algebra
+    yield "constructor", LieSuperalgebra(
+        GradedSuperSpace([BasisVector("x", -1, EVEN), BasisVector("y", -1, EVEN),
+                          BasisVector("z", -2, EVEN)]), {(1, 0): {2: -1}})
+    yield "symbol", SymbolAlgebra(shc_symbol())
+    yield "catalog", gl(2, 1)
+    yield "read_algebra", read_algebra(gl(2, 1).to_json())
+    yield "truncation", res.engine._truncation()[0]
+
+
+def test_every_table_is_read_only():
+    # setting or deleting a key raises TypeError, and the table is unchanged
+    for name, alg in _read_only_tables():
+        table = alg.table
+        before = dict(table)
+        key = next(iter(before))
+        with pytest.raises(TypeError):
+            table[key] = {}
+        with pytest.raises(TypeError):
+            table[(0, 0)] = {0: Scalar(1)}
+        with pytest.raises(TypeError):
+            del table[key]
+        assert alg.table is table and dict(table) == before, name
+
+
+@pytest.mark.parametrize("degree", [True, 1.0])
+def test_reduce_component_refuses_a_degree_before_it_touches_the_engine(degree):
+    # a bool or a float equal to 1 is refused before g_1 is replaced or the
+    # degree recorded
+    engine = Prolongation(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)))
+    engine.advance(1)
+    g1 = engine.comp[1]
+    with pytest.raises(ProlongationError) as exc:
+        engine.reduce_component(degree, [])
+    assert str(exc.value) == "degree must be an int >= 0, got %r" % (degree,)
+    assert engine.comp[1] is g1 and engine.reduced_at == []
+
+
 def test_zero_coefficients_of_a_g0_action_are_no_entries():
     # as in the matrix form, an explicit zero is no entry: it neither breaks
     # parity-homogeneity (X -> th1) nor reaches the structure constants
@@ -529,8 +604,9 @@ def test_zero_coefficients_of_a_g0_action_are_no_entries():
 
 
 def test_validate_checks_the_degree_of_an_assembled_entry():
-    # one order per pair and no raw copy: a wrong-degree entry put into an
-    # assembled table is still read by the degree check
+    # one order per pair and no raw copy: a wrong-degree entry in a table
+    # built on first read, as an assembled one is, is still read by the
+    # degree check
     res = prolong(SymbolAlgebra(abelian(2, 1)), g0=g0_of(gl(2, 1)),
                   reductions=[(1, projective_trace_reduction)])
     alg = res.algebra
@@ -542,17 +618,20 @@ def test_validate_checks_the_degree_of_an_assembled_entry():
         if v.degree != space[a].degree + space[b].degree
         and v.parity == (space[a].parity + space[b].parity) % 2
     )
-    alg.table[(a, b)] = {c: Scalar(1)}
-    report = validate(alg)
+    table = dict(alg.table)
+    table[(a, b)] = {c: Scalar(1)}
+    edited = LieSuperalgebra._canonical(space, lambda: table, alg.field)
+    report = validate(edited)
     kinds = [(r["kind"], r["where"]) for r in report]
     assert ("degree", (space[a].name, space[b].name, space[c].name)) in kinds
     assert "parity" not in {kind for kind, _ in kinds}
-    # the integer table stored by the first validate is stale now, so the
-    # Jacobi check must read the edited table, as a fresh algebra over it does
+    # the Jacobi check reads the edited table, as a fresh algebra over it
+    # does, and the assembled algebra is left as it was
     jacobi = [r for r in report if r["kind"] == "jacobi"]
-    fresh = LieSuperalgebra._canonical(space, dict(alg.table), alg.field)
+    fresh = LieSuperalgebra._canonical(space, dict(table), alg.field)
     assert jacobi == [r for r in validate(fresh) if r["kind"] == "jacobi"]
     assert len(jacobi) == 78
+    assert validate(alg) == [] and alg.table[(a, b)] == vec
 
 
 @pytest.mark.parametrize("g0, shape", [(gl(2, 2), "4x4"), (gl(1, 1), "2x2")])
@@ -1048,6 +1127,8 @@ _CHECKED_ARGUMENTS = [
      lambda v: type(v) is int),
     ("Prolongation.advance-i", lambda v: Prolongation(_line()).advance(v), "i ",
      lambda v: type(v) is int),
+    ("Prolongation.reduce_component-degree",
+     lambda v: Prolongation(_line()).reduce_component(v, []), "degree ", _never),
     ("Ambient-degree_cap", lambda v: Ambient(["x"], [], degree_cap=v),
      "degree_cap ", _never),
     ("ProlongationResult.component_superdim-k",

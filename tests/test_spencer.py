@@ -221,31 +221,30 @@ def _plane_and_center(brackets):
 
 
 def test_kept_ranks_last_as_long_as_the_integer_table():
+    # the abelian and the Heisenberg algebra [x, y] = z on one basis, each
+    # built anew: each keeps the ranks taken on its own integer table
     g = _plane_and_center({})  # abelian
     bidegrees = [(d, k) for k in range(4) for d in range(k - 2, 2 * k)]
     before = {dk: cohomology_dims(*dk, g) for dk in bidegrees}
-    # the Heisenberg algebra [x, y] = z, written into the table in place;
-    # the edit drops the integer table, as the LieSuperalgebra docstring asks
-    g.table[(0, 1)] = {2: Scalar(1)}
-    g._int = None
+    assert all(before[d, k] == _naive_cohomology(g, d, k)
+               for d, k in bidegrees if k)
     heisenberg = _plane_and_center({(0, 1): {2: 1}})
     want = {dk: cohomology_dims(*dk, heisenberg) for dk in bidegrees}
     assert want != before
     assert all(want[d, k] == _naive_cohomology(heisenberg, d, k)
                for d, k in bidegrees if k)
-    assert {dk: cohomology_dims(*dk, g) for dk in bidegrees} == want
-    # validate rebuilds the integer table from the table as it stands, so
-    # the ranks kept before it are dropped, even after an edit that kept
-    # the integer table
-    del g.table[(0, 1)]
-    assert validate(g) == []
+    # validate reads the integer table the ranks were taken on and keeps it
+    kept = g._int
+    assert validate(g) == [] and g._int is kept and kept[2]
     assert {dk: cohomology_dims(*dk, g) for dk in bidegrees} == before
+    assert {dk: cohomology_dims(*dk, heisenberg) for dk in bidegrees} == want
 
 
 def test_each_differential_is_ranked_once_per_algebra(monkeypatch):
     # H^{1,1} ranks delta^{1,0} and delta^{1,1}; H^{1,2} then builds only
     # the slice of delta^{1,2}, and H^{1,0} and H^{1,1} build none; the
-    # reduced check leaves the kept ranks alone; validate drops them
+    # reduced check and validate leave the kept ranks alone, so no slice
+    # is built after them
     built = []
 
     class Counted(CochainSlice):
@@ -257,12 +256,30 @@ def test_each_differential_is_ranked_once_per_algebra(monkeypatch):
     m, g = _reduced_case("supertranslation_2")
     h = [cohomology_dims(1, k, m, g) for k in (1, 2, 0, 1)]
     assert built == [(1, 1), (1, 0), (1, 2)]
-    kept = g._ranks
+    kept = g._int[2]
     reduced_differential_check(m, g)
-    assert g._ranks is kept and len(built) == 3
+    assert g._int[2] is kept and len(built) == 3
     validate(g)
     assert cohomology_dims(1, 1, m, g) == h[0]
-    assert built[3:] == [(1, 1), (1, 0)] and g._ranks is not kept
+    assert len(built) == 3 and g._int[2] is kept
+
+
+def test_validate_and_the_ranks_share_one_integer_table(monkeypatch):
+    # validate, then cohomology_dims, then validate: _int is made once, by
+    # the first reader, and read by the other two
+    g = prolong(SymbolAlgebra(supertranslation(2)), validate_result=False).algebra
+    made = []
+    original = LieSuperalgebra._int_table
+
+    def counted(self, keys=None):
+        made.append(keys)
+        return original(self, keys)
+
+    monkeypatch.setattr(LieSuperalgebra, "_int_table", counted)
+    assert validate(g) == []
+    h = cohomology_dims(1, 1, g)
+    assert validate(g) == []
+    assert made == [None] and h == _naive_cohomology(g, 1, 1)
 
 
 @pytest.mark.parametrize(
